@@ -636,6 +636,7 @@ def embed_bipartite(
         f"k={k}, targets={list(state.target_sizes)}", t0,
     )
 
+    t0 = time.perf_counter()
     beta_n = max(labelling.bandwidth, 1)
     ell_struct = (2 * n) // ((2 * k + 1) * beta_n)
     # aim for several pieces per cluster while keeping the expected
@@ -645,7 +646,7 @@ def embed_bipartite(
     if ell_struct < 1:
         report.record(
             "distribution", False,
-            f"pieces cannot host {2 * k + 1} blocks of length {beta_n}", time.perf_counter(),
+            f"pieces cannot host {2 * k + 1} blocks of length {beta_n}", t0,
         )
         raise EmbeddingPipelineError("bandwidth too large for the cluster count", report)
     xi_bal = frac(cfg.balance_slack) if cfg.balance_slack is not None else schedule.target_slack
@@ -760,11 +761,7 @@ def embed_bipartite(
             report.record("embedding", False, str(e), t0)
             last_failure = f"embedding: {e}"
             continue
-        check = verify_embedding(G, H, emb)
-        if not check:
-            report.record("verification", False, check.violation, t0)
-            last_failure = f"verification: {check.violation}"
-            continue
+        # embed_compatible returns only embeddings that verify_embedding passed
         report.record("embedding", True, f"verified on attempt {attempt + 1}", t0)
         report.verdict = "verified-embedding"
         return EmbedResult(emb, report, state, hom, resized.partition, labelling)

@@ -7,6 +7,7 @@ by scanning the edges, never assumed from the construction.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,8 +58,13 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
         raise GraphError(f"gamma = {gamma} >= 1/2 is unsatisfiable")
     delta = ceil_frac((Fraction(1, 2) + gamma) * n)
     p = min(Fraction(49, 50), Fraction(1, 2) + gamma + slack)
+    # a float draw lies below p exactly when it lies below the smallest
+    # float >= p, so the n^2 comparisons need no rational arithmetic
+    pf = float(p)
+    if Fraction(pf) < p:
+        pf = math.nextafter(pf, math.inf)
     rng = random.Random(spec.seed)
-    adj = [[rng.random() < p for _ in range(n)] for _ in range(n)]
+    adj = [[rng.random() < pf for _ in range(n)] for _ in range(n)]
     rows = [sum(adj[a]) for a in range(n)]
     for a in range(n):
         while rows[a] < delta:
@@ -66,7 +72,7 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
             if not adj[a][b]:
                 adj[a][b] = True
                 rows[a] += 1
-    cols = [sum(adj[a][b] for a in range(n)) for b in range(n)]
+    cols = [sum(col) for col in zip(*adj)]
     for b in range(n):
         while cols[b] < delta:
             a = rng.randrange(n)

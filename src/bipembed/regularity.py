@@ -11,8 +11,11 @@ The notions certified here:
 Exact regularity testing is exponential, so every check records whether it
 ran exhaustively (ground truth, only allowed below an enumeration cap) or by
 sampling subset pairs at the minimal qualifying size (statistical verdict,
-relative to the recorded sample count).  All density comparisons are exact
-rational arithmetic.
+relative to the recorded sample count).  All density comparisons are exact:
+every subset pair a check tests has the same number of vertex pairs, so the
+deviation bound is cross-multiplied once into a band of regular edge counts
+and each subset pair is tested with integers alone.  Rationals are built
+only for the base density and for deviation witnesses.
 """
 
 from __future__ import annotations
@@ -97,15 +100,11 @@ def min_subset_size(epsilon: Fraction, size: int) -> int:
     return max(1, ceil_frac(epsilon * size))
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _qualifying_subset_count(size: int, smin: int) -> int:
-    return sum(math.comb(size, s) for s in range(smin, size + 1))
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def _normalise_pair(U: VertexSet, W: VertexSet) -> tuple[VertexSet, VertexSet]:
@@ -114,53 +113,59 @@ def _normalise_pair(U: VertexSet, W: VertexSet) -> tuple[VertexSet, VertexSet]:
     return (U, W) if U.side is Side.A else (W, U)
 
 
-def _subset_density(adj: Sequence[int], members: Sequence[int], mask: int, msize: int) -> Fraction:
-    e = sum((adj[m] & mask).bit_count() for m in members)
-    return Fraction(e, len(members) * msize)
+def _regular_band(base: Fraction, eps: Fraction, denom: int) -> tuple[int, int]:
+    """Edge counts e with |e/denom - base| <= eps, as the interval [lo, hi].
+
+    With base = p/q and eps = a/b, multiplying through by denom*q*b gives
+    |e*q*b - p*denom*b| <= a*denom*q, so both ends are exact integer
+    divisions and a subset pair deviates exactly when its edge count lies
+    outside the band (boundary equality stays inside).
+    """
+    centre = base.numerator * denom * eps.denominator
+    radius = eps.numerator * denom * base.denominator
+    scale = base.denominator * eps.denominator
+    return -((radius - centre) // scale), (centre + radius) // scale
+
+
+def _extremal_members(adj: Sequence[int], members: Sequence[int], mask: int, s: int,
+                      high: bool) -> list[int]:
+    """The s members with fewest (or most) neighbours in mask, ties by index."""
+    degs = sorted(((adj[m] & mask).bit_count(), m) for m in members)
+    return [m for _, m in (degs[-s:] if high else degs[:s])]
 
 
 def _exhaustive_extremes(G, U: VertexSet, W: VertexSet, s_u: int, s_w: int):
-    """Extremal subset densities over pairs at minimal qualifying sizes.
+    """Extremal subset edge counts over pairs at minimal qualifying sizes.
 
     Over all qualifying subset pairs the extreme densities are attained with
     both sides at minimal size: fixing one side of an extremal pair, the
     other side can be replaced by its most extreme minimal-size subset
     without reducing the deviation.  So enumerating one side at its minimal
     size and sorting the other side's degrees is a complete exact decision.
+    Every candidate has s_u*s_w vertex pairs, so edge counts order them.
+    Returns the highest and the lowest as (edge count, U indices, W
+    indices); U lies on side A.
     """
     # enumerate the side with the smaller number of minimal-size subsets
     if math.comb(W.size, s_w) <= math.comb(U.size, s_u):
-        enum_set, opt_set, s_enum, s_opt = W, U, s_w, s_u
-        adj = G.adj_a if U.side is Side.A else G.adj_b
+        enum_set, opt_set, s_enum, s_opt, adj = W, U, s_w, s_u, G.adj_a
     else:
-        enum_set, opt_set, s_enum, s_opt = U, W, s_u, s_w
-        adj = G.adj_b if U.side is Side.A else G.adj_a
+        enum_set, opt_set, s_enum, s_opt, adj = U, W, s_u, s_w, G.adj_b
     opt_members = list(opt_set.indices())
-    best_hi = None  # (density, opt indices, enum indices)
+    best_hi = None  # (edge count, opt indices, enum indices)
     best_lo = None
     for chosen in combinations(list(enum_set.indices()), s_enum):
-        mask = 0
-        for i in chosen:
-            mask |= 1 << i
-        degs = sorted(((adj[m] & mask).bit_count(), m) for m in opt_members)
-        lo_sum = sum(d for d, _ in degs[:s_opt])
-        hi_sum = sum(d for d, _ in degs[-s_opt:])
-        denom = s_opt * s_enum
-        lo = Fraction(lo_sum, denom)
-        hi = Fraction(hi_sum, denom)
+        mask = _mask(chosen)
+        degs = sorted([(adj[m] & mask).bit_count() for m in opt_members])
+        lo = sum(degs[:s_opt])
+        hi = sum(degs[-s_opt:])
         if best_lo is None or lo < best_lo[0]:
-            best_lo = (lo, tuple(m for _, m in degs[:s_opt]), chosen)
+            best_lo = (lo, _extremal_members(adj, opt_members, mask, s_opt, False), chosen)
         if best_hi is None or hi > best_hi[0]:
-            best_hi = (hi, tuple(m for _, m in degs[-s_opt:]), chosen)
-
-    def to_witness_sets(opt_idx, enum_idx):
-        opt_vs = VertexSet.from_indices(opt_set.side, opt_set.universe, opt_idx)
-        enum_vs = VertexSet.from_indices(enum_set.side, enum_set.universe, enum_idx)
-        if opt_vs.side is Side.A:
-            return opt_vs, enum_vs
-        return enum_vs, opt_vs
-
-    return best_lo, best_hi, to_witness_sets
+            best_hi = (hi, _extremal_members(adj, opt_members, mask, s_opt, True), chosen)
+    if opt_set is U:
+        return [best_hi, best_lo]
+    return [(e, enum_idx, opt_idx) for e, opt_idx, enum_idx in (best_hi, best_lo)]
 
 
 def check_regular_pair(
@@ -178,8 +183,9 @@ def check_regular_pair(
 
     Sampled subsets default to the minimal qualifying size (deviation
     witnesses concentrate there on planted instances); ``sample_sizes``
-    overrides that choice.  Exhaustive mode refuses above the enumeration
-    cap and its verdicts are unconditional.
+    overrides that choice.  Exhaustive mode refuses when the subsets it
+    would enumerate exceed the enumeration cap, and its verdicts are
+    unconditional.
     """
     U, W = _normalise_pair(U, W)
     if not U or not W:
@@ -205,50 +211,52 @@ def check_regular_pair(
             note="vacuous: only full subsets qualify at this epsilon",
         )
 
+    # every tested subset pair has s_u*s_w vertex pairs, so a pair deviates
+    # exactly when its edge count leaves [lo, hi]; rationals are built only
+    # for the witness
+    denom = s_u * s_w
+    lo, hi = _regular_band(base, eps, denom)
+
+    def refuted(u_idx, w_idx, e, samples):
+        val = Fraction(e, denom)
+        wit = DeviationWitness(
+            VertexSet.from_indices(Side.A, U.universe, u_idx),
+            VertexSet.from_indices(Side.B, W.universe, w_idx),
+            val, abs(val - base),
+        )
+        return PairCertificate((U, W), params, Verdict.IRREGULAR, base, wit, strategy, samples)
+
     if strategy is Strategy.EXHAUSTIVE:
-        count = _qualifying_subset_count(U.size, s_u) * _qualifying_subset_count(W.size, s_w)
+        count = min(math.comb(U.size, s_u), math.comb(W.size, s_w))
         if count > enumeration_cap:
             raise EnumerationCapExceeded(
-                f"{count} qualifying subset pairs exceed cap {enumeration_cap}"
+                f"{count} minimal-size subsets to enumerate exceed cap {enumeration_cap}"
             )
-        best_lo, best_hi, to_sets = _exhaustive_extremes(G, U, W, s_u, s_w)
-        for val, opt_idx, enum_idx in (best_hi, best_lo):
-            dev = abs(val - base)
-            if dev > eps:
-                wu, ww = to_sets(opt_idx, enum_idx)
-                return PairCertificate(
-                    (U, W), params, Verdict.IRREGULAR, base,
-                    DeviationWitness(wu, ww, val, dev), strategy, 0,
-                )
+        for e, u_idx, w_idx in _exhaustive_extremes(G, U, W, s_u, s_w):
+            if not lo <= e <= hi:
+                return refuted(u_idx, w_idx, e, 0)
         return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, 0)
 
     rng = random.Random(seed)
     u_members = list(U.indices())
     w_members = list(W.indices())
 
-    def verdict_from(uc, wc, val, t):
-        dev = abs(val - base)
-        if dev > eps:
-            wit = DeviationWitness(
-                VertexSet.from_indices(Side.A, U.universe, uc),
-                VertexSet.from_indices(Side.B, W.universe, wc),
-                val, dev,
-            )
-            return PairCertificate(
-                (U, W), params, Verdict.IRREGULAR, base, wit, strategy, t + 1
-            )
+    def seeded_draw(adj, members, partners, s_members, s_partners):
+        """A partner subset inside N(v) for a random member v, answered by
+        the members of lowest and of highest degree into it.  Returns
+        (responders, partner subset, edge count) for the first response
+        that deviates, else None."""
+        nb = adj[rng.choice(members)]
+        pool = [i for i in partners if nb >> i & 1]
+        if len(pool) < s_partners:
+            return None
+        chosen = rng.sample(pool, s_partners)
+        mask = _mask(chosen)
+        degs = sorted([(adj[m] & mask).bit_count() for m in members])
+        for e, high in ((sum(degs[:s_members]), False), (sum(degs[-s_members:]), True)):
+            if not lo <= e <= hi:
+                return _extremal_members(adj, members, mask, s_members, high), chosen, e
         return None
-
-    def extremal_response(adj, responders, mask, msize, s):
-        """Minimal-size responder subsets with extreme density into mask."""
-        degs = sorted(((adj[m] & mask).bit_count(), m) for m in responders)
-        lo = [m for _, m in degs[:s]]
-        hi = [m for _, m in degs[-s:]]
-        denom = s * msize
-        return (
-            (lo, Fraction(sum(d for d, _ in degs[:s]), denom)),
-            (hi, Fraction(sum(d for d, _ in degs[-s:]), denom)),
-        )
 
     for t in range(budget):
         kind = t & 3
@@ -256,42 +264,23 @@ def check_regular_pair(
             # uniform independent subset pair at minimal qualifying size
             uc = u_members if s_u >= len(u_members) else rng.sample(u_members, s_u)
             wc = w_members if s_w >= len(w_members) else rng.sample(w_members, s_w)
-            wmask = 0
-            for i in wc:
-                wmask |= 1 << i
-            val = _subset_density(G.adj_a, uc, wmask, len(wc))
-            hit = verdict_from(uc, wc, val, t)
-            if hit:
-                return hit
+            wmask = _mask(wc)
+            e = sum([(G.adj_a[m] & wmask).bit_count() for m in uc])
+            if not lo <= e <= hi:
+                return refuted(uc, wc, e, t + 1)
         elif kind == 1:
             # neighbourhood-seeded: W' inside N(a), U' an extremal response.
             # Uniform pairs concentrate at the base density, so structured
             # deviations (planted blocks) are found via seeded draws.
-            a = rng.choice(u_members)
-            pool = [i for i in _bits(G.adj_a[a] & W.bits)]
-            if len(pool) < s_w:
-                continue
-            wc = rng.sample(pool, s_w)
-            wmask = 0
-            for i in wc:
-                wmask |= 1 << i
-            for uc, val in extremal_response(G.adj_a, u_members, wmask, s_w, s_u):
-                hit = verdict_from(uc, wc, val, t)
-                if hit:
-                    return hit
+            hit = seeded_draw(G.adj_a, u_members, w_members, s_u, s_w)
+            if hit:
+                uc, wc, e = hit
+                return refuted(uc, wc, e, t + 1)
         else:
-            b = rng.choice(w_members)
-            pool = [i for i in _bits(G.adj_b[b] & U.bits)]
-            if len(pool) < s_u:
-                continue
-            uc = rng.sample(pool, s_u)
-            umask = 0
-            for i in uc:
-                umask |= 1 << i
-            for wc, val in extremal_response(G.adj_b, w_members, umask, s_u, s_w):
-                hit = verdict_from(uc, wc, val, t)
-                if hit:
-                    return hit
+            hit = seeded_draw(G.adj_b, w_members, u_members, s_w, s_u)
+            if hit:
+                wc, uc, e = hit
+                return refuted(uc, wc, e, t + 1)
     return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, budget)
 
 

@@ -79,6 +79,38 @@ class TestCheckRegularPair:
                 Strategy.EXHAUSTIVE, enumeration_cap=1000,
             )
 
+    def test_exhaustive_decides_12x12_under_default_cap(self):
+        # the cap counts the minimal-size subsets of one side (C(12, 3) = 220),
+        # not every qualifying subset pair
+        g = random_bipartite(12, 0.5, random.Random(12))
+        U, W = full_sides(g)
+        eps = Fraction(1, 4)
+        cert = check_regular_pair(g, U, W, RegularityParams(eps, Fraction(0)), Strategy.EXHAUSTIVE)
+        assert cert.strategy is Strategy.EXHAUSTIVE
+        assert cert.verdict in (Verdict.REGULAR, Verdict.IRREGULAR)
+        if cert.witness is not None:
+            wit = cert.witness
+            assert abs(density(g, wit.subset_u, wit.subset_w) - cert.base_density) == wit.deviation
+            assert wit.deviation > eps
+
+    @pytest.mark.parametrize("strategy", [Strategy.EXHAUSTIVE, Strategy.SAMPLED])
+    def test_deviation_exactly_epsilon_is_regular(self, strategy):
+        # K_{2,2} + K_{2,2}: base density 1/2, and a 2x2 block has density 1,
+        # so the largest deviation over 2x2 subset pairs is exactly 1/2
+        g = planted_blocks(2, 2)
+        U, W = full_sides(g)
+        at = check_regular_pair(
+            g, U, W, RegularityParams(Fraction(1, 2), Fraction(0)), strategy, budget=40,
+        )
+        assert at.verdict is Verdict.REGULAR
+        # the same 2x2 subset size at a smaller epsilon refutes with that pair
+        below = check_regular_pair(
+            g, U, W, RegularityParams(Fraction(2, 5), Fraction(0)), strategy, budget=40,
+        )
+        assert below.verdict is Verdict.IRREGULAR
+        assert below.witness.deviation == Fraction(1, 2)
+        assert below.witness.subset_u.size == below.witness.subset_w.size == 2
+
     def test_witness_soundness_over_random_instances(self):
         rng = random.Random(31)
         found = 0
@@ -145,6 +177,40 @@ class TestCheckRegularPair:
                         Strategy.EXHAUSTIVE,
                     )
                     assert big.verdict is Verdict.REGULAR
+
+
+# (graph, epsilon, seed, sample sizes) -> (verdict, samples used, and for a
+# refutation the witness bits on each side and the witness density), all at
+# budget 800 on 64x64 pairs
+PINNED_CERTIFICATES = [
+    ("dense", "1/4", 0, None, ("REGULAR", 800)),
+    ("dense", "5/24", 0, None, ("IRREGULAR", 164, 0xc83a100051000206, 0x15804202200f0090, "115/196")),
+    ("dense", "5/24", 1, None, ("IRREGULAR", 26, 0x60509291002205, 0x8460860202096010, "115/196")),
+    ("dense", "3/16", 2, None, ("IRREGULAR", 18, 0x8004012820c300c0, 0x64052108080013, "1")),
+    ("dense", "1/16", 0, None, ("IRREGULAR", 1, 0x22000200000020, 0x6008004000000000, "15/16")),
+    ("blocks", "1/4", 0, None, ("IRREGULAR", 2, 0xffff, 0xffff, "1")),
+    ("dense", "1/6", 0, (16, 20), ("REGULAR", 800)),
+    ("dense", "1/6", 1, (16, 20), ("IRREGULAR", 380, 0x8447040a6000a58, 0x34404e1a22861920, "5/8")),
+]
+
+
+@pytest.mark.parametrize("graph, eps, seed, sizes, expected", PINNED_CERTIFICATES)
+def test_sampled_certificates_are_pinned(graph, eps, seed, sizes, expected):
+    # uniform draws (1 sample), both seeded draw kinds, low and high
+    # responses and a size override; any change to the sampler's random
+    # stream or to its deviation test moves one of these
+    g = random_bipartite(64, 0.8, random.Random(64)) if graph == "dense" else planted_blocks(4, 16)
+    U, W = full_sides(g)
+    cert = check_regular_pair(
+        g, U, W, RegularityParams(Fraction(eps), Fraction(0)), Strategy.SAMPLED,
+        budget=800, seed=seed, sample_sizes=sizes,
+    )
+    got = (cert.verdict.name, cert.samples_used)
+    if cert.witness is not None:
+        wit = cert.witness
+        got += (wit.subset_u.bits, wit.subset_w.bits, str(wit.witness_density))
+        assert wit.deviation == abs(wit.witness_density - cert.base_density)
+    assert got == expected
 
 
 class TestCheckSuperRegularPair:
