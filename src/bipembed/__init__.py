@@ -11,6 +11,7 @@ two-phase embedding.  Every intermediate object is exposed and checkable.
 
 from .graphs import (
     BipartiteGraph,
+    Check,
     Side,
     VertexId,
     VertexSet,

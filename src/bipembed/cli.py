@@ -18,7 +18,7 @@ from .embedder import (
     verify_embedding,
 )
 from .generators import InstanceSpec, gen_host, gen_target
-from .graphs import GraphError, Side, VertexSet
+from .graphs import Check, GraphError, Side, VertexSet
 from .hamilton import HamiltonSearchError, find_hamilton_cycle, verify_cycle
 from .homomorphism import (
     BalanceError,
@@ -273,41 +273,36 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok = True
-    detail = ""
     if args.embedding:
         g = fileio.read_graph(args.host)
         h = fileio.read_graph(args.target)
         emb = fileio.embedding_from_json(fileio.read_json(args.embedding))
-        res = verify_embedding(g, h, emb)
-        ok, detail = res.ok, res.violation
+        check = verify_embedding(g, h, emb)
     elif args.cycle:
         g = fileio.read_graph(args.host)
         cyc = fileio.cycle_from_json(fileio.read_json(args.cycle))
-        res = verify_cycle(g, cyc)
-        ok, detail = res.ok, res.violation or ""
+        check = verify_cycle(g, cyc)
     elif args.homomorphism:
         h = fileio.read_graph(args.target)
         hom = fileio.homomorphism_from_json(fileio.read_json(args.homomorphism))
         targets = _sizes(args.ni)
         rep = verify_cycle_homomorphism(h, hom, targets, args.xi)
-        ok = rep.ok
-        detail = "; ".join(
+        check = Check(rep.ok, "; ".join(
             f"{name}: {cl.detail}" for name, cl in (
                 ("homomorphism", rep.homomorphism),
                 ("linking", rep.linking_size),
                 ("matching", rep.matching_edges),
                 ("preimages", rep.preimage_bounds),
             ) if not cl.ok
-        )
+        ))
     else:
         print("nothing to verify (pass --embedding, --cycle, or --homomorphism)",
               file=sys.stderr)
         return 2
-    if ok:
+    if check:
         print("verification passed")
         return 0
-    print(f"verification FAILED: {detail}", file=sys.stderr)
+    print(f"verification FAILED: {check.detail}", file=sys.stderr)
     return 1
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId, VertexSet
+from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, VertexSet, iter_bits
 from .homomorphism import (
     BalanceError,
     BandwidthLabelling,
@@ -40,7 +40,7 @@ from .partitioner import (
     resize_host_partition,
 )
 from .ratmath import Rational, frac
-from .regularity import ClusterPartition, RegularityParams, Strategy
+from .regularity import ClusterPartition, RegularityParams, Strategy, typical_vertices
 
 ClassKey = tuple[str, int]
 
@@ -51,36 +51,24 @@ ClassKey = tuple[str, int]
 
 
 @dataclass
-class ClauseResult:
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
 class CompatibilityReport:
     class_sizes: dict[ClassKey, int]
     budget_sizes: dict[ClassKey, int]
     boundary: dict[ClassKey, frozenset[VertexId]]  # S_i per class
     fringe: dict[ClassKey, frozenset[VertexId]]  # T_i per class
-    size_clause: ClauseResult
-    edge_clause: ClauseResult
-    boundary_clause: ClauseResult
+    size_clause: Check
+    edge_clause: Check
+    boundary_clause: Check
 
     @property
     def ok(self) -> bool:
         return self.size_clause.ok and self.edge_clause.ok and self.boundary_clause.ok
 
     def boundary_union(self) -> set[VertexId]:
-        out: set[VertexId] = set()
-        for s in self.boundary.values():
-            out |= s
-        return out
+        return set().union(*self.boundary.values())
 
     def fringe_union(self) -> set[VertexId]:
-        out: set[VertexId] = set()
-        for s in self.fringe.values():
-            out |= s
-        return out
+        return set().union(*self.fringe.values())
 
 
 def _components(keys: Iterable[ClassKey], edges: Iterable[tuple[int, int]]):
@@ -135,37 +123,35 @@ def compatibility_report(
     if not rp <= r:
         raise GraphError("the super-regular pair list must be a subset of the regular one")
 
-    size_clause = ClauseResult(True)
+    size_clause = Check(True)
     for c in cls:
         if len(cls[c]) > sizes[c]:
-            size_clause = ClauseResult(
+            size_clause = Check(
                 False, f"class {c} holds {len(cls[c])} vertices, budget {sizes[c]}"
             )
             break
 
-    edge_clause = ClauseResult(True)
+    edge_clause = Check(True)
     boundary: dict[ClassKey, set[VertexId]] = {c: set() for c in cls}
     for x, y in H.edges():
         vx, vy = VertexId(Side.A, x), VertexId(Side.B, y)
         cx, cy = class_of[vx], class_of[vy]
         if cx[0] == cy[0]:
             if edge_clause.ok:
-                edge_clause = ClauseResult(
+                edge_clause = Check(
                     False, f"edge ({x},{y}) joins same-side classes {cx} and {cy}"
                 )
             continue
         pair = (cx[1], cy[1]) if cx[0] == "A" else (cy[1], cx[1])
         if pair not in r and edge_clause.ok:
-            edge_clause = ClauseResult(
+            edge_clause = Check(
                 False, f"edge ({x},{y}) lies over uncertified pair {pair}"
             )
         if cx != cy and pair not in rp:
             boundary[cx].add(vx)
             boundary[cy].add(vy)
 
-    s_union: set[VertexId] = set()
-    for s in boundary.values():
-        s_union |= s
+    s_union: set[VertexId] = set().union(*boundary.values())
     fringe: dict[ClassKey, set[VertexId]] = {c: set() for c in cls}
     for v in s_union:
         for w in H.neighbours(v):
@@ -177,15 +163,15 @@ def compatibility_report(
         m = min(sizes[c] for c in group)
         for c in group:
             comp_min[c] = m
-    boundary_clause = ClauseResult(True)
+    boundary_clause = Check(True)
     for c in cls:
         if len(boundary[c]) > eps * sizes[c]:
-            boundary_clause = ClauseResult(
+            boundary_clause = Check(
                 False, f"boundary of {c} has {len(boundary[c])} > eps*{sizes[c]}"
             )
             break
         if len(fringe[c]) > eps * comp_min[c]:
-            boundary_clause = ClauseResult(
+            boundary_clause = Check(
                 False,
                 f"fringe of {c} has {len(fringe[c])} > eps*min-component-size "
                 f"{comp_min[c]}",
@@ -213,38 +199,29 @@ class Embedding:
     phases: dict[VertexId, str] = field(compare=False, default_factory=dict)
 
 
-@dataclass
-class VerificationResult:
-    ok: bool
-    violation: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_embedding(G: BipartiteGraph, H: BipartiteGraph, emb: Embedding) -> VerificationResult:
+def verify_embedding(G: BipartiteGraph, H: BipartiteGraph, emb: Embedding) -> Check:
     """Exhaustive check: total, injective, side-respecting, edge-preserving."""
     mapping = emb.mapping
     for v in H.vertices():
         if v not in mapping:
-            return VerificationResult(False, f"{v} is not mapped")
+            return Check(False, f"{v} is not mapped")
     used: set[VertexId] = set()
     for hv, gv in mapping.items():
         if hv.side is not gv.side:
-            return VerificationResult(False, f"{hv} mapped across sides to {gv}")
+            return Check(False, f"{hv} mapped across sides to {gv}")
         if gv.index >= G.side_size(gv.side):
-            return VerificationResult(False, f"{hv} mapped outside the host to {gv}")
+            return Check(False, f"{hv} mapped outside the host to {gv}")
         if gv in used:
-            return VerificationResult(False, f"two vertices share the image {gv}")
+            return Check(False, f"two vertices share the image {gv}")
         used.add(gv)
     for x, y in H.edges():
         ga = mapping[VertexId(Side.A, x)]
         gb = mapping[VertexId(Side.B, y)]
         if not G.has_edge(ga.index, gb.index):
-            return VerificationResult(
+            return Check(
                 False, f"edge ({x},{y}) maps to non-edge ({ga.index},{gb.index})"
             )
-    return VerificationResult(True)
+    return Check(True)
 
 
 class EmbeddingError(RuntimeError):
@@ -354,19 +331,13 @@ def embed_compatible(
     # typical host vertices per class: enough neighbours in the partner
     # cluster to keep the completion phase healthy
     typical_bits: dict[ClassKey, int] = {}
-    thr = params.d - params.epsilon
     for c, vs in g_classes.items():
         p = partner.get(c)
         if p is None:
             typical_bits[c] = vs.bits
             continue
         pset = g_classes[p]
-        adj = G.adj_a if c[0] == "A" else G.adj_b
-        bits = 0
-        for a in vs.indices():
-            if (adj[a] & pset.bits).bit_count() >= thr * pset.size:
-                bits |= 1 << a
-        typical_bits[c] = bits
+        typical_bits[c] = typical_vertices(G, vs, pset, pset, params).vertices.bits
 
     boundary_order = sorted(
         report.boundary_union() | report.fringe_union(), key=lambda v: pos[v]
@@ -396,8 +367,7 @@ def embed_compatible(
             raise EmbeddingError(
                 f"phase 1 exhausted candidates for {v} in class {c}", stuck=v
             )
-        choices = _mask_indices(mask)
-        idx = rng1.choice(choices)
+        idx = rng1.choice(list(iter_bits(mask)))
         phase1_images[v] = VertexId(side, idx)
         phase1_used[side] |= 1 << idx
 
@@ -415,7 +385,7 @@ def embed_compatible(
             emb = Embedding(images, phases)
             check = verify_embedding(G, H, emb)
             if not check:
-                raise EmbeddingError(f"verification failed: {check.violation}")
+                raise EmbeddingError(f"verification failed: {check.detail}")
             return emb
         except EmbeddingError as e:
             last_error = e
@@ -425,15 +395,6 @@ def embed_compatible(
         stuck=getattr(last_error, "stuck", None),
         hall_violator=getattr(last_error, "hall_violator", None),
     )
-
-
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _complete_component(
@@ -451,18 +412,18 @@ def _complete_component(
             mask = admissible_mask(v, g_classes[ca].bits & ~used[Side.A], images)
         if mask == 0:
             raise EmbeddingError(f"completion stuck on {v} in {ca}", stuck=v)
-        idx = rng.choice(_mask_indices(mask))
+        idx = rng.choice(list(iter_bits(mask)))
         images[v] = VertexId(Side.A, idx)
         used[Side.A] |= 1 << idx
         phases[v] = "completion-greedy"
 
     free_bits = g_classes[cb].bits & ~used[Side.B]
-    free = _mask_indices(free_bits)
+    free = list(iter_bits(free_bits))
     local = {b: t for t, b in enumerate(free)}
     cands: list[list[int]] = []
     for v in y_rest:
         mask = admissible_mask(v, free_bits, images)
-        opts = [local[b] for b in _mask_indices(mask)]
+        opts = [local[b] for b in iter_bits(mask)]
         rng.shuffle(opts)
         cands.append(opts)
     match = _max_matching(cands, len(free))
@@ -651,7 +612,7 @@ def embed_bipartite(
         raise EmbeddingPipelineError("bandwidth too large for the cluster count", report)
     xi_bal = frac(cfg.balance_slack) if cfg.balance_slack is not None else schedule.target_slack
     vacuous = Fraction(1)
-    rprime = [(i, j) for i, j in ((i, i) for i in range(k))]
+    rprime = [(i, i) for i in range(k)]
 
     last_failure = "no attempt"
     for attempt in range(cfg.pipeline_retries):

@@ -32,6 +32,17 @@ class VertexId:
         return f"{self.side.value}{self.index}"
 
 
+@dataclass(frozen=True)
+class Check:
+    """Outcome of a pass/fail test; ``detail`` says why it failed."""
+
+    ok: bool
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 class GraphError(ValueError):
     pass
 
@@ -52,7 +63,12 @@ class UndefinedDensityError(GraphError):
     pass
 
 
-def _iter_bits(bits: int) -> Iterator[int]:
+def iter_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of ``bits``, ascending.
+
+    Seeded draws (``rng.choice``, ``rng.sample``) take lists built from this
+    order, so changing it changes every RNG-dependent result.
+    """
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -103,7 +119,7 @@ class VertexSet:
         return 0 <= index < self.universe and (self.bits >> index) & 1 == 1
 
     def indices(self) -> Iterator[int]:
-        return _iter_bits(self.bits)
+        return iter_bits(self.bits)
 
     def vertex_ids(self) -> list[VertexId]:
         return [VertexId(self.side, i) for i in self.indices()]
@@ -196,17 +212,18 @@ class BipartiteGraph:
     def degree(self, v: VertexId) -> int:
         return self.adjacency_mask(v).bit_count()
 
+    def _degrees(self) -> list[int]:
+        return [m.bit_count() for m in self.adj_a + self.adj_b]
+
     def min_degree(self) -> int:
-        degs = [m.bit_count() for m in self.adj_a] + [m.bit_count() for m in self.adj_b]
-        return min(degs) if degs else 0
+        return min(self._degrees(), default=0)
 
     def max_degree(self) -> int:
-        degs = [m.bit_count() for m in self.adj_a] + [m.bit_count() for m in self.adj_b]
-        return max(degs) if degs else 0
+        return max(self._degrees(), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for a in range(self.size_a):
-            for b in _iter_bits(self.adj_a[a]):
+            for b in iter_bits(self.adj_a[a]):
                 yield (a, b)
 
     def vertices(self) -> Iterator[VertexId]:
@@ -217,7 +234,7 @@ class BipartiteGraph:
 
     def neighbours(self, v: VertexId) -> list[VertexId]:
         opp = v.side.opposite()
-        return [VertexId(opp, i) for i in _iter_bits(self.adjacency_mask(v))]
+        return [VertexId(opp, i) for i in iter_bits(self.adjacency_mask(v))]
 
     def __eq__(self, other) -> bool:
         return (

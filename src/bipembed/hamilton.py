@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId
+from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, iter_bits
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -25,32 +25,23 @@ class HamiltonCycle:
     order: tuple[VertexId, ...]
 
 
-@dataclass
-class CycleCheck:
-    ok: bool
-    violation: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_cycle(G: BipartiteGraph, cycle: HamiltonCycle) -> CycleCheck:
+def verify_cycle(G: BipartiteGraph, cycle: HamiltonCycle) -> Check:
     order = cycle.order
     total = G.size_a + G.size_b
     if len(order) != total:
-        return CycleCheck(False, f"length {len(order)} != vertex count {total}")
+        return Check(False, f"length {len(order)} != vertex count {total}")
     if len(set(order)) != len(order):
-        return CycleCheck(False, "a vertex repeats in the sequence")
+        return Check(False, "a vertex repeats in the sequence")
     for t, v in enumerate(order):
         if v.index >= G.side_size(v.side):
-            return CycleCheck(False, f"{v} outside the graph")
+            return Check(False, f"{v} outside the graph")
         w = order[(t + 1) % len(order)]
         if w.side is v.side:
-            return CycleCheck(False, f"sides do not alternate at position {t}")
+            return Check(False, f"sides do not alternate at position {t}")
         a, b = (v.index, w.index) if v.side is Side.A else (w.index, v.index)
         if not G.has_edge(a, b):
-            return CycleCheck(False, f"non-edge hop {v}-{w} at position {t}")
-    return CycleCheck(True)
+            return Check(False, f"non-edge hop {v}-{w} at position {t}")
+    return Check(True)
 
 
 class HamiltonSearchError(RuntimeError):
@@ -82,31 +73,18 @@ def _exhaustive(G: BipartiteGraph) -> Optional[HamiltonCycle]:
         return None
     # fix A0 as the start; sequence alternates A, B, A, B, ...
     path: list[VertexId] = [VertexId(Side.A, 0)]
-    full_a = (1 << n) - 1
-    full_b = (1 << n) - 1
+    full = (1 << n) - 1
 
     def dead_end(visited_a: int, visited_b: int, tail: VertexId) -> bool:
         # an unvisited vertex must keep two usable cycle neighbours, where
         # usable means unvisited, or the current tail, or the start A0
-        rem_a = full_a & ~visited_a
-        rem_b = full_b & ~visited_b
+        rem_a = full & ~visited_a
+        rem_b = full & ~visited_b
         usable_b = rem_b | ((1 << tail.index) if tail.side is Side.B else 0)
         usable_a = rem_a | 1 | ((1 << tail.index) if tail.side is Side.A else 0)
-        m = rem_a
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if (G.adj_a[i] & usable_b).bit_count() < 2:
-                return True
-            m ^= low
-        m = rem_b
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            if (G.adj_b[j] & usable_a).bit_count() < 2:
-                return True
-            m ^= low
-        return False
+        return any(
+            (G.adj_a[i] & usable_b).bit_count() < 2 for i in iter_bits(rem_a)
+        ) or any((G.adj_b[j] & usable_a).bit_count() < 2 for j in iter_bits(rem_b))
 
     def rec(visited_a: int, visited_b: int) -> bool:
         if len(path) == 2 * n:
@@ -118,15 +96,7 @@ def _exhaustive(G: BipartiteGraph) -> Optional[HamiltonCycle]:
         else:
             options = G.adj_b[last.index] & ~visited_a
             side, adj, visited = Side.A, G.adj_a, visited_b
-        cands = []
-        m = options
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            cands.append(((adj[i] & ~visited).bit_count(), i))
-            m ^= low
-        cands.sort()
-        for _, i in cands:
+        for _, i in sorted(((adj[i] & ~visited).bit_count(), i) for i in iter_bits(options)):
             nxt = VertexId(side, i)
             path.append(nxt)
             na = visited_a | (1 << i) if side is Side.A else visited_a
@@ -249,7 +219,7 @@ def find_hamilton_cycle(
     check = verify_cycle(G, cycle)
     if not check:  # pragma: no cover - internal invariant
         raise HamiltonSearchError(
-            f"search produced an invalid cycle: {check.violation}",
+            f"search produced an invalid cycle: {check.detail}",
             hypothesis_held=hypothesis,
             definitive=False,
         )

@@ -14,13 +14,14 @@ graph homomorphism that is verified edge by edge before being returned.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId
+from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId
 from .ratmath import Rational, frac
 
 
@@ -387,7 +388,6 @@ def build_cycle_homomorphism(
                 cluster_of_y[v.index] = c
 
     # verification pass: every edge of H must land on an edge of the cycle
-    piece_of = _position_to_piece(pieces)
     for x, y in H.edges():
         a_idx = cluster_of_x[x]
         b_idx = cluster_of_y[y]
@@ -396,7 +396,7 @@ def build_cycle_homomorphism(
             py = labelling.positions_b[y]
             trace = {
                 "x_position": px, "y_position": py,
-                "x_piece": piece_of(px), "y_piece": piece_of(py),
+                "x_piece": _piece_at(pieces, px), "y_piece": _piece_at(pieces, py),
                 "x_cluster": a_idx, "y_cluster": b_idx,
             }
             raise HomomorphismError(
@@ -415,27 +415,16 @@ def build_cycle_homomorphism(
     )
 
 
-def _position_to_piece(pieces: PiecePartition):
-    import bisect
-
-    def lookup(pos: int) -> int:
-        return bisect.bisect_right(pieces.boundaries, pos) - 1
-
-    return lookup
-
-
-@dataclass
-class ClauseReport:
-    ok: bool
-    detail: str = ""
+def _piece_at(pieces: PiecePartition, pos: int) -> int:
+    return bisect.bisect_right(pieces.boundaries, pos) - 1
 
 
 @dataclass
 class HomomorphismReport:
-    homomorphism: ClauseReport
-    linking_size: ClauseReport
-    matching_edges: ClauseReport
-    preimage_bounds: ClauseReport
+    homomorphism: Check
+    linking_size: Check
+    matching_edges: Check
+    preimage_bounds: Check
 
     @property
     def ok(self) -> bool:
@@ -457,31 +446,31 @@ def verify_cycle_homomorphism(
     xi = frac(xi)
     k = hom.k
     n = H.size_a
-    homo = ClauseReport(True)
-    matching = ClauseReport(True)
+    homo = Check(True)
+    matching = Check(True)
     for x, y in H.edges():
         a_idx = hom.cluster_of_x[x]
         b_idx = hom.cluster_of_y[y]
         if not _cycle_edge(a_idx, b_idx, k) and homo.ok:
-            homo = ClauseReport(False, f"edge ({x},{y}) -> (A_{a_idx}, B_{b_idx})")
+            homo = Check(False, f"edge ({x},{y}) -> (A_{a_idx}, B_{b_idx})")
         vx, vy = VertexId(Side.A, x), VertexId(Side.B, y)
         if vx not in hom.linking and vy not in hom.linking:
             if a_idx != b_idx and matching.ok:
-                matching = ClauseReport(
+                matching = Check(
                     False,
                     f"non-linking edge ({x},{y}) not on a matching pair "
                     f"(A_{a_idx}, B_{b_idx})",
                 )
     bound = xi * 2 * k * n
     size_ok = len(hom.linking) <= bound
-    link = ClauseReport(
+    link = Check(
         size_ok, f"|S| = {len(hom.linking)} vs bound {bound}"
     )
-    pre = ClauseReport(True)
+    pre = Check(True)
     for i in range(k):
         lim = targets[i] + xi * n
         if not (hom.preimage_a[i] < lim and hom.preimage_b[i] < lim):
-            pre = ClauseReport(
+            pre = Check(
                 False,
                 f"cluster {i}: preimages {hom.preimage_a[i]}/{hom.preimage_b[i]} "
                 f"not below {lim}",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId, VertexSet
+from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits
 from .hamilton import find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
@@ -295,10 +295,7 @@ def absorb_exceptional_vertices(
     ys = sorted(partition.exceptional_b.indices())
     clusters_a = [c.bits for c in partition.clusters_a]
     clusters_b = [c.bits for c in partition.clusters_b]
-    work = ClusterPartition(
-        partition.clusters_a, partition.clusters_b,
-        partition.exceptional_a, partition.exceptional_b,
-    )
+    work = partition
     gains = [0] * k
     assignments = []
     for x, y in zip(xs, ys):
@@ -314,22 +311,11 @@ def absorb_exceptional_vertices(
         clusters_b[i] |= 1 << y
         gains[i] += 1
         assignments.append((x, y, i))
-        work = ClusterPartition(
-            tuple(VertexSet(Side.A, G.size_a, b) for b in clusters_a),
-            tuple(VertexSet(Side.B, G.size_b, b) for b in clusters_b),
-            VertexSet(Side.A, G.size_a, 0),
-            VertexSet(Side.B, G.size_b, 0),
-        )
+        work = ClusterPartition.from_masks(G, clusters_a, clusters_b)
     total = len(xs)
     bound = ceil_frac(Fraction(total) / (gamma * k)) if total else 0
-    result = ClusterPartition(
-        tuple(VertexSet(Side.A, G.size_a, b) for b in clusters_a),
-        tuple(VertexSet(Side.B, G.size_b, b) for b in clusters_b),
-        VertexSet(Side.A, G.size_a, 0),
-        VertexSet(Side.B, G.size_b, 0),
-    )
     return AbsorptionResult(
-        result, tuple(gains), tuple(assignments), bound, max(gains, default=0) <= bound
+        work, tuple(gains), tuple(assignments), bound, max(gains, default=0) <= bound
     )
 
 
@@ -403,117 +389,56 @@ def redistribute_cluster_sizes(
             raise RedistributionError(f"cluster {i} smaller than n/(2k)", cluster=i)
 
     d_thr = params.d
-    bits_a = [c.bits for c in partition.clusters_a]
-    bits_b = [c.bits for c in partition.clusters_b]
-    size_a = [c.size for c in partition.clusters_a]
-    size_b = [c.size for c in partition.clusters_b]
-    orig_a = list(bits_a)
-    orig_b = list(bits_b)
-    # degree of every B vertex into A_i / every A vertex into B_i, maintained
-    deg_into_a = [
-        [(G.adj_b[b] & bits_a[i]).bit_count() for b in range(G.size_b)] for i in range(k)
-    ]
-    deg_into_b = [
-        [(G.adj_a[a] & bits_b[i]).bit_count() for a in range(G.size_a)] for i in range(k)
-    ]
+    other = {"A": "B", "B": "A"}
+    adj = {"A": G.adj_a, "B": G.adj_b}
+    masks = {
+        "A": [c.bits for c in partition.clusters_a],
+        "B": [c.bits for c in partition.clusters_b],
+    }
+    sizes = {side: [m.bit_count() for m in masks[side]] for side in masks}
+    orig = {side: list(masks[side]) for side in masks}
+    # deg_into[side][i][w]: degree of the opposite-side vertex w into cluster
+    # i of ``side``, maintained across moves
+    deg_into = {
+        side: [[(row & m).bit_count() for row in adj[other[side]]] for m in masks[side]]
+        for side in masks
+    }
 
-    def move_a(src: int) -> None:
-        dst = (src + 1) % k
-        need_in = d_thr * size_b[dst]
-        chosen = -1
-        m = bits_a[src]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if (G.adj_a[v] & bits_b[dst]).bit_count() < need_in:
-                continue
-            ok = True
-            nb = G.adj_a[v] & bits_b[src]
-            floor_after = d_thr * (size_a[src] - 1)
-            while nb:
-                lw = nb & -nb
-                w = lw.bit_length() - 1
-                nb ^= lw
-                if deg_into_a[src][w] - 1 < floor_after:
-                    ok = False
-                    break
-            if ok:
-                chosen = v
+    def move(side: str, src: int, dst: int) -> None:
+        rows = adj[side]
+        partner_src, partner_dst = masks[other[side]][src], masks[other[side]][dst]
+        need_in = d_thr * sizes[other[side]][dst]
+        floor_after = d_thr * (sizes[side][src] - 1)
+        deg_src = deg_into[side][src]
+        deg_dst = deg_into[side][dst]
+        for v in iter_bits(masks[side][src]):
+            if (rows[v] & partner_dst).bit_count() >= need_in and all(
+                deg_src[w] - 1 >= floor_after for w in iter_bits(rows[v] & partner_src)
+            ):
                 break
-        if chosen < 0:
+        else:
             raise RedistributionError(
-                f"no eligible vertex to move out of A-cluster {src}; "
+                f"no eligible vertex to move out of {side}-cluster {src}; "
                 "the pair used for the move was not usably regular",
-                cluster=src, side="A",
+                cluster=src, side=side,
             )
-        bits_a[src] &= ~(1 << chosen)
-        bits_a[dst] |= 1 << chosen
-        size_a[src] -= 1
-        size_a[dst] += 1
-        row = G.adj_a[chosen]
-        m = row
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            deg_into_a[src][w] -= 1
-            deg_into_a[dst][w] += 1
-
-    def move_b(src: int) -> None:
-        dst = (src - 1) % k
-        need_in = d_thr * size_a[dst]
-        chosen = -1
-        m = bits_b[src]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if (G.adj_b[w] & bits_a[dst]).bit_count() < need_in:
-                continue
-            ok = True
-            nb = G.adj_b[w] & bits_a[src]
-            floor_after = d_thr * (size_b[src] - 1)
-            while nb:
-                lv = nb & -nb
-                v = lv.bit_length() - 1
-                nb ^= lv
-                if deg_into_b[src][v] - 1 < floor_after:
-                    ok = False
-                    break
-            if ok:
-                chosen = w
-                break
-        if chosen < 0:
-            raise RedistributionError(
-                f"no eligible vertex to move out of B-cluster {src}",
-                cluster=src, side="B",
-            )
-        bits_b[src] &= ~(1 << chosen)
-        bits_b[dst] |= 1 << chosen
-        size_b[src] -= 1
-        size_b[dst] += 1
-        row = G.adj_b[chosen]
-        m = row
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            deg_into_b[src][v] -= 1
-            deg_into_b[dst][v] += 1
+        masks[side][src] &= ~(1 << v)
+        masks[side][dst] |= 1 << v
+        sizes[side][src] -= 1
+        sizes[side][dst] += 1
+        for w in iter_bits(rows[v]):
+            deg_src[w] -= 1
+            deg_dst[w] += 1
 
     iterations = 0
     vertex_moves = 0
     route_log = []
-    for side_name, sizes, targets, mover, step in (
-        ("A", size_a, [partition.clusters_a[i].size + deltas_a[i] for i in range(k)],
-         move_a, +1),
-        ("B", size_b, [partition.clusters_b[i].size + deltas_b[i] for i in range(k)],
-         move_b, -1),
-    ):
+    for side, deltas, step in (("A", deltas_a, +1), ("B", deltas_b, -1)):
+        size = sizes[side]
+        targets = [size[i] + deltas[i] for i in range(k)]
         guard = 0
         while True:
-            sources = [i for i in range(k) if sizes[i] > targets[i]]
+            sources = [i for i in range(k) if size[i] > targets[i]]
             if not sources:
                 break
             src = sources[0]
@@ -521,15 +446,15 @@ def redistribute_cluster_sizes(
             sink = src
             while True:
                 dst = (j + step) % k
-                was_sink = sizes[dst] < targets[dst]
-                mover(j)
+                was_sink = size[dst] < targets[dst]
+                move(side, j, dst)
                 vertex_moves += 1
                 if was_sink:
                     sink = dst
                     break
                 j = dst
             iterations += 1
-            route_log.append((side_name, src, sink))
+            route_log.append((side, src, sink))
             guard += 1
             if guard > k * n:  # pragma: no cover - safety valve
                 raise RedistributionError("redistribution failed to converge")
@@ -537,20 +462,14 @@ def redistribute_cluster_sizes(
     sqrt_xi = sqrt_upper(xi)
     eps_out = min(params.epsilon + 100 * k * sqrt_xi, Fraction(1))
     d_out = max(params.d - 100 * k * k * sqrt_xi - params.epsilon, Fraction(0))
-    out = ClusterPartition(
-        tuple(VertexSet(Side.A, G.size_a, b) for b in bits_a),
-        tuple(VertexSet(Side.B, G.size_b, b) for b in bits_b),
-        VertexSet(Side.A, G.size_a, 0),
-        VertexSet(Side.B, G.size_b, 0),
-    )
     return RedistributionResult(
-        out,
+        ClusterPartition.from_masks(G, masks["A"], masks["B"]),
         iterations,
         vertex_moves,
         tuple(route_log),
         RegularityParams(eps_out, d_out) if eps_out > 0 else params,
-        tuple((orig_a[i] ^ bits_a[i]).bit_count() for i in range(k)),
-        tuple((orig_b[i] ^ bits_b[i]).bit_count() for i in range(k)),
+        tuple((o ^ m).bit_count() for o, m in zip(orig["A"], masks["A"])),
+        tuple((o ^ m).bit_count() for o, m in zip(orig["B"], masks["B"])),
         enforce_xi_cap,
     )
 

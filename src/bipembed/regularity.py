@@ -357,11 +357,8 @@ def typical_vertices(
         raise GraphError("B' must be a subset of B")
     adequate = bprime.size >= params.epsilon * B.size
     threshold = (params.d - params.epsilon) * bprime.size
-    bits = 0
     adj = G.adj_a if A.side is Side.A else G.adj_b
-    for a in A.indices():
-        if (adj[a] & bprime.bits).bit_count() >= threshold:
-            bits |= 1 << a
+    bits = _mask(a for a in A.indices() if (adj[a] & bprime.bits).bit_count() >= threshold)
     return TypicalVertices(VertexSet(A.side, A.universe, bits), threshold, adequate)
 
 
@@ -431,6 +428,23 @@ class ClusterPartition:
             if count != size or total != (1 << size) - 1:
                 raise GraphError(f"{side.value}-side clusters do not partition the side")
 
+    @classmethod
+    def from_masks(
+        cls,
+        G: BipartiteGraph,
+        masks_a: Iterable[int],
+        masks_b: Iterable[int],
+        exceptional_a: int = 0,
+        exceptional_b: int = 0,
+    ) -> "ClusterPartition":
+        """Clusters and exceptional sets of G's two sides, given as bitmasks."""
+        return cls(
+            tuple(VertexSet(Side.A, G.size_a, m) for m in masks_a),
+            tuple(VertexSet(Side.B, G.size_b, m) for m in masks_b),
+            VertexSet(Side.A, G.size_a, exceptional_a),
+            VertexSet(Side.B, G.size_b, exceptional_b),
+        )
+
     def cluster_of(self, v: VertexId) -> Optional[int]:
         groups = self.clusters_a if v.side is Side.A else self.clusters_b
         for i, c in enumerate(groups):
@@ -472,19 +486,16 @@ def random_equipartition(G: BipartiteGraph, k: int, rng: random.Random) -> Clust
     """Seeded equitable partition; the n mod k leftovers per side go exceptional."""
     if k < 1 or k > min(G.size_a, G.size_b):
         raise GraphError(f"cannot cut sides of {G.size_a}+{G.size_b} into {k} clusters")
-    out: dict[Side, tuple[list[VertexSet], VertexSet]] = {}
-    for side, size in ((Side.A, G.size_a), (Side.B, G.size_b)):
+
+    def cut(size: int) -> tuple[list[int], int]:
         order = list(range(size))
         rng.shuffle(order)
         L = size // k
-        clusters = [
-            VertexSet.from_indices(side, size, order[i * L : (i + 1) * L]) for i in range(k)
-        ]
-        exceptional = VertexSet.from_indices(side, size, order[k * L :])
-        out[side] = (clusters, exceptional)
-    return ClusterPartition(
-        tuple(out[Side.A][0]), tuple(out[Side.B][0]), out[Side.A][1], out[Side.B][1]
-    )
+        return [_mask(order[i * L : (i + 1) * L]) for i in range(k)], _mask(order[k * L :])
+
+    clusters_a, exceptional_a = cut(G.size_a)
+    clusters_b, exceptional_b = cut(G.size_b)
+    return ClusterPartition.from_masks(G, clusters_a, clusters_b, exceptional_a, exceptional_b)
 
 
 def _restamp(cert: PairCertificate, params: RegularityParams) -> PairCertificate:
@@ -586,12 +597,7 @@ def _split_cluster_randomly(cluster: VertexSet, rng: random.Random) -> tuple[lis
 def _piece_profiles(G: BipartiteGraph, pieces: list[list[int]], side: Side,
                     opposite_pieces: list[list[int]]) -> list[list[float]]:
     adj = G.adj_a if side is Side.A else G.adj_b
-    opp_masks = []
-    for q in opposite_pieces:
-        m = 0
-        for i in q:
-            m |= 1 << i
-        opp_masks.append((m, len(q)))
+    opp_masks = [(_mask(q), len(q)) for q in opposite_pieces]
     profiles = []
     for p in pieces:
         row = []
@@ -746,11 +752,9 @@ def build_regular_partition(
                 groups[side] = merged
         target = min(len(g) for side in (Side.A, Side.B) for g in groups[side])
         _equalise(groups, exceptional, target)
-        part = ClusterPartition(
-            tuple(VertexSet.from_indices(Side.A, G.size_a, g) for g in groups[Side.A]),
-            tuple(VertexSet.from_indices(Side.B, G.size_b, g) for g in groups[Side.B]),
-            VertexSet.from_indices(Side.A, G.size_a, exceptional[Side.A]),
-            VertexSet.from_indices(Side.B, G.size_b, exceptional[Side.B]),
+        part = ClusterPartition.from_masks(
+            G, map(_mask, groups[Side.A]), map(_mask, groups[Side.B]),
+            _mask(exceptional[Side.A]), _mask(exceptional[Side.B]),
         )
     raise PartitionBuildError(f"no certified partition within {max_rounds} rounds", best)
 
@@ -820,8 +824,6 @@ def super_regularize(
         raise GraphError(f"subgraph max degree exceeds {max_degree}")
 
     thr = params.d - params.epsilon
-    moved_a: dict[int, list[int]] = {i: [] for i in range(k)}
-    moved_b: dict[int, list[int]] = {j: [] for j in range(k)}
     moves_per_pair: dict[tuple[int, int], int] = {e: 0 for e in edges}
     bad_a: dict[int, set[int]] = {i: set() for i in range(k)}
     bad_b: dict[int, set[int]] = {j: set() for j in range(k)}
@@ -832,13 +834,11 @@ def super_regularize(
         need_b = thr * A_i.size
         for a in A_i.indices():
             if (G.adj_a[a] & B_j.bits).bit_count() < need_a:
-                if a not in bad_a[i]:
-                    bad_a[i].add(a)
+                bad_a[i].add(a)
                 moves_per_pair[(i, j)] += 1
         for b in B_j.indices():
             if (G.adj_b[b] & A_i.bits).bit_count() < need_b:
-                if b not in bad_b[j]:
-                    bad_b[j].add(b)
+                bad_b[j].add(b)
                 moves_per_pair[(i, j)] += 1
 
     groups = {
@@ -849,9 +849,9 @@ def super_regularize(
         Side.A: list(partition.exceptional_a.indices()),
         Side.B: list(partition.exceptional_b.indices()),
     }
+    moved_a = {i: sorted(bad_a[i]) for i in range(k)}
+    moved_b = {j: sorted(bad_b[j]) for j in range(k)}
     for i in range(k):
-        moved_a[i] = sorted(bad_a[i])
-        moved_b[i] = sorted(bad_b[i])
         exceptional[Side.A].extend(moved_a[i])
         exceptional[Side.B].extend(moved_b[i])
 
@@ -861,11 +861,9 @@ def super_regularize(
     trimmed_b = sum(len(g) - target for g in groups[Side.B])
     _equalise(groups, exceptional, target)
 
-    result_part = ClusterPartition(
-        tuple(VertexSet.from_indices(Side.A, G.size_a, g) for g in groups[Side.A]),
-        tuple(VertexSet.from_indices(Side.B, G.size_b, g) for g in groups[Side.B]),
-        VertexSet.from_indices(Side.A, G.size_a, exceptional[Side.A]),
-        VertexSet.from_indices(Side.B, G.size_b, exceptional[Side.B]),
+    result_part = ClusterPartition.from_masks(
+        G, map(_mask, groups[Side.A]), map(_mask, groups[Side.B]),
+        _mask(exceptional[Side.A]), _mask(exceptional[Side.B]),
     )
     if exceptional_bound is not None:
         bound = exceptional_bound * G.size_a

@@ -110,7 +110,7 @@ class TestVerifyEmbedding:
         mapping = {v: v for v in g.vertices()}
         mapping[VertexId(Side.A, 1)] = VertexId(Side.A, 0)
         res = verify_embedding(g, g, Embedding(mapping))
-        assert not res and "share" in res.violation
+        assert not res and "share" in res.detail
 
     def test_missing_vertex_rejected(self):
         g = cycle_graph(4)

@@ -14,6 +14,7 @@ from bipembed.graphs import (
     degree_into,
     density,
     edges_between,
+    iter_bits,
 )
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
@@ -124,6 +125,12 @@ def test_density_times_sizes_is_edge_count(data):
     val = density(g, U, W) * U.size * W.size
     assert val.denominator == 1
     assert val == edges_between(g, U, W)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+@settings(max_examples=300)
+def test_iter_bits_ascending_set_bits(m):
+    assert list(iter_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def test_vertex_set_ops():

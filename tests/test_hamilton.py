@@ -30,7 +30,7 @@ class TestVerifyCycle:
             (VertexId(Side.A, 0), VertexId(Side.B, 0), VertexId(Side.A, 0), VertexId(Side.B, 1))
         )
         res = verify_cycle(g, bad)
-        assert not res and "repeat" in res.violation
+        assert not res and "repeat" in res.detail
 
     def test_non_edge_hop(self):
         edges = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
@@ -43,7 +43,7 @@ class TestVerifyCycle:
             )
         )
         res = verify_cycle(g, bad)
-        assert not res and "non-edge" in res.violation
+        assert not res and "non-edge" in res.detail
 
     def test_side_alternation(self):
         g = complete(2)

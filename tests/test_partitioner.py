@@ -280,6 +280,51 @@ class TestRedistribution:
             assert side in ("A", "B")
             assert src != sink
 
+    def test_pinned_routes_and_vertex_choices(self):
+        # A-routes 2->3->0 and B-routes 1->0->3 cross an intermediate
+        # cluster, and at d = 2/5 the eligibility tests skip some
+        # lowest-index vertices, so these values pin the mover's choices
+        k, m = 4, 24
+        g = random_bipartite(k * m, 0.6, random.Random(11))
+        part = contiguous_partition(g, k, m)
+        res = redistribute_cluster_sizes(
+            g, part, [2, 0, -1, -1], [1, -2, 0, 1], Fraction(1, 16),
+            RegularityParams(Fraction(1, 4), Fraction(2, 5)), enforce_xi_cap=False,
+        )
+        assert res.route_log == (("A", 2, 0), ("A", 3, 0), ("B", 1, 0), ("B", 1, 3))
+        assert res.vertex_moves == 6
+        assert res.symmetric_difference_a == (2, 0, 1, 3)
+        assert res.symmetric_difference_b == (3, 2, 0, 1)
+        assert [c.bits for c in res.partition.clusters_a] == [
+            0x21000000000000FFFFFF, 0xFFFFFF000000,
+            0xFFFFFD000000000000, 0xFFFFDE000002000000000000,
+        ]
+        assert [c.bits for c in res.partition.clusters_b] == [
+            0x5FFFFFE, 0xFFFFFA000000,
+            0xFFFFFF000000000000, 0xFFFFFF000000000000000001,
+        ]
+
+    @pytest.mark.parametrize(
+        "side, deltas_a, deltas_b, src",
+        [("A", [-1, 1], [0, 0], 0), ("B", [0, 0], [1, -1], 1)],
+    )
+    def test_stuck_mover_names_side_and_source(self, side, deltas_a, deltas_b, src):
+        # K_{8,8} minus a perfect matching between A_0 and B_1: at d = 1 a
+        # vertex moving A_0 -> A_1 needs all of B_1 and one moving
+        # B_1 -> B_0 needs all of A_0, and each misses one
+        k, m = 2, 4
+        n = k * m
+        edges = [(a, b) for a in range(n) for b in range(n) if not (a < m and b == a + m)]
+        g = BipartiteGraph.build(n, n, edges)
+        part = contiguous_partition(g, k, m)
+        with pytest.raises(RedistributionError) as exc:
+            redistribute_cluster_sizes(
+                g, part, deltas_a, deltas_b, Fraction(1, 8),
+                RegularityParams(Fraction(1, 4), Fraction(1)), enforce_xi_cap=False,
+            )
+        assert exc.value.side == side
+        assert exc.value.cluster == src
+
     def test_delta_bound_violation(self):
         g, part = self.make_dense_cycle_instance(2, 16, 0.9, 0)
         with pytest.raises(RedistributionError):
