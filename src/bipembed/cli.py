@@ -241,21 +241,22 @@ def cmd_homomorphism(args) -> int:
     return 0 if rep.homomorphism.ok else 1
 
 
+def _embed_config(args) -> EmbedConfig:
+    """The pipeline configuration of ``embed`` and ``experiment``."""
+    return EmbedConfig(
+        mode=args.mode, epsilon=args.epsilon, d=args.d, k0=args.k0, ell=args.ell,
+        sample_budget=args.budget, pipeline_retries=args.retries,
+    )
+
+
 def cmd_embed(args) -> int:
     g = fileio.read_graph(args.host)
     h = fileio.read_graph(args.target)
     lab = fileio.read_labelling(args.labelling, h) if args.labelling else None
-    cfg = EmbedConfig(
-        mode=args.mode,
-        epsilon=args.epsilon,
-        d=args.d,
-        k0=args.k0,
-        ell=args.ell,
-        sample_budget=args.budget,
-        pipeline_retries=args.retries,
-    )
     try:
-        res = embed_bipartite(g, h, args.gamma, args.max_degree, cfg, args.seed, lab)
+        res = embed_bipartite(
+            g, h, args.gamma, args.max_degree, _embed_config(args), args.seed, lab
+        )
     except EmbeddingPipelineError as e:
         print(f"embedding failed: {e}", file=sys.stderr)
         for s in e.report.stages:
@@ -307,6 +308,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    cfg = _embed_config(args)
     successes = 0
     per_seed = []
     for seed in range(args.seeds):
@@ -319,11 +321,6 @@ def cmd_experiment(args) -> int:
             {"window": args.window, "max_degree": args.max_degree,
              "width": args.width, "height": args.height, "edge_prob": args.edge_prob},
         ))
-        cfg = EmbedConfig(
-            mode=args.mode, epsilon=args.epsilon, d=args.d, k0=args.k0,
-            ell=args.ell, sample_budget=args.budget,
-            pipeline_retries=args.retries,
-        )
         try:
             res = embed_bipartite(
                 host, target, args.gamma, max(args.max_degree, target.max_degree()),
@@ -349,7 +346,6 @@ def cmd_experiment(args) -> int:
 
 def _common(p, out_default=None):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["faithful", "practical"], default="practical")
     p.add_argument("--out", default=out_default)
 
 
@@ -444,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=800)
     p.add_argument("--retries", type=int, default=8)
     p.add_argument("--report", default=None)
+    p.add_argument("--mode", choices=["faithful", "practical"], default="practical")
     _common(p, "embedding.json")
     p.set_defaults(fn=cmd_embed)
 
@@ -475,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_rat, default=Fraction(3, 10))
     p.add_argument("--budget", type=int, default=400)
     p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--mode", choices=["faithful", "practical"], default="practical")
     _common(p)
     p.set_defaults(fn=cmd_experiment)
 

@@ -35,6 +35,7 @@ from .partitioner import (
     HostPartitionState,
     PipelineStageError,
     RedistributionError,
+    ScheduleError,
     derive_parameter_schedule,
     prepare_host_partition,
     resize_host_partition,
@@ -320,10 +321,6 @@ def embed_compatible(
         partner[("A", i)] = ("B", j)
         partner[("B", j)] = ("A", i)
 
-    class_of: dict[VertexId, ClassKey] = {}
-    for c, members in classes.items():
-        for v in members:
-            class_of[v] = c
     if order is None:
         order = sorted(H.vertices())
     pos = {v: t for t, v in enumerate(order)}
@@ -339,8 +336,10 @@ def embed_compatible(
         pset = g_classes[p]
         typical_bits[c] = typical_vertices(G, vs, pset, pset, params).vertices.bits
 
+    # boundary and fringe vertices with their classes, in labelling order
     boundary_order = sorted(
-        report.boundary_union() | report.fringe_union(), key=lambda v: pos[v]
+        ((v, c) for c in classes for v in report.boundary[c] | report.fringe[c]),
+        key=lambda vc: pos[vc[0]],
     )
 
     def admissible_mask(v: VertexId, base_bits: int, images: dict[VertexId, VertexId]) -> int:
@@ -351,25 +350,84 @@ def embed_compatible(
                 mask &= G.adj_a[img.index] if img.side is Side.A else G.adj_b[img.index]
         return mask
 
+    def place(v: VertexId, c: ClassKey, images, used, rng: random.Random) -> bool:
+        """Put v on a random free host vertex of cluster c adjacent to the
+        images of its placed neighbours, typical vertices first."""
+        side = Side(c[0])
+        free = g_classes[c].bits & ~used[side]
+        mask = admissible_mask(v, free & typical_bits[c], images)
+        # allow non-typical placements before giving up
+        mask = mask or admissible_mask(v, free, images)
+        if not mask:
+            return False
+        idx = rng.choice(list(iter_bits(mask)))
+        images[v] = VertexId(side, idx)
+        used[side] |= 1 << idx
+        return True
+
+    def complete(ca: ClassKey, cb: ClassKey, images, used, phases, rng: random.Random) -> None:
+        """Place the rest of X class ca greedily, then match Y class cb."""
+        x_rest = sorted((v for v in classes[ca] if v not in images), key=lambda v: pos[v])
+        y_rest = sorted((v for v in classes[cb] if v not in images), key=lambda v: pos[v])
+        for v in x_rest:
+            if not place(v, ca, images, used, rng):
+                raise EmbeddingError(f"completion stuck on {v} in {ca}", stuck=v)
+            phases[v] = "completion-greedy"
+
+        free_bits = g_classes[cb].bits & ~used[Side.B]
+        free = list(iter_bits(free_bits))
+        local = {b: t for t, b in enumerate(free)}
+        cands: list[list[int]] = []
+        for v in y_rest:
+            mask = admissible_mask(v, free_bits, images)
+            opts = [local[b] for b in iter_bits(mask)]
+            rng.shuffle(opts)
+            cands.append(opts)
+        match = _max_matching(cands, len(free))
+        unmatched = [y_rest[t] for t in range(len(y_rest)) if match[t] == -1]
+        if unmatched:
+            # alternating-reachability from an unmatched vertex gives a witness
+            # set whose joint candidate pool is too small
+            start = y_rest.index(unmatched[0])
+            reach = {start}
+            frontier = [start]
+            right_owner = {}
+            for t, r in enumerate(match):
+                if r != -1:
+                    right_owner[r] = t
+            seen_r: set[int] = set()
+            while frontier:
+                t = frontier.pop()
+                for r in cands[t]:
+                    if r in seen_r:
+                        continue
+                    seen_r.add(r)
+                    owner = right_owner.get(r)
+                    if owner is not None and owner not in reach:
+                        reach.add(owner)
+                        frontier.append(owner)
+            violator = sorted(y_rest[t] for t in reach)
+            raise EmbeddingError(
+                f"matching completion deficient in {cb}: {len(reach)} vertices share "
+                f"{len(seen_r)} candidates",
+                stuck=unmatched[0],
+                hall_violator=violator,
+            )
+        for t, v in enumerate(y_rest):
+            b = free[match[t]]
+            images[v] = VertexId(Side.B, b)
+            used[Side.B] |= 1 << b
+            phases[v] = "completion-matching"
+
     last_error: Optional[EmbeddingError] = None
     phase1_images: dict[VertexId, VertexId] = {}
     phase1_used = {Side.A: 0, Side.B: 0}
     rng1 = random.Random(seed)
-    for v in boundary_order:
-        c = class_of[v]
-        side = Side.A if c[0] == "A" else Side.B
-        base = g_classes[c].bits & typical_bits[c] & ~phase1_used[side]
-        mask = admissible_mask(v, base, phase1_images)
-        if mask == 0:
-            # allow non-typical placements before giving up
-            mask = admissible_mask(v, g_classes[c].bits & ~phase1_used[side], phase1_images)
-        if mask == 0:
+    for v, c in boundary_order:
+        if not place(v, c, phase1_images, phase1_used, rng1):
             raise EmbeddingError(
                 f"phase 1 exhausted candidates for {v} in class {c}", stuck=v
             )
-        idx = rng1.choice(list(iter_bits(mask)))
-        phase1_images[v] = VertexId(side, idx)
-        phase1_used[side] |= 1 << idx
 
     for attempt in range(retries):
         rng = random.Random((seed + 97 * attempt + 1) & 0x7FFFFFFF)
@@ -378,10 +436,7 @@ def embed_compatible(
         phases = {v: "boundary-greedy" for v in images}
         try:
             for i, j in sorted(rp):
-                _complete_component(
-                    G, H, ("A", i), ("B", j), classes, g_classes, typical_bits,
-                    class_of, order, images, used, phases, rng, admissible_mask,
-                )
+                complete(("A", i), ("B", j), images, used, phases, rng)
             emb = Embedding(images, phases)
             check = verify_embedding(G, H, emb)
             if not check:
@@ -395,72 +450,6 @@ def embed_compatible(
         stuck=getattr(last_error, "stuck", None),
         hall_violator=getattr(last_error, "hall_violator", None),
     )
-
-
-def _complete_component(
-    G, H, ca, cb, classes, g_classes, typical_bits, class_of, order,
-    images, used, phases, rng, admissible_mask,
-):
-    pos = {v: t for t, v in enumerate(order)}
-    x_rest = sorted((v for v in classes[ca] if v not in images), key=lambda v: pos[v])
-    y_rest = sorted((v for v in classes[cb] if v not in images), key=lambda v: pos[v])
-
-    for v in x_rest:
-        base = g_classes[ca].bits & typical_bits[ca] & ~used[Side.A]
-        mask = admissible_mask(v, base, images)
-        if mask == 0:
-            mask = admissible_mask(v, g_classes[ca].bits & ~used[Side.A], images)
-        if mask == 0:
-            raise EmbeddingError(f"completion stuck on {v} in {ca}", stuck=v)
-        idx = rng.choice(list(iter_bits(mask)))
-        images[v] = VertexId(Side.A, idx)
-        used[Side.A] |= 1 << idx
-        phases[v] = "completion-greedy"
-
-    free_bits = g_classes[cb].bits & ~used[Side.B]
-    free = list(iter_bits(free_bits))
-    local = {b: t for t, b in enumerate(free)}
-    cands: list[list[int]] = []
-    for v in y_rest:
-        mask = admissible_mask(v, free_bits, images)
-        opts = [local[b] for b in iter_bits(mask)]
-        rng.shuffle(opts)
-        cands.append(opts)
-    match = _max_matching(cands, len(free))
-    unmatched = [y_rest[t] for t in range(len(y_rest)) if match[t] == -1]
-    if unmatched:
-        # alternating-reachability from an unmatched vertex gives a witness
-        # set whose joint candidate pool is too small
-        start = y_rest.index(unmatched[0])
-        reach = {start}
-        frontier = [start]
-        right_owner = {}
-        for t, r in enumerate(match):
-            if r != -1:
-                right_owner[r] = t
-        seen_r: set[int] = set()
-        while frontier:
-            t = frontier.pop()
-            for r in cands[t]:
-                if r in seen_r:
-                    continue
-                seen_r.add(r)
-                owner = right_owner.get(r)
-                if owner is not None and owner not in reach:
-                    reach.add(owner)
-                    frontier.append(owner)
-        violator = sorted(y_rest[t] for t in reach)
-        raise EmbeddingError(
-            f"matching completion deficient in {cb}: {len(reach)} vertices share "
-            f"{len(seen_r)} candidates",
-            stuck=unmatched[0],
-            hall_violator=violator,
-        )
-    for t, v in enumerate(y_rest):
-        b = free[match[t]]
-        images[v] = VertexId(Side.B, b)
-        used[Side.B] |= 1 << b
-        phases[v] = "completion-matching"
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +566,14 @@ def embed_bipartite(
         overrides["size_slack"] = cfg.size_slack
     if cfg.balance_slack is not None:
         overrides["target_slack"] = cfg.balance_slack
-    schedule = derive_parameter_schedule(
-        gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode,
-        overrides=overrides, kmax=cfg.kmax,
-    )
+    try:
+        schedule = derive_parameter_schedule(
+            gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode,
+            overrides=overrides, kmax=cfg.kmax,
+        )
+    except ScheduleError as e:
+        report.record("schedule", False, str(e), t0)
+        raise EmbeddingPipelineError(str(e), report) from e
     report.record("schedule", True, schedule.mode, t0)
 
     t0 = time.perf_counter()

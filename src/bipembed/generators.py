@@ -86,72 +86,69 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     return g
 
 
-def _zigzag_cycle_order(n: int) -> list[VertexId]:
-    # cycle vertices 0..2n-1 in cycle order; X at even cycle positions;
-    # interleaving both directions keeps cycle neighbours within 2 slots
+def _zigzag(m: int) -> list[int]:
+    """0..m-1 as 0, 1, m-1, 2, m-2, ...: interleaving both directions keeps
+    neighbours on the cycle 0..m-1 within two places of each other."""
     seq = [0]
-    lo, hi = 1, 2 * n - 1
+    lo, hi = 1, m - 1
     while lo <= hi:
         seq.append(lo)
         if hi > lo:
             seq.append(hi)
         lo += 1
         hi -= 1
-    return [VertexId(Side.A if c % 2 == 0 else Side.B, c // 2) for c in seq]
+    return seq
 
 
-def _cycle_edges(n: int) -> list[tuple[int, int]]:
-    edges = []
-    for t in range(n):
-        edges.append((t, t))
-        edges.append(((t + 1) % n, t))
-    return edges
+def _target(n: int, keys, colour, edges, order) -> tuple[BipartiteGraph, BandwidthLabelling]:
+    """The n+n target on ``keys``, and its labelling along ``order``.
+
+    Each key, taken in index order, gets the next index of its colour class
+    (colour 0 is side A); ``edges`` and ``order`` name vertices by key.  The
+    labelling's bandwidth is scanned from the built graph.
+    """
+    ids = {}
+    count = [0, 0]
+    for key in keys:
+        c = colour(key)
+        ids[key] = VertexId(Side.B if c else Side.A, count[c])
+        count[c] += 1
+    pairs = []
+    for u, v in edges:
+        x, y = ids[u], ids[v]
+        pairs.append((x.index, y.index) if x.side is Side.A else (y.index, x.index))
+    g = BipartiteGraph.build(n, n, pairs)
+    return g, bandwidth_labelling(g, "given", [ids[key] for key in order])
+
+
+def _parity(i: int) -> int:
+    return i % 2
 
 
 def gen_target(spec: InstanceSpec) -> tuple[BipartiteGraph, BandwidthLabelling]:
     """Generate a bounded-degree target plus a verified bandwidth labelling."""
     n = spec.n
     if spec.kind == "target-hamilton-cycle":
+        # cycle vertex c is A_{c/2} for even c and B_{(c-1)/2} for odd c
         if n < 2:
             raise GraphError("cycle needs at least 2 vertices per side")
-        g = BipartiteGraph.build(n, n, _cycle_edges(n))
-        return g, bandwidth_labelling(g, "given", _zigzag_cycle_order(n))
+        total = 2 * n
+        edges = [(c, (c + 1) % total) for c in range(total)]
+        return _target(n, range(total), _parity, edges, _zigzag(total))
 
     if spec.kind == "target-ladder":
-        # P_m x K_2 with rungs interleaved: u_t, v_t at positions 2t, 2t+1
+        # P_m x K_2 with rungs interleaved: u_t = 2t and v_t = 2t+1, where
+        # u_t has colour t%2 and v_t the opposite one
         m = n
         if m < 1:
             raise GraphError("ladder needs at least one rung")
-        # u_t has colour t%2, v_t the opposite; X-index assignment in order
-        side_of_u = [Side.A if t % 2 == 0 else Side.B for t in range(m)]
-        idx_u, idx_v = [], []
-        count = {Side.A: 0, Side.B: 0}
-        for t in range(m):
-            su = side_of_u[t]
-            idx_u.append(count[su])
-            count[su] += 1
-            sv = su.opposite()
-            idx_v.append(count[sv])
-            count[sv] += 1
         edges = []
-
-        def add(su, iu, sv, iv):
-            a, b = (iu, iv) if su is Side.A else (iv, iu)
-            edges.append((a, b))
-
         for t in range(m):
-            add(side_of_u[t], idx_u[t], side_of_u[t].opposite(), idx_v[t])
+            edges.append((2 * t, 2 * t + 1))
             if t + 1 < m:
-                add(side_of_u[t], idx_u[t], side_of_u[t + 1], idx_u[t + 1])
-                add(side_of_u[t].opposite(), idx_v[t], side_of_u[t + 1].opposite(), idx_v[t + 1])
-        g = BipartiteGraph.build(count[Side.A], count[Side.B], edges)
-        if not g.is_balanced:
-            raise GraphError("ladder colouring is unbalanced; use an even rung count")
-        order = []
-        for t in range(m):
-            order.append(VertexId(side_of_u[t], idx_u[t]))
-            order.append(VertexId(side_of_u[t].opposite(), idx_v[t]))
-        return g, bandwidth_labelling(g, "given", order)
+                edges += [(2 * t, 2 * t + 2), (2 * t + 1, 2 * t + 3)]
+        keys = range(2 * m)
+        return _target(n, keys, lambda v: (v // 2 + v % 2) % 2, edges, keys)
 
     if spec.kind == "target-moebius-ladder":
         # cycle 0..2m-1 plus antipodal chords i ~ i+m; bipartite iff m odd
@@ -159,75 +156,20 @@ def gen_target(spec: InstanceSpec) -> tuple[BipartiteGraph, BandwidthLabelling]:
         if m % 2 == 0:
             raise GraphError("antipodal chords need an odd half-length to stay bipartite")
         total = 2 * m
-        colour = [i % 2 for i in range(total)]
-        x_idx = {}
-        y_idx = {}
-        for i in range(total):
-            if colour[i] == 0:
-                x_idx[i] = len(x_idx)
-            else:
-                y_idx[i] = len(y_idx)
-        edges = set()
-
-        def add(i, j):
-            if colour[i] == 0:
-                edges.add((x_idx[i], y_idx[j]))
-            else:
-                edges.add((x_idx[j], y_idx[i]))
-
-        for i in range(total):
-            add(i, (i + 1) % total)
-        for i in range(m):
-            add(i, i + m)
-        g = BipartiteGraph.build(m, m, edges)
+        edges = [(i, (i + 1) % total) for i in range(total)] + [(i, i + m) for i in range(m)]
         # rungs {t, t+m} form a cycle of length m; zig-zag that rung cycle
-        seq = [0]
-        lo, hi = 1, m - 1
-        while lo <= hi:
-            seq.append(lo)
-            if hi > lo:
-                seq.append(hi)
-            lo += 1
-            hi -= 1
-        order = []
-        for t in seq:
-            for v in (t, t + m):
-                side = Side.A if colour[v] == 0 else Side.B
-                order.append(VertexId(side, x_idx[v] if colour[v] == 0 else y_idx[v]))
-        return g, bandwidth_labelling(g, "given", order)
+        order = [v for t in _zigzag(m) for v in (t, t + m)]
+        return _target(n, range(total), _parity, edges, order)
 
     if spec.kind == "target-grid":
         w = int(spec.params.get("width", 4))
         h = int(spec.params.get("height", max(1, (2 * n) // max(w, 1))))
-        if w * h != 2 * n or w * h % 2 == 1:
+        if w * h != 2 * n:
             raise GraphError(f"grid {w}x{h} does not hold 2n = {2 * n} vertices")
-        colour = lambda r, c: (r + c) % 2
-        x_idx, y_idx = {}, {}
-        for r in range(h):
-            for c in range(w):
-                if colour(r, c) == 0:
-                    x_idx[(r, c)] = len(x_idx)
-                else:
-                    y_idx[(r, c)] = len(y_idx)
-        edges = set()
-        for r in range(h):
-            for c in range(w):
-                for dr, dc in ((0, 1), (1, 0)):
-                    rr, cc = r + dr, c + dc
-                    if rr < h and cc < w:
-                        if colour(r, c) == 0:
-                            edges.add((x_idx[(r, c)], y_idx[(rr, cc)]))
-                        else:
-                            edges.add((x_idx[(rr, cc)], y_idx[(r, c)]))
-        g = BipartiteGraph.build(len(x_idx), len(y_idx), edges)
-        if not g.is_balanced:
-            raise GraphError("grid colour classes are unbalanced")
-        order = []
-        for r in range(h):
-            for c in range(w):
-                side = Side.A if colour(r, c) == 0 else Side.B
-                order.append(VertexId(side, x_idx[(r, c)] if side is Side.A else y_idx[(r, c)]))
-        return g, bandwidth_labelling(g, "given", order)
+        keys = [(r, c) for r in range(h) for c in range(w)]
+        edges = [((r, c), (r + dr, c + dc)) for r, c in keys
+                 for dr, dc in ((0, 1), (1, 0)) if r + dr < h and c + dc < w]
+        return _target(n, keys, lambda rc: sum(rc) % 2, edges, keys)
 
     if spec.kind == "target-random-local":
         w = int(spec.params.get("window", 4))
@@ -236,23 +178,19 @@ def gen_target(spec: InstanceSpec) -> tuple[BipartiteGraph, BandwidthLabelling]:
         rng = random.Random(spec.seed)
         total = 2 * n
         # alternate sides along the order so both sides stay balanced
-        sides = [Side.A if t % 2 == 0 else Side.B for t in range(total)]
         degree = [0] * total
         edges = []
         for t in range(total):
             for u in range(t + 1, min(total, t + w + 1)):
-                if sides[t] is sides[u]:
+                if (u - t) % 2 == 0:
                     continue
                 if degree[t] >= max_degree or degree[u] >= max_degree:
                     continue
                 if rng.random() < p:
-                    a, b = (t, u) if sides[t] is Side.A else (u, t)
-                    edges.append((a // 2, b // 2))
+                    edges.append((t, u))
                     degree[t] += 1
                     degree[u] += 1
-        g = BipartiteGraph.build(n, n, edges)
-        order = [VertexId(sides[t], t // 2) for t in range(total)]
-        lab = bandwidth_labelling(g, "given", order)
+        g, lab = _target(n, range(total), _parity, edges, range(total))
         assert lab.bandwidth <= w
         return g, lab
 

@@ -121,9 +121,6 @@ class VertexSet:
     def indices(self) -> Iterator[int]:
         return iter_bits(self.bits)
 
-    def vertex_ids(self) -> list[VertexId]:
-        return [VertexId(self.side, i) for i in self.indices()]
-
     def _check_compatible(self, other: "VertexSet") -> None:
         if self.side is not other.side or self.universe != other.universe:
             raise SideMismatchError("vertex sets live on different sides/universes")

@@ -306,11 +306,6 @@ class CycleHomomorphism:
     beta_n: int
     phi: tuple[int, ...]
 
-    def image(self, v: VertexId) -> tuple[Side, int]:
-        if v.side is Side.A:
-            return (Side.A, self.cluster_of_x[v.index])
-        return (Side.B, self.cluster_of_y[v.index])
-
 
 class HomomorphismError(RuntimeError):
     def __init__(self, message: str, edge=None, trace=None):

@@ -17,20 +17,21 @@ report so overridden constants are never presented as derived ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits
-from .hamilton import find_hamilton_cycle
+from .hamilton import HamiltonSearchError, find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
     ClusterPartition,
     PairCertificate,
+    PartitionBuildError,
     PartitionBuildResult,
     RegularityParams,
     Strategy,
+    SuperRegularizeError,
     Verdict,
     build_regular_partition,
     check_regular_pair,
@@ -59,9 +60,6 @@ class RootExpr:
     base: Fraction
     coeff: Fraction
     radicand: Fraction
-
-    def __float__(self) -> float:
-        return float(self.base) + float(self.coeff) * math.sqrt(float(self.radicand))
 
     def le(self, bound: Fraction) -> bool:
         rhs = bound - self.base
@@ -145,6 +143,10 @@ def derive_parameter_schedule(
         km = kmax if kmax is not None else max(2 * k0, k0)
         if not 0 < gamma < HALF:
             raise ScheduleError(f"gamma must lie in (0, 1/2), got {gamma}")
+        if not 0 < eps_work <= 1:
+            raise ScheduleError(f"epsilon must lie in (0, 1], got {eps_work}")
+        if not 0 <= d_work <= 1:
+            raise ScheduleError(f"d must lie in [0, 1], got {d_work}")
         return ParameterSchedule(
             mode="practical",
             gamma=gamma,
@@ -492,14 +494,47 @@ class HostPartitionState:
     absorption: AbsorptionResult
     build: PartitionBuildResult
 
-    @property
-    def n(self) -> int:
-        return sum(self.target_sizes) + self.partition.exceptional_a.size
-
     def certificates_ok(self) -> bool:
-        return all(
-            c.verdict is Verdict.SUPER_REGULAR for c in self.matching_certificates.values()
-        ) and all(c.verdict is Verdict.REGULAR for c in self.offset_certificates.values())
+        return not _failed_cycle_pairs(self.matching_certificates, self.offset_certificates)
+
+
+def _certify_cycle_pairs(
+    G: BipartiteGraph,
+    part: ClusterPartition,
+    params: RegularityParams,
+    strategy: Strategy,
+    budget: int,
+    matching_seed: int,
+    offset_seed: int,
+) -> tuple[dict[int, PairCertificate], dict[int, PairCertificate]]:
+    """Certify each (A_i, B_i) super-regular and each (A_i, B_{i+1}) regular.
+
+    Pair i is checked with seed ``matching_seed + i`` or ``offset_seed + i``;
+    a pair with an empty cluster carries nothing to certify and is skipped.
+    """
+    k = part.k
+    matching = {}
+    offsets = {}
+    for i in range(k):
+        a, b, b_next = part.clusters_a[i], part.clusters_b[i], part.clusters_b[(i + 1) % k]
+        if a and b:
+            matching[i] = check_super_regular_pair(
+                G, a, b, params, strategy, budget, matching_seed + i
+            )
+        if a and b_next:
+            offsets[i] = check_regular_pair(
+                G, a, b_next, params, strategy, budget, offset_seed + i
+            )
+    return matching, offsets
+
+
+def _failed_cycle_pairs(
+    matching: Mapping[int, PairCertificate], offsets: Mapping[int, PairCertificate]
+) -> list:
+    """Matching pairs not super-regular, then offset pairs not regular."""
+    return [i for i, c in matching.items() if c.verdict is not Verdict.SUPER_REGULAR] + [
+        f"offset {i}" for i, c in offsets.items() if c.verdict is not Verdict.REGULAR
+    ]
 
 
 def prepare_host_partition(
@@ -526,47 +561,42 @@ def prepare_host_partition(
         build = build_regular_partition(
             G, params, schedule.k0, schedule.kmax, strategy, budget, seed
         )
-    except Exception as e:
+    except (ValueError, PartitionBuildError) as e:
+        # a GraphError, an EnumerationCapExceeded or an unknown strategy
         raise PipelineStageError("regular-partition", str(e)) from e
     k = build.k
     red = build.reduced
 
     # minimum-degree checks on the reduced graph (k vertices per side)
+    rg = BipartiteGraph.build(k, k, red.edges)
+    red_min = rg.min_degree()
     nu = HALF + schedule.gamma
     inherited = (nu - schedule.partition_density - schedule.refined_epsilon) * k
-    if red.min_degree() < inherited:
+    if red_min < inherited:
         raise PipelineStageError(
             "reduced-degree",
-            f"reduced graph min degree {red.min_degree()} below inherited bound {inherited}",
+            f"reduced graph min degree {red_min} below inherited bound {inherited}",
         )
-    if red.min_degree() < Fraction(k, 2) + 1:
+    if red_min < Fraction(k, 2) + 1:
         raise PipelineStageError(
             "reduced-degree",
-            f"reduced graph min degree {red.min_degree()} below k/2+1 = {Fraction(k, 2) + 1}; "
+            f"reduced graph min degree {red_min} below k/2+1 = {Fraction(k, 2) + 1}; "
             "no Hamilton cycle is guaranteed",
         )
-    rg = BipartiteGraph.build(k, k, red.edges)
     try:
         cyc = find_hamilton_cycle(rg, seed=seed)
-    except Exception as e:
+    except (GraphError, HamiltonSearchError) as e:
         raise PipelineStageError("reduced-hamilton-cycle", str(e)) from e
 
     # relabel clusters so the cycle reads A_0, B_1, A_1, B_2, ..., A_{k-1}, B_0
-    order = cyc.order
-    new_a = [0] * k
-    new_b = [0] * k
-    pos_a = {}
-    pos_b = {}
-    for i in range(k):
-        old_a = order[2 * i].index
-        old_b = order[2 * i + 1].index
-        new_a[i] = old_a
-        new_b[(i + 1) % k] = old_b
-        pos_a[old_a] = i
-        pos_b[old_b] = (i + 1) % k
+    # (old_a[i] and old_b[i] are the build's indices of the new A_i and B_i)
+    old_a = [cyc.order[2 * i].index for i in range(k)]
+    old_b = [cyc.order[2 * i - 1].index for i in range(k)]
+    pos_a = {old: i for i, old in enumerate(old_a)}
+    pos_b = {old: i for i, old in enumerate(old_b)}
     part = ClusterPartition(
-        tuple(build.partition.clusters_a[new_a[i]] for i in range(k)),
-        tuple(build.partition.clusters_b[new_b[i]] for i in range(k)),
+        tuple(build.partition.clusters_a[i] for i in old_a),
+        tuple(build.partition.clusters_b[i] for i in old_b),
         build.partition.exceptional_a,
         build.partition.exceptional_b,
     )
@@ -581,7 +611,7 @@ def prepare_host_partition(
             exceptional_bound=schedule.refined_epsilon if schedule.is_faithful
             else schedule.epsilon,
         )
-    except Exception as e:
+    except (GraphError, SuperRegularizeError) as e:
         raise PipelineStageError("super-regularize", str(e)) from e
     try:
         absorption = absorb_exceptional_vertices(
@@ -616,28 +646,18 @@ def prepare_host_partition(
             default=Fraction(0),
         )
         hat = rebound_after_perturbation(refined, worst, worst)
-    matching = {}
-    offsets = {}
-    for i in range(k):
-        matching[i] = check_super_regular_pair(
-            G, final.clusters_a[i], final.clusters_b[i], hat,
-            strategy, budget, seed + 101 + i,
-        )
-        offsets[i] = check_regular_pair(
-            G, final.clusters_a[i], final.clusters_b[(i + 1) % k], hat,
-            strategy, budget, seed + 501 + i,
-        )
-    state = HostPartitionState(
-        schedule, final, k, tuple(sizes_a), matching, offsets,
-        relabelled_edges, hat, absorption, build,
+    matching, offsets = _certify_cycle_pairs(
+        G, final, hat, strategy, budget, seed + 101, seed + 501
     )
-    if not state.certificates_ok():
-        bad = [i for i, c in matching.items() if c.verdict is not Verdict.SUPER_REGULAR]
-        bad += [f"offset {i}" for i, c in offsets.items() if c.verdict is not Verdict.REGULAR]
+    bad = _failed_cycle_pairs(matching, offsets)
+    if bad:
         raise PipelineStageError(
             "pair-certification", f"pairs failed at the post-absorption parameters: {bad}"
         )
-    return state
+    return HostPartitionState(
+        schedule, final, k, tuple(sizes_a), matching, offsets,
+        relabelled_edges, hat, absorption, build,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -699,24 +719,10 @@ def resize_host_partition(
     )
     final_params = sched.final_params()
     part = redis.partition
-    matching = {}
-    offsets = {}
-    ok = True
-    for i in range(k):
-        # clusters resized to zero carry no pair to certify
-        if part.clusters_a[i].size and part.clusters_b[i].size:
-            matching[i] = check_super_regular_pair(
-                G, part.clusters_a[i], part.clusters_b[i], final_params,
-                strategy, budget, seed + 301 + i,
-            )
-            if matching[i].verdict is not Verdict.SUPER_REGULAR:
-                ok = False
-        nxt = (i + 1) % k
-        if part.clusters_a[i].size and part.clusters_b[nxt].size:
-            offsets[i] = check_regular_pair(
-                G, part.clusters_a[i], part.clusters_b[nxt], final_params,
-                strategy, budget, seed + 701 + i,
-            )
-            if offsets[i].verdict is not Verdict.REGULAR:
-                ok = False
-    return ResizeResult(part, redis, final_params, matching, offsets, ok)
+    matching, offsets = _certify_cycle_pairs(
+        G, part, final_params, strategy, budget, seed + 301, seed + 701
+    )
+    return ResizeResult(
+        part, redis, final_params, matching, offsets,
+        not _failed_cycle_pairs(matching, offsets),
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -36,11 +36,14 @@ from .graphs import (
     VertexId,
     VertexSet,
     density,
+    iter_bits,
 )
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 
 ENUMERATION_CAP_DEFAULT = 1 << 22
 SAMPLE_BUDGET_DEFAULT = 2000
+# most further members whose neighbourhoods widen a seeded draw's short pool
+_WIDEN_TRIES = 8
 
 
 class Strategy(str, Enum):
@@ -241,12 +244,19 @@ def check_regular_pair(
     u_members = list(U.indices())
     w_members = list(W.indices())
 
-    def seeded_draw(adj, members, partners, s_members, s_partners):
+    def seeded_draw(adj, members, partners, partner_bits, s_members, s_partners):
         """A partner subset inside N(v) for a random member v, answered by
         the members of lowest and of highest degree into it.  Returns
         (responders, partner subset, edge count) for the first response
-        that deviates, else None."""
+        that deviates, else None.  A neighbourhood holding fewer than
+        s_partners partners is widened by those of further random members,
+        so blocks smaller than the minimal subset size are still found; a
+        draw that needs no widening makes no extra RNG call."""
         nb = adj[rng.choice(members)]
+        for _ in range(_WIDEN_TRIES):
+            if (nb & partner_bits).bit_count() >= s_partners:
+                break
+            nb |= adj[rng.choice(members)]
         pool = [i for i in partners if nb >> i & 1]
         if len(pool) < s_partners:
             return None
@@ -272,12 +282,12 @@ def check_regular_pair(
             # neighbourhood-seeded: W' inside N(a), U' an extremal response.
             # Uniform pairs concentrate at the base density, so structured
             # deviations (planted blocks) are found via seeded draws.
-            hit = seeded_draw(G.adj_a, u_members, w_members, s_u, s_w)
+            hit = seeded_draw(G.adj_a, u_members, w_members, W.bits, s_u, s_w)
             if hit:
                 uc, wc, e = hit
                 return refuted(uc, wc, e, t + 1)
         else:
-            hit = seeded_draw(G.adj_b, w_members, u_members, s_w, s_u)
+            hit = seeded_draw(G.adj_b, w_members, u_members, U.bits, s_w, s_u)
             if hit:
                 wc, uc, e = hit
                 return refuted(uc, wc, e, t + 1)
@@ -305,22 +315,15 @@ def check_super_regular_pair(
             (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
             note=f"base density {base} below d={params.d}",
         )
-    thr_u = params.d * W.size
-    for a in U.indices():
-        if (G.adj_a[a] & W.bits).bit_count() < thr_u:
-            return PairCertificate(
-                (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
-                failing_vertex=VertexId(Side.A, a),
-                note=f"degree below {thr_u} into partner",
-            )
-    thr_w = params.d * U.size
-    for b in W.indices():
-        if (G.adj_b[b] & U.bits).bit_count() < thr_w:
-            return PairCertificate(
-                (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
-                failing_vertex=VertexId(Side.B, b),
-                note=f"degree below {thr_w} into partner",
-            )
+    for X, Y, adj in ((U, W, G.adj_a), (W, U, G.adj_b)):
+        thr = params.d * Y.size
+        for v in X.indices():
+            if (adj[v] & Y.bits).bit_count() < thr:
+                return PairCertificate(
+                    (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
+                    failing_vertex=VertexId(X.side, v),
+                    note=f"degree below {thr} into partner",
+                )
     inner = check_regular_pair(G, U, W, params, strategy, budget, seed, enumeration_cap)
     if inner.verdict is Verdict.REGULAR:
         return PairCertificate(
@@ -408,11 +411,6 @@ class ClusterPartition:
     def sizes_b(self) -> list[int]:
         return [c.size for c in self.clusters_b]
 
-    @property
-    def is_equipartition(self) -> bool:
-        sizes = {c.size for c in self.clusters_a} | {c.size for c in self.clusters_b}
-        return len(sizes) == 1
-
     def validate(self, G: BipartiteGraph) -> None:
         for side, groups, exc, size in (
             (Side.A, self.clusters_a, self.exceptional_a, G.size_a),
@@ -445,13 +443,6 @@ class ClusterPartition:
             VertexSet(Side.B, G.size_b, exceptional_b),
         )
 
-    def cluster_of(self, v: VertexId) -> Optional[int]:
-        groups = self.clusters_a if v.side is Side.A else self.clusters_b
-        for i, c in enumerate(groups):
-            if v.index in c:
-                return i
-        return None
-
 
 @dataclass(frozen=True)
 class ReducedGraph:
@@ -463,23 +454,6 @@ class ReducedGraph:
     certificates: Mapping[tuple[int, int], PairCertificate] = field(
         default_factory=dict, compare=False, hash=False
     )
-
-    def degree_a(self, i: int) -> int:
-        return sum(1 for (x, _) in self.edges if x == i)
-
-    def degree_b(self, j: int) -> int:
-        return sum(1 for (_, y) in self.edges if y == j)
-
-    def min_degree(self) -> int:
-        if self.k == 0:
-            return 0
-        return min(
-            min(self.degree_a(i) for i in range(self.k)),
-            min(self.degree_b(j) for j in range(self.k)),
-        )
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
 
 
 def random_equipartition(G: BipartiteGraph, k: int, rng: random.Random) -> ClusterPartition:
@@ -504,15 +478,11 @@ def _restamp(cert: PairCertificate, params: RegularityParams) -> PairCertificate
     The deviation verdict is unaffected by d, so only the density gate moves.
     """
     if cert.base_density < params.d:
-        return PairCertificate(
-            cert.pair, params, Verdict.DENSITY_BELOW, cert.base_density, None,
-            cert.strategy, cert.samples_used,
+        return replace(
+            cert, params=params, verdict=Verdict.DENSITY_BELOW, witness=None,
             note=f"base density {cert.base_density} below d={params.d}",
         )
-    return PairCertificate(
-        cert.pair, params, cert.verdict, cert.base_density, cert.witness,
-        cert.strategy, cert.samples_used, cert.failing_vertex, cert.note,
-    )
+    return replace(cert, params=params)
 
 
 def maximal_reduced_graph(
@@ -523,25 +493,24 @@ def maximal_reduced_graph(
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
     enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
-    precomputed: Optional[Mapping[tuple[int, int], PairCertificate]] = None,
 ) -> ReducedGraph:
     """Edge (i, j) present iff (A_i, B_j) certifies regular with density >= d."""
     k = partition.k
-    edges = set()
-    certs: dict[tuple[int, int], PairCertificate] = {}
-    for i in range(k):
-        for j in range(k):
-            if precomputed is not None and (i, j) in precomputed:
-                cert = _restamp(precomputed[(i, j)], params)
-            else:
-                cert = check_regular_pair(
-                    G, partition.clusters_a[i], partition.clusters_b[j], params,
-                    strategy, budget, _mix_seed(seed, i, j), enumeration_cap,
-                )
-            certs[(i, j)] = cert
-            if cert.verdict is Verdict.REGULAR:
-                edges.add((i, j))
-    return ReducedGraph(k, frozenset(edges), params, certs)
+    certs = {
+        (i, j): check_regular_pair(
+            G, partition.clusters_a[i], partition.clusters_b[j], params,
+            strategy, budget, _mix_seed(seed, i, j), enumeration_cap,
+        )
+        for i in range(k) for j in range(k)
+    }
+    return _reduced_graph(k, certs, params)
+
+
+def _reduced_graph(
+    k: int, certs: Mapping[tuple[int, int], PairCertificate], params: RegularityParams
+) -> ReducedGraph:
+    edges = frozenset(key for key, c in certs.items() if c.verdict is Verdict.REGULAR)
+    return ReducedGraph(k, edges, params, certs)
 
 
 def _mix_seed(seed: int, *parts: int) -> int:
@@ -687,12 +656,12 @@ def build_regular_partition(
                 if cert.verdict is Verdict.REGULAR:
                     regular += 1
         fraction = Fraction(regular, k * k)
-        candidate = PartitionBuildResult(
-            part,
-            maximal_reduced_graph(G, part, params, strategy, budget, seed,
-                                  enumeration_cap, precomputed=certs),
-            fraction, round_no + 1, k,
+        # d plays no role in the deviation verdicts, so the reduced graph
+        # only re-applies the density gate to this round's certificates
+        reduced = _reduced_graph(
+            k, {key: _restamp(c, params) for key, c in certs.items()}, params
         )
+        candidate = PartitionBuildResult(part, reduced, fraction, round_no + 1, k)
         if best is None or fraction > best.fraction_regular:
             best = candidate
         if fraction >= 1 - params.epsilon:
@@ -823,37 +792,28 @@ def super_regularize(
     if edges and max(max(deg_a), max(deg_b)) > max_degree:
         raise GraphError(f"subgraph max degree exceeds {max_degree}")
 
-    thr = params.d - params.epsilon
-    moves_per_pair: dict[tuple[int, int], int] = {e: 0 for e in edges}
-    bad_a: dict[int, set[int]] = {i: set() for i in range(k)}
-    bad_b: dict[int, set[int]] = {j: set() for j in range(k)}
+    moves_per_pair: dict[tuple[int, int], int] = {}
+    bad_a = [0] * k
+    bad_b = [0] * k
     for i, j in edges:
         A_i = partition.clusters_a[i]
         B_j = partition.clusters_b[j]
-        need_a = thr * B_j.size
-        need_b = thr * A_i.size
-        for a in A_i.indices():
-            if (G.adj_a[a] & B_j.bits).bit_count() < need_a:
-                bad_a[i].add(a)
-                moves_per_pair[(i, j)] += 1
-        for b in B_j.indices():
-            if (G.adj_b[b] & A_i.bits).bit_count() < need_b:
-                bad_b[j].add(b)
-                moves_per_pair[(i, j)] += 1
+        low_a = A_i.bits & ~typical_vertices(G, A_i, B_j, B_j, params).vertices.bits
+        low_b = B_j.bits & ~typical_vertices(G, B_j, A_i, A_i, params).vertices.bits
+        bad_a[i] |= low_a
+        bad_b[j] |= low_b
+        moves_per_pair[(i, j)] = low_a.bit_count() + low_b.bit_count()
 
     groups = {
-        Side.A: [sorted(set(c.indices()) - bad_a[i]) for i, c in enumerate(partition.clusters_a)],
-        Side.B: [sorted(set(c.indices()) - bad_b[j]) for j, c in enumerate(partition.clusters_b)],
+        Side.A: [list(iter_bits(c.bits & ~bad_a[i])) for i, c in enumerate(partition.clusters_a)],
+        Side.B: [list(iter_bits(c.bits & ~bad_b[j])) for j, c in enumerate(partition.clusters_b)],
     }
+    moved_a = {i: list(iter_bits(bad_a[i])) for i in range(k)}
+    moved_b = {j: list(iter_bits(bad_b[j])) for j in range(k)}
     exceptional = {
-        Side.A: list(partition.exceptional_a.indices()),
-        Side.B: list(partition.exceptional_b.indices()),
+        Side.A: list(partition.exceptional_a.indices()) + [a for m in moved_a.values() for a in m],
+        Side.B: list(partition.exceptional_b.indices()) + [b for m in moved_b.values() for b in m],
     }
-    moved_a = {i: sorted(bad_a[i]) for i in range(k)}
-    moved_b = {j: sorted(bad_b[j]) for j in range(k)}
-    for i in range(k):
-        exceptional[Side.A].extend(moved_a[i])
-        exceptional[Side.B].extend(moved_b[i])
 
     sizes_before = [len(g) for g in groups[Side.A]] + [len(g) for g in groups[Side.B]]
     target = min(sizes_before)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,34 @@ class TestGenerators:
         assert h.is_balanced
         assert lab.bandwidth <= 5
         assert h.max_degree() <= 3
+
+    # sha256 over the side sizes, adj_a and the labelling order; the
+    # benchmark runs only the cycle and random-local families
+    PINNED = [
+        ("target-ladder", 7, 0, {},
+         "620cde317b1061df922140fca367c279c4e0f8de5484717863ab445924ba35c2"),
+        ("target-ladder", 12, 0, {},
+         "c69c2d8415d7fe90343b4de590142ffd03b81629a07b17afa2758af9341b2b07"),
+        ("target-moebius-ladder", 9, 0, {},
+         "c2bd17ae09a4ceffbb9d5dd807e4ab42d97c20a8dfd5b4032df67472ddb17c84"),
+        ("target-moebius-ladder", 15, 0, {},
+         "9be285f24153e04a3942cb5c05a42344f874731bd47bad9ddb09bc5c9783cd7e"),
+        ("target-grid", 8, 0, {"width": 4, "height": 4},
+         "eba9539df385ca36abcd25f9732b9b32e334c742a413f5742bbb2071f3701354"),
+        ("target-grid", 12, 0, {"width": 3},
+         "6aa7872eccb06cc87bea72bb307ca54c6ccc1ab226a7689079528814292ec7c7"),
+        ("target-random-local", 50, 1, {"window": 5, "max_degree": 3},
+         "fd9e8644680b8fbbab3875fe62a1413cb15c06b82ed3765e240bd664812a1264"),
+        ("target-random-local", 64, 3, {},
+         "b1ea5725eb65f7e98a61d9ccb4515aa52382dfe1d91749e282020e86860f7a0b"),
+    ]
+
+    @pytest.mark.parametrize("kind,n,seed,params,digest", PINNED)
+    def test_pinned_target_outputs(self, kind, n, seed, params, digest):
+        h, lab = gen_target(InstanceSpec(kind, n, seed, dict(params)))
+        data = json.dumps([h.size_a, h.size_b, list(h.adj_a),
+                           [[v.side.value, v.index] for v in lab.order]])
+        assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 class TestCommands:

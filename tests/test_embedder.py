@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipembed.embedder import (
     EmbedConfig,
@@ -296,3 +297,42 @@ class TestTinyOracleSoundness:
         # soundness is the assertion; the loose slacks let some tiny runs
         # finish so the check is not vacuous
         assert returned >= 1
+
+
+class TestTypedFailures:
+    """embed_bipartite returns a verified embedding or raises
+    EmbeddingPipelineError whose last stage record failed; nothing else
+    escapes, whatever the host, mode or constants."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 12),
+        host=st.sampled_from(["near-threshold", "planted-blocks"]),
+        mode=st.sampled_from(["practical", "faithful"]),
+        epsilon=st.sampled_from(
+            [Fraction(1, 4), Fraction(1, 2), Fraction(5, 4), Fraction(0), Fraction(1, 10**6)]
+        ),
+        d=st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(3, 10)]),
+        gamma=st.sampled_from([Fraction(1, 100), Fraction(1, 25), Fraction(1, 5)]),
+        k0=st.integers(1, 4),
+        seed=st.integers(0, 10**4),
+    )
+    def test_verified_or_typed_failure(self, n, host, mode, epsilon, d, gamma, k0, seed):
+        rng = random.Random(seed)
+        if host == "near-threshold":
+            g = random_min_degree(n, n // 2 + 1, 0.6, rng)
+        else:
+            blocks = 2 if n % 2 == 0 else 1
+            g = planted_blocks(blocks, n // blocks)
+        h = cycle_graph(n)
+        cfg = EmbedConfig(
+            mode=mode, epsilon=epsilon, d=d, k0=k0, ell=4, sample_budget=100,
+            pipeline_retries=2, embed_retries=4, distribution_draws=5,
+        )
+        try:
+            res = embed_bipartite(g, h, gamma, 2, cfg, seed=seed,
+                                  labelling=zigzag_labelling(n))
+        except EmbeddingPipelineError as e:
+            assert e.report.stages and not e.report.stages[-1].ok
+            return
+        assert verify_embedding(g, h, res.embedding)

@@ -213,6 +213,39 @@ def test_sampled_certificates_are_pinned(graph, eps, seed, sizes, expected):
     assert got == expected
 
 
+class TestShortNeighbourhoodPool:
+    """Neighbourhoods smaller than the minimal subset size are widened by
+    those of further members, so blocks smaller than eps*n are found."""
+
+    PARAMS = RegularityParams(Fraction(1, 4), Fraction(0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blocks_below_subset_size_refuted(self, seed):
+        # 8 blocks K_{4,4}: each neighbourhood holds 4 < eps*32 = 8 vertices
+        g = planted_blocks(8, 4)
+        U, W = full_sides(g)
+        cert = check_regular_pair(g, U, W, self.PARAMS, Strategy.SAMPLED, 200, seed)
+        assert cert.verdict is Verdict.IRREGULAR
+        wit = cert.witness
+        su, sw = wit.subset_u, wit.subset_w
+        assert su.size >= self.PARAMS.epsilon * U.size
+        assert sw.size >= self.PARAMS.epsilon * W.size
+        edges = sum(1 for a in su.indices() for b in sw.indices() if g.has_edge(a, b))
+        assert wit.witness_density == Fraction(edges, su.size * sw.size)
+        assert cert.base_density == Fraction(1, 8)
+        assert wit.deviation == abs(wit.witness_density - cert.base_density)
+        assert wit.deviation > self.PARAMS.epsilon
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_regular_small_blocks_stay_regular(self, seed):
+        # 16 blocks K_{4,4} at base density 1/16: 16x16 subsets span at most
+        # 4*16 edges (density 1/4), so every deviation is at most 3/16
+        g = planted_blocks(16, 4)
+        U, W = full_sides(g)
+        cert = check_regular_pair(g, U, W, self.PARAMS, Strategy.SAMPLED, 200, seed)
+        assert cert.verdict is Verdict.REGULAR
+
+
 class TestCheckSuperRegularPair:
     def test_k33_super_regular(self):
         g = complete(3)
