@@ -127,12 +127,20 @@ def cmd_gen_host(args) -> int:
     return 0
 
 
-def cmd_gen_target(args) -> int:
+def _target_params(args) -> dict:
+    """gen_target parameters; the grid height only when --height is given,
+    so that gen_target's own default (2n / width) applies otherwise."""
     params = {
-        "width": args.width, "height": args.height, "window": args.window,
+        "width": args.width, "window": args.window,
         "edge_prob": args.edge_prob, "max_degree": args.max_degree,
     }
-    spec = InstanceSpec(f"target-{args.family}", args.n, args.seed, params)
+    if args.height is not None:
+        params["height"] = args.height
+    return params
+
+
+def cmd_gen_target(args) -> int:
+    spec = InstanceSpec(f"target-{args.family}", args.n, args.seed, _target_params(args))
     g, lab = gen_target(spec)
     fileio.write_graph(args.out, g)
     if args.labelling_out:
@@ -317,9 +325,7 @@ def cmd_experiment(args) -> int:
             {"gamma": args.gamma, "slack": args.slack},
         ))
         target, lab = gen_target(InstanceSpec(
-            f"target-{args.family}", args.n, args.seed + seed,
-            {"window": args.window, "max_degree": args.max_degree,
-             "width": args.width, "height": args.height, "edge_prob": args.edge_prob},
+            f"target-{args.family}", args.n, args.seed + seed, _target_params(args),
         ))
         try:
             res = embed_bipartite(
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ], default="hamilton-cycle")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--width", type=int, default=4)
-    p.add_argument("--height", type=int, default=0)
+    p.add_argument("--height", type=int, default=None)
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--edge-prob", type=float, default=0.5)
     p.add_argument("--max-degree", type=int, default=3)
@@ -462,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="hamilton-cycle")
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--width", type=int, default=4)
-    p.add_argument("--height", type=int, default=0)
+    p.add_argument("--height", type=int, default=None)
     p.add_argument("--edge-prob", type=float, default=0.5)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--seeds", type=int, default=5)

@@ -557,7 +557,11 @@ def embed_bipartite(
 
     t0 = time.perf_counter()
     if labelling is None:
-        labelling = bandwidth_labelling(H, cfg.labelling_mode)
+        try:
+            labelling = bandwidth_labelling(H, cfg.labelling_mode)
+        except ValueError as e:
+            report.record("labelling", False, str(e), t0)
+            raise EmbeddingPipelineError(str(e), report) from e
     report.record("labelling", True, f"bandwidth {labelling.bandwidth}", t0)
 
     t0 = time.perf_counter()

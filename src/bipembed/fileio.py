@@ -14,9 +14,10 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
-from .graphs import BipartiteGraph, Side, VertexId
+from .graphs import BipartiteGraph, Side, VertexId, iter_bits
 from .hamilton import HamiltonCycle
 from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
 from .embedder import Embedding
@@ -43,14 +44,86 @@ def from_global_id(g: int) -> VertexId:
 
 
 def write_graph(path: str, G: BipartiteGraph) -> None:
-    lines = [f"bipartite {G.size_a} {G.size_b} {G.edge_count}"]
-    for a, b in sorted(G.edges()):
-        lines.append(f"{a} {b}")
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"bipartite {G.size_a} {G.size_b} {G.edge_count}\n")
+        # row by row, each row's edges ascending: the sorted edge list
+        ends = [f"{b}\n" for b in range(G.size_b)]
+        for a, row in enumerate(G.adj_a):
+            if row:
+                head = f"{a} "
+                f.write(head + head.join([ends[b] for b in iter_bits(row)]))
 
 
 def read_graph(path: str) -> BipartiteGraph:
+    """Parse a .bg file.
+
+    A canonical file, byte for byte what ``write_graph`` writes, is read in
+    bounded chunks straight into bitset rows; anything else, including a
+    canonical-looking file with a fault, goes through the line scan, so
+    every error carries the same line number and message either way.
+    """
+    g = _read_canonical_graph(path)
+    return g if g is not None else _read_graph_lines(path)
+
+
+_CHUNK = 1 << 18
+
+
+def _read_canonical_graph(path: str) -> BipartiteGraph | None:
+    """The graph of a canonical, fault-free file, else None.
+
+    A canonical file is ``bipartite nA nB m`` and then m distinct lines
+    ``a b`` of plain decimals in range, every line ended by one newline.
+    Tokens decode through tables of the canonical strings, so a sign, a
+    leading zero, ``_`` or an index out of range misses; duplicates and a
+    wrong count show in the byte count of the nA*nB edge buffer, which is
+    only allocated when the file is at least that long.
+    """
+    with open(path, "rb") as f:
+        header = f.readline()
+        parts = header.split(b" ")
+        if len(parts) != 4 or parts[0] != b"bipartite":
+            return None
+        try:
+            na, nb, m = map(int, parts[1:])
+        except ValueError:
+            return None
+        if (
+            header != b"bipartite %d %d %d\n" % (na, nb, m)
+            or min(na, nb) < 0
+            or na * nb > os.fstat(f.fileno()).st_size
+        ):
+            return None
+        row_at = {b"%d" % a: a * nb for a in range(na)}
+        col_at = {b"%d" % b: b for b in range(nb)}
+        flat = bytearray(na * nb)
+        lines = 0
+        rest = b""
+        while block := f.read(_CHUNK):
+            block = rest + block
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                return None
+            data, rest = block[:cut], block[cut:]
+            count = data.count(b"\n")
+            tokens = data.split()
+            # digits aside, the chunk is " \n" repeated, and no token is
+            # empty: exactly `count` lines "x y"
+            if len(tokens) != 2 * count or data.translate(None, b"0123456789") != b" \n" * count:
+                return None
+            pair = iter(tokens)
+            try:
+                for a, b in zip(pair, pair):
+                    flat[row_at[a] + col_at[b]] = 1
+            except KeyError:
+                return None
+            lines += count
+    if rest or lines != m or flat.count(1) != m:
+        return None
+    return BipartiteGraph._from_flat(na, nb, flat)
+
+
+def _read_graph_lines(path: str) -> BipartiteGraph:
     header = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

@@ -79,9 +79,7 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
             if not adj[a][b]:
                 adj[a][b] = True
                 cols[b] += 1
-    g = BipartiteGraph.build(
-        n, n, [(a, b) for a in range(n) for b in range(n) if adj[a][b]]
-    )
+    g = BipartiteGraph._from_flat(n, n, b"".join(map(bytes, adj)))
     assert g.min_degree() >= delta
     return g
 

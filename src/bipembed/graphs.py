@@ -160,6 +160,9 @@ class VertexSet:
         return f"VertexSet({self.side.value}, {sorted(self.indices())})"
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class BipartiteGraph:
     """Immutable bipartite graph; ``adj_a[i]`` is a bitmask over the B side."""
 
@@ -188,6 +191,20 @@ class BipartiteGraph:
                 raise EdgeIndexError((a, b), size_a, size_b)
             adj_a[a] |= 1 << b
             adj_b[b] |= 1 << a
+        return cls(size_a, size_b, adj_a, adj_b)
+
+    @classmethod
+    def _from_flat(cls, size_a: int, size_b: int, flat: bytes) -> "BipartiteGraph":
+        """The graph with edge (a, b) where byte ``flat[a * size_b + b]`` is 1.
+
+        ``flat`` holds only 0 and 1 bytes.  Each row and each (strided)
+        column becomes one bitset through a single ``int(..., 2)``.
+        """
+        if not size_a or not size_b:
+            return cls(size_a, size_b, [0] * size_a, [0] * size_b)
+        s = flat.translate(_DIGITS)
+        adj_a = [int(s[i:i + size_b][::-1], 2) for i in range(0, len(s), size_b)]
+        adj_b = [int(s[j::size_b][::-1], 2) for j in range(size_b)]
         return cls(size_a, size_b, adj_a, adj_b)
 
     @property

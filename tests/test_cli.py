@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipembed.cli import main
 from bipembed.fileio import (
     FileFormatError,
+    _read_canonical_graph,
+    _read_graph_lines,
     read_graph,
     read_labelling,
     write_graph,
@@ -46,6 +51,32 @@ class TestGraphFiles:
         g = read_graph(str(p))
         assert g.edge_count == 1
 
+    # sha256 of the bytes write_graph writes for a seeded host and target
+    WRITTEN = [
+        (lambda: gen_host(InstanceSpec("host-random-min-degree", 64, 3, {"gamma": "3/10"})),
+         "99396b972001f971d3481f8ab4a79f08468b4c818e1b515020379a8f99eaefd2"),
+        (lambda: gen_target(InstanceSpec(
+            "target-random-local", 64, 5, {"window": 4, "max_degree": 3}))[0],
+         "7fd78a631a4a56795c4b606f40952188a51f3305e4c04c5f0a26692c81098e24"),
+    ]
+
+    @pytest.mark.parametrize("make,digest", WRITTEN, ids=["host-64", "random-local-64"])
+    def test_pinned_written_bytes(self, tmp_path, make, digest):
+        g = make()
+        p = tmp_path / "g.bg"
+        write_graph(str(p), g)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        back = read_graph(str(p))
+        assert back == g and back.adj_b == g.adj_b
+
+    def test_huge_empty_graph_takes_line_scan(self, tmp_path):
+        # the row path would need a 10^12-byte buffer for this header
+        p = tmp_path / "g.bg"
+        p.write_text("bipartite 1000000 1000000 0\n")
+        assert _read_canonical_graph(str(p)) is None
+        g = read_graph(str(p))
+        assert (g.size_a, g.size_b, g.edge_count) == (10**6, 10**6, 0)
+
     def test_labelling_round_trip(self, tmp_path):
         h, lab = gen_target(InstanceSpec("target-hamilton-cycle", 16, 0))
         p = tmp_path / "h.lab"
@@ -60,6 +91,99 @@ class TestGraphFiles:
         p.write_text("0\n1\n2\n3\n4\n5\n6\n6\n")
         with pytest.raises(FileFormatError):
             read_labelling(str(p), h)
+
+
+# Mutations of a canonical graph file.  Each must parse to the graph the
+# line scan gives, or fail with the line scan's error, line and message.
+MUTATIONS = [
+    "none", "duplicate", "duplicate-counted", "swap", "delete", "joined",
+    "blank-line", "plus", "minus", "leading-zero", "underscore", "out-of-range",
+    "tab", "crlf", "trailing-space", "comment", "inline-comment",
+    "no-final-newline", "wrong-m", "m-zero",
+]
+
+
+@st.composite
+def mutated_graph_files(draw):
+    na = draw(st.integers(0, 7))
+    nb = draw(st.integers(0, 7))
+    cells = st.tuples(st.integers(0, max(na - 1, 0)), st.integers(0, max(nb - 1, 0)))
+    edges = sorted(draw(st.sets(cells, max_size=na * nb))) if na and nb else []
+    header = ["bipartite", str(na), str(nb), str(len(edges))]
+    body = [[str(a), str(b)] for a, b in edges]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    ends = "\n"
+    if mutation == "wrong-m":
+        header[3] = str(len(edges) + draw(st.sampled_from([-2, -1, 1, 2])))
+    elif mutation == "m-zero":
+        header[3] = "0"
+    elif mutation == "crlf":
+        ends = "\r\n"
+    elif mutation == "comment":
+        body.insert(draw(st.integers(0, len(body))), ["# a comment"])
+    elif body and mutation != "none":
+        i = draw(st.integers(0, len(body) - 1))
+        j = draw(st.integers(0, len(body) - 1))
+        t = draw(st.integers(0, 1))
+        tok = body[i][t]
+        if mutation.startswith("duplicate"):
+            body.insert(j, list(body[i]))
+            if mutation == "duplicate-counted":
+                header[3] = str(len(body))
+        elif mutation == "swap":
+            body[i], body[j] = body[j], body[i]
+        elif mutation == "delete":
+            del body[i]
+        elif mutation == "joined" and i + 1 < len(body):
+            # "a b c" and "d": the right number of tokens, on the wrong lines
+            body[i].append(body[i + 1].pop(0))
+        elif mutation == "blank-line":
+            body.insert(j, [])
+        elif mutation in ("plus", "minus"):
+            body[i][t] = ("+" if mutation == "plus" else "-") + tok
+        elif mutation == "leading-zero":
+            body[i][t] = "0" + tok
+        elif mutation == "underscore":
+            body[i][t] = tok[:1] + "_" + tok[1:] if len(tok) > 1 else tok + "_"
+        elif mutation == "out-of-range":
+            body[i][t] = str((na, nb)[t] + draw(st.integers(0, 2)))
+        elif mutation == "tab":
+            body[i] = ["\t".join(body[i])]
+        elif mutation == "trailing-space":
+            body[i][1] += " "
+        elif mutation == "inline-comment":
+            body[i][1] += "  # note"
+    lines = [" ".join(header)] + [" ".join(line) for line in body]
+    text = ends.join(lines) + ("" if mutation == "no-final-newline" else ends)
+    return mutation, text.encode()
+
+
+def _outcome(read, path):
+    try:
+        g = read(path)
+    except FileFormatError as e:
+        return ("FileFormatError", e.line, str(e))
+    except ValueError as e:
+        return (type(e).__name__, str(e))
+    return ("graph", g.size_a, g.size_b, g.adj_a, g.adj_b)
+
+
+class TestRowPathMatchesLineScan:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_graph_files())
+    def test_same_graph_or_same_error(self, case):
+        mutation, data = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "g.bg")
+            with open(path, "wb") as f:
+                f.write(data)
+            assert _outcome(read_graph, path) == _outcome(_read_graph_lines, path)
+            if mutation == "none":
+                na, nb = map(int, data.split()[1:3])
+                # canonical: the row path reads it unless its buffer would
+                # outgrow the file
+                took_rows = _read_canonical_graph(path) is not None
+                assert took_rows == (na * nb <= len(data))
 
 
 class TestGenerators:
@@ -241,6 +365,25 @@ class TestCommands:
                  "--out", str(emb)])
             outs.append((host.read_bytes(), target.read_bytes(), emb.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_gen_target_grid_default_height(self, tmp_path):
+        out = tmp_path / "grid.bg"
+        assert run(["gen-target", "--family", "grid", "--n", "8", "--out", str(out)]) == 0
+        g = read_graph(str(out))
+        assert (g.size_a, g.size_b, g.edge_count) == (8, 8, 24)  # the 4x4 grid
+        assert run(["gen-target", "--family", "grid", "--n", "8", "--width", "2",
+                    "--height", "8", "--out", str(out)]) == 0
+        assert read_graph(str(out)).edge_count == 22  # the 2x8 grid
+        assert run(["gen-target", "--family", "grid", "--n", "8", "--height", "3",
+                    "--out", str(out)]) == 2
+
+    def test_experiment_grid_default_height(self, tmp_path):
+        out = tmp_path / "agg.json"
+        code = run(["experiment", "--n", "16", "--gamma", "0.3", "--seeds", "1",
+                    "--k0", "2", "--ell", "8", "--budget", "100",
+                    "--family", "grid", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["runs"] == 1
 
     def test_experiment_aggregates(self, tmp_path, capsys):
         out = tmp_path / "agg.json"

@@ -336,3 +336,16 @@ class TestTypedFailures:
             assert e.report.stages and not e.report.stages[-1].ok
             return
         assert verify_embedding(g, h, res.embedding)
+
+    @pytest.mark.parametrize("mode,message", [
+        ("bogus", "unknown labelling mode 'bogus'"),
+        ("exact-small", "exact-small limited to 16 vertices"),
+    ])
+    def test_labelling_failure_is_typed(self, mode, message):
+        n = 12
+        g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
+        cfg = EmbedConfig(labelling_mode=mode, k0=2)
+        with pytest.raises(EmbeddingPipelineError) as exc:
+            embed_bipartite(g, cycle_graph(n), Fraction(1, 5), 2, cfg)
+        last = exc.value.report.stages[-1]
+        assert (last.stage, last.ok, last.detail) == ("labelling", False, message)
