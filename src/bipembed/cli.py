@@ -55,16 +55,13 @@ def _sizes(text: str) -> list[int]:
 
 def _read_pieces(path: str) -> tuple[list[int], list[int]]:
     xs, ys = [], []
-    with open(path) as f:
-        for no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise fileio.FileFormatError(path, no, "expected '<x> <y>' per piece")
-            xs.append(int(parts[0]))
-            ys.append(int(parts[1]))
+    for no, line in fileio.significant_lines(path):
+        try:
+            x, y = map(int, line.split())
+        except ValueError:
+            raise fileio.FileFormatError(path, no, "expected '<x> <y>' per piece") from None
+        xs.append(x)
+        ys.append(y)
     return xs, ys
 
 
@@ -295,6 +292,10 @@ def cmd_verify(args) -> int:
         h = fileio.read_graph(args.target)
         hom = fileio.homomorphism_from_json(fileio.read_json(args.homomorphism))
         targets = _sizes(args.ni)
+        if len(targets) != hom.k:
+            print(f"--ni gives {len(targets)} cluster targets; the homomorphism has "
+                  f"{hom.k} clusters", file=sys.stderr)
+            return 2
         rep = verify_cycle_homomorphism(h, hom, targets, args.xi)
         check = Check(rep.ok, "; ".join(
             f"{name}: {cl.detail}" for name, cl in (
@@ -493,7 +494,7 @@ def main(argv=None) -> int:
     except fileio.FileFormatError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (GraphError, ValueError) as e:
+    except (GraphError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -53,8 +53,6 @@ ClassKey = tuple[str, int]
 
 @dataclass
 class CompatibilityReport:
-    class_sizes: dict[ClassKey, int]
-    budget_sizes: dict[ClassKey, int]
     boundary: dict[ClassKey, frozenset[VertexId]]  # S_i per class
     fringe: dict[ClassKey, frozenset[VertexId]]  # T_i per class
     size_clause: Check
@@ -72,23 +70,15 @@ class CompatibilityReport:
         return set().union(*self.fringe.values())
 
 
-def _components(keys: Iterable[ClassKey], edges: Iterable[tuple[int, int]]):
-    parent: dict[ClassKey, ClassKey] = {c: c for c in keys}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for i, j in edges:
+def _partners(rprime_edges: Iterable[tuple[int, int]]) -> dict[ClassKey, ClassKey]:
+    """Each class's partner under the super-regular pairs, which form a matching."""
+    partner: dict[ClassKey, ClassKey] = {}
+    for i, j in rprime_edges:
         a, b = ("A", i), ("B", j)
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
-    groups: dict[ClassKey, list[ClassKey]] = {}
-    for c in parent:
-        groups.setdefault(find(c), []).append(c)
-    return list(groups.values())
+        if partner.get(a, b) != b or partner.get(b, a) != a:
+            raise GraphError(f"the super-regular pairs are not a matching at {(i, j)}")
+        partner[a], partner[b] = b, a
+    return partner
 
 
 def compatibility_report(
@@ -102,11 +92,11 @@ def compatibility_report(
     """Evaluate the three compatibility clauses exactly.
 
     ``r_edges`` and ``rprime_edges`` list pairs (i, j) meaning the class
-    pair (("A", i), ("B", j)); the boundary set of a class holds its
-    vertices with a neighbour in a class not matched to it by
-    ``rprime_edges``, and the fringe holds neighbours of boundary vertices
-    that are not boundary themselves.  The fringe bound uses the smallest
-    size budget in the class's component of the super-regular subgraph.
+    pair (("A", i), ("B", j)); ``rprime_edges``, the super-regular pairs,
+    must form a matching.  The boundary set of a class holds its vertices
+    with a neighbour in a class other than its partner, and the fringe
+    holds neighbours of boundary vertices that are not boundary themselves.
+    The fringe bound uses the smaller size budget of a class and its partner.
     """
     eps = frac(epsilon)
     cls = {c: frozenset(v) for c, v in classes.items()}
@@ -120,8 +110,8 @@ def compatibility_report(
         if v not in class_of:
             raise GraphError(f"{v} not covered by the class partition")
     r = {(i, j) for i, j in r_edges}
-    rp = {(i, j) for i, j in rprime_edges}
-    if not rp <= r:
+    partner = _partners(rprime_edges)
+    if any(c[0] == "A" and (c[1], p[1]) not in r for c, p in partner.items()):
         raise GraphError("the super-regular pair list must be a subset of the regular one")
 
     size_clause = Check(True)
@@ -148,7 +138,7 @@ def compatibility_report(
             edge_clause = Check(
                 False, f"edge ({x},{y}) lies over uncertified pair {pair}"
             )
-        if cx != cy and pair not in rp:
+        if partner.get(cx) != cy:
             boundary[cx].add(vx)
             boundary[cy].add(vy)
 
@@ -159,28 +149,22 @@ def compatibility_report(
             if w not in s_union:
                 fringe[class_of[w]].add(w)
 
-    comp_min: dict[ClassKey, int] = {}
-    for group in _components(cls.keys(), rp):
-        m = min(sizes[c] for c in group)
-        for c in group:
-            comp_min[c] = m
     boundary_clause = Check(True)
     for c in cls:
+        p = partner.get(c)
+        budget = min(sizes[c], sizes[p]) if p in cls else sizes[c]
         if len(boundary[c]) > eps * sizes[c]:
             boundary_clause = Check(
                 False, f"boundary of {c} has {len(boundary[c])} > eps*{sizes[c]}"
             )
             break
-        if len(fringe[c]) > eps * comp_min[c]:
+        if len(fringe[c]) > eps * budget:
             boundary_clause = Check(
                 False,
-                f"fringe of {c} has {len(fringe[c])} > eps*min-component-size "
-                f"{comp_min[c]}",
+                f"fringe of {c} has {len(fringe[c])} > eps*min-component-size {budget}",
             )
             break
     return CompatibilityReport(
-        {c: len(cls[c]) for c in cls},
-        dict(sizes),
         {c: frozenset(boundary[c]) for c in cls},
         {c: frozenset(fringe[c]) for c in cls},
         size_clause,
@@ -232,10 +216,20 @@ class EmbeddingError(RuntimeError):
         self.hall_violator = hall_violator
 
 
-def _max_matching(cands: Sequence[Sequence[int]], right_size: int) -> list[int]:
-    """Iterative augmenting-path maximum matching; returns match per left."""
+def _max_matching(
+    cands: Sequence[Sequence[int]], right_size: int
+) -> tuple[list[int], Optional[tuple[set[int], set[int]]]]:
+    """Iterative augmenting-path maximum matching.
+
+    Returns the match of each left vertex, and for the first left vertex
+    whose search fails a Hall witness: the left vertices that search
+    reached and the right vertices it saw, which are exactly their
+    candidates and one fewer.  Later searches never change a failed
+    search's tree, so the witness holds for the final matching.
+    """
     match_left = [-1] * len(cands)
     match_right = [-1] * right_size
+    witness = None
     for u in range(len(cands)):
         seen = [False] * right_size
         # DFS over alternating paths, explicit stack of (left, cand iterator)
@@ -266,7 +260,10 @@ def _max_matching(cands: Sequence[Sequence[int]], right_size: int) -> list[int]:
                 stack.pop()
                 if path:
                     path.pop()
-    return match_left
+        if match_left[u] == -1 and witness is None:
+            saw = {r for r in range(right_size) if seen[r]}
+            witness = ({u} | {match_right[r] for r in saw}, saw)
+    return match_left, witness
 
 
 def embed_compatible(
@@ -315,11 +312,7 @@ def embed_compatible(
                 if not cl.ok
             )
         )
-    rp = {(i, j) for i, j in rprime_edges}
-    partner: dict[ClassKey, ClassKey] = {}
-    for i, j in rp:
-        partner[("A", i)] = ("B", j)
-        partner[("B", j)] = ("A", i)
+    partner = _partners(rprime_edges)
 
     if order is None:
         order = sorted(H.vertices())
@@ -383,35 +376,14 @@ def embed_compatible(
             opts = [local[b] for b in iter_bits(mask)]
             rng.shuffle(opts)
             cands.append(opts)
-        match = _max_matching(cands, len(free))
-        unmatched = [y_rest[t] for t in range(len(y_rest)) if match[t] == -1]
-        if unmatched:
-            # alternating-reachability from an unmatched vertex gives a witness
-            # set whose joint candidate pool is too small
-            start = y_rest.index(unmatched[0])
-            reach = {start}
-            frontier = [start]
-            right_owner = {}
-            for t, r in enumerate(match):
-                if r != -1:
-                    right_owner[r] = t
-            seen_r: set[int] = set()
-            while frontier:
-                t = frontier.pop()
-                for r in cands[t]:
-                    if r in seen_r:
-                        continue
-                    seen_r.add(r)
-                    owner = right_owner.get(r)
-                    if owner is not None and owner not in reach:
-                        reach.add(owner)
-                        frontier.append(owner)
-            violator = sorted(y_rest[t] for t in reach)
+        match, deficient = _max_matching(cands, len(free))
+        if deficient:
+            reached, saw = deficient
             raise EmbeddingError(
-                f"matching completion deficient in {cb}: {len(reach)} vertices share "
-                f"{len(seen_r)} candidates",
-                stuck=unmatched[0],
-                hall_violator=violator,
+                f"matching completion deficient in {cb}: {len(reached)} vertices share "
+                f"{len(saw)} candidates",
+                stuck=y_rest[match.index(-1)],
+                hall_violator=sorted(y_rest[t] for t in reached),
             )
         for t, v in enumerate(y_rest):
             b = free[match[t]]
@@ -435,8 +407,8 @@ def embed_compatible(
         used = dict(phase1_used)
         phases = {v: "boundary-greedy" for v in images}
         try:
-            for i, j in sorted(rp):
-                complete(("A", i), ("B", j), images, used, phases, rng)
+            for ca in sorted(c for c in partner if c[0] == "A"):
+                complete(ca, partner[ca], images, used, phases, rng)
             emb = Embedding(images, phases)
             check = verify_embedding(G, H, emb)
             if not check:
@@ -469,7 +441,6 @@ class EmbedConfig:
     size_slack: Optional[Rational] = None
     labelling_mode: str = "cuthill-mckee"
     sample_budget: int = 800
-    balance_retries: int = 50
     embed_retries: int = 20
     pipeline_retries: int = 8
     distribution_draws: int = 40
@@ -490,9 +461,13 @@ class RunReport:
     config: EmbedConfig
     stages: list[StageRecord] = field(default_factory=list)
     verdict: str = "failed"
+    # the end of the previous stage: stages run back to back
+    stage_start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
-    def record(self, stage: str, ok: bool, detail: str, t0: float) -> None:
-        self.stages.append(StageRecord(stage, ok, detail, time.perf_counter() - t0))
+    def record(self, stage: str, ok: bool, detail: str) -> None:
+        now = time.perf_counter()
+        self.stages.append(StageRecord(stage, ok, detail, now - self.stage_start))
+        self.stage_start = now
 
 
 @dataclass
@@ -528,43 +503,36 @@ def embed_bipartite(
     balancing, cycle homomorphism), host phase 2 (exact cluster sizes),
     compatibility, and the two-phase embedding.  The number of pieces is
     clamped so every piece holds the 2k+1 linking blocks and the expected
-    boundary load stays within the compatibility budget; distribution
-    attempts are retried with fresh sub-seeds (halving the piece count when
-    compatibility keeps failing).  Verification failure is fatal: no
+    boundary load stays within the compatibility budget, and the target is
+    cut into pieces once; each attempt draws distributions with fresh
+    sub-seeds at that piece count.  Verification failure is fatal: no
     unverified embedding is ever returned.
     """
     cfg = config or EmbedConfig()
     gamma = frac(gamma)
     report = RunReport(seed=seed, config=cfg)
-    t0 = time.perf_counter()
     n = G.size_a
     if not (G.is_balanced and H.is_balanced and H.size_a == n):
-        report.record("hypotheses", False, "graphs must be balanced on the same 2n", t0)
+        report.record("hypotheses", False, "graphs must be balanced on the same 2n")
         raise EmbeddingPipelineError("hypothesis check failed", report)
     if G.min_degree() < (Fraction(1, 2) + gamma) * n:
-        report.record(
-            "hypotheses", False,
-            f"host min degree {G.min_degree()} below (1/2+gamma)n", t0,
-        )
+        report.record("hypotheses", False, f"host min degree {G.min_degree()} below (1/2+gamma)n")
         raise EmbeddingPipelineError("host minimum degree too small", report)
     if H.max_degree() > max_degree:
         report.record(
-            "hypotheses", False,
-            f"target max degree {H.max_degree()} exceeds {max_degree}", t0,
+            "hypotheses", False, f"target max degree {H.max_degree()} exceeds {max_degree}"
         )
         raise EmbeddingPipelineError("target maximum degree too large", report)
-    report.record("hypotheses", True, f"n={n}, delta={G.min_degree()}", t0)
+    report.record("hypotheses", True, f"n={n}, delta={G.min_degree()}")
 
-    t0 = time.perf_counter()
     if labelling is None:
         try:
             labelling = bandwidth_labelling(H, cfg.labelling_mode)
         except ValueError as e:
-            report.record("labelling", False, str(e), t0)
+            report.record("labelling", False, str(e))
             raise EmbeddingPipelineError(str(e), report) from e
-    report.record("labelling", True, f"bandwidth {labelling.bandwidth}", t0)
+    report.record("labelling", True, f"bandwidth {labelling.bandwidth}")
 
-    t0 = time.perf_counter()
     overrides = {"epsilon": cfg.epsilon, "d": cfg.d}
     if cfg.size_slack is not None:
         overrides["size_slack"] = cfg.size_slack
@@ -576,25 +544,20 @@ def embed_bipartite(
             overrides=overrides, kmax=cfg.kmax,
         )
     except ScheduleError as e:
-        report.record("schedule", False, str(e), t0)
+        report.record("schedule", False, str(e))
         raise EmbeddingPipelineError(str(e), report) from e
-    report.record("schedule", True, schedule.mode, t0)
+    report.record("schedule", True, schedule.mode)
 
-    t0 = time.perf_counter()
     try:
         state = prepare_host_partition(
             G, schedule, cfg.strategy, cfg.sample_budget, seed
         )
     except PipelineStageError as e:
-        report.record(e.stage, False, str(e), t0)
+        report.record(e.stage, False, str(e))
         raise EmbeddingPipelineError(str(e), report) from e
     k = state.k
-    report.record(
-        "host-phase-1", True,
-        f"k={k}, targets={list(state.target_sizes)}", t0,
-    )
+    report.record("host-phase-1", True, f"k={k}, targets={list(state.target_sizes)}")
 
-    t0 = time.perf_counter()
     beta_n = max(labelling.bandwidth, 1)
     ell_struct = (2 * n) // ((2 * k + 1) * beta_n)
     # aim for several pieces per cluster while keeping the expected
@@ -604,10 +567,11 @@ def embed_bipartite(
     if ell_struct < 1:
         report.record(
             "distribution", False,
-            f"pieces cannot host {2 * k + 1} blocks of length {beta_n}", t0,
+            f"pieces cannot host {2 * k + 1} blocks of length {beta_n}",
         )
         raise EmbeddingPipelineError("bandwidth too large for the cluster count", report)
-    xi_bal = frac(cfg.balance_slack) if cfg.balance_slack is not None else schedule.target_slack
+    pieces = partition_pieces(H, labelling, ell_eff)
+    xi_bal = schedule.target_slack
     vacuous = Fraction(1)
     rprime = [(i, i) for i in range(k)]
 
@@ -617,8 +581,6 @@ def embed_bipartite(
         # meeting the boundary clause at the schedule epsilon, fall back to
         # a vacuous-epsilon gate (sizes and edge placement still checked;
         # the final verifier remains the arbiter)
-        t0 = time.perf_counter()
-        pieces = partition_pieces(H, labelling, ell_eff)
         chosen = None
         fallback = None
         balance_errors = 0
@@ -627,8 +589,7 @@ def embed_bipartite(
             try:
                 phi = balance_assignment(
                     list(state.target_sizes), list(pieces.x_counts),
-                    list(pieces.y_counts), xi_bal, cfg.balance_retries, sub,
-                    strict=schedule.is_faithful,
+                    list(pieces.y_counts), xi_bal, seed=sub, strict=schedule.is_faithful,
                 )
             except (BalanceError, GraphError) as e:
                 balance_errors += 1
@@ -667,7 +628,7 @@ def embed_bipartite(
             report.record(
                 "distribution", False,
                 f"ell={ell_eff}: no compatible draw in {cfg.distribution_draws} "
-                f"({balance_errors} balance failures; last: {last_failure})", t0,
+                f"({balance_errors} balance failures; last: {last_failure})",
             )
             continue
         phi, hom, classes, strict_rep, gate, sub = chosen
@@ -675,35 +636,32 @@ def embed_bipartite(
         report.record(
             "distribution", True,
             f"ell={ell_eff}, balance retries={phi.retries_used}, gate={gate}, "
-            f"size guarantees={'ok' if hom_report.ok else 'mixed'}", t0,
+            f"size guarantees={'ok' if hom_report.ok else 'mixed'}",
         )
-        t0 = time.perf_counter()
         report.record(
             "compatibility", strict_rep.ok,
             "clauses hold at the schedule epsilon" if strict_rep.ok else
             "boundary clause holds only vacuously: " + "; ".join(
                 c.detail for c in (strict_rep.size_clause, strict_rep.edge_clause,
                                    strict_rep.boundary_clause) if not c.ok
-            ), t0,
+            ),
         )
 
-        t0 = time.perf_counter()
         try:
             resized = resize_host_partition(
                 state, G, list(hom.preimage_a), list(hom.preimage_b),
                 cfg.strategy, cfg.sample_budget, sub,
             )
         except (PipelineStageError, RedistributionError) as e:
-            report.record("host-phase-2", False, str(e), t0)
+            report.record("host-phase-2", False, str(e))
             last_failure = f"resize: {e}"
             continue
         report.record(
             "host-phase-2", True,
             f"iterations={resized.redistribution.iterations}, "
-            f"certified={'yes' if resized.certificates_ok else 'vacuous/partial'}", t0,
+            f"certified={'yes' if resized.certificates_ok else 'vacuous/partial'}",
         )
 
-        t0 = time.perf_counter()
         gate_params = (
             schedule.final_params()
             if gate == "schedule-epsilon"
@@ -716,11 +674,11 @@ def embed_bipartite(
                 retries=cfg.embed_retries,
             )
         except EmbeddingError as e:
-            report.record("embedding", False, str(e), t0)
+            report.record("embedding", False, str(e))
             last_failure = f"embedding: {e}"
             continue
         # embed_compatible returns only embeddings that verify_embedding passed
-        report.record("embedding", True, f"verified on attempt {attempt + 1}", t0)
+        report.record("embedding", True, f"verified on attempt {attempt + 1}")
         report.verdict = "verified-embedding"
         return EmbedResult(emb, report, state, hom, resized.partition, labelling)
     raise EmbeddingPipelineError(

@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from typing import Iterator
 
-from .graphs import BipartiteGraph, Side, VertexId, iter_bits
+from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits
 from .hamilton import HamiltonCycle
 from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
 from .embedder import Embedding
@@ -123,44 +124,52 @@ def _read_canonical_graph(path: str) -> BipartiteGraph | None:
     return BipartiteGraph._from_flat(na, nb, flat)
 
 
-def _read_graph_lines(path: str) -> BipartiteGraph:
-    header = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    expected = -1
+def significant_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line left non-empty once its ``#``
+    comment and surrounding white space are removed."""
     with open(path) as f:
         for no, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 4 or parts[0] != "bipartite":
-                    raise FileFormatError(path, no, "expected 'bipartite <nA> <nB> <m>'")
-                try:
-                    na, nb, expected = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise FileFormatError(path, no, "non-integer header field") from None
-                header = (na, nb)
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FileFormatError(path, no, "expected '<a> <b>'")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FileFormatError(path, no, "non-integer edge endpoint") from None
-            if not (0 <= a < header[0] and 0 <= b < header[1]):
-                raise FileFormatError(path, no, f"edge ({a},{b}) out of range")
-            if (a, b) in seen:
-                raise FileFormatError(path, no, f"duplicate edge ({a},{b})")
-            seen.add((a, b))
-            edges.append((a, b))
-    if header is None:
+            if line:
+                yield no, line
+
+
+def _read_graph_lines(path: str) -> BipartiteGraph:
+    """The line scan: any .bg file, each edge set straight into its bit rows."""
+    lines = significant_lines(path)
+    no, line = next(lines, (0, ""))
+    if not line:
         raise FileFormatError(path, 0, "empty graph file")
-    if len(edges) != expected:
-        raise FileFormatError(path, 0, f"edge count {len(edges)} != declared {expected}")
-    return BipartiteGraph.build(header[0], header[1], edges)
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "bipartite":
+        raise FileFormatError(path, no, "expected 'bipartite <nA> <nB> <m>'")
+    try:
+        na, nb, expected = int(parts[1]), int(parts[2]), int(parts[3])
+    except ValueError:
+        raise FileFormatError(path, no, "non-integer header field") from None
+    adj_a = [0] * na
+    adj_b = [0] * nb
+    count = 0
+    for no, line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FileFormatError(path, no, "expected '<a> <b>'")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FileFormatError(path, no, "non-integer edge endpoint") from None
+        if not (0 <= a < na and 0 <= b < nb):
+            raise FileFormatError(path, no, f"edge ({a},{b}) out of range")
+        if adj_a[a] >> b & 1:
+            raise FileFormatError(path, no, f"duplicate edge ({a},{b})")
+        adj_a[a] |= 1 << b
+        adj_b[b] |= 1 << a
+        count += 1
+    if count != expected:
+        raise FileFormatError(path, 0, f"edge count {count} != declared {expected}")
+    if na < 0 or nb < 0:
+        raise GraphError("negative side size")
+    return BipartiteGraph(na, nb, adj_a, adj_b)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +190,11 @@ def write_labelling(path: str, lab: BandwidthLabelling) -> None:
 
 def read_labelling(path: str, H: BipartiteGraph) -> BandwidthLabelling:
     ids: list[int] = []
-    with open(path) as f:
-        for no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise FileFormatError(path, no, "non-integer vertex id") from None
+    for no, line in significant_lines(path):
+        try:
+            ids.append(int(line))
+        except ValueError:
+            raise FileFormatError(path, no, "non-integer vertex id") from None
     total = H.size_a + H.size_b
     if sorted(ids) != list(range(total)):
         raise FileFormatError(path, 0, f"not a permutation of 0..{total - 1}")

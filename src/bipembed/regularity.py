@@ -608,6 +608,10 @@ def _equalise(
                 del g[target:]
 
 
+MAX_ROUNDS = 40
+REGROUP_STALL = 2
+
+
 def build_regular_partition(
     G: BipartiteGraph,
     params: RegularityParams,
@@ -617,8 +621,6 @@ def build_regular_partition(
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
     enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
-    max_rounds: int = 40,
-    regroup_stall: int = 2,
 ) -> PartitionBuildResult:
     """Witness-driven refinement towards a partition regular on most pairs.
 
@@ -627,8 +629,8 @@ def build_regular_partition(
     (d plays no role while building; the returned reduced graph applies it).
     Rounds that fall short split every cluster in half along the most
     deviating witness direction and regroup the halves by neighbourhood
-    similarity at the same k; when regrouping stalls, k doubles instead,
-    up to kmax.
+    similarity at the same k; when regrouping stalls for ``REGROUP_STALL``
+    rounds, k doubles instead, up to kmax.  At most ``MAX_ROUNDS`` rounds run.
     """
     if not G.is_balanced:
         raise GraphError("partition builder expects a balanced graph")
@@ -643,19 +645,13 @@ def build_regular_partition(
     best: Optional[PartitionBuildResult] = None
     best_frac_at_k: Optional[Fraction] = None
     stall = 0
-    for round_no in range(max_rounds):
-        certs: dict[tuple[int, int], PairCertificate] = {}
-        regular = 0
-        for i in range(k):
-            for j in range(k):
-                cert = check_regular_pair(
-                    G, part.clusters_a[i], part.clusters_b[j], deviation_only,
-                    strategy, budget, _mix_seed(seed, round_no, i, j), enumeration_cap,
-                )
-                certs[(i, j)] = cert
-                if cert.verdict is Verdict.REGULAR:
-                    regular += 1
-        fraction = Fraction(regular, k * k)
+    for round_no in range(MAX_ROUNDS):
+        checked = maximal_reduced_graph(
+            G, part, deviation_only, strategy, budget, _mix_seed(seed, round_no),
+            enumeration_cap,
+        )
+        certs = checked.certificates
+        fraction = Fraction(len(checked.edges), k * k)
         # d plays no role in the deviation verdicts, so the reduced graph
         # only re-applies the density gate to this round's certificates
         reduced = _reduced_graph(
@@ -698,7 +694,7 @@ def build_regular_partition(
             Side.A: list(part.exceptional_a.indices()),
             Side.B: list(part.exceptional_b.indices()),
         }
-        if stall >= regroup_stall:
+        if stall >= REGROUP_STALL:
             if 2 * k > kmax:
                 raise PartitionBuildError(
                     f"certification threshold unreached and 2k={2 * k} exceeds kmax={kmax}",
@@ -725,7 +721,7 @@ def build_regular_partition(
             G, map(_mask, groups[Side.A]), map(_mask, groups[Side.B]),
             _mask(exceptional[Side.A]), _mask(exceptional[Side.B]),
         )
-    raise PartitionBuildError(f"no certified partition within {max_rounds} rounds", best)
+    raise PartitionBuildError(f"no certified partition within {MAX_ROUNDS} rounds", best)
 
 
 def _check_exceptional_budget(G: BipartiteGraph, part: ClusterPartition, eps: Fraction) -> None:

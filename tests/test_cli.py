@@ -17,6 +17,7 @@ from bipembed.fileio import (
     write_labelling,
 )
 from bipembed.generators import InstanceSpec, gen_host, gen_target
+from bipembed.graphs import GraphError
 
 
 def run(argv):
@@ -76,6 +77,28 @@ class TestGraphFiles:
         assert _read_canonical_graph(str(p)) is None
         g = read_graph(str(p))
         assert (g.size_a, g.size_b, g.edge_count) == (10**6, 10**6, 0)
+
+    def test_line_scan_reads_crlf_tabs_and_comments(self, tmp_path):
+        g = gen_host(InstanceSpec("host-random-min-degree", 64, 3, {"gamma": "3/10"}))
+        canonical = tmp_path / "g.bg"
+        write_graph(str(canonical), g)
+        header, *edges = canonical.read_text().splitlines()
+        lines = [header, "# edges follow, tab separated"] + [e.replace(" ", "\t") for e in edges]
+        p = tmp_path / "crlf.bg"
+        p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert _read_canonical_graph(str(p)) is None
+        back = read_graph(str(p))
+        assert back == g and back.adj_b == g.adj_b
+
+    def test_line_scan_error_order(self, tmp_path):
+        p = tmp_path / "g.bg"
+        p.write_text("bipartite -1 5 1\n0 0\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_graph(str(p))
+        assert exc.value.line == 2 and "out of range" in str(exc.value)
+        p.write_text("bipartite -1 5 0\n")
+        with pytest.raises(GraphError, match="negative side size"):
+            read_graph(str(p))
 
     def test_labelling_round_trip(self, tmp_path):
         h, lab = gen_target(InstanceSpec("target-hamilton-cycle", 16, 0))
@@ -347,6 +370,34 @@ class TestCommands:
         bad = tmp_path / "bad.bg"
         bad.write_text("bipartite 2 2\n")
         assert run(["hamilton", "--host", str(bad)]) == 2
+
+    def test_bad_piece_line_names_file_and_line(self, tmp_path, capsys):
+        pieces = tmp_path / "p.txt"
+        pieces.write_text("3 4\nx 5\n")
+        assert run(["balance", "--ni", "4x2", "--pieces", str(pieces)]) == 2
+        err = capsys.readouterr().err
+        assert f"parse error: {pieces}:2: expected '<x> <y>' per piece" in err
+
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.bg")
+        assert run(["verify", "--host", missing, "--target", missing,
+                    "--embedding", str(tmp_path / "e.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_homomorphism_needs_one_target_per_cluster(self, tmp_path, capsys):
+        target = tmp_path / "h.bg"
+        lab = tmp_path / "h.lab"
+        out = tmp_path / "hom.json"
+        assert run(["gen-target", "--family", "hamilton-cycle", "--n", "96",
+                    "--out", str(target), "--labelling-out", str(lab)]) == 0
+        assert run(["homomorphism", "--target", str(target), "--labelling", str(lab),
+                    "--ni", "24x4", "--ell", "6", "--seed", "2", "--loose",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--target", str(target), "--homomorphism", str(out)]) == 2
+        assert run(["verify", "--target", str(target), "--homomorphism", str(out),
+                    "--ni", "32x3"]) == 2
+        assert "4 clusters" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path):
         outs = []

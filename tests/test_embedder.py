@@ -11,10 +11,11 @@ from bipembed.embedder import (
     EmbeddingPipelineError,
     compatibility_report,
     embed_bipartite,
+    _max_matching,
     embed_compatible,
     verify_embedding,
 )
-from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet
+from bipembed.graphs import BipartiteGraph, GraphError, Side, VertexId, VertexSet
 from bipembed.regularity import ClusterPartition, RegularityParams
 
 from helpers import (
@@ -204,6 +205,56 @@ class TestEmbedCompatible:
                 ok += 1
             assert any(p == "completion-matching" for p in emb.phases.values())
         assert ok == 30
+
+
+    def test_deficient_matching_names_a_hall_violator(self):
+        # every A vertex sees only B0 and B1, so the three B vertices of
+        # the target matching share two candidates
+        g = BipartiteGraph.build(3, 3, [(a, b) for a in range(3) for b in (0, 1)])
+        h = matching_graph(3)
+        part = ClusterPartition.from_masks(g, [0b111], [0b111])
+        with pytest.raises(EmbeddingError) as exc:
+            embed_compatible(
+                g, h, part, classes_from_ranges(1, 3), [(0, 0)], [(0, 0)],
+                RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
+            )
+        e = exc.value
+        assert "matching completion deficient in ('B', 0): 3 vertices share 2 candidates" in str(e)
+        assert e.stuck == VertexId(Side.B, 2)
+        assert e.hall_violator == [VertexId(Side.B, b) for b in range(3)]
+
+    def test_non_matching_super_regular_pairs_rejected(self):
+        h = matching_graph(8)
+        classes = classes_from_ranges(2, 4)
+        sizes = {c: 4 for c in classes}
+        r = [(0, 0), (1, 1), (0, 1)]
+        with pytest.raises(GraphError, match="not a matching"):
+            compatibility_report(h, classes, sizes, r, [(0, 0), (0, 1)], Fraction(1, 4))
+
+
+class TestMaxMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matching_and_hall_witness(self, data):
+        left = data.draw(st.integers(1, 7))
+        right = data.draw(st.integers(1, 7))
+        cands = [
+            data.draw(st.lists(st.integers(0, right - 1), unique=True, max_size=right))
+            for _ in range(left)
+        ]
+        match, witness = _max_matching(cands, right)
+        matched = [r for r in match if r != -1]
+        assert len(set(matched)) == len(matched)
+        assert all(r == -1 or r in cands[u] for u, r in enumerate(match))
+        if witness is None:
+            assert -1 not in match
+            return
+        reached, saw = witness
+        assert match.index(-1) in reached
+        assert saw == {r for t in reached for r in cands[t]}
+        assert len(saw) == len(reached) - 1
+        # the reached vertices other than the unmatched one hold saw's members
+        assert all(match[t] in saw for t in reached if match[t] != -1)
 
 
 class TestEmbedBipartite:
