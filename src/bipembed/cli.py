@@ -279,6 +279,15 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for artifact, inputs in (
+        ("embedding", ("host", "target")), ("cycle", ("host",)), ("homomorphism", ("target",)),
+    ):
+        if getattr(args, artifact):
+            missing = [f"--{name}" for name in inputs if not getattr(args, name)]
+            if missing:
+                print(f"--{artifact} needs {' and '.join(missing)}", file=sys.stderr)
+                return 2
+            break
     if args.embedding:
         g = fileio.read_graph(args.host)
         h = fileio.read_graph(args.target)

@@ -66,8 +66,9 @@ class UndefinedDensityError(GraphError):
 def iter_bits(bits: int) -> Iterator[int]:
     """Indices of the set bits of ``bits``, ascending.
 
-    Seeded draws (``rng.choice``, ``rng.sample``) take lists built from this
-    order, so changing it changes every RNG-dependent result.
+    Seeded draws index into lists built in this order (the sampled pair
+    checks' neighbourhood pools, the embedder's candidate images), so
+    changing it changes every RNG-dependent result.
     """
     while bits:
         low = bits & -bits

@@ -16,6 +16,14 @@ every subset pair a check tests has the same number of vertex pairs, so the
 deviation bound is cross-multiplied once into a band of regular edge counts
 and each subset pair is tested with integers alone.  Rationals are built
 only for the base density and for deviation witnesses.
+
+A pair check first copies the pair's adjacency into pair-local rows (bit j
+of member i's row: adjacency to the partner side's j-th member, both in
+ascending vertex order), so every draw, mask and degree sort works on
+|U|- and |W|-bit integers; only a witness is mapped back to vertices.  The
+sampled draws come from ``_draw``, which returns exactly what the standard
+library's ``Random.sample``/``Random.choice`` return from the same seed, so
+certificates do not depend on how the sampler is implemented.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import (
@@ -130,14 +139,74 @@ def _regular_band(base: Fraction, eps: Fraction, denom: int) -> tuple[int, int]:
     return -((radius - centre) // scale), (centre + radius) // scale
 
 
-def _extremal_members(adj: Sequence[int], members: Sequence[int], mask: int, s: int,
-                      high: bool) -> list[int]:
-    """The s members with fewest (or most) neighbours in mask, ties by index."""
-    degs = sorted(((adj[m] & mask).bit_count(), m) for m in members)
-    return [m for _, m in (degs[-s:] if high else degs[:s])]
+def _draw(getrandbits, population: Sequence, k: int) -> list:
+    """``random.Random.sample(population, k)``, drawn with ``getrandbits`` alone.
+
+    The same elements in the same order, leaving the generator in the same
+    state: this transcribes CPython's pool branch (a population no larger
+    than a k-element set's table) and set branch, with ``_randbelow``'s
+    rejection loop inlined.  One draw is that loop alone in either branch,
+    so ``_draw(getrandbits, seq, 1)[0]`` is what ``Random.choice(seq)``
+    returns.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    if k == 1:
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        return [population[j]]
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for i in range(n, n - k, -1):
+            bits = i.bit_length()
+            j = getrandbits(bits)
+            while j >= i:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[i - 1]
+        return result
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(population[j])
+    return result
 
 
-def _exhaustive_extremes(G, U: VertexSet, W: VertexSet, s_u: int, s_w: int):
+def _pair_rows(G: BipartiteGraph, u_members: list[int], w_members: list[int]):
+    """The pair's adjacency on local indices: ``rows_u[i]`` has bit j set
+    when ``u_members[i]`` and ``w_members[j]`` are adjacent, and ``rows_w``
+    is its transpose.  Members are in ascending order, so local order is
+    global order."""
+    # bin(row | top) holds bit w at position size_b + 2 - w; picking the
+    # members' positions highest first reads the local row big-endian
+    top = 1 << G.size_b
+    pick = itemgetter(*[G.size_b + 2 - w for w in reversed(w_members)])
+    text = [''.join(pick(bin(G.adj_a[u] | top))) for u in u_members]
+    rows_u = [int(t, 2) for t in text]
+    # column c of the text is bit len(w_members)-1-c of every U row
+    rows_w = [int(''.join(col), 2) for col in zip(*reversed(text))]
+    rows_w.reverse()
+    return rows_u, rows_w
+
+
+def _extremal_members(rows: Sequence[int], mask: int, s: int, high: bool) -> int:
+    """The s rows with fewest (or most) bits in mask, ties by index, as a mask."""
+    degs = sorted([((r & mask).bit_count(), i) for i, r in enumerate(rows)])
+    return sum([1 << i for _, i in (degs[-s:] if high else degs[:s])])
+
+
+def _exhaustive_extremes(rows_u: list[int], rows_w: list[int], s_u: int, s_w: int):
     """Extremal subset edge counts over pairs at minimal qualifying sizes.
 
     Over all qualifying subset pairs the extreme densities are attained with
@@ -146,29 +215,27 @@ def _exhaustive_extremes(G, U: VertexSet, W: VertexSet, s_u: int, s_w: int):
     without reducing the deviation.  So enumerating one side at its minimal
     size and sorting the other side's degrees is a complete exact decision.
     Every candidate has s_u*s_w vertex pairs, so edge counts order them.
-    Returns the highest and the lowest as (edge count, U indices, W
-    indices); U lies on side A.
+    Returns the highest and the lowest as (edge count, U mask, W mask) over
+    the pair-local rows of ``_pair_rows``.
     """
     # enumerate the side with the smaller number of minimal-size subsets
-    if math.comb(W.size, s_w) <= math.comb(U.size, s_u):
-        enum_set, opt_set, s_enum, s_opt, adj = W, U, s_w, s_u, G.adj_a
-    else:
-        enum_set, opt_set, s_enum, s_opt, adj = U, W, s_u, s_w, G.adj_b
-    opt_members = list(opt_set.indices())
-    best_hi = None  # (edge count, opt indices, enum indices)
+    enum_w = math.comb(len(rows_w), s_w) <= math.comb(len(rows_u), s_u)
+    opt_rows, s_opt = (rows_u, s_u) if enum_w else (rows_w, s_w)
+    n_enum, s_enum = (len(rows_w), s_w) if enum_w else (len(rows_u), s_u)
+    best_hi = None  # (edge count, opt mask, enum mask)
     best_lo = None
-    for chosen in combinations(list(enum_set.indices()), s_enum):
-        mask = _mask(chosen)
-        degs = sorted([(adj[m] & mask).bit_count() for m in opt_members])
+    for chosen in combinations([1 << j for j in range(n_enum)], s_enum):
+        mask = sum(chosen)
+        degs = sorted([(r & mask).bit_count() for r in opt_rows])
         lo = sum(degs[:s_opt])
         hi = sum(degs[-s_opt:])
         if best_lo is None or lo < best_lo[0]:
-            best_lo = (lo, _extremal_members(adj, opt_members, mask, s_opt, False), chosen)
+            best_lo = (lo, _extremal_members(opt_rows, mask, s_opt, False), mask)
         if best_hi is None or hi > best_hi[0]:
-            best_hi = (hi, _extremal_members(adj, opt_members, mask, s_opt, True), chosen)
-    if opt_set is U:
+            best_hi = (hi, _extremal_members(opt_rows, mask, s_opt, True), mask)
+    if enum_w:
         return [best_hi, best_lo]
-    return [(e, enum_idx, opt_idx) for e, opt_idx, enum_idx in (best_hi, best_lo)]
+    return [(e, enum_mask, opt_mask) for e, opt_mask, enum_mask in (best_hi, best_lo)]
 
 
 def check_regular_pair(
@@ -219,12 +286,16 @@ def check_regular_pair(
     # for the witness
     denom = s_u * s_w
     lo, hi = _regular_band(base, eps, denom)
+    u_members = list(U.indices())
+    w_members = list(W.indices())
+    rows_u, rows_w = _pair_rows(G, u_members, w_members)
 
-    def refuted(u_idx, w_idx, e, samples):
+    def refuted(u_mask, w_mask, e, samples):
+        # local masks back to global vertex sets
         val = Fraction(e, denom)
         wit = DeviationWitness(
-            VertexSet.from_indices(Side.A, U.universe, u_idx),
-            VertexSet.from_indices(Side.B, W.universe, w_idx),
+            VertexSet.from_indices(Side.A, U.universe, [u_members[i] for i in iter_bits(u_mask)]),
+            VertexSet.from_indices(Side.B, W.universe, [w_members[j] for j in iter_bits(w_mask)]),
             val, abs(val - base),
         )
         return PairCertificate((U, W), params, Verdict.IRREGULAR, base, wit, strategy, samples)
@@ -235,62 +306,74 @@ def check_regular_pair(
             raise EnumerationCapExceeded(
                 f"{count} minimal-size subsets to enumerate exceed cap {enumeration_cap}"
             )
-        for e, u_idx, w_idx in _exhaustive_extremes(G, U, W, s_u, s_w):
+        for e, u_mask, w_mask in _exhaustive_extremes(rows_u, rows_w, s_u, s_w):
             if not lo <= e <= hi:
-                return refuted(u_idx, w_idx, e, 0)
+                return refuted(u_mask, w_mask, e, 0)
         return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, 0)
 
-    rng = random.Random(seed)
-    u_members = list(U.indices())
-    w_members = list(W.indices())
+    # every draw below is from a sequence of the length and order of
+    # u_members, w_members or a pool built from them, so the generator runs
+    # as Random.choice/Random.sample on those lists would run it
+    getrandbits = random.Random(seed).getrandbits
+    nu, nw = len(rows_u), len(rows_w)
+    pow2 = [1 << j for j in range(max(nu, nw))]
+    u_ids = list(range(nu))
+    w_bits = pow2[:nw]
 
-    def seeded_draw(adj, members, partners, partner_bits, s_members, s_partners):
+    def seeded_draw(rows, pools, s_members, s_partners):
         """A partner subset inside N(v) for a random member v, answered by
         the members of lowest and of highest degree into it.  Returns
-        (responders, partner subset, edge count) for the first response
+        (responders mask, partner mask, edge count) for the first response
         that deviates, else None.  A neighbourhood holding fewer than
         s_partners partners is widened by those of further random members,
         so blocks smaller than the minimal subset size are still found; a
-        draw that needs no widening makes no extra RNG call."""
-        nb = adj[rng.choice(members)]
-        for _ in range(_WIDEN_TRIES):
-            if (nb & partner_bits).bit_count() >= s_partners:
-                break
-            nb |= adj[rng.choice(members)]
-        pool = [i for i in partners if nb >> i & 1]
-        if len(pool) < s_partners:
-            return None
-        chosen = rng.sample(pool, s_partners)
-        mask = _mask(chosen)
-        degs = sorted([(adj[m] & mask).bit_count() for m in members])
+        draw that needs no widening makes no extra RNG call.  A member's
+        own pool (its neighbours as powers of two) is built once per check."""
+        v = _draw(getrandbits, range(len(rows)), 1)[0]
+        pool = pools[v]
+        if pool is None:
+            nb = rows[v]
+            if nb.bit_count() >= s_partners:
+                pool = pools[v] = [pow2[i] for i in iter_bits(nb)]
+            else:
+                for _ in range(_WIDEN_TRIES):
+                    nb |= _draw(getrandbits, rows, 1)[0]
+                    if nb.bit_count() >= s_partners:
+                        break
+                else:
+                    return None
+                pool = [pow2[i] for i in iter_bits(nb)]
+        mask = sum(_draw(getrandbits, pool, s_partners))
+        degs = sorted([(r & mask).bit_count() for r in rows])
         for e, high in ((sum(degs[:s_members]), False), (sum(degs[-s_members:]), True)):
             if not lo <= e <= hi:
-                return _extremal_members(adj, members, mask, s_members, high), chosen, e
+                return _extremal_members(rows, mask, s_members, high), mask, e
         return None
 
+    pools_u = [None] * nu
+    pools_w = [None] * nw
     for t in range(budget):
         kind = t & 3
         if kind in (0, 2):
             # uniform independent subset pair at minimal qualifying size
-            uc = u_members if s_u >= len(u_members) else rng.sample(u_members, s_u)
-            wc = w_members if s_w >= len(w_members) else rng.sample(w_members, s_w)
-            wmask = _mask(wc)
-            e = sum([(G.adj_a[m] & wmask).bit_count() for m in uc])
+            uc = u_ids if s_u >= nu else _draw(getrandbits, u_ids, s_u)
+            wmask = sum(w_bits if s_w >= nw else _draw(getrandbits, w_bits, s_w))
+            e = sum([(rows_u[i] & wmask).bit_count() for i in uc])
             if not lo <= e <= hi:
-                return refuted(uc, wc, e, t + 1)
+                return refuted(sum([pow2[i] for i in uc]), wmask, e, t + 1)
         elif kind == 1:
             # neighbourhood-seeded: W' inside N(a), U' an extremal response.
             # Uniform pairs concentrate at the base density, so structured
             # deviations (planted blocks) are found via seeded draws.
-            hit = seeded_draw(G.adj_a, u_members, w_members, W.bits, s_u, s_w)
+            hit = seeded_draw(rows_u, pools_u, s_u, s_w)
             if hit:
-                uc, wc, e = hit
-                return refuted(uc, wc, e, t + 1)
+                umask, wmask, e = hit
+                return refuted(umask, wmask, e, t + 1)
         else:
-            hit = seeded_draw(G.adj_b, w_members, u_members, U.bits, s_w, s_u)
+            hit = seeded_draw(rows_w, pools_w, s_w, s_u)
             if hit:
-                wc, uc, e = hit
-                return refuted(uc, wc, e, t + 1)
+                wmask, umask, e = hit
+                return refuted(umask, wmask, e, t + 1)
     return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, budget)
 
 
@@ -317,8 +400,9 @@ def check_super_regular_pair(
         )
     for X, Y, adj in ((U, W, G.adj_a), (W, U, G.adj_b)):
         thr = params.d * Y.size
+        need = ceil_frac(thr)  # an integer degree is < thr exactly when < need
         for v in X.indices():
-            if (adj[v] & Y.bits).bit_count() < thr:
+            if (adj[v] & Y.bits).bit_count() < need:
                 return PairCertificate(
                     (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
                     failing_vertex=VertexId(X.side, v),
@@ -360,8 +444,9 @@ def typical_vertices(
         raise GraphError("B' must be a subset of B")
     adequate = bprime.size >= params.epsilon * B.size
     threshold = (params.d - params.epsilon) * bprime.size
+    need = ceil_frac(threshold)  # an integer degree is >= threshold exactly when >= need
     adj = G.adj_a if A.side is Side.A else G.adj_b
-    bits = _mask(a for a in A.indices() if (adj[a] & bprime.bits).bit_count() >= threshold)
+    bits = _mask(a for a in A.indices() if (adj[a] & bprime.bits).bit_count() >= need)
     return TypicalVertices(VertexSet(A.side, A.universe, bits), threshold, adequate)
 
 

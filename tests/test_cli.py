@@ -384,6 +384,21 @@ class TestCommands:
                     "--embedding", str(tmp_path / "e.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("artifact, given, missing", [
+        ("--embedding", ["--target"], "--host"),
+        ("--embedding", ["--host"], "--target"),
+        ("--cycle", [], "--host"),
+        ("--homomorphism", [], "--target"),
+    ])
+    def test_verify_names_a_missing_graph(self, tmp_path, capsys, artifact, given, missing):
+        graph = tmp_path / "g.bg"
+        graph.write_text("bipartite 1 1 1\n0 0\n")
+        argv = ["verify", artifact, str(tmp_path / "artifact.json")]
+        for flag in given:
+            argv += [flag, str(graph)]
+        assert run(argv) == 2
+        assert f"{artifact} needs {missing}" in capsys.readouterr().err
+
     def test_verify_homomorphism_needs_one_target_per_cluster(self, tmp_path, capsys):
         target = tmp_path / "h.bg"
         lab = tmp_path / "h.lab"

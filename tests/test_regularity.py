@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet, density
 from bipembed.regularity import (
@@ -11,6 +11,7 @@ from bipembed.regularity import (
     RegularityParams,
     Strategy,
     Verdict,
+    _draw,
     build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
@@ -210,6 +211,92 @@ def test_sampled_certificates_are_pinned(graph, eps, seed, sizes, expected):
         wit = cert.witness
         got += (wit.subset_u.bits, wit.subset_w.bits, str(wit.witness_density))
         assert wit.deviation == abs(wit.witness_density - cert.base_density)
+    assert got == expected
+
+
+def _scattered_pair():
+    """U = every third A vertex of a 192+192 graph, W = a seeded 64-subset of B."""
+    U = VertexSet.from_indices(Side.A, 192, range(0, 192, 3))
+    W = VertexSet.from_indices(Side.B, 192, random.Random(7).sample(range(192), 64))
+    return U, W
+
+
+@pytest.fixture(scope="module")
+def scattered_graphs():
+    U, W = _scattered_pair()
+    u_pos = {a: i for i, a in enumerate(U.indices())}
+    w_pos = {b: j for j, b in enumerate(W.indices())}
+    rng = random.Random(5)
+    # 8 disjoint K_{8,8} on U x W (blocks by position within U and W), random
+    # edges everywhere else; every neighbourhood in the pair holds 8 < 16
+    edges = [
+        (a, b) for a in range(192) for b in range(192)
+        if (u_pos[a] // 8 == w_pos[b] // 8 if a in u_pos and b in w_pos
+            else rng.random() < 0.5)
+    ]
+    return {
+        "random": random_bipartite(192, 0.8, random.Random(192)),
+        "blocks": BipartiteGraph.build(192, 192, edges),
+    }
+
+
+# (graph, epsilon, seed, strategy, small pair) -> as in PINNED_CERTIFICATES,
+# at budget 800 on the scattered pair (or, for "small", on its 12x12
+# counterpart); witness bits are global, so a slip in mapping the checker's
+# pair-local indices back to vertices moves them
+SCATTERED_CERTIFICATES = [
+    ("random", "1/4", 0, "sampled", False, ("REGULAR", 800)),
+    # uniform draw, high response
+    ("random", "1/16", 0, "sampled", False, (
+        "IRREGULAR", 1, 0x8008000000000008000000000000000000008000,
+        0x90000000008000000100000000000000000000000000000, "7/8")),
+    # seeded from U (kind 1), low and high response
+    ("random", "1/5", 10, "sampled", False, (
+        "IRREGULAR", 2, 0x8200000048001000200008000000208208240,
+        0x240000000008010100010040000a050000400800000, "99/169")),
+    ("random", "3/16", 11, "sampled", False, (
+        "IRREGULAR", 2, 0x200001008200000000040008008000008008200009000,
+        0xb0009800200000800200000000000000004001200, "47/48")),
+    # seeded from W (kind 3), low and high response
+    ("random", "1/5", 0, "sampled", False, (
+        "IRREGULAR", 4, 0x200040041040000200000001000048200040040200000,
+        0x2000001060000008020100000000100005004020200, "98/169")),
+    ("random", "1/6", 11, "sampled", False, (
+        "IRREGULAR", 4, 0x8000001001008040000008248200000001000000,
+        0x284000420020000000000800000000000000400041040000, "116/121")),
+    # a late witness, after many draws from the same neighbourhoods
+    ("random", "5/24", 2, "sampled", False, (
+        "IRREGULAR", 312, 0x40000200000009008208200000240200000008000000208,
+        0x80000020000020080008820000004002041004080000200, "111/196")),
+    # widened draws: every neighbourhood is shorter than the subset size
+    ("blocks", "1/4", 2, "sampled", False, (
+        "IRREGULAR", 2, 0x249249000000249249000000000000000000000000000000,
+        0x294082480000f60280000000000000000000000000000000, "1/2")),
+    ("random", "1/4", 0, "exhaustive", True, (
+        "IRREGULAR", 0, 0x8200200, 0x402000000000000000000800000000000, "2/9")),
+    ("random", "1/2", 0, "exhaustive", True, ("REGULAR", 0)),
+]
+
+
+@pytest.mark.parametrize("graph, eps, seed, strategy, small, expected", SCATTERED_CERTIFICATES)
+def test_scattered_certificates_are_pinned(scattered_graphs, graph, eps, seed, strategy,
+                                           small, expected):
+    g = scattered_graphs[graph]
+    if small:
+        U = VertexSet.from_indices(Side.A, 192, range(0, 36, 3))
+        W = VertexSet.from_indices(Side.B, 192, random.Random(11).sample(range(192), 12))
+    else:
+        U, W = _scattered_pair()
+    cert = check_regular_pair(
+        g, U, W, RegularityParams(Fraction(eps), Fraction(0)), Strategy(strategy),
+        budget=800, seed=seed,
+    )
+    got = (cert.verdict.name, cert.samples_used)
+    if cert.witness is not None:
+        wit = cert.witness
+        got += (wit.subset_u.bits, wit.subset_w.bits, str(wit.witness_density))
+        assert wit.subset_u.bits & ~U.bits == 0 and wit.subset_w.bits & ~W.bits == 0
+        assert density(g, wit.subset_u, wit.subset_w) == wit.witness_density
     assert got == expected
 
 
@@ -543,3 +630,57 @@ def test_min_subset_size():
     assert min_subset_size(Fraction(1, 4), 5) == 2
     assert min_subset_size(Fraction(1), 6) == 6
     assert min_subset_size(Fraction(1, 100), 4) == 1
+
+
+@st.composite
+def draw_calls(draw):
+    """Interleaved (n, k) sample calls and (n, None) choice calls, k in 0..n."""
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 400))
+        calls.append((n, draw(st.none() | st.integers(0, n))))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64), calls=draw_calls())
+@example(seed=0, calls=[(300, 10), (64, 16), (300, None)])  # set branch, pool branch
+@example(seed=1, calls=[(21, 1), (22, 1), (85, 16), (86, 16), (5, 5), (400, 0)])
+def test_draw_equals_standard_library(seed, calls):
+    ref = random.Random(seed)
+    gen = random.Random(seed)
+    for n, k in calls:
+        population = [f"v{i}" for i in range(n)]
+        if k is None:
+            assert _draw(gen.getrandbits, population, 1)[0] == ref.choice(population)
+        else:
+            assert _draw(gen.getrandbits, population, k) == ref.sample(population, k)
+    assert gen.getrandbits(32) == ref.getrandbits(32)
+
+
+def test_draw_refuses_more_than_the_population():
+    for population, k in (([], 1), ([0, 1], 3), ([0], -1)):
+        with pytest.raises(ValueError):
+            _draw(random.Random(0).getrandbits, population, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), d=st.fractions(0, 1), eps=st.fractions(0, 1))
+def test_degree_gates_match_rational_thresholds(seed, d, eps):
+    rng = random.Random(seed)
+    g = random_bipartite(7, rng.random(), rng)
+    A, B = full_sides(g)
+    bprime = VertexSet(Side.B, 7, rng.getrandbits(7))
+    params = RegularityParams(max(eps, Fraction(1, 100)), d)
+    degree = [(g.adj_a[a] & bprime.bits).bit_count() for a in range(7)]
+    rep = typical_vertices(g, A, B, bprime, params)
+    assert list(rep.vertices.indices()) == [
+        a for a in range(7) if degree[a] >= (params.d - params.epsilon) * bprime.size
+    ]
+    cert = check_super_regular_pair(g, A, B, params, Strategy.SAMPLED, budget=8, seed=seed)
+    low = [
+        VertexId(X.side, v) for X, Y, adj in ((A, B, g.adj_a), (B, A, g.adj_b))
+        for v in X.indices() if (adj[v] & Y.bits).bit_count() < params.d * Y.size
+    ]
+    if cert.base_density >= params.d:
+        assert cert.failing_vertex == (low[0] if low else None)
