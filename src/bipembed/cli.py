@@ -209,6 +209,7 @@ def cmd_balance(args) -> int:
         "b_totals": list(res.b_totals),
         "class_counts": list(res.class_counts),
         "retries_used": res.retries_used,
+        "hypotheses_hold": res.hypothesis_ok,
     }
     _write_or_print(args.out, data)
     print(f"phi: {' '.join(map(str, res.phi))}")
@@ -241,6 +242,7 @@ def cmd_homomorphism(args) -> int:
         "linking_size": rep.linking_size.ok,
         "matching_edges": rep.matching_edges.ok,
         "preimage_bounds": rep.preimage_bounds.ok,
+        "hypotheses_hold": phi.hypothesis_ok,
     }
     _write_or_print(args.out, data)
     return 0 if rep.homomorphism.ok else 1

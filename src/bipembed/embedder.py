@@ -9,7 +9,9 @@ bandwidth order, each placed on an unused typical host vertex compatible
 with its already-embedded neighbours; each matching pair is then completed
 by random-greedy placement of its X side and a maximum-matching finish on
 the candidate graph of its Y side.  Every embedding is verified before it
-is returned; no unverified output ever escapes.
+is returned; no unverified output ever escapes.  The pipeline accepts a
+target distribution only when all three clauses hold at the schedule's
+epsilon.
 """
 
 from __future__ import annotations
@@ -505,8 +507,9 @@ def embed_bipartite(
     clamped so every piece holds the 2k+1 linking blocks and the expected
     boundary load stays within the compatibility budget, and the target is
     cut into pieces once; each attempt draws distributions with fresh
-    sub-seeds at that piece count.  Verification failure is fatal: no
-    unverified embedding is ever returned.
+    sub-seeds at that piece count and takes the first whose compatibility
+    clauses hold at the schedule epsilon, failing when none of its draws do.
+    Verification failure is fatal: no unverified embedding is ever returned.
     """
     cfg = config or EmbedConfig()
     gamma = frac(gamma)
@@ -572,17 +575,12 @@ def embed_bipartite(
         raise EmbeddingPipelineError("bandwidth too large for the cluster count", report)
     pieces = partition_pieces(H, labelling, ell_eff)
     xi_bal = schedule.target_slack
-    vacuous = Fraction(1)
     rprime = [(i, i) for i in range(k)]
 
     last_failure = "no attempt"
     for attempt in range(cfg.pipeline_retries):
-        # draw target distributions until one is compatible; prefer draws
-        # meeting the boundary clause at the schedule epsilon, fall back to
-        # a vacuous-epsilon gate (sizes and edge placement still checked;
-        # the final verifier remains the arbiter)
+        # draw target distributions until one is compatible at the schedule epsilon
         chosen = None
-        fallback = None
         balance_errors = 0
         for draw in range(cfg.distribution_draws):
             sub = (seed + 7919 * (attempt + 1) + 104729 * draw) & 0x7FFFFFFF
@@ -610,20 +608,16 @@ def embed_bipartite(
                 classes[("B", c)].add(VertexId(Side.B, y))
             sizes = {("A", i): hom.preimage_a[i] for i in range(k)}
             sizes.update({("B", i): hom.preimage_b[i] for i in range(k)})
-            strict_rep = compatibility_report(
+            rep = compatibility_report(
                 H, classes, sizes, state.reduced_edges, rprime, schedule.epsilon
             )
-            if strict_rep.ok:
-                chosen = (phi, hom, classes, strict_rep, "schedule-epsilon", sub)
+            if rep.ok:
+                chosen = (phi, hom, classes, sub)
                 break
-            if fallback is None and strict_rep.size_clause.ok and strict_rep.edge_clause.ok:
-                loose = compatibility_report(
-                    H, classes, sizes, state.reduced_edges, rprime, vacuous
-                )
-                if loose.ok:
-                    fallback = (phi, hom, classes, strict_rep, "vacuous-epsilon", sub)
-        if chosen is None:
-            chosen = fallback
+            last_failure = "compatibility: " + "; ".join(
+                c.detail for c in (rep.size_clause, rep.edge_clause, rep.boundary_clause)
+                if not c.ok
+            )
         if chosen is None:
             report.record(
                 "distribution", False,
@@ -631,21 +625,14 @@ def embed_bipartite(
                 f"({balance_errors} balance failures; last: {last_failure})",
             )
             continue
-        phi, hom, classes, strict_rep, gate, sub = chosen
+        phi, hom, classes, sub = chosen
         hom_report = verify_cycle_homomorphism(H, hom, state.target_sizes, xi_bal)
         report.record(
             "distribution", True,
-            f"ell={ell_eff}, balance retries={phi.retries_used}, gate={gate}, "
+            f"ell={ell_eff}, balance retries={phi.retries_used}, gate=schedule-epsilon, "
             f"size guarantees={'ok' if hom_report.ok else 'mixed'}",
         )
-        report.record(
-            "compatibility", strict_rep.ok,
-            "clauses hold at the schedule epsilon" if strict_rep.ok else
-            "boundary clause holds only vacuously: " + "; ".join(
-                c.detail for c in (strict_rep.size_clause, strict_rep.edge_clause,
-                                   strict_rep.boundary_clause) if not c.ok
-            ),
-        )
+        report.record("compatibility", True, "clauses hold at the schedule epsilon")
 
         try:
             resized = resize_host_partition(
@@ -662,15 +649,10 @@ def embed_bipartite(
             f"certified={'yes' if resized.certificates_ok else 'vacuous/partial'}",
         )
 
-        gate_params = (
-            schedule.final_params()
-            if gate == "schedule-epsilon"
-            else RegularityParams(vacuous, schedule.final_params().d)
-        )
         try:
             emb = embed_compatible(
                 G, H, resized.partition, classes, state.reduced_edges, rprime,
-                gate_params, sub, order=labelling.order,
+                schedule.final_params(), sub, order=labelling.order,
                 retries=cfg.embed_retries,
             )
         except EmbeddingError as e:

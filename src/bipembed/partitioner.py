@@ -248,13 +248,15 @@ def candidate_index_set(
     if x.side is not Side.A or y.side is not Side.B:
         raise GraphError("candidate_index_set expects (A-side, B-side) vertices")
     d = frac(refined_density)
+    # an integer degree meets a rational bound exactly when it meets its ceiling
+    need = {size: ceil_frac(d * size) for size in partition.sizes_a() + partition.sizes_b()}
     out = []
     for i in range(partition.k):
         B_i = partition.clusters_b[i]
         A_i = partition.clusters_a[i]
-        if (G.adj_a[x.index] & B_i.bits).bit_count() >= d * B_i.size and (
+        if (G.adj_a[x.index] & B_i.bits).bit_count() >= need[B_i.size] and (
             G.adj_b[y.index] & A_i.bits
-        ).bit_count() >= d * A_i.size:
+        ).bit_count() >= need[A_i.size]:
             out.append(i)
     return frozenset(out)
 
@@ -269,7 +271,6 @@ class AbsorptionError(RuntimeError):
 class AbsorptionResult:
     partition: ClusterPartition
     gains: tuple[int, ...]  # exceptional pairs added per cluster
-    pair_assignments: tuple[tuple[int, int, int], ...]  # (x, y, cluster)
     gain_bound: int
     bound_ok: bool
 
@@ -299,7 +300,6 @@ def absorb_exceptional_vertices(
     clusters_b = [c.bits for c in partition.clusters_b]
     work = partition
     gains = [0] * k
-    assignments = []
     for x, y in zip(xs, ys):
         cand = candidate_index_set(
             G, VertexId(Side.A, x), VertexId(Side.B, y), work, refined_density
@@ -312,13 +312,10 @@ def absorb_exceptional_vertices(
         clusters_a[i] |= 1 << x
         clusters_b[i] |= 1 << y
         gains[i] += 1
-        assignments.append((x, y, i))
         work = ClusterPartition.from_masks(G, clusters_a, clusters_b)
     total = len(xs)
     bound = ceil_frac(Fraction(total) / (gamma * k)) if total else 0
-    return AbsorptionResult(
-        work, tuple(gains), tuple(assignments), bound, max(gains, default=0) <= bound
-    )
+    return AbsorptionResult(work, tuple(gains), bound, max(gains, default=0) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +336,8 @@ class RedistributionResult:
     iterations: int
     vertex_moves: int
     route_log: tuple[tuple[str, int, int], ...]  # (side, source, sink) per iteration
-    rebounded_params: RegularityParams
     symmetric_difference_a: tuple[int, ...]
     symmetric_difference_b: tuple[int, ...]
-    xi_cap_enforced: bool
 
 
 def redistribute_cluster_sizes(
@@ -366,9 +361,8 @@ def redistribute_cluster_sizes(
     degree condition) whose removal keeps every partner vertex above the
     degree threshold.
 
-    The move count t satisfies t <= k*xi*n, and the output pairs are
-    reported at the weakened parameters (eps' + 100k*sqrt(xi),
-    d' - 100k^2*sqrt(xi) - eps'), clamped into [0, 1].
+    The move count t satisfies t <= k*xi*n.  The result carries no
+    regularity parameters: callers certify the resized pairs themselves.
     """
     xi = frac(xi)
     k = partition.k
@@ -409,8 +403,9 @@ def redistribute_cluster_sizes(
     def move(side: str, src: int, dst: int) -> None:
         rows = adj[side]
         partner_src, partner_dst = masks[other[side]][src], masks[other[side]][dst]
-        need_in = d_thr * sizes[other[side]][dst]
-        floor_after = d_thr * (sizes[side][src] - 1)
+        # an integer degree meets a rational bound exactly when it meets its ceiling
+        need_in = ceil_frac(d_thr * sizes[other[side]][dst])
+        floor_after = ceil_frac(d_thr * (sizes[side][src] - 1))
         deg_src = deg_into[side][src]
         deg_dst = deg_into[side][dst]
         for v in iter_bits(masks[side][src]):
@@ -461,18 +456,13 @@ def redistribute_cluster_sizes(
             if guard > k * n:  # pragma: no cover - safety valve
                 raise RedistributionError("redistribution failed to converge")
 
-    sqrt_xi = sqrt_upper(xi)
-    eps_out = min(params.epsilon + 100 * k * sqrt_xi, Fraction(1))
-    d_out = max(params.d - 100 * k * k * sqrt_xi - params.epsilon, Fraction(0))
     return RedistributionResult(
         ClusterPartition.from_masks(G, masks["A"], masks["B"]),
         iterations,
         vertex_moves,
         tuple(route_log),
-        RegularityParams(eps_out, d_out) if eps_out > 0 else params,
         tuple((o ^ m).bit_count() for o, m in zip(orig["A"], masks["A"])),
         tuple((o ^ m).bit_count() for o, m in zip(orig["B"], masks["B"])),
-        enforce_xi_cap,
     )
 
 
@@ -491,7 +481,6 @@ class HostPartitionState:
     offset_certificates: dict[int, PairCertificate]
     reduced_edges: frozenset[tuple[int, int]]  # relabelled reduced graph
     hat_params: RegularityParams
-    absorption: AbsorptionResult
     build: PartitionBuildResult
 
     def certificates_ok(self) -> bool:
@@ -607,7 +596,6 @@ def prepare_host_partition(
     try:
         sup = super_regularize(
             G, part, rstar, params,
-            recert_params=None, strategy=strategy, budget=budget, seed=seed,
             exceptional_bound=schedule.refined_epsilon if schedule.is_faithful
             else schedule.epsilon,
         )
@@ -656,7 +644,7 @@ def prepare_host_partition(
         )
     return HostPartitionState(
         schedule, final, k, tuple(sizes_a), matching, offsets,
-        relabelled_edges, hat, absorption, build,
+        relabelled_edges, hat, build,
     )
 
 
@@ -669,7 +657,6 @@ def prepare_host_partition(
 class ResizeResult:
     partition: ClusterPartition
     redistribution: RedistributionResult
-    certified_params: RegularityParams
     matching_certificates: dict[int, PairCertificate]
     offset_certificates: dict[int, PairCertificate]
     certificates_ok: bool
@@ -688,8 +675,7 @@ def resize_host_partition(
 
     Requested sizes may exceed the phase-1 targets by at most size_slack*n
     each.  Certification of the resized pairs happens at the schedule's
-    final parameters; the redistribution's own weakened parameters are
-    recorded alongside.
+    final parameters.
     """
     sched = state.schedule
     k = state.k
@@ -723,6 +709,5 @@ def resize_host_partition(
         G, part, final_params, strategy, budget, seed + 301, seed + 701
     )
     return ResizeResult(
-        part, redis, final_params, matching, offsets,
-        not _failed_cycle_pairs(matching, offsets),
+        part, redis, matching, offsets, not _failed_cycle_pairs(matching, offsets)
     )

@@ -423,7 +423,6 @@ def check_super_regular_pair(
 @dataclass(frozen=True)
 class TypicalVertices:
     vertices: VertexSet
-    threshold: Fraction
     subset_large_enough: bool
 
 
@@ -447,7 +446,7 @@ def typical_vertices(
     need = ceil_frac(threshold)  # an integer degree is >= threshold exactly when >= need
     adj = G.adj_a if A.side is Side.A else G.adj_b
     bits = _mask(a for a in A.indices() if (adj[a] & bprime.bits).bit_count() >= need)
-    return TypicalVertices(VertexSet(A.side, A.universe, bits), threshold, adequate)
+    return TypicalVertices(VertexSet(A.side, A.universe, bits), adequate)
 
 
 def rebound_after_perturbation(
@@ -831,8 +830,6 @@ class SuperRegularizeResult:
     moved_b: dict[int, list[int]]
     trimmed_a: int
     trimmed_b: int
-    certificates: dict[tuple[int, int], PairCertificate]
-    recert_ok: bool
 
 
 class SuperRegularizeError(RuntimeError):
@@ -846,20 +843,15 @@ def super_regularize(
     partition: ClusterPartition,
     rstar_edges: Iterable[tuple[int, int]],
     params: RegularityParams,
-    recert_params: Optional[RegularityParams] = None,
-    strategy: Strategy = Strategy.SAMPLED,
-    budget: int = SAMPLE_BUDGET_DEFAULT,
-    seed: int = 0,
-    max_degree: int = 2,
     exceptional_bound: Optional[Fraction] = None,
 ) -> SuperRegularizeResult:
     """Move low-degree vertices of each listed pair to the exceptional sets.
 
-    For every edge (i, j) of the bounded-degree subgraph, vertices of A_i
-    with fewer than (d - eps)|B_j| neighbours in B_j (and symmetrically in
-    B_j) leave their cluster; clusters are then trimmed to a common size
-    and, when requested, every listed pair is re-certified super-regular at
-    the weakened parameters.
+    For every edge (i, j) of the subgraph, which has maximum degree 2 (the
+    cluster cycle), vertices of A_i with fewer than (d - eps)|B_j|
+    neighbours in B_j (and symmetrically in B_j) leave their cluster;
+    clusters are then trimmed to a common size.  Only degrees are cleaned:
+    the pairs are not certified here.
     """
     edges = sorted(set(rstar_edges))
     k = partition.k
@@ -870,8 +862,8 @@ def super_regularize(
             raise GraphError(f"pair index {(i, j)} out of range for k={k}")
         deg_a[i] += 1
         deg_b[j] += 1
-    if edges and max(max(deg_a), max(deg_b)) > max_degree:
-        raise GraphError(f"subgraph max degree exceeds {max_degree}")
+    if edges and max(max(deg_a), max(deg_b)) > 2:
+        raise GraphError("subgraph max degree exceeds 2")
 
     moves_per_pair: dict[tuple[int, int], int] = {}
     bad_a = [0] * k
@@ -915,17 +907,4 @@ def super_regularize(
                 pair=worst,
             )
 
-    certs: dict[tuple[int, int], PairCertificate] = {}
-    recert_ok = True
-    if recert_params is not None:
-        for i, j in edges:
-            cert = check_super_regular_pair(
-                G, result_part.clusters_a[i], result_part.clusters_b[j],
-                recert_params, strategy, budget, _mix_seed(seed, i, j),
-            )
-            certs[(i, j)] = cert
-            if cert.verdict is not Verdict.SUPER_REGULAR:
-                recert_ok = False
-    return SuperRegularizeResult(
-        result_part, moved_a, moved_b, trimmed_a, trimmed_b, certs, recert_ok
-    )
+    return SuperRegularizeResult(result_part, moved_a, moved_b, trimmed_a, trimmed_b)

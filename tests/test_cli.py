@@ -328,6 +328,25 @@ class TestCommands:
         assert run(["verify", "--target", str(target), "--homomorphism", str(out),
                     "--ni", "24x4", "--xi", "1/4"]) in (0, 1)
 
+    def test_loose_records_the_lemma_hypotheses(self, tmp_path):
+        # targets of 4 and 4 exceed n/8 = 1, so the hypotheses fail
+        pieces = tmp_path / "pieces.txt"
+        pieces.write_text("3 3\n3 3\n2 2\n")
+        out = tmp_path / "phi.json"
+        assert run(["balance", "--ni", "4,4", "--pieces", str(pieces), "--xi", "1/4",
+                    "--loose", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["hypotheses_hold"] is False
+        target = tmp_path / "h.bg"
+        lab = tmp_path / "h.lab"
+        hom = tmp_path / "hom.json"
+        assert run(["gen-target", "--family", "hamilton-cycle", "--n", "96",
+                    "--out", str(target), "--labelling-out", str(lab)]) == 0
+        for ni, ell, holds in (("24x4", "6", False), ("12x8", "5", True)):
+            assert run(["homomorphism", "--target", str(target), "--labelling", str(lab),
+                        "--ni", ni, "--ell", ell, "--xi", "1/4", "--seed", "2",
+                        "--loose", "--out", str(hom)]) in (0, 1)
+            assert json.loads(hom.read_text())["report"]["hypotheses_hold"] is holds
+
     def test_embed_and_verify_end_to_end(self, tmp_path):
         host = tmp_path / "g.bg"
         target = tmp_path / "h.bg"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from bipembed.embedder import (
     embed_compatible,
     verify_embedding,
 )
+from bipembed.generators import InstanceSpec, gen_host
 from bipembed.graphs import BipartiteGraph, GraphError, Side, VertexId, VertexSet
 from bipembed.regularity import ClusterPartition, RegularityParams
 
@@ -318,6 +321,58 @@ class TestEmbedBipartite:
         # spanning tightness: every host vertex is used exactly once
         used = set(res.embedding.mapping.values())
         assert len(used) == 2 * g.size_a
+
+
+class TestScheduleEpsilonGate:
+    """Criterion-1 instances (n=512, C_1024 zig-zag target, criterion-1
+    configuration) whose first draws are compatible only at larger epsilon."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        n = 512
+        h, lab = cycle_graph(n), zigzag_labelling(n)
+        cfg = EmbedConfig(
+            mode="practical", epsilon=Fraction(1, 4), d=Fraction(3, 10),
+            k0=8, ell=64, sample_budget=800, pipeline_retries=8,
+        )
+        out = {}
+        for seed in (0, 4, 19):
+            g = gen_host(InstanceSpec(
+                "host-random-min-degree", n, 40_000 + seed,
+                {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)},
+            ))
+            res = embed_bipartite(g, h, Fraction(3, 10), 2, cfg, seed=seed, labelling=lab)
+            out[seed] = (g, h, res)
+        return out
+
+    def test_every_distribution_passes_at_the_schedule_epsilon(self, runs):
+        for seed, (g, h, res) in runs.items():
+            assert verify_embedding(g, h, res.embedding), seed
+            stages = res.report.stages
+            assert all(
+                "gate=schedule-epsilon" in s.detail
+                for s in stages if s.stage == "distribution" and s.ok
+            ), seed
+            assert all(s.ok for s in stages if s.stage == "compatibility"), seed
+        # seed 19's embedding is the one it returned before the gate changed
+        pairs = sorted(
+            [hv.side.value, hv.index, gv.side.value, gv.index]
+            for hv, gv in runs[19][2].embedding.mapping.items()
+        )
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
+            "7782003b38ce30851c3ee63f6943dd5d3b8e8142ac0ff5330bb9483aad32992b"
+        )
+
+    def test_failed_distribution_names_its_clause(self, runs):
+        for seed, (_, _, res) in runs.items():
+            failed = [s.detail for s in res.report.stages
+                      if s.stage == "distribution" and not s.ok]
+            assert failed and all("; last: compatibility: " in d for d in failed), seed
+        first = next(s for s in runs[0][2].report.stages if s.stage == "distribution")
+        assert first.detail == (
+            "ell=12: no compatible draw in 40 (0 balance failures; "
+            "last: compatibility: boundary of ('A', 2) has 4 > eps*4)"
+        )
 
 
 class TestTinyOracleSoundness:

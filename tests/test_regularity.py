@@ -4,14 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet, density
+from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet, density, iter_bits
+from bipembed.partitioner import (
+    RedistributionError,
+    candidate_index_set,
+    redistribute_cluster_sizes,
+)
 from bipembed.regularity import (
+    ClusterPartition,
     EnumerationCapExceeded,
     PartitionBuildError,
     RegularityParams,
     Strategy,
     Verdict,
     _draw,
+    _mix_seed,
     build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
@@ -598,13 +605,18 @@ class TestSuperRegularize:
         cyc = [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)]
         out = super_regularize(
             g, part, cyc, RegularityParams(Fraction(1, 4), Fraction(3, 10)),
-            recert_params=RegularityParams(Fraction(1, 2), Fraction(1, 10)),
-            budget=300,
         )
         eps = Fraction(1, 4)
         for i, moved in out.moved_a.items():
             assert len(moved) <= eps * part.clusters_a[i].size
-        assert out.recert_ok
+        cleaned = out.partition
+        for i, j in cyc:
+            cert = check_super_regular_pair(
+                g, cleaned.clusters_a[i], cleaned.clusters_b[j],
+                RegularityParams(Fraction(1, 2), Fraction(1, 10)), Strategy.SAMPLED,
+                300, _mix_seed(0, i, j),
+            )
+            assert cert.verdict is Verdict.SUPER_REGULAR
 
 
 class TestPerturbationSoundness:
@@ -684,3 +696,39 @@ def test_degree_gates_match_rational_thresholds(seed, d, eps):
     ]
     if cert.base_density >= params.d:
         assert cert.failing_vertex == (low[0] if low else None)
+
+    # absorption's candidate sets and one redistribution move, on a random 4+3 split
+    clusters = {}
+    for side in (Side.A, Side.B):
+        perm = rng.sample(range(7), 7)
+        clusters[side] = tuple(VertexSet.from_indices(side, 7, c) for c in (perm[:4], perm[4:]))
+    part = ClusterPartition(
+        clusters[Side.A], clusters[Side.B], VertexSet(Side.A, 7, 0), VertexSet(Side.B, 7, 0)
+    )
+    a0, a1 = part.clusters_a
+    b0, b1 = part.clusters_b
+
+    def deg(row, cluster):
+        return (row & cluster.bits).bit_count()
+
+    x, y = rng.randrange(7), rng.randrange(7)
+    assert candidate_index_set(g, VertexId(Side.A, x), VertexId(Side.B, y), part, d) == {
+        i for i in range(2)
+        if deg(g.adj_a[x], part.clusters_b[i]) >= d * part.clusters_b[i].size
+        and deg(g.adj_b[y], part.clusters_a[i]) >= d * part.clusters_a[i].size
+    }
+    eligible = [
+        v for v in a0.indices()
+        if deg(g.adj_a[v], b1) >= d * b1.size
+        and all(
+            deg(g.adj_b[w], a0) - 1 >= d * (a0.size - 1) for w in iter_bits(g.adj_a[v] & b0.bits)
+        )
+    ]
+    try:
+        moved = redistribute_cluster_sizes(
+            g, part, [-1, 1], [0, 0], Fraction(1, 7), params, enforce_xi_cap=False
+        )
+    except RedistributionError:
+        assert not eligible
+    else:
+        assert eligible and moved.partition.clusters_a[1].bits == a1.bits | 1 << eligible[0]
