@@ -359,7 +359,10 @@ def redistribute_cluster_sizes(
     iteration at their original size.  Each move takes the lowest-index
     vertex with enough neighbours ahead (arrival keeps the target pair's
     degree condition) whose removal keeps every partner vertex above the
-    degree threshold.
+    degree threshold.  No degree table is maintained across moves: each
+    move recounts the source partners' degrees into the source once and
+    masks the partners at the threshold, so testing a candidate is one
+    popcount and one AND against that mask.
 
     The move count t satisfies t <= k*xi*n.  The result carries no
     regularity parameters: callers certify the resized pairs themselves.
@@ -393,25 +396,21 @@ def redistribute_cluster_sizes(
     }
     sizes = {side: [m.bit_count() for m in masks[side]] for side in masks}
     orig = {side: list(masks[side]) for side in masks}
-    # deg_into[side][i][w]: degree of the opposite-side vertex w into cluster
-    # i of ``side``, maintained across moves
-    deg_into = {
-        side: [[(row & m).bit_count() for row in adj[other[side]]] for m in masks[side]]
-        for side in masks
-    }
 
     def move(side: str, src: int, dst: int) -> None:
-        rows = adj[side]
+        rows, partner_rows = adj[side], adj[other[side]]
         partner_src, partner_dst = masks[other[side]][src], masks[other[side]][dst]
+        src_mask = masks[side][src]
         # an integer degree meets a rational bound exactly when it meets its ceiling
         need_in = ceil_frac(d_thr * sizes[other[side]][dst])
         floor_after = ceil_frac(d_thr * (sizes[side][src] - 1))
-        deg_src = deg_into[side][src]
-        deg_dst = deg_into[side][dst]
-        for v in iter_bits(masks[side][src]):
-            if (rows[v] & partner_dst).bit_count() >= need_in and all(
-                deg_src[w] - 1 >= floor_after for w in iter_bits(rows[v] & partner_src)
-            ):
+        # partners that would fall below the floor on losing one neighbour
+        critical = sum([
+            1 << w for w in iter_bits(partner_src)
+            if (partner_rows[w] & src_mask).bit_count() <= floor_after
+        ])
+        for v in iter_bits(src_mask):
+            if not rows[v] & critical and (rows[v] & partner_dst).bit_count() >= need_in:
                 break
         else:
             raise RedistributionError(
@@ -423,9 +422,6 @@ def redistribute_cluster_sizes(
         masks[side][dst] |= 1 << v
         sizes[side][src] -= 1
         sizes[side][dst] += 1
-        for w in iter_bits(rows[v]):
-            deg_src[w] -= 1
-            deg_dst[w] += 1
 
     iterations = 0
     vertex_moves = 0

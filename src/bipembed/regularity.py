@@ -24,15 +24,24 @@ ascending vertex order), so every draw, mask and degree sort works on
 sampled draws come from ``_draw``, which returns exactly what the standard
 library's ``Random.sample``/``Random.choice`` return from the same seed, so
 certificates do not depend on how the sampler is implemented.
+
+A seeded draw takes its partners from a member's pool, the local indices
+of its neighbours, built once per check from the row's binary digits.  The
+members' degrees into the drawn partners come from one sum of per-partner
+lane integers (partner j's column with member i's bit in lane i, lanes wide
+enough for the subset size), read back as bytes and sorted; the partner
+mask is built only when a draw yields a witness.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -44,6 +53,7 @@ from .graphs import (
     SideMismatchError,
     VertexId,
     VertexSet,
+    bit_flags,
     density,
     iter_bits,
 )
@@ -53,6 +63,8 @@ ENUMERATION_CAP_DEFAULT = 1 << 22
 SAMPLE_BUDGET_DEFAULT = 2000
 # most further members whose neighbourhoods widen a seeded draw's short pool
 _WIDEN_TRIES = 8
+# lane width in bytes -> the memoryview format that reads one lane
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class Strategy(str, Enum):
@@ -119,6 +131,15 @@ def _mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def _strategy(strategy, budget: int) -> Strategy:
+    """The strategy, refusing a sampled check with no samples to draw: it
+    would certify a pair it never looked at."""
+    strategy = Strategy(strategy)
+    if strategy is Strategy.SAMPLED and budget < 1:
+        raise ValueError(f"a sampled check needs a budget of at least 1, got {budget}")
+    return strategy
+
+
 def _normalise_pair(U: VertexSet, W: VertexSet) -> tuple[VertexSet, VertexSet]:
     if U.side is W.side:
         raise SideMismatchError("pair must span both sides")
@@ -137,6 +158,19 @@ def _regular_band(base: Fraction, eps: Fraction, denom: int) -> tuple[int, int]:
     radius = eps.numerator * denom * base.denominator
     scale = base.denominator * eps.denominator
     return -((radius - centre) // scale), (centre + radius) // scale
+
+
+@lru_cache(maxsize=256)
+def _pool_steps(n: int, k: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """``Random.sample``'s pool-branch steps for (n, k) as (i, bits drawn),
+    or None when it takes the set branch (n beyond a k-element set's
+    table)."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize:
+        return None
+    return tuple((i, i.bit_length()) for i in range(n, n - k, -1))
 
 
 def _draw(getrandbits, population: Sequence, k: int) -> list:
@@ -158,14 +192,11 @@ def _draw(getrandbits, population: Sequence, k: int) -> list:
         while j >= n:
             j = getrandbits(bits)
         return [population[j]]
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    steps = _pool_steps(n, k)
     result = []
-    if n <= setsize:
+    if steps is not None:
         pool = list(population)
-        for i in range(n, n - k, -1):
-            bits = i.bit_length()
+        for i, bits in steps:
             j = getrandbits(bits)
             while j >= i:
                 j = getrandbits(bits)
@@ -198,6 +229,30 @@ def _pair_rows(G: BipartiteGraph, u_members: list[int], w_members: list[int]):
     rows_w = [int(''.join(col), 2) for col in zip(*reversed(text))]
     rows_w.reverse()
     return rows_u, rows_w
+
+
+def _degree_lanes(cols: Sequence[int], n_members: int, most: int):
+    """Partner columns as lane integers, and the reader of their sums.
+
+    Lane integer j holds bit i of ``cols[j]`` (member i's adjacency to
+    partner j) in lane i, a field wide enough for any degree up to
+    ``most``.  A sum of lane integers therefore holds in lane i member i's
+    degree into those partners, with no carry between lanes, and
+    ``degrees(total)`` reads the lanes back (in an order that depends on
+    the machine's byte order; callers sort them).
+    """
+    width = next(w for w in _LANE_FORMATS if most < 1 << 8 * w)
+    buf = bytearray(width * n_members)
+    lanes = []
+    for col in cols:
+        buf[::width] = bit_flags(col, n_members)
+        lanes.append(int.from_bytes(buf, "little"))
+    size, fmt = width * n_members, _LANE_FORMATS[width]
+
+    def degrees(total: int) -> memoryview:
+        return memoryview(total.to_bytes(size, sys.byteorder)).cast(fmt)
+
+    return lanes, degrees
 
 
 def _extremal_members(rows: Sequence[int], mask: int, s: int, high: bool) -> int:
@@ -257,10 +312,10 @@ def check_regular_pair(
     would enumerate exceed the enumeration cap, and its verdicts are
     unconditional.
     """
+    strategy = _strategy(strategy, budget)
     U, W = _normalise_pair(U, W)
     if not U or not W:
         raise GraphError("regularity check needs nonempty sets")
-    strategy = Strategy(strategy)
     base = density(G, U, W)
     if base < params.d:
         return PairCertificate(
@@ -316,11 +371,10 @@ def check_regular_pair(
     # as Random.choice/Random.sample on those lists would run it
     getrandbits = random.Random(seed).getrandbits
     nu, nw = len(rows_u), len(rows_w)
-    pow2 = [1 << j for j in range(max(nu, nw))]
     u_ids = list(range(nu))
-    w_bits = pow2[:nw]
+    w_bits = [1 << j for j in range(nw)]
 
-    def seeded_draw(rows, pools, s_members, s_partners):
+    def seeded_draw(rows, lanes, degrees, pools, s_members, s_partners):
         """A partner subset inside N(v) for a random member v, answered by
         the members of lowest and of highest degree into it.  Returns
         (responders mask, partner mask, edge count) for the first response
@@ -328,13 +382,15 @@ def check_regular_pair(
         s_partners partners is widened by those of further random members,
         so blocks smaller than the minimal subset size are still found; a
         draw that needs no widening makes no extra RNG call.  A member's
-        own pool (its neighbours as powers of two) is built once per check."""
+        own pool (its neighbours' local indices) is built once per check;
+        the members' degrees come from one sum of the drawn partners' lane
+        integers, and the partner mask is built only for a witness."""
         v = _draw(getrandbits, range(len(rows)), 1)[0]
         pool = pools[v]
         if pool is None:
             nb = rows[v]
             if nb.bit_count() >= s_partners:
-                pool = pools[v] = [pow2[i] for i in iter_bits(nb)]
+                pool = pools[v] = list(iter_bits(nb))
             else:
                 for _ in range(_WIDEN_TRIES):
                     nb |= _draw(getrandbits, rows, 1)[0]
@@ -342,14 +398,18 @@ def check_regular_pair(
                         break
                 else:
                     return None
-                pool = [pow2[i] for i in iter_bits(nb)]
-        mask = sum(_draw(getrandbits, pool, s_partners))
-        degs = sorted([(r & mask).bit_count() for r in rows])
+                pool = list(iter_bits(nb))
+        chosen = _draw(getrandbits, pool, s_partners)
+        degs = sorted(degrees(sum(map(lanes.__getitem__, chosen))))
         for e, high in ((sum(degs[:s_members]), False), (sum(degs[-s_members:]), True)):
             if not lo <= e <= hi:
+                mask = sum([1 << j for j in chosen])
                 return _extremal_members(rows, mask, s_members, high), mask, e
         return None
 
+    # kind 1 draws partners from W and reads U's degrees, kind 3 the reverse
+    lanes_w, degrees_u = _degree_lanes(rows_w, nu, s_w)
+    lanes_u, degrees_w = _degree_lanes(rows_u, nw, s_u)
     pools_u = [None] * nu
     pools_w = [None] * nw
     for t in range(budget):
@@ -360,17 +420,17 @@ def check_regular_pair(
             wmask = sum(w_bits if s_w >= nw else _draw(getrandbits, w_bits, s_w))
             e = sum([(rows_u[i] & wmask).bit_count() for i in uc])
             if not lo <= e <= hi:
-                return refuted(sum([pow2[i] for i in uc]), wmask, e, t + 1)
+                return refuted(sum([1 << i for i in uc]), wmask, e, t + 1)
         elif kind == 1:
             # neighbourhood-seeded: W' inside N(a), U' an extremal response.
             # Uniform pairs concentrate at the base density, so structured
             # deviations (planted blocks) are found via seeded draws.
-            hit = seeded_draw(rows_u, pools_u, s_u, s_w)
+            hit = seeded_draw(rows_u, lanes_w, degrees_u, pools_u, s_u, s_w)
             if hit:
                 umask, wmask, e = hit
                 return refuted(umask, wmask, e, t + 1)
         else:
-            hit = seeded_draw(rows_w, pools_w, s_w, s_u)
+            hit = seeded_draw(rows_w, lanes_u, degrees_w, pools_w, s_w, s_u)
             if hit:
                 wmask, umask, e = hit
                 return refuted(umask, wmask, e, t + 1)
@@ -388,10 +448,10 @@ def check_super_regular_pair(
     enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
 ) -> PairCertificate:
     """Super-regularity check; the degree condition is always exhaustive."""
+    strategy = _strategy(strategy, budget)
     U, W = _normalise_pair(U, W)
     if not U or not W:
         raise GraphError("regularity check needs nonempty sets")
-    strategy = Strategy(strategy)
     base = density(G, U, W)
     if base < params.d:
         return PairCertificate(

@@ -296,6 +296,17 @@ class TestCommands:
                     "--epsilon", "1/4", "--d", "0", "--strategy", "exhaustive"])
         assert code == 1
 
+    def test_sampled_check_without_budget_exits_2(self, tmp_path, capsys):
+        host = tmp_path / "s.bg"
+        assert run(["gen-host", "--n", "16", "--gamma", "1/4", "--seed", "1",
+                    "--out", str(host)]) == 0
+        capsys.readouterr()
+        code = run(["regularity", "check", "--host", str(host),
+                    "--epsilon", "1/4", "--d", "0", "--budget", "-5"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "certified" not in out and "budget of at least 1" in err
+
     def test_hamilton_cycle_command(self, tmp_path):
         host = tmp_path / "g.bg"
         out = tmp_path / "cyc.json"

@@ -443,6 +443,17 @@ class TestTypedFailures:
             return
         assert verify_embedding(g, h, res.embedding)
 
+    def test_empty_sample_budget_fails_at_the_partition(self):
+        n = 32
+        g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
+        cfg = EmbedConfig(k0=2, sample_budget=0)
+        with pytest.raises(EmbeddingPipelineError) as exc:
+            embed_bipartite(g, cycle_graph(n), Fraction(1, 5), 2, cfg,
+                            labelling=zigzag_labelling(n))
+        last = exc.value.report.stages[-1]
+        assert (last.stage, last.ok) == ("regular-partition", False)
+        assert "budget of at least 1" in last.detail
+
     @pytest.mark.parametrize("mode,message", [
         ("bogus", "unknown labelling mode 'bogus'"),
         ("exact-small", "exact-small limited to 16 vertices"),

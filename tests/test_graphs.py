@@ -133,6 +133,26 @@ def test_iter_bits_ascending_set_bits(m):
     assert list(iter_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
+@st.composite
+def sparse_or_dense_ints(draw):
+    """0, ints up to 2^5000 with 1-5 bits set, or ints whose set bits are
+    at least an eighth of their length: both regimes of ``iter_bits``."""
+    regime = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if regime == "zero":
+        return 0
+    if regime == "sparse":
+        return sum(1 << i for i in draw(st.sets(st.integers(0, 5000), min_size=1, max_size=5)))
+    length = draw(st.integers(1, 2000))
+    m = draw(st.integers(0, (1 << length) - 1)) | 1 << (length - 1)
+    return m | draw(st.integers(0, (1 << length) - 1)) if m.bit_count() * 8 < length else m
+
+
+@given(sparse_or_dense_ints())
+@settings(max_examples=300)
+def test_iter_bits_sparse_wide_and_dense_ints(m):
+    assert list(iter_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
 def test_vertex_set_ops():
     s = VertexSet.from_indices(Side.A, 8, [1, 3, 5])
     t = VertexSet.from_indices(Side.A, 8, [3, 4])

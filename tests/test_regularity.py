@@ -307,6 +307,76 @@ def test_scattered_certificates_are_pinned(scattered_graphs, graph, eps, seed, s
     assert got == expected
 
 
+# (graph, epsilon, seed) -> as in PINNED_CERTIFICATES, at budget 40 with
+# sample sizes (260, 260) on 300x300 pairs: a member's degree into 260
+# drawn partners can exceed 255, so the checker's degree lanes must be
+# wider than a byte ("dense" reaches degrees above 255; "blocks" widens
+# every 150-vertex neighbourhood before drawing)
+WIDE_CERTIFICATES = [
+    ("dense", "1/200", 0, ("REGULAR", 40)),
+    ("dense", "1/400", 0, (
+        "IRREGULAR", 2,
+        0xedfffffff3bdf7ffbff7dfa7fbffdb7ffefbdffffffb7edffffffafffff3ffdfadffbdd37ed,
+        0xffffffffb3fdf1ff7bafefffdf6fbff9fffdfffddfff6ffc3fffdeff5bbfbfefff7fd7fffaf,
+        "32269/33800")),
+    ("dense", "1/400", 1, (
+        "IRREGULAR", 2,
+        0x3eefffff9cfeefdbfc7ceddfdff7f7fbf7f7faffffdff7eefbffffdeedfffbfbffffff7ffff,
+        0xfdffebfffffffd7dff7f5ed59ffff7dfff6fd7fffffffebbf6fffffffbd7fe7b77ffdf6c7ff,
+        "64097/67600")),
+    ("blocks", "1/100", 0, ("REGULAR", 40)),
+    ("blocks", "1/200", 2, (
+        "IRREGULAR", 32,
+        0xbfbffedb7fab7f67bbe6fafffdbfde57f7ff7ffffffffefffffcacff3fffbffffffffffffdf,
+        0xfffffffffffffffffffffffffffffffffffffc0000000003fffffffffffffffffffffffffff,
+        "418/845")),
+    ("blocks", "1/400", 1, (
+        "IRREGULAR", 8,
+        0xfffffffffffcfd977ffffff7fff7bffdfee77febffb0dffcf5effbffffef7f532ffffdffdff,
+        0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff,
+        "84/169")),
+]
+
+
+@pytest.fixture(scope="module")
+def wide_graphs():
+    return {
+        "dense": random_bipartite(300, 0.95, random.Random(300)),
+        "blocks": planted_blocks(2, 150),
+    }
+
+
+@pytest.mark.parametrize("graph, eps, seed, expected", WIDE_CERTIFICATES)
+def test_wide_subset_certificates_are_pinned(wide_graphs, graph, eps, seed, expected):
+    g = wide_graphs[graph]
+    U, W = full_sides(g)
+    cert = check_regular_pair(
+        g, U, W, RegularityParams(Fraction(eps), Fraction(0)), Strategy.SAMPLED,
+        budget=40, seed=seed, sample_sizes=(260, 260),
+    )
+    got = (cert.verdict.name, cert.samples_used)
+    if cert.witness is not None:
+        wit = cert.witness
+        got += (wit.subset_u.bits, wit.subset_w.bits, str(wit.witness_density))
+        assert density(g, wit.subset_u, wit.subset_w) == wit.witness_density
+    assert got == expected
+
+
+def test_sampled_check_needs_a_sample():
+    # a sampled check with no budget used to certify a pair it never sampled
+    g = planted_blocks(2, 4)
+    U, W = full_sides(g)
+    params = RegularityParams(Fraction(1, 4), Fraction(0))
+    for check in (check_regular_pair, check_super_regular_pair):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget of at least 1"):
+                check(g, U, W, params, Strategy.SAMPLED, budget=budget)
+    # the exhaustive strategy draws nothing and ignores the budget
+    cert = check_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE, budget=0)
+    assert cert.verdict is Verdict.IRREGULAR
+    assert check_regular_pair(g, U, W, params, budget=1).samples_used == 1
+
+
 class TestShortNeighbourhoodPool:
     """Neighbourhoods smaller than the minimal subset size are widened by
     those of further members, so blocks smaller than eps*n are found."""
@@ -732,3 +802,107 @@ def test_degree_gates_match_rational_thresholds(seed, d, eps):
         assert not eligible
     else:
         assert eligible and moved.partition.clusters_a[1].bits == a1.bits | 1 << eligible[0]
+
+
+_NO_ELIGIBLE = ("no eligible vertex to move out of {}-cluster {}; "
+                "the pair used for the move was not usably regular")
+
+
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def reference_redistribution(g, masks_a, masks_b, deltas_a, deltas_b, d):
+    """The mover's documented rule, with every degree recounted on each move:
+    A-side walks go forward and B-side walks backward from the lowest-index
+    source until a cluster short of its target takes one vertex, and each
+    move takes the lowest-index vertex with at least d*|partner of dst|
+    neighbours there whose departure leaves every partner of the source
+    with at least d*(|source| - 1) neighbours in it.  Returns the final
+    masks, the route log and the move count, or (side, cluster, message)
+    of the move that found no vertex."""
+    adj = {"A": g.adj_a, "B": g.adj_b}
+    masks = {"A": list(masks_a), "B": list(masks_b)}
+    other = {"A": "B", "B": "A"}
+    k = len(masks_a)
+    route_log, moves = [], 0
+    for side, deltas, step in (("A", deltas_a, 1), ("B", deltas_b, -1)):
+        cl, partners = masks[side], masks[other[side]]
+        targets = [cl[i].bit_count() + deltas[i] for i in range(k)]
+        while any(cl[i].bit_count() > targets[i] for i in range(k)):
+            src = j = min(i for i in range(k) if cl[i].bit_count() > targets[i])
+            while True:
+                dst = (j + step) % k
+                was_sink = cl[dst].bit_count() < targets[dst]
+                eligible = [
+                    v for v in _bits(cl[j])
+                    if (adj[side][v] & partners[dst]).bit_count()
+                    >= d * partners[dst].bit_count()
+                    and all(
+                        (adj[other[side]][w] & cl[j]).bit_count() - 1
+                        >= d * (cl[j].bit_count() - 1)
+                        for w in _bits(adj[side][v] & partners[j])
+                    )
+                ]
+                if not eligible:
+                    return side, j, _NO_ELIGIBLE.format(side, j)
+                cl[j] ^= 1 << eligible[0]
+                cl[dst] |= 1 << eligible[0]
+                moves += 1
+                if was_sink:
+                    break
+                j = dst
+            route_log.append((side, src, dst))
+    return masks["A"], masks["B"], tuple(route_log), moves
+
+
+@st.composite
+def mover_instances(draw):
+    """A random host cut into k equal clusters per side, zero-sum deltas of
+    a few vertices per side and a degree threshold high enough that many
+    instances get stuck."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(3, 8))
+    n = k * m
+    p = draw(st.sampled_from([0.5, 0.7, 0.85, 0.95]))
+    g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n) if rng.random() < p])
+    masks = []
+    for _ in range(2):
+        perm = rng.sample(range(n), n)
+        masks.append([sum(1 << v for v in perm[i * m:(i + 1) * m]) for i in range(k)])
+    deltas = []
+    for _ in range(2):
+        delta = [0] * k
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = rng.sample(range(k), 2)
+            if delta[i] < m // 2 and delta[j] > -(m // 2):
+                delta[i] += 1
+                delta[j] -= 1
+        deltas.append(delta)
+    d = Fraction(draw(st.integers(0, 10)), 10)
+    return g, masks, deltas, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=mover_instances())
+def test_mover_follows_its_documented_rule(instance):
+    g, (masks_a, masks_b), (deltas_a, deltas_b), d = instance
+    part = ClusterPartition.from_masks(g, masks_a, masks_b)
+    expected = reference_redistribution(g, masks_a, masks_b, deltas_a, deltas_b, d)
+    try:
+        res = redistribute_cluster_sizes(
+            g, part, deltas_a, deltas_b, Fraction(1), RegularityParams(Fraction(1, 4), d),
+            enforce_xi_cap=False,
+        )
+    except RedistributionError as e:
+        assert (e.side, e.cluster, str(e)) == expected
+    else:
+        final_a = [c.bits for c in res.partition.clusters_a]
+        final_b = [c.bits for c in res.partition.clusters_b]
+        assert (final_a, final_b, res.route_log, res.vertex_moves) == expected
+        assert res.iterations == len(res.route_log)
+        assert res.symmetric_difference_a == tuple(
+            (o ^ f).bit_count() for o, f in zip(masks_a, final_a))
+        assert res.symmetric_difference_b == tuple(
+            (o ^ f).bit_count() for o, f in zip(masks_b, final_b))
