@@ -46,6 +46,7 @@ from .homomorphism import (
     build_cycle_homomorphism,
     failure_probability_bound,
     partition_pieces,
+    partition_runs,
     verify_cycle_homomorphism,
 )
 from .partitioner import (

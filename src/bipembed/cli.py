@@ -28,6 +28,7 @@ from .homomorphism import (
     verify_cycle_homomorphism,
 )
 from .regularity import (
+    PartitionBuildError,
     RegularityParams,
     Strategy,
     Verdict,
@@ -167,9 +168,13 @@ def cmd_regularity(args) -> int:
         ok = cert.verdict in (Verdict.REGULAR, Verdict.SUPER_REGULAR)
         return 0 if ok else 1
     # op == "partition"
-    res = build_regular_partition(
-        g, params, args.k0, args.kmax, strategy, args.budget, args.seed
-    )
+    try:
+        res = build_regular_partition(
+            g, params, args.k0, args.kmax, strategy, args.budget, args.seed
+        )
+    except PartitionBuildError as e:
+        print(f"partition failed: {e}", file=sys.stderr)
+        return 1
     data = _partition_json(res.partition)
     data["fraction_regular"] = fileio.rational_str(res.fraction_regular)
     data["rounds"] = res.rounds

@@ -1,9 +1,10 @@
 """Cutting a target graph along a bandwidth order and mapping it onto a cycle.
 
 The target H (balanced bipartite, 2n vertices, small bandwidth) is cut into
-``ell`` consecutive pieces along a bandwidth labelling.  A random map
-``phi`` assigns pieces to the k cluster pairs so that the per-cluster totals
-stay below their targets (checked exactly, resampled on failure).  The map
+``ell`` consecutive pieces along a bandwidth labelling: pieces of equal size,
+or runs holding given X counts.  A map ``phi`` assigns pieces to the k
+cluster pairs; the random one of the balancing lemma keeps the per-cluster
+totals below their targets (checked exactly, resampled on failure).  The map
 into the doubled cycle C on A_1, B_2, A_2, ..., B_k, A_k, B_1 then sends
 most of each piece to its assigned pair and walks short "linking" blocks at
 the start of each piece across the intermediate cycle vertices, producing a
@@ -15,6 +16,7 @@ graph homomorphism that is verified edge by edge before being returned.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -160,6 +162,16 @@ class PiecePartition:
         return min(self.sizes)
 
 
+def _pieces_ending_at(labelling: BandwidthLabelling, ends: Sequence[int]) -> PiecePartition:
+    """The consecutive intervals of the labelling that end at ``ends``."""
+    starts = [0, *ends[:-1]]
+    sizes = [end - start for start, end in zip(starts, ends)]
+    x_counts = [sum(v.side is Side.A for v in labelling.order[start:end])
+                for start, end in zip(starts, ends)]
+    return PiecePartition(tuple(starts), tuple(sizes), tuple(x_counts),
+                          tuple(s - x for s, x in zip(sizes, x_counts)))
+
+
 def partition_pieces(
     H: BipartiteGraph, labelling: BandwidthLabelling, ell: int
 ) -> PiecePartition:
@@ -168,19 +180,17 @@ def partition_pieces(
     if not 1 <= ell <= total:
         raise GraphError(f"need 1 <= ell <= {total}, got {ell}")
     base, extra = divmod(total, ell)
-    sizes = [base + 1] * extra + [base] * (ell - extra)
-    boundaries = []
-    x_counts = []
-    y_counts = []
-    start = 0
-    for s in sizes:
-        boundaries.append(start)
-        chunk = labelling.order[start : start + s]
-        x = sum(1 for v in chunk if v.side is Side.A)
-        x_counts.append(x)
-        y_counts.append(s - x)
-        start += s
-    return PiecePartition(tuple(boundaries), tuple(sizes), tuple(x_counts), tuple(y_counts))
+    return _pieces_ending_at(labelling, [t * base + min(t, extra) for t in range(1, ell + 1)])
+
+
+def partition_runs(labelling: BandwidthLabelling, x_quotas: Sequence[int]) -> PiecePartition:
+    """Cut the labelling into runs of x_quotas[t] X vertices each; every run
+    but the last ends at its last X vertex."""
+    x_positions = [t for t, v in enumerate(labelling.order) if v.side is Side.A]
+    if sum(x_quotas) != len(x_positions) or min(x_quotas) < 1:
+        raise GraphError(f"run quotas must be positive and sum to {len(x_positions)}")
+    ends = [x_positions[c - 1] + 1 for c in itertools.accumulate(x_quotas[:-1])]
+    return _pieces_ending_at(labelling, ends + [len(labelling.order)])
 
 
 # ---------------------------------------------------------------------------

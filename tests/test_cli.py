@@ -17,7 +17,7 @@ from bipembed.fileio import (
     write_labelling,
 )
 from bipembed.generators import InstanceSpec, gen_host, gen_target
-from bipembed.graphs import GraphError
+from bipembed.graphs import GraphError, Side, VertexId
 
 
 def run(argv):
@@ -296,6 +296,18 @@ class TestCommands:
                     "--epsilon", "1/4", "--d", "0", "--strategy", "exhaustive"])
         assert code == 1
 
+    def test_failed_partition_build_exits_1(self, tmp_path, capsys):
+        host = tmp_path / "b.bg"
+        assert run(["gen-host", "--kind", "blocks", "--blocks", "3",
+                    "--block-size", "16", "--out", str(host)]) == 0
+        capsys.readouterr()
+        code = run(["regularity", "partition", "--host", str(host),
+                    "--k0", "2", "--kmax", "2", "--budget", "50"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("partition failed: ")
+        assert "exceeds kmax=2" in err
+
     def test_sampled_check_without_budget_exits_2(self, tmp_path, capsys):
         host = tmp_path / "s.bg"
         assert run(["gen-host", "--n", "16", "--gamma", "1/4", "--seed", "1",
@@ -391,7 +403,14 @@ class TestCommands:
                     "--ell", "16", "--budget", "300", "--seed", "7",
                     "--out", str(emb)]) == 0
         data = json.loads(emb.read_text())
-        data["pairs"][0][1], data["pairs"][2][1] = data["pairs"][2][1], data["pairs"][0][1]
+        # swap the image of A_0 with the A image that misses the image of
+        # A_0's neighbour b, so the swap breaks the edge (A_0, b)
+        g, h = read_graph(str(host)), read_graph(str(target))
+        b = next(iter(h.neighbours(VertexId(Side.A, 0))))
+        gb = data["pairs"][2 * b.index + 1][1] // 2
+        miss = next(x for x in range(g.size_a) if not g.has_edge(x, gb))
+        t = next(t for t, (_, gv) in enumerate(data["pairs"]) if gv == 2 * miss)
+        data["pairs"][0][1], data["pairs"][t][1] = data["pairs"][t][1], data["pairs"][0][1]
         emb.write_text(json.dumps(data))
         assert run(["verify", "--host", str(host), "--target", str(target),
                     "--embedding", str(emb)]) == 1

@@ -12,6 +12,7 @@ from bipembed.homomorphism import (
     build_cycle_homomorphism,
     failure_probability_bound,
     partition_pieces,
+    partition_runs,
     verify_cycle_homomorphism,
 )
 
@@ -112,6 +113,20 @@ class TestBandwidthLabelling:
             exact = bandwidth_labelling(h, "exact-small")
             cm = bandwidth_labelling(h, "cuthill-mckee")
             assert exact.bandwidth <= cm.bandwidth
+
+
+class TestPartitionRuns:
+    def test_runs_end_at_their_last_x_vertex(self):
+        # zig-zag sides for n=4: A B B A A B B A
+        pieces = partition_runs(zigzag_labelling(4), [1, 2, 1])
+        assert pieces.boundaries == (0, 1, 5)
+        assert pieces.sizes == (1, 4, 3)
+        assert pieces.x_counts == (1, 2, 1)
+        assert pieces.y_counts == (0, 2, 2)
+
+    def test_quotas_must_cover_the_x_side(self):
+        with pytest.raises(GraphError):
+            partition_runs(zigzag_labelling(4), [2, 1])
 
 
 class TestPartitionPieces:
