@@ -437,15 +437,11 @@ class EmbedConfig:
     k0: int = 8
     kmax: Optional[int] = None
     ell: int = 64
-    balance_slack: Optional[Rational] = None
     size_slack: Optional[Rational] = None
     labelling_mode: str = "cuthill-mckee"
     sample_budget: int = 800
     embed_retries: int = 20
     pipeline_retries: int = 8
-    # not read by the pipeline, whose distribution is deterministic; kept
-    # because acceptance criterion 2 and two embedder tests set it
-    distribution_draws: int = 40
     strategy: Strategy = Strategy.SAMPLED
 
 
@@ -539,8 +535,6 @@ def embed_bipartite(
     overrides = {"epsilon": cfg.epsilon, "d": cfg.d}
     if cfg.size_slack is not None:
         overrides["size_slack"] = cfg.size_slack
-    if cfg.balance_slack is not None:
-        overrides["target_slack"] = cfg.balance_slack
     try:
         schedule = derive_parameter_schedule(
             gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode,

@@ -102,8 +102,7 @@ def test_criterion_2_zero_false_positives():
     cfg = EmbedConfig(
         mode="practical", epsilon=Fraction(1, 2), d=Fraction(1, 5),
         k0=2, ell=4, sample_budget=120, pipeline_retries=3,
-        embed_retries=8, distribution_draws=10,
-        balance_slack=Fraction(3, 5), size_slack=Fraction(3, 4),
+        embed_retries=8, size_slack=Fraction(3, 4),
     )
     returned = 0
     violations = 0

@@ -412,8 +412,7 @@ class TestTinyOracleSoundness:
             cfg = EmbedConfig(
                 mode="practical", epsilon=Fraction(1, 2), d=Fraction(1, 5),
                 k0=2, ell=4, sample_budget=150, pipeline_retries=3,
-                embed_retries=8, balance_slack=Fraction(3, 5),
-                size_slack=Fraction(3, 4), distribution_draws=10,
+                embed_retries=8, size_slack=Fraction(3, 4),
             )
             try:
                 res = embed_bipartite(
@@ -458,7 +457,7 @@ class TestTypedFailures:
         h = cycle_graph(n)
         cfg = EmbedConfig(
             mode=mode, epsilon=epsilon, d=d, k0=k0, ell=4, sample_budget=100,
-            pipeline_retries=2, embed_retries=4, distribution_draws=5,
+            pipeline_retries=2, embed_retries=4,
         )
         try:
             res = embed_bipartite(g, h, gamma, 2, cfg, seed=seed,
