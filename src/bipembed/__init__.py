@@ -4,8 +4,8 @@ bipartite graphs into dense balanced bipartite hosts.
 The pipeline mirrors a regularity-method proof at desk scale: certify a
 regular partition of the host, find a Hamilton cycle of its reduced graph,
 make the partition super-regular along that cycle, absorb exceptional
-vertices, cut the target along a bandwidth order and balance its pieces
-over the cycle, adjust cluster sizes exactly, and finish with a verified
+vertices, cut the target along a bandwidth order into runs along the
+cycle, adjust cluster sizes exactly, and finish with a verified
 two-phase embedding.  Every intermediate object is exposed and checkable.
 """
 

@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homomorphism", default=None)
     p.add_argument("--ni", default="")
     p.add_argument("--xi", type=_rat, default=Fraction(1, 4))
-    _common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("experiment", help="batch embed runs over seeds")

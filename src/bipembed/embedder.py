@@ -42,7 +42,7 @@ from .partitioner import (
     resize_host_partition,
 )
 from .ratmath import Rational, frac
-from .regularity import ClusterPartition, RegularityParams, Strategy, _mix_seed, typical_vertices
+from .regularity import ClusterPartition, RegularityParams, _mix_seed, typical_vertices
 
 ClassKey = tuple[str, int]
 
@@ -199,9 +199,11 @@ def verify_embedding(G: BipartiteGraph, H: BipartiteGraph, emb: Embedding) -> Ch
             return Check(False, f"{v} is not mapped")
     used: set[VertexId] = set()
     for hv, gv in mapping.items():
+        if not 0 <= hv.index < H.side_size(hv.side):
+            return Check(False, f"{hv} is not a target vertex")
         if hv.side is not gv.side:
             return Check(False, f"{hv} mapped across sides to {gv}")
-        if gv.index >= G.side_size(gv.side):
+        if not 0 <= gv.index < G.side_size(gv.side):
             return Check(False, f"{hv} mapped outside the host to {gv}")
         if gv in used:
             return Check(False, f"two vertices share the image {gv}")
@@ -435,14 +437,12 @@ class EmbedConfig:
     epsilon: Rational = Fraction(1, 4)
     d: Rational = Fraction(3, 10)
     k0: int = 8
-    kmax: Optional[int] = None
     ell: int = 64
     size_slack: Optional[Rational] = None
     labelling_mode: str = "cuthill-mckee"
     sample_budget: int = 800
     embed_retries: int = 20
     pipeline_retries: int = 8
-    strategy: Strategy = Strategy.SAMPLED
 
 
 @dataclass
@@ -532,13 +532,12 @@ def embed_bipartite(
             raise EmbeddingPipelineError(str(e), report) from e
     report.record("labelling", True, f"bandwidth {labelling.bandwidth}")
 
-    overrides = {"epsilon": cfg.epsilon, "d": cfg.d}
+    overrides = {"d": cfg.d}
     if cfg.size_slack is not None:
         overrides["size_slack"] = cfg.size_slack
     try:
         schedule = derive_parameter_schedule(
-            gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode,
-            overrides=overrides, kmax=cfg.kmax,
+            gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode, overrides
         )
     except ScheduleError as e:
         report.record("schedule", False, str(e))
@@ -546,9 +545,7 @@ def embed_bipartite(
     report.record("schedule", True, schedule.mode)
 
     try:
-        state = prepare_host_partition(
-            G, schedule, cfg.strategy, cfg.sample_budget, seed
-        )
+        state = prepare_host_partition(G, schedule, budget=cfg.sample_budget, seed=seed)
     except PipelineStageError as e:
         report.record(e.stage, False, str(e))
         raise EmbeddingPipelineError(str(e), report) from e
@@ -608,8 +605,7 @@ def embed_bipartite(
         sub = _mix_seed(seed, attempt)
         try:
             resized = resize_host_partition(
-                state, G, list(hom.preimage_a), list(hom.preimage_b),
-                cfg.strategy, cfg.sample_budget, sub,
+                state, G, hom.preimage_a, hom.preimage_b, budget=cfg.sample_budget, seed=sub
             )
         except (PipelineStageError, RedistributionError) as e:
             report.record("host-phase-2", False, str(e))

@@ -224,6 +224,29 @@ def read_json(path: str) -> dict:
             raise FileFormatError(path, e.lineno, e.msg) from None
 
 
+def _int(value) -> bool:
+    return type(value) is int  # JSON true and false are not integers here
+
+
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(map(_int, value))
+
+
+def _int_pairs(value) -> bool:
+    return isinstance(value, list) and all(_ints(p) and len(p) == 2 for p in value)
+
+
+def _fields(data, kind: str, **checks) -> list:
+    """The named fields of an artifact of the given kind, in order; a wrong
+    kind, or a field its check rejects, is a :class:`ValueError`."""
+    if not isinstance(data, dict) or data.get("kind") != kind:
+        raise ValueError(f"artifact kind is not {kind!r}")
+    for key, ok in checks.items():
+        if not ok(data.get(key)):
+            raise ValueError(f"{kind!r} artifact: field {key!r} is missing or malformed")
+    return [data[key] for key in checks]
+
+
 def embedding_to_json(emb: Embedding) -> dict:
     pairs = sorted(
         (global_id(h), global_id(g)) for h, g in emb.mapping.items()
@@ -232,11 +255,10 @@ def embedding_to_json(emb: Embedding) -> dict:
 
 
 def embedding_from_json(data: dict) -> Embedding:
-    if data.get("kind") != "embedding":
-        raise ValueError(f"not an embedding artifact: kind={data.get('kind')!r}")
-    mapping = {}
-    for h, g in data["pairs"]:
-        mapping[from_global_id(int(h))] = from_global_id(int(g))
+    (pairs,) = _fields(data, "embedding", pairs=_int_pairs)
+    mapping = {from_global_id(h): from_global_id(g) for h, g in pairs}
+    if len(mapping) != len(pairs):
+        raise ValueError("'embedding' artifact: a target vertex is listed twice")
     return Embedding(mapping)
 
 
@@ -245,9 +267,8 @@ def cycle_to_json(cycle: HamiltonCycle) -> dict:
 
 
 def cycle_from_json(data: dict) -> HamiltonCycle:
-    if data.get("kind") != "hamilton-cycle":
-        raise ValueError(f"not a cycle artifact: kind={data.get('kind')!r}")
-    return HamiltonCycle(tuple(from_global_id(int(g)) for g in data["order"]))
+    (order,) = _fields(data, "hamilton-cycle", order=_ints)
+    return HamiltonCycle(tuple(map(from_global_id, order)))
 
 
 def homomorphism_to_json(hom: CycleHomomorphism) -> dict:
@@ -259,23 +280,19 @@ def homomorphism_to_json(hom: CycleHomomorphism) -> dict:
         "cluster_of_x": list(hom.cluster_of_x),
         "cluster_of_y": list(hom.cluster_of_y),
         "linking": sorted(global_id(v) for v in hom.linking),
+        # written for readers; the reader counts them from the cluster maps
         "preimage_a": list(hom.preimage_a),
         "preimage_b": list(hom.preimage_b),
     }
 
 
 def homomorphism_from_json(data: dict) -> CycleHomomorphism:
-    if data.get("kind") != "cycle-homomorphism":
-        raise ValueError(f"not a homomorphism artifact: kind={data.get('kind')!r}")
+    k, beta_n, phi, cx, cy, linking = _fields(
+        data, "cycle-homomorphism", k=lambda k: _int(k) and k > 0, beta_n=_int, phi=_ints,
+        cluster_of_x=_ints, cluster_of_y=_ints, linking=_ints,
+    )
     return CycleHomomorphism(
-        int(data["k"]),
-        tuple(int(c) for c in data["cluster_of_x"]),
-        tuple(int(c) for c in data["cluster_of_y"]),
-        frozenset(from_global_id(int(g)) for g in data["linking"]),
-        tuple(int(c) for c in data["preimage_a"]),
-        tuple(int(c) for c in data["preimage_b"]),
-        int(data["beta_n"]),
-        tuple(int(c) for c in data["phi"]),
+        k, tuple(cx), tuple(cy), frozenset(map(from_global_id, linking)), beta_n, tuple(phi)
     )
 
 

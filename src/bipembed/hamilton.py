@@ -32,9 +32,10 @@ def verify_cycle(G: BipartiteGraph, cycle: HamiltonCycle) -> Check:
         return Check(False, f"length {len(order)} != vertex count {total}")
     if len(set(order)) != len(order):
         return Check(False, "a vertex repeats in the sequence")
-    for t, v in enumerate(order):
-        if v.index >= G.side_size(v.side):
+    for v in order:
+        if not 0 <= v.index < G.side_size(v.side):
             return Check(False, f"{v} outside the graph")
+    for t, v in enumerate(order):
         w = order[(t + 1) % len(order)]
         if w.side is v.side:
             return Check(False, f"sides do not alternate at position {t}")

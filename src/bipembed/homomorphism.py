@@ -15,7 +15,6 @@ graph homomorphism that is verified edge by edge before being returned.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -311,17 +310,22 @@ class CycleHomomorphism:
     cluster_of_x: tuple[int, ...]
     cluster_of_y: tuple[int, ...]
     linking: frozenset[VertexId]
-    preimage_a: tuple[int, ...]
-    preimage_b: tuple[int, ...]
     beta_n: int
     phi: tuple[int, ...]
 
+    @property
+    def preimage_a(self) -> tuple[int, ...]:
+        """The number of X vertices mapped to A_i, for each cluster i."""
+        return tuple(map(self.cluster_of_x.count, range(self.k)))
 
-class HomomorphismError(RuntimeError):
-    def __init__(self, message: str, edge=None, trace=None):
-        super().__init__(message)
-        self.edge = edge
-        self.trace = trace
+    @property
+    def preimage_b(self) -> tuple[int, ...]:
+        """The number of Y vertices mapped to B_i, for each cluster i."""
+        return tuple(map(self.cluster_of_y.count, range(self.k)))
+
+
+class HomomorphismError(GraphError):
+    """An edge of the target maps to a pair that is not a cycle edge."""
 
 
 def _cycle_edge(a_idx: int, b_idx: int, k: int) -> bool:
@@ -397,31 +401,12 @@ def build_cycle_homomorphism(
         a_idx = cluster_of_x[x]
         b_idx = cluster_of_y[y]
         if not _cycle_edge(a_idx, b_idx, k):
-            px = labelling.positions_a[x]
-            py = labelling.positions_b[y]
-            trace = {
-                "x_position": px, "y_position": py,
-                "x_piece": _piece_at(pieces, px), "y_piece": _piece_at(pieces, py),
-                "x_cluster": a_idx, "y_cluster": b_idx,
-            }
             raise HomomorphismError(
-                f"edge ({x}, {y}) maps to non-cycle pair (A_{a_idx}, B_{b_idx})",
-                edge=(x, y), trace=trace,
+                f"edge ({x}, {y}) maps to non-cycle pair (A_{a_idx}, B_{b_idx})"
             )
-    pre_a = [0] * k
-    pre_b = [0] * k
-    for c in cluster_of_x:
-        pre_a[c] += 1
-    for c in cluster_of_y:
-        pre_b[c] += 1
     return CycleHomomorphism(
-        k, tuple(cluster_of_x), tuple(cluster_of_y), frozenset(linking),
-        tuple(pre_a), tuple(pre_b), beta_n, tuple(phi),
+        k, tuple(cluster_of_x), tuple(cluster_of_y), frozenset(linking), beta_n, tuple(phi)
     )
-
-
-def _piece_at(pieces: PiecePartition, pos: int) -> int:
-    return bisect.bisect_right(pieces.boundaries, pos) - 1
 
 
 @dataclass
@@ -447,11 +432,15 @@ def verify_cycle_homomorphism(
     targets: Sequence[int],
     xi: Rational,
 ) -> HomomorphismReport:
-    """Re-check the homomorphism and its three size guarantees from scratch."""
+    """Re-check the homomorphism and its three size guarantees from the
+    cluster maps alone; a cluster outside 0..k-1 fails the first clause."""
     xi = frac(xi)
     k = hom.k
     n = H.size_a
-    homo = Check(True)
+    if (len(hom.cluster_of_x), len(hom.cluster_of_y)) != (H.size_a, H.size_b):
+        raise GraphError("the cluster maps do not cover the target's vertices")
+    stray = next((c for c in hom.cluster_of_x + hom.cluster_of_y if not 0 <= c < k), None)
+    homo = Check(stray is None, f"cluster {stray} outside 0..{k - 1}")
     matching = Check(True)
     for x, y in H.edges():
         a_idx = hom.cluster_of_x[x]
@@ -472,13 +461,9 @@ def verify_cycle_homomorphism(
         size_ok, f"|S| = {len(hom.linking)} vs bound {bound}"
     )
     pre = Check(True)
-    for i in range(k):
+    for i, (pre_a, pre_b) in enumerate(zip(hom.preimage_a, hom.preimage_b)):
         lim = targets[i] + xi * n
-        if not (hom.preimage_a[i] < lim and hom.preimage_b[i] < lim):
-            pre = Check(
-                False,
-                f"cluster {i}: preimages {hom.preimage_a[i]}/{hom.preimage_b[i]} "
-                f"not below {lim}",
-            )
+        if not (pre_a < lim and pre_b < lim):
+            pre = Check(False, f"cluster {i}: preimages {pre_a}/{pre_b} not below {lim}")
             break
     return HomomorphismReport(homo, link, matching, pre)

@@ -30,7 +30,6 @@ from .regularity import (
     PartitionBuildError,
     PartitionBuildResult,
     RegularityParams,
-    Strategy,
     SuperRegularizeError,
     Verdict,
     build_regular_partition,
@@ -83,7 +82,6 @@ class ParameterSchedule:
 
     mode: str
     gamma: Fraction
-    max_degree: int
     epsilon: Fraction
     k0: int
     kmax: int
@@ -136,10 +134,9 @@ def derive_parameter_schedule(
     epsilon = frac(epsilon)
     if mode == "practical":
         ov = dict(overrides or {})
-        eps_work = frac(ov.get("epsilon", epsilon if epsilon else Fraction(1, 4)))
+        eps_work = frac(ov.get("epsilon", epsilon))
         d_work = frac(ov.get("d", Fraction(3, 10)))
         size_slack = frac(ov.get("size_slack", Fraction(3, 10)))
-        target_slack = frac(ov.get("target_slack", Fraction(1, 4)))
         km = kmax if kmax is not None else max(2 * k0, k0)
         if not 0 < gamma < HALF:
             raise ScheduleError(f"gamma must lie in (0, 1/2), got {gamma}")
@@ -150,7 +147,6 @@ def derive_parameter_schedule(
         return ParameterSchedule(
             mode="practical",
             gamma=gamma,
-            max_degree=max_degree,
             epsilon=eps_work,
             k0=k0,
             kmax=km,
@@ -162,7 +158,7 @@ def derive_parameter_schedule(
             absorbed_epsilon=RootExpr(eps_work, Fraction(0), Fraction(0)),
             absorbed_density=d_work,
             size_slack=size_slack,
-            target_slack=target_slack,
+            target_slack=Fraction(1, 4),
             min_clusters_for_cycle=k0,
             checks=(("practical-overrides", True),),
         )
@@ -214,7 +210,6 @@ def derive_parameter_schedule(
     return ParameterSchedule(
         mode="faithful",
         gamma=gamma,
-        max_degree=max_degree,
         epsilon=epsilon,
         k0=k0,
         kmax=km,
@@ -487,7 +482,6 @@ def _certify_cycle_pairs(
     G: BipartiteGraph,
     part: ClusterPartition,
     params: RegularityParams,
-    strategy: Strategy,
     budget: int,
     matching_seed: int,
     offset_seed: int,
@@ -504,11 +498,11 @@ def _certify_cycle_pairs(
         a, b, b_next = part.clusters_a[i], part.clusters_b[i], part.clusters_b[(i + 1) % k]
         if a and b:
             matching[i] = check_super_regular_pair(
-                G, a, b, params, strategy, budget, matching_seed + i
+                G, a, b, params, budget=budget, seed=matching_seed + i
             )
         if a and b_next:
             offsets[i] = check_regular_pair(
-                G, a, b_next, params, strategy, budget, offset_seed + i
+                G, a, b_next, params, budget=budget, seed=offset_seed + i
             )
     return matching, offsets
 
@@ -525,7 +519,6 @@ def _failed_cycle_pairs(
 def prepare_host_partition(
     G: BipartiteGraph,
     schedule: ParameterSchedule,
-    strategy: Strategy = Strategy.SAMPLED,
     budget: int = 2000,
     seed: int = 0,
 ) -> HostPartitionState:
@@ -544,10 +537,10 @@ def prepare_host_partition(
     params = schedule.working_params()
     try:
         build = build_regular_partition(
-            G, params, schedule.k0, schedule.kmax, strategy, budget, seed
+            G, params, schedule.k0, schedule.kmax, budget=budget, seed=seed
         )
     except (ValueError, PartitionBuildError) as e:
-        # a GraphError, an EnumerationCapExceeded or an unknown strategy
+        # a GraphError, or a sampled check refusing a budget below 1
         raise PipelineStageError("regular-partition", str(e)) from e
     k = build.k
     red = build.reduced
@@ -592,8 +585,7 @@ def prepare_host_partition(
     try:
         sup = super_regularize(
             G, part, rstar, params,
-            exceptional_bound=schedule.refined_epsilon if schedule.is_faithful
-            else schedule.epsilon,
+            exceptional_bound=schedule.refined_epsilon,
         )
     except (GraphError, SuperRegularizeError) as e:
         raise PipelineStageError("super-regularize", str(e)) from e
@@ -630,9 +622,7 @@ def prepare_host_partition(
             default=Fraction(0),
         )
         hat = rebound_after_perturbation(refined, worst, worst)
-    matching, offsets = _certify_cycle_pairs(
-        G, final, hat, strategy, budget, seed + 101, seed + 501
-    )
+    matching, offsets = _certify_cycle_pairs(G, final, hat, budget, seed + 101, seed + 501)
     bad = _failed_cycle_pairs(matching, offsets)
     if bad:
         raise PipelineStageError(
@@ -651,11 +641,17 @@ def prepare_host_partition(
 
 @dataclass
 class ResizeResult:
-    partition: ClusterPartition
     redistribution: RedistributionResult
     matching_certificates: dict[int, PairCertificate]
     offset_certificates: dict[int, PairCertificate]
-    certificates_ok: bool
+
+    @property
+    def partition(self) -> ClusterPartition:
+        return self.redistribution.partition
+
+    @property
+    def certificates_ok(self) -> bool:
+        return not _failed_cycle_pairs(self.matching_certificates, self.offset_certificates)
 
 
 def resize_host_partition(
@@ -663,7 +659,6 @@ def resize_host_partition(
     G: BipartiteGraph,
     a_sizes: Sequence[int],
     b_sizes: Sequence[int],
-    strategy: Strategy = Strategy.SAMPLED,
     budget: int = 2000,
     seed: int = 0,
 ) -> ResizeResult:
@@ -699,11 +694,7 @@ def resize_host_partition(
         G, state.partition, deltas_a, deltas_b, xi, state.hat_params,
         enforce_xi_cap=enforce,
     )
-    final_params = sched.final_params()
-    part = redis.partition
     matching, offsets = _certify_cycle_pairs(
-        G, part, final_params, strategy, budget, seed + 301, seed + 701
+        G, redis.partition, sched.final_params(), budget, seed + 301, seed + 701
     )
-    return ResizeResult(
-        part, redis, matching, offsets, not _failed_cycle_pairs(matching, offsets)
-    )
+    return ResizeResult(redis, matching, offsets)

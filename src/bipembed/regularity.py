@@ -445,7 +445,6 @@ def check_super_regular_pair(
     strategy: Strategy = Strategy.SAMPLED,
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
 ) -> PairCertificate:
     """Super-regularity check; the degree condition is always exhaustive."""
     strategy = _strategy(strategy, budget)
@@ -468,7 +467,7 @@ def check_super_regular_pair(
                     failing_vertex=VertexId(X.side, v),
                     note=f"degree below {thr} into partner",
                 )
-    inner = check_regular_pair(G, U, W, params, strategy, budget, seed, enumeration_cap)
+    inner = check_regular_pair(G, U, W, params, strategy, budget, seed)
     if inner.verdict is Verdict.REGULAR:
         return PairCertificate(
             (U, W), params, Verdict.SUPER_REGULAR, base, None,
@@ -636,14 +635,13 @@ def maximal_reduced_graph(
     strategy: Strategy = Strategy.SAMPLED,
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
 ) -> ReducedGraph:
     """Edge (i, j) present iff (A_i, B_j) certifies regular with density >= d."""
     k = partition.k
     certs = {
         (i, j): check_regular_pair(
             G, partition.clusters_a[i], partition.clusters_b[j], params,
-            strategy, budget, _mix_seed(seed, i, j), enumeration_cap,
+            strategy, budget, _mix_seed(seed, i, j),
         )
         for i in range(k) for j in range(k)
     }
@@ -764,7 +762,6 @@ def build_regular_partition(
     strategy: Strategy = Strategy.SAMPLED,
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
 ) -> PartitionBuildResult:
     """Witness-driven refinement towards a partition regular on most pairs.
 
@@ -791,8 +788,7 @@ def build_regular_partition(
     stall = 0
     for round_no in range(MAX_ROUNDS):
         checked = maximal_reduced_graph(
-            G, part, deviation_only, strategy, budget, _mix_seed(seed, round_no),
-            enumeration_cap,
+            G, part, deviation_only, strategy, budget, _mix_seed(seed, round_no)
         )
         certs = checked.certificates
         fraction = Fraction(len(checked.edges), k * k)

@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipembed import fileio
 from bipembed.cli import main
 from bipembed.fileio import (
     FileFormatError,
@@ -463,6 +464,11 @@ class TestCommands:
                     "--ni", "32x3"]) == 2
         assert "4 clusters" in capsys.readouterr().err
 
+    def test_verify_takes_no_seed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--seed", "1", "--host", "g.bg", "--cycle", "c.json"])
+        assert exc.value.code == 2
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for rep in range(2):
@@ -509,3 +515,102 @@ class TestCommands:
         data = json.loads(out.read_text())
         assert data["runs"] == 2
         assert data["successes"] + data["failures"] == 2
+
+
+class TestUntrustedArtifacts:
+    """``verify`` re-checks an artifact from its content alone: a hand-edited
+    file fails verification (exit 1), and a malformed one is a usage error
+    (exit 2) rather than a traceback."""
+
+    @pytest.fixture
+    def graphs(self, tmp_path):
+        host, target = tmp_path / "g.bg", tmp_path / "h.bg"
+        host.write_text("bipartite 2 2 4\n0 0\n0 1\n1 0\n1 1\n")
+        target.write_text("bipartite 2 2 1\n0 0\n")
+        return ["--host", str(host), "--target", str(target)]
+
+    def verify_embedding(self, tmp_path, graphs, data):
+        emb = tmp_path / "e.json"
+        emb.write_text(json.dumps(data))
+        return run(["verify", *graphs, "--embedding", str(emb)])
+
+    @pytest.mark.parametrize("pairs", [
+        [[0, 0], [2, -2], [1, 1], [3, 3]],  # A1 -> gid -2, that is A_-1
+        [[0, 0], [2, 2], [1, 1], [3, -1]],  # B1 -> gid -1, that is B_-1
+    ])
+    def test_negative_host_index_fails(self, tmp_path, graphs, capsys, pairs):
+        assert self.verify_embedding(tmp_path, graphs, {"kind": "embedding", "pairs": pairs}) == 1
+        assert "outside the host" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "embedding"},
+        {"kind": "embedding", "pairs": [[0, None]]},
+        {"kind": "embedding", "pairs": [[0, 0, 1]]},
+        {"kind": "embedding", "pairs": [[0, "0"]]},
+        {"kind": "embedding", "pairs": [[0, 0], [2, 2], [1, 1], [3, 3], [0, 2]]},
+        {"kind": "hamilton-cycle", "order": [0, 1, 2, 3]},
+        ["embedding"],
+    ])
+    def test_malformed_embedding_is_a_usage_error(self, tmp_path, graphs, capsys, data):
+        assert self.verify_embedding(tmp_path, graphs, data) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cycle_without_order_is_a_usage_error(self, tmp_path, graphs, capsys):
+        cyc = tmp_path / "c.json"
+        cyc.write_text('{"kind": "hamilton-cycle"}')
+        assert run(["verify", *graphs[:2], "--cycle", str(cyc)]) == 2
+        assert "'order'" in capsys.readouterr().err
+
+    @pytest.fixture
+    def homomorphism(self, tmp_path):
+        target, lab, out = tmp_path / "t.bg", tmp_path / "t.lab", tmp_path / "hom.json"
+        assert run(["gen-target", "--n", "64", "--out", str(target),
+                    "--labelling-out", str(lab)]) == 0
+        assert run(["homomorphism", "--target", str(target), "--labelling", str(lab),
+                    "--ni", "16x4", "--ell", "4", "--xi", "1/4", "--loose", "--seed", "1",
+                    "--out", str(out)]) == 0
+        return target, out, json.loads(out.read_text())
+
+    def verify_homomorphism(self, tmp_path, target, data, ni, xi):
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        return run(["verify", "--target", str(target), "--homomorphism", str(edited),
+                    "--ni", ni, "--xi", xi])
+
+    def test_stored_preimage_counts_are_not_trusted(self, tmp_path, capsys, homomorphism):
+        target, _, data = homomorphism
+        args = ("16,16,16,9", "1/8")
+        assert self.verify_homomorphism(tmp_path, target, data, *args) == 1
+        assert "preimages: cluster 3: preimages 17/16 not below 17" in capsys.readouterr().err
+        data["preimage_a"] = data["preimage_b"] = [1, 1, 1, 1]
+        assert self.verify_homomorphism(tmp_path, target, data, *args) == 1
+        assert "preimages: cluster 3: preimages 17/16 not below 17" in capsys.readouterr().err
+
+    def test_cluster_outside_the_cycle_fails(self, tmp_path, capsys, homomorphism):
+        target, _, data = homomorphism
+        assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 0
+        for key in ("cluster_of_x", "cluster_of_y"):
+            data[key] = [-1 if c == 3 else c for c in data[key]]
+        assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 1
+        assert "cluster -1 outside 0..3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        {"cluster_of_x": None}, {"k": 0}, {"k": "4"}, {"linking": [0.5]},
+    ])
+    def test_malformed_homomorphism_is_a_usage_error(self, tmp_path, homomorphism, edit):
+        target, _, data = homomorphism
+        data.update(edit)
+        assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 2
+
+    def test_short_cluster_map_is_a_usage_error(self, tmp_path, capsys, homomorphism):
+        target, _, data = homomorphism
+        data["cluster_of_y"].pop()
+        assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 2
+        assert "do not cover the target" in capsys.readouterr().err
+
+    def test_artifact_bytes_keep_the_preimage_counts(self, homomorphism):
+        _, out, data = homomorphism
+        hom = fileio.homomorphism_from_json(data)
+        assert (data["preimage_a"], data["preimage_b"]) == (list(hom.preimage_a), list(hom.preimage_b))
+        assert out.read_text() == json.dumps(
+            {**fileio.homomorphism_to_json(hom), "report": data["report"]}, indent=2) + "\n"

@@ -132,6 +132,24 @@ class TestVerifyEmbedding:
         res = verify_embedding(g, h, Embedding(mapping))
         assert not res
 
+    @pytest.mark.parametrize("side", [Side.A, Side.B])
+    def test_negative_host_index_rejected(self, side):
+        # a negative index would read the last bit row on side A and shift
+        # by a negative count on side B
+        g = BipartiteGraph.build(2, 2, [(a, b) for a in range(2) for b in range(2)])
+        h = BipartiteGraph.build(2, 2, [(0, 0)])
+        mapping = {v: v for v in h.vertices()}
+        mapping[VertexId(side, 1)] = VertexId(side, -1)
+        res = verify_embedding(g, h, Embedding(mapping))
+        assert not res and "outside the host" in res.detail
+
+    def test_extra_source_vertex_rejected(self):
+        g = cycle_graph(4)
+        mapping = {v: v for v in g.vertices()}
+        mapping[VertexId(Side.A, -1)] = VertexId(Side.A, 3)
+        res = verify_embedding(g, g, Embedding(mapping))
+        assert not res and "not a target vertex" in res.detail
+
 
 class TestEmbedCompatible:
     def test_perfect_matching_into_planted_blocks(self):

@@ -57,6 +57,14 @@ class TestVerifyCycle:
         bad = HamiltonCycle((VertexId(Side.A, 0), VertexId(Side.B, 0)))
         assert not verify_cycle(g, bad)
 
+    @pytest.mark.parametrize("side", [Side.A, Side.B])
+    def test_negative_index_outside_the_graph(self, side):
+        g = complete(2)
+        order = [VertexId(Side.A, 0), VertexId(Side.B, 0), VertexId(Side.A, 1), VertexId(Side.B, 1)]
+        order[2 if side is Side.A else 3] = VertexId(side, -1)
+        res = verify_cycle(g, HamiltonCycle(tuple(order)))
+        assert not res and "outside the graph" in res.detail
+
 
 class TestFindHamiltonCycle:
     def test_c4(self):

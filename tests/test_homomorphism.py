@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -329,6 +330,41 @@ class TestVerifyCycleHomomorphism:
         rep = verify_cycle_homomorphism(h, hom, [8] * k, Fraction(1, 4))
         assert rep.matching_edges.ok  # all non-linking edges on (A_3, B_3)
         assert not rep.preimage_bounds.ok
+
+    def clean(self):
+        n, k = 144, 8
+        h = cycle_graph(n)
+        lab = zigzag_labelling(n)
+        pieces = partition_pieces(h, lab, 8)
+        return h, build_cycle_homomorphism(h, lab, pieces, list(range(k)), 2, k)
+
+    def test_preimages_are_counted_from_the_maps(self):
+        h, hom = self.clean()
+        merged = tuple(0 if c == 1 else c for c in hom.cluster_of_x)
+        bad = replace(hom, cluster_of_x=merged)
+        assert bad.preimage_a[:2] == (hom.preimage_a[0] + hom.preimage_a[1], 0)
+        # at xi = 1/16 each cluster may take fewer than 18 + 9 vertices a side
+        xi = Fraction(1, 16)
+        assert verify_cycle_homomorphism(h, hom, [18] * 8, xi).preimage_bounds.ok
+        assert not verify_cycle_homomorphism(h, bad, [18] * 8, xi).preimage_bounds.ok
+
+    def test_cluster_outside_the_cycle_fails(self):
+        # k - 1 and -1 agree mod k, so every edge still lands on a cycle pair
+        h, hom = self.clean()
+        bad = replace(
+            hom,
+            cluster_of_x=tuple(-1 if c == 7 else c for c in hom.cluster_of_x),
+            cluster_of_y=tuple(-1 if c == 7 else c for c in hom.cluster_of_y),
+        )
+        rep = verify_cycle_homomorphism(h, bad, [18] * 8, Fraction(1, 4))
+        assert not rep.homomorphism.ok and "cluster -1 outside 0..7" in rep.homomorphism.detail
+
+    def test_maps_must_cover_the_target(self):
+        h, hom = self.clean()
+        with pytest.raises(GraphError):
+            verify_cycle_homomorphism(
+                h, replace(hom, cluster_of_y=hom.cluster_of_y[:-1]), [18] * 8, Fraction(1, 4)
+            )
 
 
 class TestExecutableTheorem:

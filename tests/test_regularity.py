@@ -906,3 +906,70 @@ def test_mover_follows_its_documented_rule(instance):
             (o ^ f).bit_count() for o, f in zip(masks_a, final_a))
         assert res.symmetric_difference_b == tuple(
             (o ^ f).bit_count() for o, f in zip(masks_b, final_b))
+
+
+# ---------------------------------------------------------------------------
+# the sampled checker's error rate against exhaustive ground truth
+# ---------------------------------------------------------------------------
+
+
+def _pair_with_block(m, rng, p, block=0, q=None):
+    """An m x m pair at edge probability p, with a block x block sub-pair
+    on random rows and columns at probability q."""
+    rows = set(rng.sample(range(m), block))
+    cols = set(rng.sample(range(m), block))
+    edges = [(a, b) for a in range(m) for b in range(m)
+             if rng.random() < (q if a in rows and b in cols else p)]
+    return BipartiteGraph.build(m, m, edges)
+
+
+GROUND_TRUTH_FAMILIES = {
+    "random": lambda m, rng: _pair_with_block(m, rng, 0.5),
+    "planted": lambda m, rng: _pair_with_block(m, rng, 0.5, m // 2, 1.0),
+    "near-threshold": lambda m, rng: _pair_with_block(m, rng, 0.6, m // 3, 0.85),
+}
+
+# (epsilon, pair sizes, sampler seeds) -> per family: (pairs irregular by
+# exhaustive check, most of them the sampled checker may call regular).
+# The bounds are what this instance set measured at budget 800; a change
+# to the sampler may lower them, never raise them.
+GROUND_TRUTH_BOUNDS = [
+    (Fraction(1, 4), (16, 18, 20), range(5),
+     {"random": (15, 0), "planted": (15, 0), "near-threshold": (15, 0)}),
+    (Fraction(1, 3), (16,), range(20),
+     {"random": (20, 2), "planted": (20, 0), "near-threshold": (18, 2)}),
+]
+
+
+@pytest.mark.parametrize("eps, sizes, seeds, bounds", GROUND_TRUTH_BOUNDS)
+def test_sampled_false_regular_rate_against_exhaustive(eps, sizes, seeds, bounds):
+    params = RegularityParams(eps, Fraction(0))
+    for family, make in GROUND_TRUTH_FAMILIES.items():
+        irregular = missed = 0
+        kinds = [0, 0, 0, 0]  # refutations per draw kind: 0/2 uniform, 1/3 seeded
+        for m in sizes:
+            for seed in seeds:
+                g = make(m, random.Random(f"{family}:{m}:{seed}"))
+                U, W = full_sides(g)
+                exact = check_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE)
+                sampled = check_regular_pair(g, U, W, params, Strategy.SAMPLED, 800, seed)
+                if exact.verdict is Verdict.REGULAR:
+                    # a sampled refutation carries a witness, so it cannot be wrong
+                    assert sampled.verdict is Verdict.REGULAR
+                    continue
+                irregular += 1
+                if sampled.verdict is Verdict.REGULAR:
+                    missed += 1
+                    continue
+                kinds[(sampled.samples_used - 1) & 3] += 1
+                wit = sampled.witness
+                edges = sum(g.has_edge(a, b) for a in wit.subset_u.indices()
+                            for b in wit.subset_w.indices())
+                share = Fraction(edges, wit.subset_u.size * wit.subset_w.size)
+                assert abs(share - sampled.base_density) > eps
+        # shown with pytest -s
+        print(f"eps={eps} {family}: {missed}/{irregular} irregular pairs called "
+              f"regular; refutations by draw kind 0-3: {kinds}")
+        want_irregular, most_missed = bounds[family]
+        assert irregular == want_irregular  # the instance set is fixed
+        assert missed <= most_missed
