@@ -239,7 +239,7 @@ class BipartiteGraph:
         return self.size_a if side is Side.A else self.size_b
 
     def has_edge(self, a: int, b: int) -> bool:
-        return 0 <= a < self.size_a and (self.adj_a[a] >> b) & 1 == 1
+        return 0 <= a < self.size_a and 0 <= b < self.size_b and (self.adj_a[a] >> b) & 1 == 1
 
     def adjacency_mask(self, v: VertexId) -> int:
         """Neighbourhood of ``v`` as a bitmask over the opposite side."""

@@ -9,6 +9,14 @@ into clusters where they have high degree.  Phase 2 then adjusts the
 cluster sizes to externally requested exact values by walking vertices
 around the cycle, one source-to-sink route at a time.
 
+Each cycle pair is sampled once at a given epsilon: the builder's
+deviation verdicts and phase 1's fresh ones are kept by the pair's vertex
+sets, and a later check of the same sets at the same epsilon takes the
+kept verdict (``regularity.reuse_deviation``).  In practical mode, where
+the tiers share one epsilon, phase 2 thus samples only the pairs of
+clusters its routes changed; faithful mode's tiers differ, so each phase
+samples anew.
+
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
 inequalities fail; practical mode takes user overrides and flags every
@@ -17,7 +25,7 @@ report so overridden constants are never presented as derived ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -36,6 +44,7 @@ from .regularity import (
     check_regular_pair,
     check_super_regular_pair,
     rebound_after_perturbation,
+    reuse_deviation,
     super_regularize,
 )
 
@@ -462,6 +471,10 @@ def redistribute_cluster_sizes(
 # ---------------------------------------------------------------------------
 
 
+# (A-side bits, B-side bits) -> (sampled certificate, where it was sampled)
+DeviationLedger = dict[tuple[int, int], tuple[PairCertificate, str]]
+
+
 @dataclass
 class HostPartitionState:
     schedule: ParameterSchedule
@@ -473,6 +486,8 @@ class HostPartitionState:
     reduced_edges: frozenset[tuple[int, int]]  # relabelled reduced graph
     hat_params: RegularityParams
     build: PartitionBuildResult
+    # the builder's and phase 1's sampled deviation verdicts, for phase 2
+    deviation_certificates: DeviationLedger
 
     def certificates_ok(self) -> bool:
         return not _failed_cycle_pairs(self.matching_certificates, self.offset_certificates)
@@ -485,25 +500,47 @@ def _certify_cycle_pairs(
     budget: int,
     matching_seed: int,
     offset_seed: int,
+    known: DeviationLedger,
+    source: str,
 ) -> tuple[dict[int, PairCertificate], dict[int, PairCertificate]]:
     """Certify each (A_i, B_i) super-regular and each (A_i, B_{i+1}) regular.
 
-    Pair i is checked with seed ``matching_seed + i`` or ``offset_seed + i``;
-    a pair with an empty cluster carries nothing to certify and is skipped.
+    A pair whose deviation verdict ``known`` holds and ``reuse_deviation``
+    lets stand is not sampled again: its certificate re-applies the density
+    gate (and, for (A_i, B_i), the exhaustive degree condition) to that
+    verdict, and its note names where the verdict was sampled.  Every other
+    pair i is sampled with seed ``matching_seed + i`` or ``offset_seed + i``
+    and enters ``known`` under ``source``.  A pair with an empty cluster
+    carries nothing to certify and is skipped.
     """
     k = part.k
     matching = {}
     offsets = {}
+
+    def prior(u, w):
+        entry = known.get((u.bits, w.bits))
+        reused = entry and reuse_deviation(entry[0], u, w, params, budget)
+        if not reused:
+            return None
+        note = [f"deviation verdict reused from {entry[1]}", reused.note]
+        return replace(reused, note="; ".join(filter(None, note)))
+
     for i in range(k):
         a, b, b_next = part.clusters_a[i], part.clusters_b[i], part.clusters_b[(i + 1) % k]
         if a and b:
+            reused = prior(a, b)
             matching[i] = check_super_regular_pair(
-                G, a, b, params, budget=budget, seed=matching_seed + i
+                G, a, b, params, budget=budget, seed=matching_seed + i, prior=reused
             )
+            if not reused:
+                known[(a.bits, b.bits)] = (matching[i], source)
         if a and b_next:
-            offsets[i] = check_regular_pair(
+            reused = prior(a, b_next)
+            offsets[i] = reused or check_regular_pair(
                 G, a, b_next, params, budget=budget, seed=offset_seed + i
             )
+            if not reused:
+                known[(a.bits, b_next.bits)] = (offsets[i], source)
     return matching, offsets
 
 
@@ -622,7 +659,14 @@ def prepare_host_partition(
             default=Fraction(0),
         )
         hat = rebound_after_perturbation(refined, worst, worst)
-    matching, offsets = _certify_cycle_pairs(G, final, hat, budget, seed + 101, seed + 501)
+    known = {
+        (build.partition.clusters_a[i].bits, build.partition.clusters_b[j].bits):
+            (c, "the builder")
+        for (i, j), c in red.certificates.items()
+    }
+    matching, offsets = _certify_cycle_pairs(
+        G, final, hat, budget, seed + 101, seed + 501, known, "phase 1"
+    )
     bad = _failed_cycle_pairs(matching, offsets)
     if bad:
         raise PipelineStageError(
@@ -630,7 +674,7 @@ def prepare_host_partition(
         )
     return HostPartitionState(
         schedule, final, k, tuple(sizes_a), matching, offsets,
-        relabelled_edges, hat, build,
+        relabelled_edges, hat, build, known,
     )
 
 
@@ -666,7 +710,8 @@ def resize_host_partition(
 
     Requested sizes may exceed the phase-1 targets by at most size_slack*n
     each.  Certification of the resized pairs happens at the schedule's
-    final parameters.
+    final parameters; a pair whose clusters no route changed keeps its
+    earlier deviation verdict when the epsilon is the same.
     """
     sched = state.schedule
     k = state.k
@@ -695,6 +740,7 @@ def resize_host_partition(
         enforce_xi_cap=enforce,
     )
     matching, offsets = _certify_cycle_pairs(
-        G, redis.partition, sched.final_params(), budget, seed + 301, seed + 701
+        G, redis.partition, sched.final_params(), budget, seed + 301, seed + 701,
+        dict(state.deviation_certificates), "phase 2",
     )
     return ResizeResult(redis, matching, offsets)

@@ -437,6 +437,36 @@ def check_regular_pair(
     return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, budget)
 
 
+def reuse_deviation(
+    prior: Optional[PairCertificate],
+    U: VertexSet,
+    W: VertexSet,
+    params: RegularityParams,
+    budget: int,
+) -> Optional[PairCertificate]:
+    """The deviation verdict of ``prior`` standing in for a sampled check
+    of (U, W) at ``params`` and ``budget``, re-gated at ``params.d``; None
+    when it may not stand in.
+
+    The deviation verdict depends only on the vertex sets, epsilon and the
+    samples drawn, so a sampled prior on the same sets at the same epsilon
+    stands when it is irregular (its witness is an exact refutation) or
+    when it found no witness in at least ``budget`` samples.
+    """
+    if (
+        prior is None
+        or prior.pair != _normalise_pair(U, W)
+        or prior.params.epsilon != params.epsilon
+        or prior.strategy is not Strategy.SAMPLED
+    ):
+        return None
+    if prior.verdict is Verdict.IRREGULAR:
+        return _restamp(prior, params)
+    if prior.verdict in (Verdict.REGULAR, Verdict.SUPER_REGULAR) and prior.samples_used >= budget:
+        return _restamp(replace(prior, verdict=Verdict.REGULAR), params)
+    return None
+
+
 def check_super_regular_pair(
     G: BipartiteGraph,
     U: VertexSet,
@@ -445,8 +475,13 @@ def check_super_regular_pair(
     strategy: Strategy = Strategy.SAMPLED,
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
+    prior: Optional[PairCertificate] = None,
 ) -> PairCertificate:
-    """Super-regularity check; the degree condition is always exhaustive."""
+    """Super-regularity check; the degree condition is always exhaustive.
+
+    The deviation condition comes from ``prior`` when ``reuse_deviation``
+    lets it stand in, and from a sampled check otherwise.
+    """
     strategy = _strategy(strategy, budget)
     U, W = _normalise_pair(U, W)
     if not U or not W:
@@ -467,7 +502,8 @@ def check_super_regular_pair(
                     failing_vertex=VertexId(X.side, v),
                     note=f"degree below {thr} into partner",
                 )
-    inner = check_regular_pair(G, U, W, params, strategy, budget, seed)
+    reused = reuse_deviation(prior, U, W, params, budget) if strategy is Strategy.SAMPLED else None
+    inner = reused or check_regular_pair(G, U, W, params, strategy, budget, seed)
     if inner.verdict is Verdict.REGULAR:
         return PairCertificate(
             (U, W), params, Verdict.SUPER_REGULAR, base, None,
@@ -475,7 +511,8 @@ def check_super_regular_pair(
         )
     return PairCertificate(
         (U, W), params, Verdict.SUPER_FAILED, base, inner.witness,
-        strategy, inner.samples_used, note="regularity failed",
+        strategy, inner.samples_used,
+        note="; ".join(filter(None, ["regularity failed", inner.note])),
     )
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipembed import embedder, partitioner, regularity
 from bipembed.embedder import (
     EmbedConfig,
     Embedding,
@@ -416,6 +417,49 @@ class TestScheduleEpsilonGate:
         assert failed[0].detail == (
             "ell=4, first cluster=0: compatibility: boundary of ('A', 1) has 8 > eps*8"
         )
+
+    def test_each_cycle_pair_is_sampled_once(self, monkeypatch):
+        """Criterion-1 seed 0: the builder samples its 64 pairs, phase 1
+        takes their verdicts, and phase 2 samples only the 4 pairs of the
+        two clusters its one-vertex route changed."""
+        calls = []
+        marks = {}
+        real_check = regularity.check_regular_pair
+        real_build = partitioner.build_regular_partition
+        real_resize = embedder.resize_host_partition
+
+        def check(*args, **kwargs):
+            calls.append(args[1:3])
+            return real_check(*args, **kwargs)
+
+        def build(*args, **kwargs):
+            out = real_build(*args, **kwargs)
+            marks["built"] = len(calls)
+            return out
+
+        def resize(*args, **kwargs):
+            marks.setdefault("phase 2", len(calls))
+            return real_resize(*args, **kwargs)
+
+        monkeypatch.setattr(regularity, "check_regular_pair", check)
+        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(partitioner, "build_regular_partition", build)
+        monkeypatch.setattr(embedder, "resize_host_partition", resize)
+        n = 512
+        g = gen_host(InstanceSpec(
+            "host-random-min-degree", n, 40_000,
+            {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)},
+        ))
+        cfg = EmbedConfig(
+            mode="practical", epsilon=Fraction(1, 4), d=Fraction(3, 10),
+            k0=8, ell=64, sample_budget=800, pipeline_retries=8,
+        )
+        res = embed_bipartite(
+            g, cycle_graph(n), Fraction(3, 10), 2, cfg, seed=0, labelling=zigzag_labelling(n)
+        )
+        assert res.report.verdict == "verified-embedding"
+        assert (marks["built"], marks["phase 2"] - marks["built"],
+                len(calls) - marks["phase 2"]) == (64, 0, 4)
 
 
 class TestTinyOracleSoundness:

@@ -44,6 +44,13 @@ def test_build_rejects_out_of_range():
     assert exc.value.edge == (2, 1)
 
 
+@pytest.mark.parametrize("a, b", [(0, -1), (0, 2), (-1, 0), (2, 0), (0, 1 << 70)])
+def test_has_edge_outside_either_side_is_false(a, b):
+    g = build_bipartite_graph(2, 2, [(0, 0), (0, 1)])
+    assert g.has_edge(0, 0) and g.has_edge(0, 1) and not g.has_edge(1, 0)
+    assert g.has_edge(a, b) is False
+
+
 def test_build_collapses_duplicates():
     g = build_bipartite_graph(2, 2, [(0, 1), (0, 1), (1, 0)])
     assert g.edge_count == 2

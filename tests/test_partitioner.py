@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet
+from bipembed import partitioner, regularity
+from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet, density
 from bipembed.partitioner import (
     AbsorptionError,
     PipelineStageError,
@@ -15,14 +17,17 @@ from bipembed.partitioner import (
     prepare_host_partition,
     redistribute_cluster_sizes,
     resize_host_partition,
+    _certify_cycle_pairs,
 )
 from bipembed.regularity import (
     ClusterPartition,
+    PairCertificate,
     RegularityParams,
     Strategy,
     Verdict,
     check_regular_pair,
     check_super_regular_pair,
+    reuse_deviation,
 )
 
 from helpers import planted_blocks, random_bipartite, random_min_degree
@@ -47,6 +52,28 @@ def make_partition(g, k, assignment_a, assignment_b):
 def contiguous_partition(g, k, m):
     aa = {i: i // m for i in range(k * m)}
     return make_partition(g, k, aa, dict(aa))
+
+
+def cycle_pairs(part):
+    """(A bits, B bits) of the matching pairs, then of the offset pairs."""
+    k = part.k
+    return [(part.clusters_a[i].bits, part.clusters_b[(i + s) % k].bits)
+            for s in (0, 1) for i in range(k)]
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """The (A bits, B bits) of every pair check that samples, in call order."""
+    calls = []
+    real = regularity.check_regular_pair
+
+    def counting(G, U, W, *args, **kwargs):
+        calls.append((U.bits, W.bits))
+        return real(G, U, W, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "check_regular_pair", counting)
+    monkeypatch.setattr(partitioner, "check_regular_pair", counting)
+    return calls
 
 
 class TestSchedule:
@@ -441,3 +468,125 @@ class TestHostPhases:
         a[1] -= bump
         with pytest.raises(PipelineStageError):
             resize_host_partition(state, g, a, state.target_sizes, budget=200, seed=6)
+
+
+REUSED = "deviation verdict reused from"
+
+
+class TestDeviationReuse:
+    """Each cycle pair is sampled once at a given epsilon: a later check of
+    the same vertex sets takes the earlier deviation verdict."""
+
+    params = RegularityParams(Fraction(1, 4), Fraction(3, 10))
+
+    def dense_state(self, host_seed, seed):
+        g = random_min_degree(256, 205, 0.82, random.Random(host_seed))
+        sched = derive_parameter_schedule(
+            Fraction(3, 10), 2, 0, 4, "practical",
+            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)}, kmax=8,
+        )
+        return g, prepare_host_partition(g, sched, budget=400, seed=seed)
+
+    def test_phase1_samples_no_builder_pair_again(self, sampled, monkeypatch):
+        built = []
+        real_build = partitioner.build_regular_partition
+
+        def build(*args, **kwargs):
+            out = real_build(*args, **kwargs)
+            built.append(len(sampled))
+            return out
+
+        monkeypatch.setattr(partitioner, "build_regular_partition", build)
+        g, state = self.dense_state(11, 1)
+        bp = state.build.partition
+        builder_pairs = {(a.bits, b.bits) for a in bp.clusters_a for b in bp.clusters_b}
+        # nothing moves on this host, so every cycle pair is a builder pair
+        assert set(cycle_pairs(state.partition)) <= builder_pairs
+        assert sampled[built[0]:] == []
+        certs = list(state.matching_certificates.values()) + list(
+            state.offset_certificates.values())
+        assert len(certs) == 2 * state.k
+        assert all(c.note == f"{REUSED} the builder" for c in certs)
+        assert all(c.samples_used == 400 for c in certs)
+        assert state.certificates_ok()
+
+    def test_phase2_samples_only_the_pairs_of_moved_clusters(self, sampled):
+        g, state = self.dense_state(13, 2)
+        k = state.k
+        a = list(state.target_sizes)
+        a[0] -= 1
+        a[1] += 1
+        del sampled[:]
+        res = resize_host_partition(state, g, a, state.target_sizes, budget=400, seed=4)
+        assert res.redistribution.vertex_moves == 1
+        part = res.partition
+        touched = [(part.clusters_a[i].bits, part.clusters_b[j].bits)
+                   for i, j in ((0, 0), (0, 1), (1, 1), (1, 2))]
+        assert sorted(sampled) == sorted(touched)
+        certs = list(res.matching_certificates.values()) + list(
+            res.offset_certificates.values())
+        assert sum(c.note.startswith(REUSED) for c in certs) == 2 * k - 4
+        assert res.certificates_ok
+
+    @pytest.mark.parametrize("epsilon, d, budget, strategy, fresh", [
+        (Fraction(1, 3), Fraction(3, 10), 100, Strategy.SAMPLED, 4),
+        (Fraction(1, 4), Fraction(3, 10), 99, Strategy.SAMPLED, 4),
+        (Fraction(1, 4), Fraction(1), 100, Strategy.SAMPLED, 4),
+        (Fraction(1, 4), Fraction(3, 10), 100, Strategy.EXHAUSTIVE, 4),
+        (Fraction(1, 4), Fraction(3, 10), 100, Strategy.SAMPLED, 0),
+    ], ids=["other-epsilon", "short-sample-count", "density-below", "exhaustive", "reusable"])
+    def test_only_a_sampled_verdict_at_the_same_epsilon_and_budget_stands(
+        self, sampled, epsilon, d, budget, strategy, fresh
+    ):
+        g = random_min_degree(96, 80, 0.82, random.Random(3))
+        part = contiguous_partition(g, 2, 48)
+        known = {}
+        for a_bits, b_bits in cycle_pairs(part):
+            a, b = VertexSet(Side.A, 96, a_bits), VertexSet(Side.B, 96, b_bits)
+            prior = check_regular_pair(g, a, b, RegularityParams(epsilon, d), budget=budget, seed=7)
+            known[(a_bits, b_bits)] = (replace(prior, strategy=strategy), "an earlier check")
+        del sampled[:]
+        matching, offsets = _certify_cycle_pairs(
+            g, part, self.params, 100, 1, 2, known, "this check"
+        )
+        assert len(sampled) == fresh
+        certs = list(matching.values()) + list(offsets.values())
+        assert all(c.verdict in (Verdict.REGULAR, Verdict.SUPER_REGULAR) for c in certs)
+        assert all(c.samples_used == 100 for c in certs)
+        assert sum(c.note == f"{REUSED} an earlier check" for c in certs) == 4 - fresh
+        # a fresh check replaces the prior in the ledger
+        assert sum(src == "this check" for _, src in known.values()) == fresh
+
+    def test_reused_regular_verdict_still_checks_degrees(self, sampled):
+        g = random_min_degree(64, 52, 0.82, random.Random(5))
+        # A-vertex 0 keeps only 2 of its neighbours in B_0 = {0..31}
+        g = BipartiteGraph.build(64, 64, [
+            (x, y) for x, y in g.edges() if x != 0 or y >= 32 or y < 2
+        ] + [(0, 0), (0, 1)])
+        U = VertexSet.from_indices(Side.A, 64, range(32))
+        W = VertexSet.from_indices(Side.B, 64, range(32))
+        prior = PairCertificate(
+            (U, W), self.params, Verdict.REGULAR, density(g, U, W), None, Strategy.SAMPLED, 100
+        )
+        assert reuse_deviation(prior, U, W, self.params, 100) is not None
+        cert = check_super_regular_pair(g, U, W, self.params, budget=100, prior=prior)
+        assert cert.verdict is Verdict.SUPER_FAILED
+        assert cert.failing_vertex == VertexId(Side.A, 0)
+        assert sampled == []
+
+    def test_reused_irregular_witness_recomputes(self, sampled):
+        g = planted_blocks(4, 8)  # (A_0, B_0) holds two K_{8,8} blocks
+        U = VertexSet.from_indices(Side.A, 32, range(16))
+        W = VertexSet.from_indices(Side.B, 32, range(16))
+        prior = check_regular_pair(g, U, W, self.params, budget=200, seed=1)
+        assert prior.verdict is Verdict.IRREGULAR
+        del sampled[:]
+        cert = check_super_regular_pair(g, U, W, self.params, budget=200, seed=9, prior=prior)
+        assert sampled == []
+        assert cert.verdict is Verdict.SUPER_FAILED
+        wit = cert.witness
+        assert wit == prior.witness
+        eps = self.params.epsilon
+        assert abs(density(g, wit.subset_u, wit.subset_w) - cert.base_density) == wit.deviation
+        assert wit.deviation > eps
+        assert wit.subset_u.size >= eps * U.size and wit.subset_w.size >= eps * W.size
