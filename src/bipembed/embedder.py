@@ -496,10 +496,11 @@ def embed_bipartite(
     """Run the whole pipeline and return a verified embedding of H into G.
 
     Stages: hypothesis checks, bandwidth labelling, parameter schedule,
-    host phase 1 (regular partition, Hamilton cycle of the reduced graph,
-    super-regularisation, absorption), target distribution (runs along the
-    cycle, cycle homomorphism), compatibility, host phase 2 (exact cluster
-    sizes), and the two-phase embedding.  Attempt a cuts the labelling into
+    host phase 1 (a Hamilton cycle of the density graph with its 2k pairs
+    certified, or of the builder's reduced graph; super-regularisation,
+    absorption), target distribution (runs along the cycle, cycle
+    homomorphism), compatibility, host phase 2 (exact cluster sizes), and
+    the two-phase embedding.  Attempt a cuts the labelling into
     at most ``ell`` runs in cycle order from cluster a, one per group of
     consecutive clusters just large enough to host the 2k+1 linking blocks;
     a run ends where the X count reaches its clusters' phase-1 targets and
@@ -550,7 +551,9 @@ def embed_bipartite(
         report.record(e.stage, False, str(e))
         raise EmbeddingPipelineError(str(e), report) from e
     k = state.k
-    report.record("host-phase-1", True, f"k={k}, targets={list(state.target_sizes)}")
+    report.record(
+        "host-phase-1", True, f"k={k}, targets={list(state.target_sizes)}, {state.route()}"
+    )
 
     beta_n = max(labelling.bandwidth, 1)
     if (2 * k + 1) * beta_n > 2 * n:
@@ -566,6 +569,7 @@ def embed_bipartite(
     ell = max(1, min(cfg.ell, k // group))
     firsts = [t * k // ell for t in range(ell + 1)]
     rprime = [(i, i) for i in range(k)]
+    cycle = state.certified_pairs()
 
     last_failure = "no attempt"
     for attempt in range(cfg.pipeline_retries):
@@ -588,7 +592,7 @@ def embed_bipartite(
                 classes[(side.value, c)].add(VertexId(side, v))
         sizes = {c: len(members) for c, members in classes.items()}
         rep = compatibility_report(
-            H, classes, sizes, state.reduced_edges, rprime, schedule.epsilon
+            H, classes, sizes, cycle, rprime, schedule.epsilon
         )
         if not rep.ok:
             last_failure = f"compatibility: {rep.detail}"
@@ -619,7 +623,7 @@ def embed_bipartite(
 
         try:
             emb = embed_compatible(
-                G, H, resized.partition, classes, state.reduced_edges, rprime,
+                G, H, resized.partition, classes, cycle, rprime,
                 schedule.final_params(), sub, order=labelling.order,
                 retries=cfg.embed_retries,
             )

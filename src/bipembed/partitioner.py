@@ -1,21 +1,30 @@
 """Host-side machinery: parameter schedules, exceptional-vertex absorption,
 cluster-size redistribution, and the two-phase host partition pipeline.
 
-Phase 1 builds a regular partition of the dense balanced host whose reduced
-graph carries a Hamilton cycle, relabels clusters along that cycle (so pair
-(A_i, B_i) is a matching edge and (A_i, B_{i+1}) a cycle edge), makes the
-partition super-regular on the cycle, and absorbs the exceptional vertices
-into clusters where they have high degree.  Phase 2 then adjusts the
-cluster sizes to externally requested exact values by walking vertices
-around the cycle, one source-to-sink route at a time.
+Phase 1 cuts the dense balanced host into a seeded equipartition (the
+partition builder's round 0), searches the exact density graph D (the
+pairs of density at least d, counted without sampling) for a Hamilton
+cycle, and certifies only that cycle's 2k pairs: the embedding reads no
+other pair.  A refuted pair leaves D and the search runs again.  So the
+regularity lemma's global conclusion, at least (1-eps)k^2 regular pairs, is
+not checked here; ``build_regular_partition`` checks it, and phase 1 falls
+back to that builder when the cycle cannot close (more than eps*k^2 pairs
+refuted, D failing a reduced-degree gate, or the search failing).  Phase 1
+then relabels clusters along the cycle (so pair (A_i, B_i) is a matching
+edge and (A_i, B_{i+1}) a cycle edge), makes the partition super-regular on
+the cycle, and absorbs the exceptional vertices into clusters where they
+have high degree.  Phase 2 then adjusts the cluster sizes to externally
+requested exact values by walking vertices around the cycle, one
+source-to-sink route at a time.
 
-Each cycle pair is sampled once at a given epsilon: the builder's
-deviation verdicts and phase 1's fresh ones are kept by the pair's vertex
-sets, and a later check of the same sets at the same epsilon takes the
-kept verdict (``regularity.reuse_deviation``).  In practical mode, where
-the tiers share one epsilon, phase 2 thus samples only the pairs of
-clusters its routes changed; faithful mode's tiers differ, so each phase
-samples anew.
+Each cycle pair is sampled once at a given epsilon: every deviation
+verdict drawn (the cycle certification's, or the builder's on the
+fallback) is kept by the pair's vertex sets, and a later check of the same
+sets at the same epsilon takes the kept verdict
+(``regularity.reuse_deviation``).  In practical mode, where the tiers share
+one epsilon, the rest of phase 1 and phase 2 thus sample only the pairs of
+clusters that super-regularisation, absorption or a route changed;
+faithful mode's tiers differ, so each phase samples anew.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
@@ -25,24 +34,29 @@ report so overridden constants are never presented as derived ones.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits
-from .hamilton import HamiltonSearchError, find_hamilton_cycle
+from .graphs import BipartiteGraph, GraphError, Side, VertexId, density, iter_bits
+from .hamilton import HamiltonCycle, HamiltonSearchError, find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
     ClusterPartition,
     PairCertificate,
     PartitionBuildError,
     PartitionBuildResult,
+    ReducedGraph,
     RegularityParams,
     SuperRegularizeError,
     Verdict,
+    _check_exceptional_budget,
+    _mix_seed,
     build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
+    random_equipartition,
     rebound_after_perturbation,
     reuse_deviation,
     super_regularize,
@@ -467,7 +481,7 @@ def redistribute_cluster_sizes(
 
 
 # ---------------------------------------------------------------------------
-# phase 1: build, orient, super-regularise, absorb
+# phase 1: certify a Hamilton cycle, orient, super-regularise, absorb
 # ---------------------------------------------------------------------------
 
 
@@ -483,14 +497,34 @@ class HostPartitionState:
     target_sizes: tuple[int, ...]
     matching_certificates: dict[int, PairCertificate]
     offset_certificates: dict[int, PairCertificate]
-    reduced_edges: frozenset[tuple[int, int]]  # relabelled reduced graph
     hat_params: RegularityParams
+    # the builder's result; on the cycle-first path (rounds = 0) its round-0
+    # partition with only the Hamilton cycle's 2k certificates
     build: PartitionBuildResult
-    # the builder's and phase 1's sampled deviation verdicts, for phase 2
+    # every sampled deviation verdict of phase 1, for phase 2
     deviation_certificates: DeviationLedger
 
     def certificates_ok(self) -> bool:
         return not _failed_cycle_pairs(self.matching_certificates, self.offset_certificates)
+
+    def certified_pairs(self) -> list[tuple[int, int]]:
+        """The cycle pairs as (i, j): (i, i) certified super-regular, then
+        (i, i+1) certified regular."""
+        return [
+            (i, i) for i, c in self.matching_certificates.items()
+            if c.verdict is Verdict.SUPER_REGULAR
+        ] + [
+            (i, (i + 1) % self.k) for i, c in self.offset_certificates.items()
+            if c.verdict is Verdict.REGULAR
+        ]
+
+    def route(self) -> str:
+        """Which path gave the partition: the cycle certification or the builder."""
+        if self.build.rounds:
+            return f"builder rounds={self.build.rounds}"
+        cycle = self.build.reduced
+        return (f"certified=cycle {len(cycle.edges)}/{len(cycle.certificates)}, "
+                "global regularity not checked")
 
 
 def _certify_cycle_pairs(
@@ -498,8 +532,7 @@ def _certify_cycle_pairs(
     part: ClusterPartition,
     params: RegularityParams,
     budget: int,
-    matching_seed: int,
-    offset_seed: int,
+    seed: int,
     known: DeviationLedger,
     source: str,
 ) -> tuple[dict[int, PairCertificate], dict[int, PairCertificate]]:
@@ -509,9 +542,9 @@ def _certify_cycle_pairs(
     lets stand is not sampled again: its certificate re-applies the density
     gate (and, for (A_i, B_i), the exhaustive degree condition) to that
     verdict, and its note names where the verdict was sampled.  Every other
-    pair i is sampled with seed ``matching_seed + i`` or ``offset_seed + i``
-    and enters ``known`` under ``source``.  A pair with an empty cluster
-    carries nothing to certify and is skipped.
+    pair (A_i, B_j) is sampled with seed ``_mix_seed(seed, i, j)`` and
+    enters ``known`` under ``source``.  A pair with an empty cluster carries
+    nothing to certify and is skipped.
     """
     k = part.k
     matching = {}
@@ -526,18 +559,19 @@ def _certify_cycle_pairs(
         return replace(reused, note="; ".join(filter(None, note)))
 
     for i in range(k):
-        a, b, b_next = part.clusters_a[i], part.clusters_b[i], part.clusters_b[(i + 1) % k]
+        j = (i + 1) % k
+        a, b, b_next = part.clusters_a[i], part.clusters_b[i], part.clusters_b[j]
         if a and b:
             reused = prior(a, b)
             matching[i] = check_super_regular_pair(
-                G, a, b, params, budget=budget, seed=matching_seed + i, prior=reused
+                G, a, b, params, budget=budget, seed=_mix_seed(seed, i, i), prior=reused
             )
             if not reused:
                 known[(a.bits, b.bits)] = (matching[i], source)
         if a and b_next:
             reused = prior(a, b_next)
             offsets[i] = reused or check_regular_pair(
-                G, a, b_next, params, budget=budget, seed=offset_seed + i
+                G, a, b_next, params, budget=budget, seed=_mix_seed(seed, i, j)
             )
             if not reused:
                 known[(a.bits, b_next.bits)] = (offsets[i], source)
@@ -553,37 +587,21 @@ def _failed_cycle_pairs(
     ]
 
 
-def prepare_host_partition(
-    G: BipartiteGraph,
-    schedule: ParameterSchedule,
-    budget: int = 2000,
-    seed: int = 0,
-) -> HostPartitionState:
-    """Phase 1 of the host pipeline; see the module docstring.
+def _density_graph(
+    G: BipartiteGraph, part: ClusterPartition, d: Fraction
+) -> set[tuple[int, int]]:
+    """The pairs (i, j) with e(A_i, B_j) >= d|A_i||B_j|, counted exactly."""
+    return {
+        (i, j)
+        for i, a in enumerate(part.clusters_a)
+        for j, b in enumerate(part.clusters_b)
+        if density(G, a, b) >= d
+    }
 
-    Raises :class:`PipelineStageError` with the failing stage name.
-    """
-    n = G.size_a
-    if not G.is_balanced:
-        raise PipelineStageError("hypotheses", "host graph is not balanced")
-    if G.min_degree() < (HALF + schedule.gamma) * n:
-        raise PipelineStageError(
-            "hypotheses",
-            f"minimum degree {G.min_degree()} below (1/2+gamma)n = {(HALF + schedule.gamma) * n}",
-        )
-    params = schedule.working_params()
-    try:
-        build = build_regular_partition(
-            G, params, schedule.k0, schedule.kmax, budget=budget, seed=seed
-        )
-    except (ValueError, PartitionBuildError) as e:
-        # a GraphError, or a sampled check refusing a budget below 1
-        raise PipelineStageError("regular-partition", str(e)) from e
-    k = build.k
-    red = build.reduced
 
-    # minimum-degree checks on the reduced graph (k vertices per side)
-    rg = BipartiteGraph.build(k, k, red.edges)
+def _check_reduced_degree(rg: BipartiteGraph, schedule: ParameterSchedule) -> None:
+    """The reduced graph's minimum-degree gates (k vertices per side)."""
+    k = rg.size_a
     red_min = rg.min_degree()
     nu = HALF + schedule.gamma
     inherited = (nu - schedule.partition_density - schedule.refined_epsilon) * k
@@ -598,24 +616,131 @@ def prepare_host_partition(
             f"reduced graph min degree {red_min} below k/2+1 = {Fraction(k, 2) + 1}; "
             "no Hamilton cycle is guaranteed",
         )
+
+
+def _certified_cycle(
+    G: BipartiteGraph,
+    part: ClusterPartition,
+    edges: Iterable[tuple[int, int]],
+    schedule: ParameterSchedule,
+    budget: int,
+    seed: int,
+    known: DeviationLedger,
+) -> tuple[HamiltonCycle, dict[tuple[int, int], PairCertificate]]:
+    """A Hamilton cycle of the graph ``edges`` on ``part``'s cluster pairs
+    (i, j), with the certificates of its 2k pairs, all regular.
+
+    A pair takes its verdict from ``known`` when ``reuse_deviation`` lets it
+    stand; otherwise it is sampled at the working parameters with seed
+    ``_mix_seed(seed, 0, i, j)`` and enters ``known``.  That is the
+    builder's round-0 seed for the pair, and a pair of the graph meets the
+    density gate, so on the round-0 partition the certificate equals the
+    one the builder would hold for it.  Refuted pairs leave the graph and
+    the search runs again.  Raises :class:`PipelineStageError` at "reduced-degree" when the
+    graph fails a degree gate, at "reduced-hamilton-cycle" when the search
+    fails, and at "cycle-certification" once more than eps*k^2 pairs are
+    refuted.
+    """
+    params = schedule.working_params()
+    k = part.k
+    edges = set(edges)
+    refuted = 0
+    while True:
+        rg = BipartiteGraph.build(k, k, edges)
+        _check_reduced_degree(rg, schedule)
+        try:
+            cyc = find_hamilton_cycle(rg, seed=seed)
+        except (GraphError, HamiltonSearchError) as e:
+            raise PipelineStageError("reduced-hamilton-cycle", str(e)) from e
+        certs = {}
+        for t in range(0, 2 * k, 2):  # the cycle alternates A_i, B_j, A_i', ...
+            i = cyc.order[t].index
+            for j in (cyc.order[t - 1].index, cyc.order[t + 1].index):
+                a, b = part.clusters_a[i], part.clusters_b[j]
+                entry = known.get((a.bits, b.bits))
+                cert = entry and reuse_deviation(entry[0], a, b, params, budget)
+                if not cert:
+                    cert = check_regular_pair(
+                        G, a, b, params, budget=budget, seed=_mix_seed(seed, 0, i, j)
+                    )
+                    known[(a.bits, b.bits)] = (cert, "the cycle certification")
+                certs[(i, j)] = cert
+        bad = {key for key, c in certs.items() if c.verdict is not Verdict.REGULAR}
+        if not bad:
+            return cyc, certs
+        edges -= bad
+        refuted += len(bad)
+        if refuted > params.epsilon * k * k:
+            raise PipelineStageError(
+                "cycle-certification",
+                f"{refuted} cycle pairs refuted, more than eps*k^2 = {params.epsilon * k * k}",
+            )
+
+
+def prepare_host_partition(
+    G: BipartiteGraph,
+    schedule: ParameterSchedule,
+    budget: int = 2000,
+    seed: int = 0,
+) -> HostPartitionState:
+    """Phase 1 of the host pipeline; see the module docstring.
+
+    On the fallback the builder's certified reduced graph stands in for D
+    and its certificates fill the ledger, so the cycle search there samples
+    nothing.  Raises :class:`PipelineStageError` with the failing stage name.
+    """
+    n = G.size_a
+    if not G.is_balanced:
+        raise PipelineStageError("hypotheses", "host graph is not balanced")
+    if G.min_degree() < (HALF + schedule.gamma) * n:
+        raise PipelineStageError(
+            "hypotheses",
+            f"minimum degree {G.min_degree()} below (1/2+gamma)n = {(HALF + schedule.gamma) * n}",
+        )
+    params = schedule.working_params()
+    known: DeviationLedger = {}
+    cyc = None
     try:
-        cyc = find_hamilton_cycle(rg, seed=seed)
-    except (GraphError, HamiltonSearchError) as e:
-        raise PipelineStageError("reduced-hamilton-cycle", str(e)) from e
+        part = random_equipartition(G, schedule.k0, random.Random(seed))
+        _check_exceptional_budget(G, part, params.epsilon)
+        try:
+            cyc, certs = _certified_cycle(
+                G, part, _density_graph(G, part, params.d), schedule, budget, seed, known
+            )
+        except PipelineStageError:
+            # the cycle cannot close on the round-0 partition: refine it
+            build = build_regular_partition(
+                G, params, schedule.k0, schedule.kmax, budget=budget, seed=seed
+            )
+    except (ValueError, PartitionBuildError) as e:
+        # a GraphError, or a sampled check refusing a budget below 1
+        raise PipelineStageError("regular-partition", str(e)) from e
+    if cyc is None:
+        known = {
+            (build.partition.clusters_a[i].bits, build.partition.clusters_b[j].bits):
+                (c, "the builder")
+            for (i, j), c in build.reduced.certificates.items()
+        }
+        cyc, _ = _certified_cycle(
+            G, build.partition, build.reduced.edges, schedule, budget, seed, known
+        )
+    else:
+        build = PartitionBuildResult(
+            part, ReducedGraph(part.k, frozenset(certs), params, certs),
+            Fraction(len(certs), part.k ** 2), 0, part.k,
+        )
+    k = build.k
 
     # relabel clusters so the cycle reads A_0, B_1, A_1, B_2, ..., A_{k-1}, B_0
     # (old_a[i] and old_b[i] are the build's indices of the new A_i and B_i)
     old_a = [cyc.order[2 * i].index for i in range(k)]
     old_b = [cyc.order[2 * i - 1].index for i in range(k)]
-    pos_a = {old: i for i, old in enumerate(old_a)}
-    pos_b = {old: i for i, old in enumerate(old_b)}
     part = ClusterPartition(
         tuple(build.partition.clusters_a[i] for i in old_a),
         tuple(build.partition.clusters_b[i] for i in old_b),
         build.partition.exceptional_a,
         build.partition.exceptional_b,
     )
-    relabelled_edges = frozenset((pos_a[i], pos_b[j]) for i, j in red.edges)
     rstar = [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
 
     refined = RegularityParams(schedule.refined_epsilon, schedule.refined_density)
@@ -659,22 +784,14 @@ def prepare_host_partition(
             default=Fraction(0),
         )
         hat = rebound_after_perturbation(refined, worst, worst)
-    known = {
-        (build.partition.clusters_a[i].bits, build.partition.clusters_b[j].bits):
-            (c, "the builder")
-        for (i, j), c in red.certificates.items()
-    }
-    matching, offsets = _certify_cycle_pairs(
-        G, final, hat, budget, seed + 101, seed + 501, known, "phase 1"
-    )
+    matching, offsets = _certify_cycle_pairs(G, final, hat, budget, seed, known, "phase 1")
     bad = _failed_cycle_pairs(matching, offsets)
     if bad:
         raise PipelineStageError(
             "pair-certification", f"pairs failed at the post-absorption parameters: {bad}"
         )
     return HostPartitionState(
-        schedule, final, k, tuple(sizes_a), matching, offsets,
-        relabelled_edges, hat, build, known,
+        schedule, final, k, tuple(sizes_a), matching, offsets, hat, build, known,
     )
 
 
@@ -740,7 +857,7 @@ def resize_host_partition(
         enforce_xi_cap=enforce,
     )
     matching, offsets = _certify_cycle_pairs(
-        G, redis.partition, sched.final_params(), budget, seed + 301, seed + 701,
+        G, redis.partition, sched.final_params(), budget, seed,
         dict(state.deviation_certificates), "phase 2",
     )
     return ResizeResult(redis, matching, offsets)

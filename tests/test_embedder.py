@@ -419,30 +419,34 @@ class TestScheduleEpsilonGate:
         )
 
     def test_each_cycle_pair_is_sampled_once(self, monkeypatch):
-        """Criterion-1 seed 0: the builder samples its 64 pairs, phase 1
-        takes their verdicts, and phase 2 samples only the 4 pairs of the
-        two clusters its one-vertex route changed."""
+        """Criterion-1 seed 0: the cycle certification samples the Hamilton
+        cycle's 16 pairs and no other, phase 1 takes their verdicts, and
+        phase 2 samples only the 4 pairs of the two clusters its one-vertex
+        route changed.  The partition builder does not run."""
         calls = []
         marks = {}
         real_check = regularity.check_regular_pair
-        real_build = partitioner.build_regular_partition
+        real_certify = partitioner._certify_cycle_pairs
         real_resize = embedder.resize_host_partition
 
         def check(*args, **kwargs):
             calls.append(args[1:3])
             return real_check(*args, **kwargs)
 
-        def build(*args, **kwargs):
-            out = real_build(*args, **kwargs)
-            marks["built"] = len(calls)
-            return out
+        def certify(*args, **kwargs):
+            marks.setdefault("phase 1", len(calls))
+            return real_certify(*args, **kwargs)
 
         def resize(*args, **kwargs):
             marks.setdefault("phase 2", len(calls))
             return real_resize(*args, **kwargs)
 
+        def build(*args, **kwargs):
+            raise AssertionError("the partition builder ran")
+
         monkeypatch.setattr(regularity, "check_regular_pair", check)
         monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(partitioner, "_certify_cycle_pairs", certify)
         monkeypatch.setattr(partitioner, "build_regular_partition", build)
         monkeypatch.setattr(embedder, "resize_host_partition", resize)
         n = 512
@@ -458,8 +462,11 @@ class TestScheduleEpsilonGate:
             g, cycle_graph(n), Fraction(3, 10), 2, cfg, seed=0, labelling=zigzag_labelling(n)
         )
         assert res.report.verdict == "verified-embedding"
-        assert (marks["built"], marks["phase 2"] - marks["built"],
-                len(calls) - marks["phase 2"]) == (64, 0, 4)
+        assert (marks["phase 1"], marks["phase 2"] - marks["phase 1"],
+                len(calls) - marks["phase 2"]) == (16, 0, 4)
+        assert len(set(calls[:16])) == 16
+        phase1 = [s.detail for s in res.report.stages if s.stage == "host-phase-1"]
+        assert phase1[0].endswith(", certified=cycle 16/16, global regularity not checked")
 
 
 class TestTinyOracleSoundness:

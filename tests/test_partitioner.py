@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bipembed import partitioner, regularity
+from bipembed import embedder, partitioner, regularity
+from bipembed.embedder import EmbedConfig, embed_bipartite
+from bipembed.generators import InstanceSpec, gen_host
 from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet, density
 from bipembed.partitioner import (
     AbsorptionError,
@@ -25,12 +27,17 @@ from bipembed.regularity import (
     RegularityParams,
     Strategy,
     Verdict,
+    _mix_seed,
+    build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
+    maximal_reduced_graph,
+    random_equipartition,
     reuse_deviation,
 )
 
-from helpers import planted_blocks, random_bipartite, random_min_degree
+from helpers import cycle_graph, planted_blocks, random_bipartite, random_min_degree
+from test_homomorphism import zigzag_labelling
 
 
 def make_partition(g, k, assignment_a, assignment_b):
@@ -418,15 +425,17 @@ class TestHostPhases:
             assert state.offset_certificates[i].verdict is Verdict.REGULAR
 
     def test_phase1_complete_host(self):
-        # a complete host: any equipartition certifies, the reduced graph is
-        # complete bipartite, and each cluster target is n/k
+        # a complete host: any equipartition certifies, the first Hamilton
+        # cycle's 2k pairs are certified, and each cluster target is n/k
         n, k0 = 64, 8
         g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
         sched = self.practical_schedule(Fraction(2, 5), k0=8)
         state = prepare_host_partition(g, sched, budget=200, seed=9)
         assert state.k == 8
         assert state.target_sizes == (8,) * 8
-        assert len(state.reduced_edges) == 64
+        assert len(state.build.reduced.edges) == len(state.build.reduced.certificates) == 16
+        assert sorted(state.certified_pairs()) == sorted(
+            [(i, i) for i in range(8)] + [(i, (i + 1) % 8) for i in range(8)])
         assert state.certificates_ok()
 
     def test_phase1_rejects_low_degree(self):
@@ -488,25 +497,26 @@ class TestDeviationReuse:
         return g, prepare_host_partition(g, sched, budget=400, seed=seed)
 
     def test_phase1_samples_no_builder_pair_again(self, sampled, monkeypatch):
-        built = []
-        real_build = partitioner.build_regular_partition
+        """The cycle certification samples the builder's round-0 pairs; phase
+        1 samples nothing it sampled."""
+        certified = []
+        real_certify = partitioner._certify_cycle_pairs
 
-        def build(*args, **kwargs):
-            out = real_build(*args, **kwargs)
-            built.append(len(sampled))
-            return out
+        def certify(*args, **kwargs):
+            certified.append(len(sampled))
+            return real_certify(*args, **kwargs)
 
-        monkeypatch.setattr(partitioner, "build_regular_partition", build)
+        monkeypatch.setattr(partitioner, "_certify_cycle_pairs", certify)
         g, state = self.dense_state(11, 1)
-        bp = state.build.partition
-        builder_pairs = {(a.bits, b.bits) for a in bp.clusters_a for b in bp.clusters_b}
-        # nothing moves on this host, so every cycle pair is a builder pair
-        assert set(cycle_pairs(state.partition)) <= builder_pairs
-        assert sampled[built[0]:] == []
+        assert state.build.rounds == 0  # the cycle-first path ran
+        # nothing moves on this host, so the cycle certification sampled
+        # exactly the 2k cycle pairs, and phase 1 takes all their verdicts
+        assert sorted(sampled[:certified[0]]) == sorted(cycle_pairs(state.partition))
+        assert sampled[certified[0]:] == []
         certs = list(state.matching_certificates.values()) + list(
             state.offset_certificates.values())
         assert len(certs) == 2 * state.k
-        assert all(c.note == f"{REUSED} the builder" for c in certs)
+        assert all(c.note == f"{REUSED} the cycle certification" for c in certs)
         assert all(c.samples_used == 400 for c in certs)
         assert state.certificates_ok()
 
@@ -547,7 +557,7 @@ class TestDeviationReuse:
             known[(a_bits, b_bits)] = (replace(prior, strategy=strategy), "an earlier check")
         del sampled[:]
         matching, offsets = _certify_cycle_pairs(
-            g, part, self.params, 100, 1, 2, known, "this check"
+            g, part, self.params, 100, 1, known, "this check"
         )
         assert len(sampled) == fresh
         certs = list(matching.values()) + list(offsets.values())
@@ -590,3 +600,119 @@ class TestDeviationReuse:
         assert abs(density(g, wit.subset_u, wit.subset_w) - cert.base_density) == wit.deviation
         assert wit.deviation > eps
         assert wit.subset_u.size >= eps * U.size and wit.subset_w.size >= eps * W.size
+
+
+class TestCycleFirst:
+    """Phase 1 searches the exact density graph of the round-0 partition and
+    samples only the Hamilton cycle's 2k pairs."""
+
+    def dense_host(self):
+        g = random_min_degree(256, 205, 0.82, random.Random(11))
+        sched = derive_parameter_schedule(
+            Fraction(3, 10), 2, 0, 4, "practical",
+            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)}, kmax=8,
+        )
+        return g, sched
+
+    @staticmethod
+    def refuting(monkeypatch, refute):
+        """Make phase 1's own sampled checks refute the pairs ``refute``
+        accepts; return the (A bits, B bits) of every pair so refuted."""
+        refuted = []
+        real = partitioner.check_regular_pair
+
+        def check(G, U, W, *args, **kwargs):
+            cert = real(G, U, W, *args, **kwargs)
+            if refute(U.bits, W.bits):
+                refuted.append((U.bits, W.bits))
+                return replace(cert, verdict=Verdict.IRREGULAR)
+            return cert
+
+        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        return refuted
+
+    def test_cycle_certificates_are_the_builders_round_0_certificates(self):
+        # criterion-1 seed 0: the host, schedule and budget embed-512 uses
+        g = gen_host(InstanceSpec(
+            "host-random-min-degree", 512, 40_000,
+            {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)},
+        ))
+        sched = derive_parameter_schedule(
+            Fraction(3, 10), 2, Fraction(1, 4), 8, "practical", {"d": Fraction(3, 10)}
+        )
+        state = prepare_host_partition(g, sched, budget=800, seed=0)
+        build = state.build
+        assert build.rounds == 0
+        assert build.partition == random_equipartition(g, 8, random.Random(0))
+        round0 = maximal_reduced_graph(
+            g, build.partition, sched.working_params(), budget=800, seed=_mix_seed(0, 0)
+        )
+        certs = build.reduced.certificates
+        assert len(certs) == 2 * state.k == len(build.reduced.edges)
+        assert all(c == round0.certificates[key] for key, c in certs.items())
+        # the relabelled cycle pairs are the same 2k vertex-set pairs
+        part = build.partition
+        assert sorted(cycle_pairs(state.partition)) == sorted(
+            (part.clusters_a[i].bits, part.clusters_b[j].bits) for i, j in certs)
+
+    def test_a_refuted_pair_leaves_the_density_graph(self, monkeypatch):
+        g, sched = self.dense_host()
+        n = g.size_a
+        part = random_equipartition(g, 4, random.Random(1))
+        i, j = min(prepare_host_partition(g, sched, budget=400, seed=1).build.reduced.certificates)
+        target = (part.clusters_a[i].bits, part.clusters_b[j].bits)
+        refuted = self.refuting(monkeypatch, lambda a, b: (a, b) == target)
+        searches = []
+        real_search = partitioner.find_hamilton_cycle
+
+        def search(*args, **kwargs):
+            searches.append(set(args[0].edges()))
+            return real_search(*args, **kwargs)
+
+        seen = []
+        real_report = embedder.compatibility_report
+
+        def report(H, classes, sizes, r_edges, *rest):
+            seen.append(list(r_edges))
+            return real_report(H, classes, sizes, r_edges, *rest)
+
+        monkeypatch.setattr(partitioner, "find_hamilton_cycle", search)
+        monkeypatch.setattr(embedder, "compatibility_report", report)
+        # the same schedule, budget and seed as prepare_host_partition above
+        res = embed_bipartite(g, cycle_graph(n), Fraction(3, 10), 2,
+                              EmbedConfig(k0=4, ell=16, sample_budget=400), seed=1,
+                              labelling=zigzag_labelling(n))
+        assert res.report.verdict == "verified-embedding"
+        state = res.state
+        assert refuted == [target]
+        assert len(searches) == 2
+        assert (i, j) in searches[0] and (i, j) not in searches[1]
+        assert state.build.rounds == 0 and state.build.partition == part
+        assert (i, j) not in state.build.reduced.certificates
+        assert len(state.build.reduced.edges) == 2 * state.k
+        assert state.deviation_certificates[target][0].verdict is Verdict.IRREGULAR
+        # nothing moves on this host, so the relabelled clusters are the
+        # round-0 clusters, and no pair compatibility reads is the refuted one
+        assert seen and all(len(r_edges) == 2 * state.k for r_edges in seen)
+        for r_edges in seen:
+            assert target not in {
+                (state.partition.clusters_a[a].bits, state.partition.clusters_b[b].bits)
+                for a, b in r_edges
+            }
+
+    def test_more_than_eps_k2_refutations_hand_over_to_the_builder(self, monkeypatch):
+        g, sched = self.dense_host()
+        refuted = self.refuting(monkeypatch, lambda a, b: True)
+        state = prepare_host_partition(g, sched, budget=400, seed=1)
+        # the first cycle's 2k = 8 refutations exceed eps*k^2 = 4
+        assert len(refuted) == 8
+        built = build_regular_partition(
+            g, sched.working_params(), 4, 8, budget=400, seed=1)
+        assert state.build.rounds == built.rounds >= 1
+        assert state.build.partition == built.partition
+        assert state.build.reduced.certificates == built.reduced.certificates
+        assert state.route() == f"builder rounds={built.rounds}"
+        certs = list(state.matching_certificates.values()) + list(
+            state.offset_certificates.values())
+        assert all(c.note == f"{REUSED} the builder" for c in certs)
+        assert state.certificates_ok()

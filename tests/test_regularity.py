@@ -973,3 +973,46 @@ def test_sampled_false_regular_rate_against_exhaustive(eps, sizes, seeds, bounds
         want_irregular, most_missed = bounds[family]
         assert irregular == want_irregular  # the instance set is fixed
         assert missed <= most_missed
+
+
+def _pair_with_hole(m, key):
+    """An m x m pair at edge probability 0.85 holding a ceil(m/4)-square
+    hole at 0.3, the minimal qualifying size at eps = 1/4; returns the
+    pair and the hole's rows and columns."""
+    block = -(-m // 4)
+    g = _pair_with_block(m, random.Random(key), 0.85, block, 0.3)
+    replay = random.Random(key)  # the same draws pick the hole's rows, then its columns
+    rows, cols = replay.sample(range(m), block), replay.sample(range(m), block)
+    return g, VertexSet.from_indices(Side.A, m, rows), VertexSet.from_indices(Side.B, m, cols)
+
+
+# cluster size m -> most of the 20 planted-hole pairs the sampled checker
+# may call regular at eps = 1/4 and budget 800.  Every hole deviates by
+# 0.45-0.56, yet this instance set measured 3/20 missed at m = 64 and 20/20
+# at m = 128: a uniform draw holds only about an eps share of a hole's rows
+# and columns, so at the pipeline's cluster sizes (64 on embed-512, 128 on
+# cli-1024) the sampler misses holes it finds on 16-20-vertex pairs.  A
+# change to the sampler may lower these bounds, never raise them.
+HOLE_BOUNDS = {64: 3, 128: 20}
+
+
+@pytest.mark.parametrize("m", sorted(HOLE_BOUNDS))
+def test_sampled_false_regular_rate_on_cluster_size_holes(m):
+    eps = Fraction(1, 4)
+    params = RegularityParams(eps, Fraction(0))
+    missed = 0
+    for seed in range(20):
+        g, hole_u, hole_w = _pair_with_hole(m, f"hole:{m}:{seed}")
+        U, W = full_sides(g)
+        base = density(g, U, W)
+        # the ground truth comes from construction: the hole deviates
+        assert abs(density(g, hole_u, hole_w) - base) > eps
+        sampled = check_regular_pair(g, U, W, params, Strategy.SAMPLED, 800, seed)
+        if sampled.verdict is Verdict.REGULAR:
+            missed += 1
+            continue
+        wit = sampled.witness
+        assert abs(density(g, wit.subset_u, wit.subset_w) - base) > eps
+    # shown with pytest -s
+    print(f"m={m}: {missed}/20 planted-hole pairs called regular")
+    assert missed <= HOLE_BOUNDS[m]
