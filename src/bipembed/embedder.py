@@ -497,12 +497,12 @@ def embed_bipartite(
 
     Stages: hypothesis checks, bandwidth labelling, parameter schedule,
     host phase 1 (a Hamilton cycle of the density graph with its 2k pairs
-    certified, or of the builder's reduced graph; super-regularisation,
-    absorption), target distribution (runs along the cycle, cycle
-    homomorphism), compatibility, host phase 2 (exact cluster sizes), and
-    the two-phase embedding.  Attempt a cuts the labelling into
-    at most ``ell`` runs in cycle order from cluster a, one per group of
-    consecutive clusters just large enough to host the 2k+1 linking blocks;
+    certified, super-regularisation, absorption), target distribution
+    (runs along the cycle, cycle homomorphism), compatibility, host phase 2
+    (exact cluster sizes), and the two-phase embedding.  Attempt a cuts the
+    labelling into at most ``ell`` runs in cycle order from cluster a, one
+    per group of consecutive clusters just large enough to host the 2k+1
+    linking blocks;
     a run ends where the X count reaches its clusters' phase-1 targets and
     goes to its first cluster.  An attempt goes on only when the
     compatibility clauses hold at the schedule epsilon.  Verification
@@ -552,7 +552,9 @@ def embed_bipartite(
         raise EmbeddingPipelineError(str(e), report) from e
     k = state.k
     report.record(
-        "host-phase-1", True, f"k={k}, targets={list(state.target_sizes)}, {state.route()}"
+        "host-phase-1", True,
+        f"k={k}, targets={list(state.target_sizes)}, "
+        f"certified=cycle {2 * k}/{2 * k}, global regularity not checked",
     )
 
     beta_n = max(labelling.bandwidth, 1)

@@ -5,22 +5,21 @@ Phase 1 cuts the dense balanced host into a seeded equipartition (the
 partition builder's round 0), searches the exact density graph D (the
 pairs of density at least d, counted without sampling) for a Hamilton
 cycle, and certifies only that cycle's 2k pairs: the embedding reads no
-other pair.  A refuted pair leaves D and the search runs again.  So the
-regularity lemma's global conclusion, at least (1-eps)k^2 regular pairs, is
-not checked here; ``build_regular_partition`` checks it, and phase 1 falls
-back to that builder when the cycle cannot close (more than eps*k^2 pairs
-refuted, D failing a reduced-degree gate, or the search failing).  Phase 1
-then relabels clusters along the cycle (so pair (A_i, B_i) is a matching
-edge and (A_i, B_{i+1}) a cycle edge), makes the partition super-regular on
-the cycle, and absorbs the exceptional vertices into clusters where they
-have high degree.  Phase 2 then adjusts the cluster sizes to externally
-requested exact values by walking vertices around the cycle, one
-source-to-sink route at a time.
+other pair.  A refuted pair leaves D and the search runs again; phase 1
+fails when more than eps*k^2 pairs are refuted, when D fails a
+reduced-degree gate or when the search fails.  So the regularity lemma's
+global conclusion, at least (1-eps)k^2 regular pairs, is not checked here,
+and the partition is never refined; ``build_regular_partition`` does both,
+but the pipeline does not call it.  Phase 1 then relabels clusters along
+the cycle (so pair (A_i, B_i) is a matching edge and (A_i, B_{i+1}) a cycle
+edge), makes the partition super-regular on the cycle, and absorbs the
+exceptional vertices into clusters where they have high degree.  Phase 2
+then adjusts the cluster sizes to externally requested exact values by
+walking vertices around the cycle, one source-to-sink route at a time.
 
 Each cycle pair is sampled once at a given epsilon: every deviation
-verdict drawn (the cycle certification's, or the builder's on the
-fallback) is kept by the pair's vertex sets, and a later check of the same
-sets at the same epsilon takes the kept verdict
+verdict drawn is kept by the pair's vertex sets, and a later check of the
+same sets at the same epsilon takes the kept verdict
 (``regularity.reuse_deviation``).  In practical mode, where the tiers share
 one epsilon, the rest of phase 1 and phase 2 thus sample only the pairs of
 clusters that super-regularisation, absorption or a route changed;
@@ -37,23 +36,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, GraphError, Side, VertexId, density, iter_bits
 from .hamilton import HamiltonCycle, HamiltonSearchError, find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
     ClusterPartition,
+    MAX_ROUNDS,
     PairCertificate,
     PartitionBuildError,
-    PartitionBuildResult,
     ReducedGraph,
     RegularityParams,
     SuperRegularizeError,
     Verdict,
     _check_exceptional_budget,
     _mix_seed,
-    build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
     random_equipartition,
@@ -488,6 +486,22 @@ def redistribute_cluster_sizes(
 # (A-side bits, B-side bits) -> (sampled certificate, where it was sampled)
 DeviationLedger = dict[tuple[int, int], tuple[PairCertificate, str]]
 
+# Seed streams under one run seed: the cycle certification samples pair
+# (i, j) on the builder's round-0 stream, _mix_seed(seed, 0, i, j); phases
+# 1 and 2 certify on streams of their own, past every builder round.
+PHASE1_STREAM = MAX_ROUNDS
+PHASE2_STREAM = MAX_ROUNDS + 1
+
+
+@dataclass(frozen=True)
+class CycleCertification:
+    """The round-0 equipartition and its certified Hamilton cycle: the
+    reduced graph holds the cycle's 2k pairs, by that partition's cluster
+    indices, each certified regular, and no other pair."""
+
+    partition: ClusterPartition
+    reduced: ReducedGraph
+
 
 @dataclass
 class HostPartitionState:
@@ -498,9 +512,7 @@ class HostPartitionState:
     matching_certificates: dict[int, PairCertificate]
     offset_certificates: dict[int, PairCertificate]
     hat_params: RegularityParams
-    # the builder's result; on the cycle-first path (rounds = 0) its round-0
-    # partition with only the Hamilton cycle's 2k certificates
-    build: PartitionBuildResult
+    build: CycleCertification
     # every sampled deviation verdict of phase 1, for phase 2
     deviation_certificates: DeviationLedger
 
@@ -517,14 +529,6 @@ class HostPartitionState:
             (i, (i + 1) % self.k) for i, c in self.offset_certificates.items()
             if c.verdict is Verdict.REGULAR
         ]
-
-    def route(self) -> str:
-        """Which path gave the partition: the cycle certification or the builder."""
-        if self.build.rounds:
-            return f"builder rounds={self.build.rounds}"
-        cycle = self.build.reduced
-        return (f"certified=cycle {len(cycle.edges)}/{len(cycle.certificates)}, "
-                "global regularity not checked")
 
 
 def _certify_cycle_pairs(
@@ -621,30 +625,27 @@ def _check_reduced_degree(rg: BipartiteGraph, schedule: ParameterSchedule) -> No
 def _certified_cycle(
     G: BipartiteGraph,
     part: ClusterPartition,
-    edges: Iterable[tuple[int, int]],
     schedule: ParameterSchedule,
     budget: int,
     seed: int,
     known: DeviationLedger,
 ) -> tuple[HamiltonCycle, dict[tuple[int, int], PairCertificate]]:
-    """A Hamilton cycle of the graph ``edges`` on ``part``'s cluster pairs
-    (i, j), with the certificates of its 2k pairs, all regular.
+    """A Hamilton cycle of the exact density graph D on ``part``'s cluster
+    pairs (i, j), with the certificates of its 2k pairs, all regular.
 
-    A pair takes its verdict from ``known`` when ``reuse_deviation`` lets it
-    stand; otherwise it is sampled at the working parameters with seed
-    ``_mix_seed(seed, 0, i, j)`` and enters ``known``.  That is the
-    builder's round-0 seed for the pair, and a pair of the graph meets the
-    density gate, so on the round-0 partition the certificate equals the
-    one the builder would hold for it.  Refuted pairs leave the graph and
-    the search runs again.  Raises :class:`PipelineStageError` at "reduced-degree" when the
-    graph fails a degree gate, at "reduced-hamilton-cycle" when the search
-    fails, and at "cycle-certification" once more than eps*k^2 pairs are
-    refuted.
+    Each pair is sampled once, at the working parameters with seed
+    ``_mix_seed(seed, 0, i, j)``, and enters ``known``.  That is the
+    builder's round-0 seed for the pair, and a pair of D meets the density
+    gate, so on the round-0 partition the certificate equals the one the
+    builder would hold for it.  Refuted pairs leave D and the search runs
+    again.  Raises :class:`PipelineStageError` at "reduced-degree" when D
+    fails a degree gate, at "reduced-hamilton-cycle" when the search fails,
+    and at "cycle-certification" once more than eps*k^2 pairs are refuted.
     """
     params = schedule.working_params()
     k = part.k
-    edges = set(edges)
-    refuted = 0
+    edges = _density_graph(G, part, params.d)
+    sampled: dict[tuple[int, int], PairCertificate] = {}
     while True:
         rg = BipartiteGraph.build(k, k, edges)
         _check_reduced_degree(rg, schedule)
@@ -652,29 +653,27 @@ def _certified_cycle(
             cyc = find_hamilton_cycle(rg, seed=seed)
         except (GraphError, HamiltonSearchError) as e:
             raise PipelineStageError("reduced-hamilton-cycle", str(e)) from e
-        certs = {}
-        for t in range(0, 2 * k, 2):  # the cycle alternates A_i, B_j, A_i', ...
-            i = cyc.order[t].index
-            for j in (cyc.order[t - 1].index, cyc.order[t + 1].index):
+        pairs = [  # the cycle alternates A_i, B_j, A_i', ...
+            (cyc.order[t].index, cyc.order[t + s].index)
+            for t in range(0, 2 * k, 2) for s in (-1, 1)
+        ]
+        for i, j in pairs:
+            if (i, j) not in sampled:
                 a, b = part.clusters_a[i], part.clusters_b[j]
-                entry = known.get((a.bits, b.bits))
-                cert = entry and reuse_deviation(entry[0], a, b, params, budget)
-                if not cert:
-                    cert = check_regular_pair(
-                        G, a, b, params, budget=budget, seed=_mix_seed(seed, 0, i, j)
-                    )
-                    known[(a.bits, b.bits)] = (cert, "the cycle certification")
-                certs[(i, j)] = cert
-        bad = {key for key, c in certs.items() if c.verdict is not Verdict.REGULAR}
-        if not bad:
-            return cyc, certs
-        edges -= bad
-        refuted += len(bad)
-        if refuted > params.epsilon * k * k:
+                sampled[(i, j)] = check_regular_pair(
+                    G, a, b, params, budget=budget, seed=_mix_seed(seed, 0, i, j)
+                )
+                known[(a.bits, b.bits)] = (sampled[(i, j)], "the cycle certification")
+        refuted = {key for key, c in sampled.items() if c.verdict is not Verdict.REGULAR}
+        if not refuted & set(pairs):
+            return cyc, {key: sampled[key] for key in pairs}
+        if len(refuted) > params.epsilon * k * k:
             raise PipelineStageError(
                 "cycle-certification",
-                f"{refuted} cycle pairs refuted, more than eps*k^2 = {params.epsilon * k * k}",
+                f"{len(refuted)} cycle pairs refuted, more than eps*k^2 = "
+                f"{params.epsilon * k * k}",
             )
+        edges -= refuted
 
 
 def prepare_host_partition(
@@ -685,9 +684,7 @@ def prepare_host_partition(
 ) -> HostPartitionState:
     """Phase 1 of the host pipeline; see the module docstring.
 
-    On the fallback the builder's certified reduced graph stands in for D
-    and its certificates fill the ledger, so the cycle search there samples
-    nothing.  Raises :class:`PipelineStageError` with the failing stage name.
+    Raises :class:`PipelineStageError` with the failing stage name.
     """
     n = G.size_a
     if not G.is_balanced:
@@ -699,37 +696,15 @@ def prepare_host_partition(
         )
     params = schedule.working_params()
     known: DeviationLedger = {}
-    cyc = None
     try:
         part = random_equipartition(G, schedule.k0, random.Random(seed))
         _check_exceptional_budget(G, part, params.epsilon)
-        try:
-            cyc, certs = _certified_cycle(
-                G, part, _density_graph(G, part, params.d), schedule, budget, seed, known
-            )
-        except PipelineStageError:
-            # the cycle cannot close on the round-0 partition: refine it
-            build = build_regular_partition(
-                G, params, schedule.k0, schedule.kmax, budget=budget, seed=seed
-            )
+        cyc, certs = _certified_cycle(G, part, schedule, budget, seed, known)
     except (ValueError, PartitionBuildError) as e:
         # a GraphError, or a sampled check refusing a budget below 1
         raise PipelineStageError("regular-partition", str(e)) from e
-    if cyc is None:
-        known = {
-            (build.partition.clusters_a[i].bits, build.partition.clusters_b[j].bits):
-                (c, "the builder")
-            for (i, j), c in build.reduced.certificates.items()
-        }
-        cyc, _ = _certified_cycle(
-            G, build.partition, build.reduced.edges, schedule, budget, seed, known
-        )
-    else:
-        build = PartitionBuildResult(
-            part, ReducedGraph(part.k, frozenset(certs), params, certs),
-            Fraction(len(certs), part.k ** 2), 0, part.k,
-        )
-    k = build.k
+    build = CycleCertification(part, ReducedGraph(part.k, frozenset(certs), params, certs))
+    k = part.k
 
     # relabel clusters so the cycle reads A_0, B_1, A_1, B_2, ..., A_{k-1}, B_0
     # (old_a[i] and old_b[i] are the build's indices of the new A_i and B_i)
@@ -784,7 +759,9 @@ def prepare_host_partition(
             default=Fraction(0),
         )
         hat = rebound_after_perturbation(refined, worst, worst)
-    matching, offsets = _certify_cycle_pairs(G, final, hat, budget, seed, known, "phase 1")
+    matching, offsets = _certify_cycle_pairs(
+        G, final, hat, budget, _mix_seed(seed, PHASE1_STREAM), known, "phase 1"
+    )
     bad = _failed_cycle_pairs(matching, offsets)
     if bad:
         raise PipelineStageError(
@@ -857,7 +834,7 @@ def resize_host_partition(
         enforce_xi_cap=enforce,
     )
     matching, offsets = _certify_cycle_pairs(
-        G, redis.partition, sched.final_params(), budget, seed,
+        G, redis.partition, sched.final_params(), budget, _mix_seed(seed, PHASE2_STREAM),
         dict(state.deviation_certificates), "phase 2",
     )
     return ResizeResult(redis, matching, offsets)

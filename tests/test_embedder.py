@@ -422,7 +422,7 @@ class TestScheduleEpsilonGate:
         """Criterion-1 seed 0: the cycle certification samples the Hamilton
         cycle's 16 pairs and no other, phase 1 takes their verdicts, and
         phase 2 samples only the 4 pairs of the two clusters its one-vertex
-        route changed.  The partition builder does not run."""
+        route changed."""
         calls = []
         marks = {}
         real_check = regularity.check_regular_pair
@@ -441,13 +441,9 @@ class TestScheduleEpsilonGate:
             marks.setdefault("phase 2", len(calls))
             return real_resize(*args, **kwargs)
 
-        def build(*args, **kwargs):
-            raise AssertionError("the partition builder ran")
-
         monkeypatch.setattr(regularity, "check_regular_pair", check)
         monkeypatch.setattr(partitioner, "check_regular_pair", check)
         monkeypatch.setattr(partitioner, "_certify_cycle_pairs", certify)
-        monkeypatch.setattr(partitioner, "build_regular_partition", build)
         monkeypatch.setattr(embedder, "resize_host_partition", resize)
         n = 512
         g = gen_host(InstanceSpec(

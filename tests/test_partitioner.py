@@ -28,7 +28,6 @@ from bipembed.regularity import (
     Strategy,
     Verdict,
     _mix_seed,
-    build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
     maximal_reduced_graph,
@@ -508,7 +507,6 @@ class TestDeviationReuse:
 
         monkeypatch.setattr(partitioner, "_certify_cycle_pairs", certify)
         g, state = self.dense_state(11, 1)
-        assert state.build.rounds == 0  # the cycle-first path ran
         # nothing moves on this host, so the cycle certification sampled
         # exactly the 2k cycle pairs, and phase 1 takes all their verdicts
         assert sorted(sampled[:certified[0]]) == sorted(cycle_pairs(state.partition))
@@ -642,7 +640,6 @@ class TestCycleFirst:
         )
         state = prepare_host_partition(g, sched, budget=800, seed=0)
         build = state.build
-        assert build.rounds == 0
         assert build.partition == random_equipartition(g, 8, random.Random(0))
         round0 = maximal_reduced_graph(
             g, build.partition, sched.working_params(), budget=800, seed=_mix_seed(0, 0)
@@ -687,7 +684,7 @@ class TestCycleFirst:
         assert refuted == [target]
         assert len(searches) == 2
         assert (i, j) in searches[0] and (i, j) not in searches[1]
-        assert state.build.rounds == 0 and state.build.partition == part
+        assert state.build.partition == part
         assert (i, j) not in state.build.reduced.certificates
         assert len(state.build.reduced.edges) == 2 * state.k
         assert state.deviation_certificates[target][0].verdict is Verdict.IRREGULAR
@@ -699,20 +696,67 @@ class TestCycleFirst:
                 (state.partition.clusters_a[a].bits, state.partition.clusters_b[b].bits)
                 for a, b in r_edges
             }
-
-    def test_more_than_eps_k2_refutations_hand_over_to_the_builder(self, monkeypatch):
+    def test_more_than_eps_k2_refutations_end_phase_1(self, monkeypatch):
         g, sched = self.dense_host()
         refuted = self.refuting(monkeypatch, lambda a, b: True)
-        state = prepare_host_partition(g, sched, budget=400, seed=1)
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(g, sched, budget=400, seed=1)
         # the first cycle's 2k = 8 refutations exceed eps*k^2 = 4
         assert len(refuted) == 8
-        built = build_regular_partition(
-            g, sched.working_params(), 4, 8, budget=400, seed=1)
-        assert state.build.rounds == built.rounds >= 1
-        assert state.build.partition == built.partition
-        assert state.build.reduced.certificates == built.reduced.certificates
-        assert state.route() == f"builder rounds={built.rounds}"
-        certs = list(state.matching_certificates.values()) + list(
-            state.offset_certificates.values())
-        assert all(c.note == f"{REUSED} the builder" for c in certs)
-        assert state.certificates_ok()
+        assert exc.value.stage == "cycle-certification"
+        assert "8 cycle pairs refuted, more than eps*k^2 = 4" in str(exc.value)
+
+    def test_a_host_that_needs_refinement_ends_phase_1(self):
+        """A1-B1 and A2-B2 complete, cross pairs at density 2/5: every
+        round-0 pair holds the blocks' halves, which deviate by about 3/10
+        from its density 7/10.  The sampled checker refutes the cycle's
+        pairs, and phase 1 fails by name rather than refining."""
+        n = 256
+        rng = random.Random(5)
+        g = BipartiteGraph.build(n, n, [
+            (a, b) for a in range(n) for b in range(n)
+            if (2 * a < n) == (2 * b < n) or rng.random() < 0.4
+        ])
+        assert g.min_degree() >= (Fraction(1, 2) + Fraction(1, 10)) * n
+        sched = derive_parameter_schedule(
+            Fraction(1, 10), 2, 0, 4, "practical",
+            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+        )
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(g, sched, budget=400, seed=1)
+        assert exc.value.stage == "cycle-certification"
+
+    def test_each_certification_draws_on_its_own_seed_stream(self, monkeypatch):
+        """The cycle certification, phase 1 and phase 2 at attempt 0 (seed
+        ``_mix_seed(seed, 0)``, as ``embed_bipartite`` passes it) sample
+        with pairwise disjoint seeds."""
+        g, sched = self.dense_host()
+        seeds = []
+        real = regularity.check_regular_pair
+
+        def check(G, U, W, params, strategy=Strategy.SAMPLED, budget=800, seed=0, **kw):
+            seeds[-1].add(seed)
+            return real(G, U, W, params, strategy, budget, seed, **kw)
+
+        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(regularity, "check_regular_pair", check)
+        seeds.append(set())
+        state = prepare_host_partition(g, sched, budget=400, seed=1)
+        # sample every cycle pair again, on the streams phases 1 and 2 take
+        for seed, params in (
+            (_mix_seed(1, partitioner.PHASE1_STREAM), state.hat_params),
+            (_mix_seed(_mix_seed(1, 0), partitioner.PHASE2_STREAM), sched.final_params()),
+        ):
+            seeds.append(set())
+            _certify_cycle_pairs(g, state.partition, params, 400, seed, {}, "a test")
+        assert [len(s) for s in seeds] == [2 * state.k] * 3
+        cycle, phase1, phase2 = seeds
+        assert not cycle & phase1 and not cycle & phase2 and not phase1 & phase2
+        # and phase 2 at attempt 0 samples on its stream
+        a = list(state.target_sizes)
+        a[0] -= 1
+        a[1] += 1
+        seeds.append(set())
+        resize_host_partition(state, g, a, state.target_sizes, budget=400, seed=_mix_seed(1, 0))
+        assert len(seeds[-1]) == 4 and seeds[-1] <= phase2
+
