@@ -456,7 +456,6 @@ class StageRecord:
 @dataclass
 class RunReport:
     seed: int
-    config: EmbedConfig
     stages: list[StageRecord] = field(default_factory=list)
     verdict: str = "failed"
     # the end of the previous stage: stages run back to back
@@ -510,7 +509,7 @@ def embed_bipartite(
     """
     cfg = config or EmbedConfig()
     gamma = frac(gamma)
-    report = RunReport(seed=seed, config=cfg)
+    report = RunReport(seed=seed)
     n = G.size_a
     if not (G.is_balanced and H.is_balanced and H.size_a == n):
         report.record("hypotheses", False, "graphs must be balanced on the same 2n")

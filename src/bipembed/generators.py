@@ -43,12 +43,9 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     if spec.kind == "host-planted-blocks":
         k = int(spec.params.get("blocks", 2))
         m = int(spec.params.get("block_size", spec.n // max(k, 1)))
-        edges = []
-        for blk in range(k):
-            for a in range(blk * m, (blk + 1) * m):
-                for b in range(blk * m, (blk + 1) * m):
-                    edges.append((a, b))
-        return BipartiteGraph.build(k * m, k * m, edges)
+        # vertex v on either side is joined to every vertex of its block
+        rows = [((1 << m) - 1) << (v - v % m) for v in range(k * m)]
+        return BipartiteGraph(k * m, k * m, rows, rows)
     if spec.kind != "host-random-min-degree":
         raise GraphError(f"not a host kind: {spec.kind}")
     n = spec.n

@@ -132,10 +132,6 @@ def _rotation_extension(
     if G.min_degree() < 2:
         return None  # some vertex cannot lie on any cycle
     nbr_cache = {v: G.neighbours(v) for v in verts}
-
-    def neighbours(v: VertexId) -> list[VertexId]:
-        return nbr_cache[v]
-
     for _ in range(restarts):
         start = rng.choice(verts)
         path = [start]
@@ -145,14 +141,14 @@ def _rotation_extension(
         while steps < max_steps:
             steps += 1
             tail = path[-1]
-            fresh = [w for w in neighbours(tail) if w not in in_path]
+            fresh = [w for w in nbr_cache[tail] if w not in in_path]
             if fresh:
                 nxt = rng.choice(fresh)
                 path.append(nxt)
                 in_path.add(nxt)
                 continue
             head = path[0]
-            fresh = [w for w in neighbours(head) if w not in in_path]
+            fresh = [w for w in nbr_cache[head] if w not in in_path]
             if fresh:
                 nxt = rng.choice(fresh)
                 path.insert(0, nxt)
@@ -167,7 +163,7 @@ def _rotation_extension(
             # the new endpoint path[i+1] stays on the tail's side
             pos = {v: t for t, v in enumerate(path)}
             choices = [
-                pos[u] for u in neighbours(tail)
+                pos[u] for u in nbr_cache[tail]
                 if u in pos and pos[u] < len(path) - 2
             ]
             if not choices:

@@ -17,18 +17,20 @@ exceptional vertices into clusters where they have high degree.  Phase 2
 then adjusts the cluster sizes to externally requested exact values by
 walking vertices around the cycle, one source-to-sink route at a time.
 
-Each cycle pair is sampled once at a given epsilon: every deviation
-verdict drawn is kept by the pair's vertex sets, and a later check of the
-same sets at the same epsilon takes the kept verdict
-(``regularity.reuse_deviation``).  In practical mode, where the tiers share
-one epsilon, the rest of phase 1 and phase 2 thus sample only the pairs of
-clusters that super-regularisation, absorption or a route changed;
-faithful mode's tiers differ, so each phase samples anew.
+The cycle search and both phases sample pairs through one routine,
+``_certify_pairs``, into one ledger: each deviation verdict drawn is kept
+by the pair's vertex sets, and a later check of the same sets at the same
+epsilon takes the kept verdict (``regularity.reuse_deviation``).  In
+practical mode, where the tiers share one epsilon, the rest of phase 1 and
+phase 2 thus sample only the pairs of clusters that super-regularisation,
+absorption or a route changed; faithful mode's tiers differ, so each phase
+samples anew.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
-inequalities fail; practical mode takes user overrides and flags every
-report so overridden constants are never presented as derived ones.
+inequalities fail or k0 is below the derived cluster bound k_min;
+practical mode takes user overrides and flags every report so overridden
+constants are never presented as derived ones.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .hamilton import HamiltonCycle, HamiltonSearchError, find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
     ClusterPartition,
-    MAX_ROUNDS,
     PairCertificate,
     PartitionBuildError,
     ReducedGraph,
@@ -138,7 +139,6 @@ def derive_parameter_schedule(
     k0: int,
     mode: str = "faithful",
     overrides: Optional[Mapping[str, Rational]] = None,
-    kmax: Optional[int] = None,
 ) -> ParameterSchedule:
     """Build the constant chain for one pipeline run.
 
@@ -158,7 +158,6 @@ def derive_parameter_schedule(
         eps_work = frac(ov.get("epsilon", epsilon))
         d_work = frac(ov.get("d", Fraction(3, 10)))
         size_slack = frac(ov.get("size_slack", Fraction(3, 10)))
-        km = kmax if kmax is not None else max(2 * k0, k0)
         if not 0 < gamma < HALF:
             raise ScheduleError(f"gamma must lie in (0, 1/2), got {gamma}")
         if not 0 < eps_work <= 1:
@@ -170,7 +169,7 @@ def derive_parameter_schedule(
             gamma=gamma,
             epsilon=eps_work,
             k0=k0,
-            kmax=km,
+            kmax=k0,  # phase 1 cuts exactly k0 clusters
             embed_density=d_work,
             partition_epsilon=eps_work,
             partition_density=d_work,
@@ -222,18 +221,17 @@ def derive_parameter_schedule(
             raise ScheduleError(f"derived-constant inequality violated: {name}")
 
     k_min = max(k0, ceil_frac(1 / margin))
-    km = kmax if kmax is not None else max(k0, k_min)
     # slack chosen so 100*kmax*sqrt(slack) <= eps/10 and
     # 100*kmax^2*sqrt(slack) <= embed_density, exactly
-    root = min(epsilon / (1000 * km), embed_density / (100 * km * km))
+    root = min(epsilon / (1000 * k_min), embed_density / (100 * k_min * k_min))
     size_slack = root * root
-    target_slack = size_slack * epsilon / (100 * max_degree * km * km)
+    target_slack = size_slack * epsilon / (100 * max_degree * k_min * k_min)
     return ParameterSchedule(
         mode="faithful",
         gamma=gamma,
         epsilon=epsilon,
         k0=k0,
-        kmax=km,
+        kmax=k_min,
         embed_density=embed_density,
         partition_epsilon=eps_p,
         partition_density=d_p,
@@ -486,11 +484,10 @@ def redistribute_cluster_sizes(
 # (A-side bits, B-side bits) -> (sampled certificate, where it was sampled)
 DeviationLedger = dict[tuple[int, int], tuple[PairCertificate, str]]
 
-# Seed streams under one run seed: the cycle certification samples pair
-# (i, j) on the builder's round-0 stream, _mix_seed(seed, 0, i, j); phases
-# 1 and 2 certify on streams of their own, past every builder round.
-PHASE1_STREAM = MAX_ROUNDS
-PHASE2_STREAM = MAX_ROUNDS + 1
+# Seed streams under one run seed: the cycle certification draws on stream
+# 0, the builder's round-0 seeds; phases 1 and 2 on streams past its 40 rounds.
+PHASE1_STREAM = 40
+PHASE2_STREAM = 41
 
 
 @dataclass(frozen=True)
@@ -531,6 +528,42 @@ class HostPartitionState:
         ]
 
 
+def _certify_pairs(
+    G: BipartiteGraph,
+    part: ClusterPartition,
+    pairs: Sequence[tuple[int, int, bool]],
+    params: RegularityParams,
+    budget: int,
+    seed: int,
+    known: DeviationLedger,
+    source: str,
+) -> list[PairCertificate]:
+    """Certify each (A_i, B_j) of the (i, j, super_regular) ``pairs``, in
+    order.  A pair whose verdict in ``known`` ``reuse_deviation`` lets stand
+    is not sampled again: its certificate re-applies the density gate (and,
+    when super-regular, the exhaustive degree condition) to that verdict,
+    and its note names where the verdict was sampled.  Every other pair is
+    sampled with seed ``_mix_seed(seed, i, j)`` and enters ``known`` under
+    ``source``."""
+    certs = []
+    for i, j, super_regular in pairs:
+        a, b = part.clusters_a[i], part.clusters_b[j]
+        entry = known.get((a.bits, b.bits))
+        reused = entry and reuse_deviation(entry[0], a, b, params, budget)
+        if reused:
+            note = [f"deviation verdict reused from {entry[1]}", reused.note]
+            reused = replace(reused, note="; ".join(filter(None, note)))
+        draw = {"budget": budget, "seed": _mix_seed(seed, i, j)}
+        if super_regular:
+            cert = check_super_regular_pair(G, a, b, params, prior=reused, **draw)
+        else:
+            cert = reused or check_regular_pair(G, a, b, params, **draw)
+        if not reused:
+            known[(a.bits, b.bits)] = (cert, source)
+        certs.append(cert)
+    return certs
+
+
 def _certify_cycle_pairs(
     G: BipartiteGraph,
     part: ClusterPartition,
@@ -540,45 +573,16 @@ def _certify_cycle_pairs(
     known: DeviationLedger,
     source: str,
 ) -> tuple[dict[int, PairCertificate], dict[int, PairCertificate]]:
-    """Certify each (A_i, B_i) super-regular and each (A_i, B_{i+1}) regular.
-
-    A pair whose deviation verdict ``known`` holds and ``reuse_deviation``
-    lets stand is not sampled again: its certificate re-applies the density
-    gate (and, for (A_i, B_i), the exhaustive degree condition) to that
-    verdict, and its note names where the verdict was sampled.  Every other
-    pair (A_i, B_j) is sampled with seed ``_mix_seed(seed, i, j)`` and
-    enters ``known`` under ``source``.  A pair with an empty cluster carries
-    nothing to certify and is skipped.
-    """
+    """Certify each (A_i, B_i) super-regular and each (A_i, B_{i+1}) regular,
+    keyed by i; a pair with an empty cluster has nothing to certify."""
     k = part.k
-    matching = {}
-    offsets = {}
-
-    def prior(u, w):
-        entry = known.get((u.bits, w.bits))
-        reused = entry and reuse_deviation(entry[0], u, w, params, budget)
-        if not reused:
-            return None
-        note = [f"deviation verdict reused from {entry[1]}", reused.note]
-        return replace(reused, note="; ".join(filter(None, note)))
-
-    for i in range(k):
-        j = (i + 1) % k
-        a, b, b_next = part.clusters_a[i], part.clusters_b[i], part.clusters_b[j]
-        if a and b:
-            reused = prior(a, b)
-            matching[i] = check_super_regular_pair(
-                G, a, b, params, budget=budget, seed=_mix_seed(seed, i, i), prior=reused
-            )
-            if not reused:
-                known[(a.bits, b.bits)] = (matching[i], source)
-        if a and b_next:
-            reused = prior(a, b_next)
-            offsets[i] = reused or check_regular_pair(
-                G, a, b_next, params, budget=budget, seed=_mix_seed(seed, i, j)
-            )
-            if not reused:
-                known[(a.bits, b_next.bits)] = (offsets[i], source)
+    pairs = [
+        (i, (i + s) % k, s == 0) for i in range(k) for s in (0, 1)
+        if part.clusters_a[i] and part.clusters_b[(i + s) % k]
+    ]
+    certs = _certify_pairs(G, part, pairs, params, budget, seed, known, source)
+    matching = {i: c for (i, _, sup), c in zip(pairs, certs) if sup}
+    offsets = {i: c for (i, _, sup), c in zip(pairs, certs) if not sup}
     return matching, offsets
 
 
@@ -633,19 +637,20 @@ def _certified_cycle(
     """A Hamilton cycle of the exact density graph D on ``part``'s cluster
     pairs (i, j), with the certificates of its 2k pairs, all regular.
 
-    Each pair is sampled once, at the working parameters with seed
-    ``_mix_seed(seed, 0, i, j)``, and enters ``known``.  That is the
-    builder's round-0 seed for the pair, and a pair of D meets the density
-    gate, so on the round-0 partition the certificate equals the one the
-    builder would hold for it.  Refuted pairs leave D and the search runs
-    again.  Raises :class:`PipelineStageError` at "reduced-degree" when D
-    fails a degree gate, at "reduced-hamilton-cycle" when the search fails,
-    and at "cycle-certification" once more than eps*k^2 pairs are refuted.
+    Each pair is certified through :func:`_certify_pairs` on seed stream
+    0, so it is sampled once, with seed ``_mix_seed(seed, 0, i, j)``, and
+    enters ``known``.  That is the builder's round-0 seed for the pair, and
+    a pair of D meets the density gate, so its verdict is the one the
+    builder's round 0 would hold.  Refuted pairs leave D and the search
+    runs again.  Raises :class:`PipelineStageError` at "reduced-degree" when
+    D fails a degree gate, at "reduced-hamilton-cycle" when the search
+    fails, and at "cycle-certification" once more than eps*k^2 pairs are
+    refuted.
     """
     params = schedule.working_params()
     k = part.k
     edges = _density_graph(G, part, params.d)
-    sampled: dict[tuple[int, int], PairCertificate] = {}
+    refuted = set()
     while True:
         rg = BipartiteGraph.build(k, k, edges)
         _check_reduced_degree(rg, schedule)
@@ -654,26 +659,24 @@ def _certified_cycle(
         except (GraphError, HamiltonSearchError) as e:
             raise PipelineStageError("reduced-hamilton-cycle", str(e)) from e
         pairs = [  # the cycle alternates A_i, B_j, A_i', ...
-            (cyc.order[t].index, cyc.order[t + s].index)
+            (cyc.order[t].index, cyc.order[t + s].index, False)
             for t in range(0, 2 * k, 2) for s in (-1, 1)
         ]
-        for i, j in pairs:
-            if (i, j) not in sampled:
-                a, b = part.clusters_a[i], part.clusters_b[j]
-                sampled[(i, j)] = check_regular_pair(
-                    G, a, b, params, budget=budget, seed=_mix_seed(seed, 0, i, j)
-                )
-                known[(a.bits, b.bits)] = (sampled[(i, j)], "the cycle certification")
-        refuted = {key for key, c in sampled.items() if c.verdict is not Verdict.REGULAR}
-        if not refuted & set(pairs):
-            return cyc, {key: sampled[key] for key in pairs}
+        certs = _certify_pairs(
+            G, part, pairs, params, budget, _mix_seed(seed, 0), known, "the cycle certification"
+        )
+        certified = {(i, j): c for (i, j, _), c in zip(pairs, certs)}
+        bad = {key for key, c in certified.items() if c.verdict is not Verdict.REGULAR}
+        if not bad:
+            return cyc, certified
+        refuted |= bad
         if len(refuted) > params.epsilon * k * k:
             raise PipelineStageError(
                 "cycle-certification",
                 f"{len(refuted)} cycle pairs refuted, more than eps*k^2 = "
                 f"{params.epsilon * k * k}",
             )
-        edges -= refuted
+        edges -= bad
 
 
 def prepare_host_partition(
@@ -694,6 +697,9 @@ def prepare_host_partition(
             "hypotheses",
             f"minimum degree {G.min_degree()} below (1/2+gamma)n = {(HALF + schedule.gamma) * n}",
         )
+    k0, k_min = schedule.k0, schedule.min_clusters_for_cycle  # equal in practical mode
+    if k0 < k_min:
+        raise PipelineStageError("regular-partition", f"k0 = {k0} is below k_min = {k_min}")
     params = schedule.working_params()
     known: DeviationLedger = {}
     try:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from bipembed.fileio import (
 )
 from bipembed.generators import InstanceSpec, gen_host, gen_target
 from bipembed.graphs import GraphError, Side, VertexId
+from bipembed.regularity import RegularityParams, Strategy, build_regular_partition
 
 
 def run(argv):
@@ -309,6 +311,31 @@ class TestCommands:
         assert out == "" and err.startswith("partition failed: ")
         assert "exceeds kmax=2" in err
 
+    def test_partition_build_writes_the_builders_partition(self, tmp_path):
+        host = tmp_path / "b.bg"
+        out = tmp_path / "p.json"
+        assert run(["gen-host", "--kind", "blocks", "--blocks", "4",
+                    "--block-size", "16", "--out", str(host)]) == 0
+        assert run(["regularity", "partition", "--host", str(host),
+                    "--k0", "2", "--kmax", "8", "--out", str(out)]) == 0
+        res = build_regular_partition(
+            read_graph(str(host)), RegularityParams(Fraction(1, 4), Fraction(3, 10)),
+            2, 8, Strategy.SAMPLED, 2000, 0,
+        )
+        part = res.partition
+        assert (part.k, res.rounds, res.fraction_regular) == (4, 5, Fraction(7, 8))
+        assert json.loads(out.read_text()) == {
+            "kind": "cluster-partition",
+            "k": 4,
+            "clusters_a": [sorted(c.indices()) for c in part.clusters_a],
+            "clusters_b": [sorted(c.indices()) for c in part.clusters_b],
+            "exceptional_a": sorted(part.exceptional_a.indices()),
+            "exceptional_b": sorted(part.exceptional_b.indices()),
+            "fraction_regular": "7/8",
+            "rounds": 5,
+            "reduced_edges": sorted(list(e) for e in res.reduced.edges),
+        }
+
     def test_sampled_check_without_budget_exits_2(self, tmp_path, capsys):
         host = tmp_path / "s.bg"
         assert run(["gen-host", "--n", "16", "--gamma", "1/4", "--seed", "1",
@@ -389,6 +416,25 @@ class TestCommands:
                     "--embedding", str(emb)]) == 0
         report = json.loads(rep.read_text())
         assert report["verdict"] == "verified-embedding"
+
+    def test_failed_embed_writes_its_report(self, tmp_path, capsys):
+        host = tmp_path / "g.bg"
+        target = tmp_path / "h.bg"
+        emb = tmp_path / "emb.json"
+        rep = tmp_path / "rep.json"
+        # two disjoint 16-blocks: min degree 16 is below (1/2+gamma)n
+        assert run(["gen-host", "--kind", "blocks", "--blocks", "2",
+                    "--block-size", "16", "--out", str(host)]) == 0
+        assert run(["gen-target", "--family", "hamilton-cycle", "--n", "32",
+                    "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert run(["embed", "--host", str(host), "--target", str(target),
+                    "--out", str(emb), "--report", str(rep)]) == 1
+        assert capsys.readouterr().err.startswith("embedding failed: ")
+        assert not emb.exists()
+        report = json.loads(rep.read_text())
+        assert report["verdict"] == "failed"
+        assert [(s["stage"], s["ok"]) for s in report["stages"]] == [("hypotheses", False)]
 
     def test_verify_rejects_corrupted_embedding(self, tmp_path):
         host = tmp_path / "g.bg"

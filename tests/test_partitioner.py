@@ -405,7 +405,7 @@ class TestHostPhases:
     def practical_schedule(self, gamma, k0=4, **ov):
         overrides = {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)}
         overrides.update(ov)
-        return derive_parameter_schedule(gamma, 2, 0, k0, "practical", overrides, kmax=2 * k0)
+        return derive_parameter_schedule(gamma, 2, 0, k0, "practical", overrides)
 
     def test_phase1_on_dense_random_host(self):
         rng = random.Random(11)
@@ -477,6 +477,66 @@ class TestHostPhases:
         with pytest.raises(PipelineStageError):
             resize_host_partition(state, g, a, state.target_sizes, budget=200, seed=6)
 
+    def test_a_failed_post_absorption_pair_ends_phase_1_by_name(self, monkeypatch):
+        rng = random.Random(11)
+        n = 256
+        g = random_min_degree(n, 205, 0.82, rng)
+        real = partitioner.check_super_regular_pair
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            calls.append(cert)
+            return replace(cert, verdict=Verdict.SUPER_FAILED) if len(calls) == 1 else cert
+
+        monkeypatch.setattr(partitioner, "check_super_regular_pair", first_fails)
+        sched = self.practical_schedule(Fraction(3, 10), k0=4)
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(g, sched, budget=400, seed=1)
+        assert exc.value.stage == "pair-certification"
+        assert "pairs failed at the post-absorption parameters: [0]" in str(exc.value)
+        # the pipeline records the failure under the same stage, last
+        calls.clear()
+        with pytest.raises(embedder.EmbeddingPipelineError) as exc:
+            embed_bipartite(g, cycle_graph(n), Fraction(3, 10), 2,
+                            EmbedConfig(k0=4, sample_budget=400), seed=1,
+                            labelling=zigzag_labelling(n))
+        last = exc.value.report.stages[-1]
+        assert (last.stage, last.ok) == ("pair-certification", False)
+
+
+class TestFaithfulPhase1:
+    """Faithful mode runs phase 1 only with at least k_min clusters, the
+    proof's bound k >= 1/(gamma - d' - eps'')."""
+
+    gamma = Fraction(1, 25)
+
+    def schedule(self, k0):
+        return derive_parameter_schedule(self.gamma, 2, self.gamma ** 2 / 1000, k0, "faithful")
+
+    @staticmethod
+    def complete(n):
+        return BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
+
+    def test_k0_below_k_min_is_refused(self):
+        sched = self.schedule(8)
+        assert sched.min_clusters_for_cycle == 27
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(self.complete(64), sched, budget=50, seed=0)
+        assert exc.value.stage == "regular-partition"
+        assert "k0 = 8 is below k_min = 27" in str(exc.value)
+
+    def test_k0_at_k_min_completes_at_the_absorbed_tier(self):
+        sched = self.schedule(27)
+        state = prepare_host_partition(self.complete(54), sched, budget=50, seed=0)
+        assert state.k == 27 and state.target_sizes == (2,) * 27
+        assert state.certificates_ok()
+        # faithful phase 1 certifies at the derived post-absorption tier
+        assert state.hat_params == RegularityParams(
+            min(sched.absorbed_epsilon.upper(), Fraction(1)), sched.absorbed_density
+        )
+        assert all(c.params == state.hat_params for c in state.matching_certificates.values())
+
 
 REUSED = "deviation verdict reused from"
 
@@ -491,7 +551,7 @@ class TestDeviationReuse:
         g = random_min_degree(256, 205, 0.82, random.Random(host_seed))
         sched = derive_parameter_schedule(
             Fraction(3, 10), 2, 0, 4, "practical",
-            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)}, kmax=8,
+            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
         )
         return g, prepare_host_partition(g, sched, budget=400, seed=seed)
 
@@ -608,7 +668,7 @@ class TestCycleFirst:
         g = random_min_degree(256, 205, 0.82, random.Random(11))
         sched = derive_parameter_schedule(
             Fraction(3, 10), 2, 0, 4, "practical",
-            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)}, kmax=8,
+            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
         )
         return g, sched
 
@@ -696,6 +756,28 @@ class TestCycleFirst:
                 (state.partition.clusters_a[a].bits, state.partition.clusters_b[b].bits)
                 for a, b in r_edges
             }
+
+    def test_a_second_search_takes_the_first_searchs_verdicts(self, monkeypatch):
+        g, sched = self.dense_host()
+        part = random_equipartition(g, 4, random.Random(1))
+        i, j = min(prepare_host_partition(g, sched, budget=400, seed=1).build.reduced.certificates)
+        target = (part.clusters_a[i].bits, part.clusters_b[j].bits)
+        checked = []
+        self.refuting(monkeypatch, lambda a, b: checked.append((a, b)) or (a, b) == target)
+        known = {}
+        _, certs = partitioner._certified_cycle(g, part, sched, 400, 1, known)
+        # every pair is sampled once and enters the ledger
+        assert len(checked) == len(set(checked)) == len(known)
+        first = set(checked[:2 * part.k])
+        assert target in first
+        shared = 0
+        for (a, b), c in certs.items():
+            bits = (part.clusters_a[a].bits, part.clusters_b[b].bits)
+            shared += bits in first
+            assert (c.note == f"{REUSED} the cycle certification") == (bits in first)
+            assert known[bits][1] == "the cycle certification"
+        assert 0 < shared < 2 * part.k
+
     def test_more_than_eps_k2_refutations_end_phase_1(self, monkeypatch):
         g, sched = self.dense_host()
         refuted = self.refuting(monkeypatch, lambda a, b: True)
