@@ -39,7 +39,10 @@ from .regularity import (
 
 
 def _rat(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as e:
+        raise argparse.ArgumentTypeError(f"invalid rational {text!r}: zero denominator") from e
 
 
 def _indices(text: str) -> list[int]:

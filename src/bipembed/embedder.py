@@ -54,6 +54,8 @@ ClassKey = tuple[str, int]
 
 @dataclass
 class CompatibilityReport:
+    classes: dict[ClassKey, frozenset[VertexId]]  # the target partition
+    partner: dict[ClassKey, ClassKey]  # each class's super-regular partner
     boundary: dict[ClassKey, frozenset[VertexId]]  # S_i per class
     fringe: dict[ClassKey, frozenset[VertexId]]  # T_i per class
     size_clause: Check
@@ -69,12 +71,6 @@ class CompatibilityReport:
         """The failing clauses' details, joined."""
         clauses = (self.size_clause, self.edge_clause, self.boundary_clause)
         return "; ".join(c.detail for c in clauses if not c.ok)
-
-    def boundary_union(self) -> set[VertexId]:
-        return set().union(*self.boundary.values())
-
-    def fringe_union(self) -> set[VertexId]:
-        return set().union(*self.fringe.values())
 
 
 def _partners(rprime_edges: Iterable[tuple[int, int]]) -> dict[ClassKey, ClassKey]:
@@ -172,6 +168,8 @@ def compatibility_report(
             )
             break
     return CompatibilityReport(
+        cls,
+        partner,
         {c: frozenset(boundary[c]) for c in cls},
         {c: frozenset(fringe[c]) for c in cls},
         size_clause,
@@ -279,9 +277,7 @@ def embed_compatible(
     G: BipartiteGraph,
     H: BipartiteGraph,
     g_partition: ClusterPartition,
-    h_classes: Mapping[ClassKey, Iterable[VertexId]],
-    r_edges: Iterable[tuple[int, int]],
-    rprime_edges: Iterable[tuple[int, int]],
+    report: CompatibilityReport,
     params: RegularityParams,
     seed: int = 0,
     order: Optional[Sequence[VertexId]] = None,
@@ -289,17 +285,20 @@ def embed_compatible(
 ) -> Embedding:
     """Two-phase embedding of H into G along compatible partitions.
 
-    Phase 1 embeds the boundary and fringe vertices greedily in the given
-    order.  Phase 2 completes each matching pair: its X side is placed
-    random-greedily on typical host vertices, after which every remaining Y
-    vertex has all neighbours embedded and the pair is finished by a
-    maximum matching on the admissible-placement graph.  Phase 2 is retried
-    with fresh randomness up to ``retries`` times; phase-1 exhaustion and a
-    deficient matching raise :class:`EmbeddingError` with the stuck vertex
-    or a witness set violating the matching condition.
+    ``report`` is the :func:`compatibility_report` of H's classes at
+    ``params.epsilon``; each class must hold exactly its cluster's size in
+    ``g_partition``, and the report's clauses must hold.  Phase 1 embeds
+    the boundary and fringe vertices greedily in the given order.  Phase 2
+    completes each matching pair: its X side is placed random-greedily on
+    typical host vertices, after which every remaining Y vertex has all
+    neighbours embedded and the pair is finished by a maximum matching on
+    the admissible-placement graph.  Phase 2 is retried with fresh
+    randomness up to ``retries`` times; phase-1 exhaustion and a deficient
+    matching raise :class:`EmbeddingError` with the stuck vertex or a
+    witness set violating the matching condition.
     """
     k = g_partition.k
-    classes = {c: frozenset(v) for c, v in h_classes.items()}
+    classes = report.classes
     g_classes: dict[ClassKey, VertexSet] = {}
     for i in range(k):
         g_classes[("A", i)] = g_partition.clusters_a[i]
@@ -310,11 +309,9 @@ def embed_compatible(
                 f"class {c} has {len(classes[c])} vertices but its cluster holds "
                 f"{g_classes[c].size}; spanning embedding needs exact sizes"
             )
-    sizes = {c: g_classes[c].size for c in g_classes}
-    report = compatibility_report(H, classes, sizes, r_edges, rprime_edges, params.epsilon)
     if not report.ok:
         raise EmbeddingError(f"partitions are not compatible: {report.detail}")
-    partner = _partners(rprime_edges)
+    partner = report.partner
 
     if order is None:
         order = sorted(H.vertices())
@@ -570,7 +567,7 @@ def embed_bipartite(
     ell = max(1, min(cfg.ell, k // group))
     firsts = [t * k // ell for t in range(ell + 1)]
     rprime = [(i, i) for i in range(k)]
-    cycle = state.certified_pairs()
+    cycle = rprime + [(i, (i + 1) % k) for i in range(k)]
 
     last_failure = "no attempt"
     for attempt in range(cfg.pipeline_retries):
@@ -624,7 +621,7 @@ def embed_bipartite(
 
         try:
             emb = embed_compatible(
-                G, H, resized.partition, classes, cycle, rprime,
+                G, H, resized.partition, rep,
                 schedule.final_params(), sub, order=labelling.order,
                 retries=cfg.embed_retries,
             )

@@ -145,30 +145,6 @@ class VertexSet:
     def indices(self) -> Iterator[int]:
         return iter_bits(self.bits)
 
-    def _check_compatible(self, other: "VertexSet") -> None:
-        if self.side is not other.side or self.universe != other.universe:
-            raise SideMismatchError("vertex sets live on different sides/universes")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check_compatible(other)
-        return VertexSet(self.side, self.universe, self.bits | other.bits)
-
-    def intersect(self, other: "VertexSet") -> "VertexSet":
-        self._check_compatible(other)
-        return VertexSet(self.side, self.universe, self.bits & other.bits)
-
-    def minus(self, other: "VertexSet") -> "VertexSet":
-        self._check_compatible(other)
-        return VertexSet(self.side, self.universe, self.bits & ~other.bits)
-
-    def add(self, index: int) -> "VertexSet":
-        if not 0 <= index < self.universe:
-            raise GraphError(f"index {index} outside universe {self.universe}")
-        return VertexSet(self.side, self.universe, self.bits | (1 << index))
-
-    def discard(self, index: int) -> "VertexSet":
-        return VertexSet(self.side, self.universe, self.bits & ~(1 << index))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VertexSet)

@@ -33,9 +33,6 @@ class BandwidthLabelling:
     positions_a: tuple[int, ...] = field(repr=False)
     positions_b: tuple[int, ...] = field(repr=False)
 
-    def position(self, v: VertexId) -> int:
-        return self.positions_a[v.index] if v.side is Side.A else self.positions_b[v.index]
-
 
 def _labelling_from_order(H: BipartiteGraph, order: Sequence[VertexId]) -> BandwidthLabelling:
     if sorted(order) != sorted(H.vertices()):

@@ -20,11 +20,13 @@ walking vertices around the cycle, one source-to-sink route at a time.
 The cycle search and both phases sample pairs through one routine,
 ``_certify_pairs``, into one ledger: each deviation verdict drawn is kept
 by the pair's vertex sets, and a later check of the same sets at the same
-epsilon takes the kept verdict (``regularity.reuse_deviation``).  In
-practical mode, where the tiers share one epsilon, the rest of phase 1 and
-phase 2 thus sample only the pairs of clusters that super-regularisation,
-absorption or a route changed; faithful mode's tiers differ, so each phase
-samples anew.
+epsilon takes the kept verdict (``regularity.reuse_deviation``).  After
+absorption both modes certify the cycle pairs at the schedule's absorbed
+tier (``absorbed_epsilon``, ``absorbed_density``), which practical mode
+declares equal to its (eps, d).  In practical mode, where the tiers thus
+share one epsilon, the rest of phase 1 and phase 2 sample only the pairs of
+clusters that super-regularisation, absorption or a route changed; faithful
+mode's tiers differ, so each phase samples anew.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
@@ -56,7 +58,6 @@ from .regularity import (
     check_regular_pair,
     check_super_regular_pair,
     random_equipartition,
-    rebound_after_perturbation,
     reuse_deviation,
     super_regularize,
 )
@@ -106,7 +107,6 @@ class ParameterSchedule:
     gamma: Fraction
     epsilon: Fraction
     k0: int
-    kmax: int
     embed_density: Fraction
     partition_epsilon: Fraction
     partition_density: Fraction
@@ -169,7 +169,6 @@ def derive_parameter_schedule(
             gamma=gamma,
             epsilon=eps_work,
             k0=k0,
-            kmax=k0,  # phase 1 cuts exactly k0 clusters
             embed_density=d_work,
             partition_epsilon=eps_work,
             partition_density=d_work,
@@ -221,8 +220,8 @@ def derive_parameter_schedule(
             raise ScheduleError(f"derived-constant inequality violated: {name}")
 
     k_min = max(k0, ceil_frac(1 / margin))
-    # slack chosen so 100*kmax*sqrt(slack) <= eps/10 and
-    # 100*kmax^2*sqrt(slack) <= embed_density, exactly
+    # slack chosen so 100*k_min*sqrt(slack) <= eps/10 and
+    # 100*k_min^2*sqrt(slack) <= embed_density, exactly
     root = min(epsilon / (1000 * k_min), embed_density / (100 * k_min * k_min))
     size_slack = root * root
     target_slack = size_slack * epsilon / (100 * max_degree * k_min * k_min)
@@ -231,7 +230,6 @@ def derive_parameter_schedule(
         gamma=gamma,
         epsilon=epsilon,
         k0=k0,
-        kmax=k_min,
         embed_density=embed_density,
         partition_epsilon=eps_p,
         partition_density=d_p,
@@ -516,17 +514,6 @@ class HostPartitionState:
     def certificates_ok(self) -> bool:
         return not _failed_cycle_pairs(self.matching_certificates, self.offset_certificates)
 
-    def certified_pairs(self) -> list[tuple[int, int]]:
-        """The cycle pairs as (i, j): (i, i) certified super-regular, then
-        (i, i+1) certified regular."""
-        return [
-            (i, i) for i, c in self.matching_certificates.items()
-            if c.verdict is Verdict.SUPER_REGULAR
-        ] + [
-            (i, (i + 1) % self.k) for i, c in self.offset_certificates.items()
-            if c.verdict is Verdict.REGULAR
-        ]
-
 
 def _certify_pairs(
     G: BipartiteGraph,
@@ -687,7 +674,11 @@ def prepare_host_partition(
 ) -> HostPartitionState:
     """Phase 1 of the host pipeline; see the module docstring.
 
-    Raises :class:`PipelineStageError` with the failing stage name.
+    The returned state's cycle pairs are certified at the schedule's
+    absorbed tier, ``hat_params``: every matching pair (A_i, B_i)
+    super-regular and every offset pair (A_i, B_{i+1}) regular, all 2k of
+    them.  Raises :class:`PipelineStageError` with the failing stage name,
+    "pair-certification" when any of those pairs fails.
     """
     n = G.size_a
     if not G.is_balanced:
@@ -724,7 +715,6 @@ def prepare_host_partition(
     )
     rstar = [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
 
-    refined = RegularityParams(schedule.refined_epsilon, schedule.refined_density)
     try:
         sup = super_regularize(
             G, part, rstar, params,
@@ -754,17 +744,10 @@ def prepare_host_partition(
                 "target-sizes", f"cluster {i} of size {s} is below n/(2k)"
             )
 
-    if schedule.is_faithful:
-        hat = RegularityParams(
-            min(schedule.absorbed_epsilon.upper(), Fraction(1)),
-            max(schedule.absorbed_density, Fraction(0)),
-        )
-    else:
-        worst = max(
-            (Fraction(absorption.gains[i], sizes_a[i]) for i in range(k)),
-            default=Fraction(0),
-        )
-        hat = rebound_after_perturbation(refined, worst, worst)
+    hat = RegularityParams(
+        min(schedule.absorbed_epsilon.upper(), Fraction(1)),
+        max(schedule.absorbed_density, Fraction(0)),
+    )
     matching, offsets = _certify_cycle_pairs(
         G, final, hat, budget, _mix_seed(seed, PHASE1_STREAM), known, "phase 1"
     )

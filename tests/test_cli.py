@@ -515,6 +515,13 @@ class TestCommands:
             run(["verify", "--seed", "1", "--host", "g.bg", "--cycle", "c.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", ["--gamma", "--slack"])
+    def test_zero_denominator_is_a_usage_error(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-host", "--n", "16", option, "1/0", "--out", str(tmp_path / "g.bg")])
+        assert exc.value.code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for rep in range(2):

@@ -20,6 +20,12 @@ from bipembed.embedder import (
 )
 from bipembed.generators import InstanceSpec, gen_host, gen_target
 from bipembed.graphs import BipartiteGraph, GraphError, Side, VertexId, VertexSet
+from bipembed.hamilton import HamiltonSearchError
+from bipembed.partitioner import (
+    PipelineStageError,
+    derive_parameter_schedule,
+    prepare_host_partition,
+)
 from bipembed.regularity import ClusterPartition, RegularityParams
 
 from helpers import (
@@ -65,8 +71,8 @@ class TestCompatibilityReport:
             h, classes, sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
         )
         assert rep.ok
-        assert not rep.boundary_union()
-        assert not rep.fringe_union()
+        assert not any(rep.boundary.values())
+        assert not any(rep.fringe.values())
 
     def test_oversized_class_fails_clause_one(self):
         h = matching_graph(8)
@@ -152,12 +158,21 @@ class TestVerifyEmbedding:
         assert not res and "not a target vertex" in res.detail
 
 
+def embed_along(g, h, part, classes, r, rprime, params, **kwargs):
+    """embed_compatible with the compatibility report at the partition's
+    cluster sizes, as the pipeline hands it over."""
+    sizes = {("A", i): c.size for i, c in enumerate(part.clusters_a)}
+    sizes.update({("B", i): c.size for i, c in enumerate(part.clusters_b)})
+    rep = compatibility_report(h, classes, sizes, r, rprime, params.epsilon)
+    return embed_compatible(g, h, part, rep, params, **kwargs)
+
+
 class TestEmbedCompatible:
     def test_perfect_matching_into_planted_blocks(self):
         k, m = 2, 8
         g = planted_blocks(k, m)
         h = matching_graph(k * m)
-        emb = embed_compatible(
+        emb = embed_along(
             g, h, planted_partition(g, k, m), classes_from_ranges(k, m),
             [(0, 0), (1, 1)], [(0, 0), (1, 1)],
             RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
@@ -172,7 +187,7 @@ class TestEmbedCompatible:
         moved = classes[("A", 0)].pop()
         classes[("A", 1)].add(moved)
         with pytest.raises(EmbeddingError):
-            embed_compatible(
+            embed_along(
                 g, h, planted_partition(g, k, m), classes,
                 [(0, 0), (1, 1)], [(0, 0), (1, 1)],
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
@@ -203,7 +218,7 @@ class TestEmbedCompatible:
         )
         part = ClusterPartition(ca, cb, VertexSet(Side.A, n, 0), VertexSet(Side.B, n, 0))
         r = [(0, 0), (1, 1), (0, 1), (1, 0)]
-        emb = embed_compatible(
+        emb = embed_along(
             g, h, part, classes, r, [(0, 0), (1, 1)],
             RegularityParams(Fraction(1, 2), Fraction(1, 4)), seed=1,
             order=lab.order, retries=20,
@@ -218,7 +233,7 @@ class TestEmbedCompatible:
         h = matching_graph(k * m)
         ok = 0
         for seed in range(30):
-            emb = embed_compatible(
+            emb = embed_along(
                 g, h, planted_partition(g, k, m), classes_from_ranges(k, m),
                 [(0, 0), (1, 1)], [(0, 0), (1, 1)],
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=seed,
@@ -236,7 +251,7 @@ class TestEmbedCompatible:
         h = matching_graph(3)
         part = ClusterPartition.from_masks(g, [0b111], [0b111])
         with pytest.raises(EmbeddingError) as exc:
-            embed_compatible(
+            embed_along(
                 g, h, part, classes_from_ranges(1, 3), [(0, 0)], [(0, 0)],
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
             )
@@ -555,3 +570,44 @@ class TestTypedFailures:
             embed_bipartite(g, cycle_graph(n), Fraction(1, 5), 2, cfg)
         last = exc.value.report.stages[-1]
         assert (last.stage, last.ok, last.detail) == ("labelling", False, message)
+
+    def test_a_failed_embedding_moves_on_to_the_next_attempt(self, monkeypatch):
+        real_embed = embedder.embed_compatible
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args[3])
+            if len(calls) == 1:
+                raise EmbeddingError("completion stuck on purpose")
+            return real_embed(*args, **kwargs)
+
+        monkeypatch.setattr(embedder, "embed_compatible", fail_once)
+        n = 32
+        g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
+        res = embed_bipartite(g, cycle_graph(n), Fraction(1, 5), 2, EmbedConfig(k0=2),
+                              labelling=zigzag_labelling(n))
+        assert verify_embedding(g, cycle_graph(n), res.embedding)
+        # each attempt hands over the report its compatibility gate passed
+        assert len(calls) == 2 and all(rep.ok for rep in calls)
+        embedding = [(s.ok, s.detail) for s in res.report.stages if s.stage == "embedding"]
+        assert embedding == [
+            (False, "completion stuck on purpose"), (True, "verified on attempt 2")
+        ]
+
+    def test_a_failed_cycle_search_names_its_stage(self, monkeypatch):
+        def no_cycle(*args, **kwargs):
+            raise HamiltonSearchError("no cycle found", hypothesis_held=True, definitive=False)
+
+        monkeypatch.setattr(partitioner, "find_hamilton_cycle", no_cycle)
+        n = 32
+        g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
+        sched = derive_parameter_schedule(Fraction(1, 5), 2, Fraction(1, 4), 2, "practical")
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(g, sched, budget=50)
+        assert exc.value.stage == "reduced-hamilton-cycle"
+        with pytest.raises(EmbeddingPipelineError) as exc:
+            embed_bipartite(g, cycle_graph(n), Fraction(1, 5), 2, EmbedConfig(k0=2),
+                            labelling=zigzag_labelling(n))
+        last = exc.value.report.stages[-1]
+        assert (last.stage, last.ok) == ("reduced-hamilton-cycle", False)
+        assert "no cycle found" in last.detail

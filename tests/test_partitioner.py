@@ -97,8 +97,8 @@ class TestSchedule:
 
         root = exact_sqrt(sched.size_slack)
         assert root is not None
-        assert 100 * sched.kmax * root <= sched.epsilon / 10
-        assert 100 * sched.kmax ** 2 * root <= sched.embed_density
+        assert 100 * sched.min_clusters_for_cycle * root <= sched.epsilon / 10
+        assert 100 * sched.min_clusters_for_cycle ** 2 * root <= sched.embed_density
 
     def test_practical_passthrough(self):
         sched = derive_parameter_schedule(
@@ -433,8 +433,8 @@ class TestHostPhases:
         assert state.k == 8
         assert state.target_sizes == (8,) * 8
         assert len(state.build.reduced.edges) == len(state.build.reduced.certificates) == 16
-        assert sorted(state.certified_pairs()) == sorted(
-            [(i, i) for i in range(8)] + [(i, (i + 1) % 8) for i in range(8)])
+        assert sorted(state.matching_certificates) == sorted(state.offset_certificates) == list(
+            range(8))
         assert state.certificates_ok()
 
     def test_phase1_rejects_low_degree(self):
@@ -576,6 +576,31 @@ class TestDeviationReuse:
         assert len(certs) == 2 * state.k
         assert all(c.note == f"{REUSED} the cycle certification" for c in certs)
         assert all(c.samples_used == 400 for c in certs)
+        assert state.certificates_ok()
+
+    def test_absorbed_host_certifies_at_the_declared_tier(self):
+        """Practical phase 1 certifies at its schedule's absorbed tier, (eps, d),
+        also when it absorbs exceptional vertices: the pairs absorption left
+        alone take the cycle certification's verdicts, and the changed pairs
+        are sampled at eps."""
+        g = gen_host(InstanceSpec(
+            "host-random-min-degree", 516, 3, {"gamma": Fraction(3, 10)}
+        ))
+        sched = derive_parameter_schedule(
+            Fraction(3, 10), 2, 0, 8, "practical",
+            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+        )
+        state = prepare_host_partition(g, sched, budget=800, seed=3)
+        assert state.build.partition.exceptional_a.size > 0  # 516 = 8*64 + 4
+        assert state.hat_params == RegularityParams(Fraction(1, 4), Fraction(3, 10))
+        certs = list(state.matching_certificates.values()) + list(
+            state.offset_certificates.values())
+        assert len(certs) == 2 * state.k
+        assert all(c.params.epsilon == Fraction(1, 4) for c in certs)
+        reused = [c for c in certs if c.note.startswith(f"{REUSED} the cycle certification")]
+        fresh = [c for c in certs if not c.note.startswith(REUSED)]
+        assert reused and fresh and len(reused) + len(fresh) == len(certs)
+        assert all(c.samples_used == 800 for c in fresh)
         assert state.certificates_ok()
 
     def test_phase2_samples_only_the_pairs_of_moved_clusters(self, sampled):

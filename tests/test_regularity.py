@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -166,6 +167,40 @@ class TestCheckRegularPair:
             assert (cert.verdict is Verdict.REGULAR) == ok, f"trial {trial}"
             if cert.verdict is Verdict.IRREGULAR:
                 assert cert.witness.deviation <= worst
+
+    def test_exhaustive_matches_bruteforce_on_unbalanced_pairs(self):
+        # |U| < |W| makes the exhaustive check enumerate U's subsets
+        rng = random.Random(17)
+        cases = refuted = 0
+        for trial in range(4):
+            g = random_bipartite(10, rng.choice([0.3, 0.5, 0.7]), rng)
+            for u_size in range(2, 5):
+                for w_size in range(6, 11):
+                    U = VertexSet.from_indices(Side.A, 10, rng.sample(range(10), u_size))
+                    W = VertexSet.from_indices(Side.B, 10, rng.sample(range(10), w_size))
+                    for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+                        s_u, s_w = min_subset_size(eps, u_size), min_subset_size(eps, w_size)
+                        assert math.comb(u_size, s_u) < math.comb(w_size, s_w)
+                        cert = check_regular_pair(
+                            g, U, W, RegularityParams(eps, Fraction(0)), Strategy.EXHAUSTIVE
+                        )
+                        ok, worst = brute_force_regular(g, U, W, eps)
+                        where = f"trial {trial}, |U|={u_size}, |W|={w_size}, eps={eps}"
+                        assert (cert.verdict is Verdict.REGULAR) == ok, where
+                        cases += 1
+                        if cert.verdict is not Verdict.IRREGULAR:
+                            continue
+                        refuted += 1
+                        wit = cert.witness
+                        assert wit.subset_u.bits & ~U.bits == 0, where
+                        assert wit.subset_w.bits & ~W.bits == 0, where
+                        assert wit.subset_u.size >= eps * u_size, where
+                        assert wit.subset_w.size >= eps * w_size, where
+                        recomputed = density(g, wit.subset_u, wit.subset_w)
+                        assert recomputed == wit.witness_density, where
+                        assert wit.deviation == abs(recomputed - cert.base_density) > eps
+                        assert wit.deviation <= worst, where
+        assert cases == 180 and 0 < refuted < cases
 
     def test_monotone_in_epsilon(self):
         rng = random.Random(3)
@@ -700,8 +735,8 @@ class TestPerturbationSoundness:
             before = check_regular_pair(g, A, B, params, Strategy.SAMPLED, 400, seed)
             assert before.verdict is Verdict.REGULAR
             # swap two vertices per side in/out: alpha = beta = 2/64
-            newA = A.discard(0).discard(1).add(64).add(65)
-            newB = B.discard(2).discard(3).add(66).add(67)
+            newA = VertexSet.from_indices(Side.A, 96, [*range(2, 64), 64, 65])
+            newB = VertexSet.from_indices(Side.B, 96, [0, 1, *range(4, 64), 66, 67])
             hat = rebound_after_perturbation(params, Fraction(2, 64), Fraction(2, 64))
             after = check_regular_pair(g, newA, newB, hat, Strategy.SAMPLED, 400, seed + 1)
             assert after.verdict is not Verdict.IRREGULAR
