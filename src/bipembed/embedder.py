@@ -8,7 +8,8 @@ then proceeds in two phases: the boundary vertices go first, greedily in
 bandwidth order, each placed on an unused typical host vertex compatible
 with its already-embedded neighbours; each matching pair is then completed
 by random-greedy placement of its X side and a maximum-matching finish on
-the candidate graph of its Y side.  Every embedding is verified before it
+the candidate graph of its Y side, independently of the other pairs, so a
+pair that fails is retried alone.  Every embedding is verified before it
 is returned; no unverified output ever escapes.  The pipeline distributes
 the target deterministically, in runs along the cluster cycle sized to the
 phase-1 targets, so phase 2 only touches the cluster sizes up; it accepts a
@@ -42,7 +43,16 @@ from .partitioner import (
     resize_host_partition,
 )
 from .ratmath import Rational, frac
-from .regularity import ClusterPartition, RegularityParams, _mix_seed, typical_vertices
+from .regularity import (
+    ClusterPartition,
+    RegularityParams,
+    _draw,
+    _local_row,
+    _mix_seed,
+    _pair_rows,
+    _shuffle,
+    typical_vertices,
+)
 
 ClassKey = tuple[str, int]
 
@@ -273,6 +283,13 @@ def _max_matching(
     return match_left, witness
 
 
+def _choose(mask: int, typical: int, getrandbits) -> Optional[int]:
+    """A random set bit of ``mask``, among its typical bits when it has any;
+    None when it is empty."""
+    opts = list(iter_bits(mask & typical)) or list(iter_bits(mask))
+    return _draw(getrandbits, opts, 1)[0] if opts else None
+
+
 def embed_compatible(
     G: BipartiteGraph,
     H: BipartiteGraph,
@@ -292,135 +309,161 @@ def embed_compatible(
     completes each matching pair: its X side is placed random-greedily on
     typical host vertices, after which every remaining Y vertex has all
     neighbours embedded and the pair is finished by a maximum matching on
-    the admissible-placement graph.  Phase 2 is retried with fresh
-    randomness up to ``retries`` times; phase-1 exhaustion and a deficient
-    matching raise :class:`EmbeddingError` with the stuck vertex or a
-    witness set violating the matching condition.
+    the admissible-placement graph.  A vertex outside the boundary and
+    fringe has all its neighbours in its partner class, and a pair writes
+    only its own two clusters, so the pairs complete independently: each
+    pair gets up to ``retries`` attempts of its own, attempt t of pair i on
+    the stream ``_mix_seed(seed, i, t)``, and a failed attempt's placements
+    are dropped.  Placement works in cluster-local coordinates: local index
+    t of a cluster is its t-th member in ascending order, and each matching
+    pair's adjacency is read once, both ways.  Phase-1 exhaustion and a
+    pair that fails all its attempts raise :class:`EmbeddingError` with the
+    stuck vertex or a witness set violating the matching condition; the
+    whole result is verified once before it is returned.
     """
     k = g_partition.k
     classes = report.classes
-    g_classes: dict[ClassKey, VertexSet] = {}
+    clusters: dict[ClassKey, VertexSet] = {}
     for i in range(k):
-        g_classes[("A", i)] = g_partition.clusters_a[i]
-        g_classes[("B", i)] = g_partition.clusters_b[i]
+        clusters[("A", i)] = g_partition.clusters_a[i]
+        clusters[("B", i)] = g_partition.clusters_b[i]
     for c in classes:
-        if len(classes[c]) != g_classes[c].size:
+        if len(classes[c]) != clusters[c].size:
             raise EmbeddingError(
                 f"class {c} has {len(classes[c])} vertices but its cluster holds "
-                f"{g_classes[c].size}; spanning embedding needs exact sizes"
+                f"{clusters[c].size}; spanning embedding needs exact sizes"
             )
     if not report.ok:
         raise EmbeddingError(f"partitions are not compatible: {report.detail}")
     partner = report.partner
+    pairs = sorted((c, p) for c, p in partner.items() if c[0] == "A")
 
     if order is None:
         order = sorted(H.vertices())
     pos = {v: t for t, v in enumerate(order)}
+    class_of = {v: c for c, vs in classes.items() for v in vs}
+    nbrs = {v: H.neighbours(v) for v in H.vertices()}
 
+    # local index t of cluster c is host vertex members[c][t]; rows[c][t]
+    # is its adjacency to the partner cluster, in that cluster's indices
+    members = {c: list(vs.indices()) for c, vs in clusters.items()}
+    rows: dict[ClassKey, list[int]] = {}
+    for ca, cb in pairs:
+        rows[ca], rows[cb] = _pair_rows(G, members[ca], members[cb])
     # typical host vertices per class: enough neighbours in the partner
     # cluster to keep the completion phase healthy
-    typical_bits: dict[ClassKey, int] = {}
-    for c, vs in g_classes.items():
+    typical: dict[ClassKey, int] = {}
+    for c, vs in clusters.items():
         p = partner.get(c)
         if p is None:
-            typical_bits[c] = vs.bits
+            typical[c] = (1 << vs.size) - 1
             continue
-        pset = g_classes[p]
-        typical_bits[c] = typical_vertices(G, vs, pset, pset, params).vertices.bits
+        bits = typical_vertices(G, vs, clusters[p], clusters[p], params).vertices.bits
+        typical[c] = _local_row(bits, members[c], vs.universe)
 
-    # boundary and fringe vertices with their classes, in labelling order
-    boundary_order = sorted(
-        ((v, c) for c in classes for v in report.boundary[c] | report.fringe[c]),
-        key=lambda vc: pos[vc[0]],
-    )
+    images: dict[VertexId, int] = {}  # local index in the class's cluster
+    phases: dict[VertexId, str] = {}
+    free = {c: (1 << vs.size) - 1 for c, vs in clusters.items()}
 
-    def admissible_mask(v: VertexId, base_bits: int, images: dict[VertexId, VertexId]) -> int:
-        mask = base_bits
-        for w in H.neighbours(v):
-            img = images.get(w)
-            if img is not None:
-                mask &= G.adj_a[img.index] if img.side is Side.A else G.adj_b[img.index]
+    def image_row(w: VertexId, c: ClassKey) -> int:
+        """The adjacency of w's image to cluster c, in c's local indices;
+        outside the matching pairs it is read from G when asked for."""
+        cw = class_of[w]
+        if partner.get(cw) == c:
+            return rows[cw][images[w]]
+        adj = G.adj_a if cw[0] == "A" else G.adj_b
+        return _local_row(adj[members[cw][images[w]]], members[c], clusters[c].universe)
+
+    def phase1_mask(v: VertexId, c: ClassKey) -> int:
+        mask = free[c]
+        for w in nbrs[v]:
+            if w in images:
+                mask &= image_row(w, c)
         return mask
 
-    def place(v: VertexId, c: ClassKey, images, used, rng: random.Random) -> bool:
-        """Put v on a random free host vertex of cluster c adjacent to the
-        images of its placed neighbours, typical vertices first."""
-        side = Side(c[0])
-        free = g_classes[c].bits & ~used[side]
-        mask = admissible_mask(v, free & typical_bits[c], images)
-        # allow non-typical placements before giving up
-        mask = mask or admissible_mask(v, free, images)
-        if not mask:
-            return False
-        idx = rng.choice(list(iter_bits(mask)))
-        images[v] = VertexId(side, idx)
-        used[side] |= 1 << idx
-        return True
+    # phase 1: boundary and fringe vertices, in labelling order
+    getrandbits = random.Random(seed).getrandbits
+    for v in sorted((v for c in classes for v in report.boundary[c] | report.fringe[c]),
+                    key=pos.__getitem__):
+        c = class_of[v]
+        t = _choose(phase1_mask(v, c), typical[c], getrandbits)
+        if t is None:
+            raise EmbeddingError(f"phase 1 exhausted candidates for {v} in class {c}", stuck=v)
+        images[v] = t
+        free[c] &= ~(1 << t)
+        phases[v] = "boundary-greedy"
 
-    def complete(ca: ClassKey, cb: ClassKey, images, used, phases, rng: random.Random) -> None:
-        """Place the rest of X class ca greedily, then match Y class cb."""
-        x_rest = sorted((v for v in classes[ca] if v not in images), key=lambda v: pos[v])
-        y_rest = sorted((v for v in classes[cb] if v not in images), key=lambda v: pos[v])
-        for v in x_rest:
-            if not place(v, ca, images, used, rng):
-                raise EmbeddingError(f"completion stuck on {v} in {ca}", stuck=v)
-            phases[v] = "completion-greedy"
+    # phase 2: each pair's unplaced vertices in labelling order, and the
+    # candidates phase 1 leaves them; their neighbours all lie in the
+    # partner class, so only the pair's own placements narrow these
+    rest: dict[ClassKey, list[VertexId]] = {}
+    bases: dict[VertexId, int] = {}
+    for c in (c for pair in pairs for c in pair):
+        rest[c] = sorted((v for v in classes[c] if v not in images), key=pos.__getitem__)
+        bases.update((v, phase1_mask(v, c)) for v in rest[c])
 
-        free_bits = g_classes[cb].bits & ~used[Side.B]
-        free = list(iter_bits(free_bits))
-        local = {b: t for t, b in enumerate(free)}
+    def complete(ca: ClassKey, cb: ClassKey, getrandbits) -> dict[VertexId, int]:
+        """Place the rest of X class ca greedily, then match Y class cb;
+        returns the new images."""
+        new: dict[VertexId, int] = {}
+        free_a = free[ca]
+        for x in rest[ca]:
+            t = _choose(free_a & bases[x], typical[ca], getrandbits)
+            if t is None:
+                raise EmbeddingError(f"completion stuck on {x} in {ca}", stuck=x)
+            new[x] = t
+            free_a &= ~(1 << t)
+        row_a = rows[ca]
         cands: list[list[int]] = []
-        for v in y_rest:
-            mask = admissible_mask(v, free_bits, images)
-            opts = [local[b] for b in iter_bits(mask)]
-            rng.shuffle(opts)
+        for y in rest[cb]:
+            mask = bases[y]
+            for w in nbrs[y]:
+                t = new.get(w)
+                if t is not None:
+                    mask &= row_a[t]
+            opts = list(iter_bits(mask))
+            _shuffle(getrandbits, opts)
             cands.append(opts)
-        match, deficient = _max_matching(cands, len(free))
+        match, deficient = _max_matching(cands, clusters[cb].size)
         if deficient:
             reached, saw = deficient
+            ys = rest[cb]
             raise EmbeddingError(
                 f"matching completion deficient in {cb}: {len(reached)} vertices share "
                 f"{len(saw)} candidates",
-                stuck=y_rest[match.index(-1)],
-                hall_violator=sorted(y_rest[t] for t in reached),
+                stuck=ys[match.index(-1)],
+                hall_violator=sorted(ys[t] for t in reached),
             )
-        for t, v in enumerate(y_rest):
-            b = free[match[t]]
-            images[v] = VertexId(Side.B, b)
-            used[Side.B] |= 1 << b
-            phases[v] = "completion-matching"
+        new.update(zip(rest[cb], match))
+        return new
 
-    last_error: Optional[EmbeddingError] = None
-    phase1_images: dict[VertexId, VertexId] = {}
-    phase1_used = {Side.A: 0, Side.B: 0}
-    rng1 = random.Random(seed)
-    for v, c in boundary_order:
-        if not place(v, c, phase1_images, phase1_used, rng1):
+    for ca, cb in pairs:
+        last_error: Optional[EmbeddingError] = None
+        for attempt in range(retries):
+            try:
+                new = complete(ca, cb, random.Random(_mix_seed(seed, ca[1], attempt)).getrandbits)
+            except EmbeddingError as e:
+                # without its traceback, the error does not pin the attempt's frames
+                last_error = e.with_traceback(None)
+                continue
+            images.update(new)
+            for v in new:
+                phases[v] = "completion-greedy" if v.side is Side.A else "completion-matching"
+            break
+        else:
             raise EmbeddingError(
-                f"phase 1 exhausted candidates for {v} in class {c}", stuck=v
-            )
+                f"no completion of pair {ca}-{cb} within {retries} attempts: {last_error}",
+                stuck=getattr(last_error, "stuck", None),
+                hall_violator=getattr(last_error, "hall_violator", None),
+            ) from last_error
 
-    for attempt in range(retries):
-        rng = random.Random((seed + 97 * attempt + 1) & 0x7FFFFFFF)
-        images = dict(phase1_images)
-        used = dict(phase1_used)
-        phases = {v: "boundary-greedy" for v in images}
-        try:
-            for ca in sorted(c for c in partner if c[0] == "A"):
-                complete(ca, partner[ca], images, used, phases, rng)
-            emb = Embedding(images, phases)
-            check = verify_embedding(G, H, emb)
-            if not check:
-                raise EmbeddingError(f"verification failed: {check.detail}")
-            return emb
-        except EmbeddingError as e:
-            last_error = e
-            continue
-    raise EmbeddingError(
-        f"no embedding within {retries} completion attempts: {last_error}",
-        stuck=getattr(last_error, "stuck", None),
-        hall_violator=getattr(last_error, "hall_violator", None),
+    emb = Embedding(
+        {v: VertexId(v.side, members[class_of[v]][t]) for v, t in images.items()}, phases
     )
+    check = verify_embedding(G, H, emb)
+    if not check:
+        raise EmbeddingError(f"verification failed: {check.detail}")
+    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +481,7 @@ class EmbedConfig:
     size_slack: Optional[Rational] = None
     labelling_mode: str = "cuthill-mckee"
     sample_budget: int = 800
-    embed_retries: int = 20
+    embed_retries: int = 20  # completion attempts per matching pair
     pipeline_retries: int = 8
 
 

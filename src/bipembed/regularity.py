@@ -23,7 +23,8 @@ ascending vertex order), so every draw, mask and degree sort works on
 |U|- and |W|-bit integers; only a witness is mapped back to vertices.  The
 sampled draws come from ``_draw``, which returns exactly what the standard
 library's ``Random.sample``/``Random.choice`` return from the same seed, so
-certificates do not depend on how the sampler is implemented.
+certificates do not depend on how the sampler is implemented; ``_shuffle``
+does the same for ``Random.shuffle``.
 
 A seeded draw takes its partners from a member's pool, the local indices
 of its neighbours, built once per check from the row's binary digits.  The
@@ -214,16 +215,47 @@ def _draw(getrandbits, population: Sequence, k: int) -> list:
     return result
 
 
+def _shuffle(getrandbits, x: list) -> None:
+    """``random.Random.shuffle(x)``, drawn with ``getrandbits`` alone.
+
+    The same permutation, leaving the generator in the same state: CPython's
+    loop with ``_randbelow``'s rejection loop inlined, as in ``_draw``.
+    """
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
+def _digit_reader(members: Sequence[int], universe: int):
+    """Reads a row over a side of ``universe`` vertices at the (ascending,
+    non-empty) members' positions: the local row's binary digits, last
+    member first."""
+    # bin(row | top) holds bit w at position universe + 2 - w
+    top = 1 << universe
+    pick = itemgetter(*[universe + 2 - w for w in reversed(members)])
+    return lambda row: ''.join(pick(bin(row | top)))
+
+
+def _local_row(row: int, members: Sequence[int], universe: int) -> int:
+    """``row``, over a side of ``universe`` vertices, in the members' local
+    coordinates: bit t is bit ``members[t]``.  Members are in ascending
+    order, so local order is global order."""
+    return int(_digit_reader(members, universe)(row), 2) if members else 0
+
+
 def _pair_rows(G: BipartiteGraph, u_members: list[int], w_members: list[int]):
     """The pair's adjacency on local indices: ``rows_u[i]`` has bit j set
     when ``u_members[i]`` and ``w_members[j]`` are adjacent, and ``rows_w``
     is its transpose.  Members are in ascending order, so local order is
     global order."""
-    # bin(row | top) holds bit w at position size_b + 2 - w; picking the
-    # members' positions highest first reads the local row big-endian
-    top = 1 << G.size_b
-    pick = itemgetter(*[G.size_b + 2 - w for w in reversed(w_members)])
-    text = [''.join(pick(bin(G.adj_a[u] | top))) for u in u_members]
+    if not u_members or not w_members:
+        return [0] * len(u_members), [0] * len(w_members)
+    read = _digit_reader(w_members, G.size_b)
+    text = [read(G.adj_a[u]) for u in u_members]
     rows_u = [int(t, 2) for t in text]
     # column c of the text is bit len(w_members)-1-c of every U row
     rows_w = [int(''.join(col), 2) for col in zip(*reversed(text))]

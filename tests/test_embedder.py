@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,83 @@ class TestEmbedCompatible:
         assert e.stuck == VertexId(Side.B, 2)
         assert e.hall_violator == [VertexId(Side.B, b) for b in range(3)]
 
+    def test_the_kept_completion_error_holds_no_traceback(self):
+        # the deficient instance above: every attempt of its one pair fails
+        g = BipartiteGraph.build(3, 3, [(a, b) for a in range(3) for b in (0, 1)])
+        with pytest.raises(EmbeddingError) as exc:
+            embed_along(
+                g, matching_graph(3), ClusterPartition.from_masks(g, [0b111], [0b111]),
+                classes_from_ranges(1, 3), [(0, 0)], [(0, 0)],
+                RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0, retries=3,
+            )
+        kept = exc.value.__cause__
+        assert isinstance(kept, EmbeddingError) and "deficient" in str(kept)
+        assert kept.__traceback__ is None
+
+    @staticmethod
+    def three_planted_pairs(monkeypatch, fail):
+        """Embed a matching into three planted K_{6,6} pairs at seed 5,
+        with the matching of each completion for which ``fail(pair,
+        attempt)`` holds reported deficient; returns the (pair, attempt)
+        streams drawn."""
+        k, m = 3, 6
+        g = planted_blocks(k, m)
+        streams, seeds = [], []
+
+        class Recorded(random.Random):
+            def __init__(self, x):
+                seeds.append(x)
+                super().__init__(x)
+
+        def mix(seed, pair, attempt):
+            streams.append((pair, attempt))
+            return regularity._mix_seed(seed, pair, attempt)
+
+        def matching(cands, right_size):
+            match, witness = _max_matching(cands, right_size)
+            if fail(*streams[-1]):
+                return [-1] + match[1:], ({0}, set())
+            return match, witness
+
+        monkeypatch.setattr(embedder, "_mix_seed", mix)
+        monkeypatch.setattr(embedder, "random", SimpleNamespace(Random=Recorded))
+        monkeypatch.setattr(embedder, "_max_matching", matching)
+        h = matching_graph(k * m)
+        emb = embed_along(
+            g, h, planted_partition(g, k, m), classes_from_ranges(k, m),
+            [(i, i) for i in range(k)], [(i, i) for i in range(k)],
+            RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=5, retries=4,
+        )
+        assert verify_embedding(g, h, emb)
+        # phase 1 draws from the seed, each completion from its own stream
+        assert seeds == [5] + [regularity._mix_seed(5, *stream) for stream in streams]
+        return streams
+
+    def test_only_the_failed_pair_is_retried(self, monkeypatch):
+        streams = self.three_planted_pairs(monkeypatch, lambda *stream: stream == (1, 0))
+        # every other pair is completed once, on its first stream
+        assert streams == [(0, 0), (1, 0), (1, 1), (2, 0)]
+
+    def test_a_pair_failing_every_attempt_is_named(self, monkeypatch):
+        with pytest.raises(EmbeddingError) as exc:
+            self.three_planted_pairs(monkeypatch, lambda pair, _: pair == 1)
+        assert "no completion of pair ('A', 1)-('B', 1) within 4 attempts" in str(exc.value)
+        assert "matching completion deficient in ('B', 1)" in str(exc.value)
+        assert exc.value.stuck == VertexId(Side.B, 6)
+
+    def test_empty_clusters_embed(self):
+        # a pair of empty clusters, as on the tiniest hosts
+        g = planted_blocks(1, 4)
+        h = matching_graph(4)
+        classes = classes_from_ranges(1, 4)
+        classes[("A", 1)], classes[("B", 1)] = set(), set()
+        part = ClusterPartition.from_masks(g, [0b1111, 0], [0b1111, 0])
+        emb = embed_along(
+            g, h, part, classes, [(0, 0), (1, 1)], [(0, 0), (1, 1)],
+            RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
+        )
+        assert verify_embedding(g, h, emb)
+
     def test_non_matching_super_regular_pairs_rejected(self):
         h = matching_graph(8)
         classes = classes_from_ranges(2, 4)
@@ -267,6 +345,30 @@ class TestEmbedCompatible:
         r = [(0, 0), (1, 1), (0, 1)]
         with pytest.raises(GraphError, match="not a matching"):
             compatibility_report(h, classes, sizes, r, [(0, 0), (0, 1)], Fraction(1, 4))
+
+
+def test_neighbouring_seeds_share_no_completion_stream():
+    """Phase 1 draws from the embed seed and attempt t of pair i from
+    ``_mix_seed(seed, i, t)`` (pinned by
+    ``test_only_the_failed_pair_is_retried``).  No completion stream of one
+    seed is a stream of the next, for embed seeds s and s+1 and for the
+    embed seeds ``_mix_seed(s, a)`` that pipeline seeds s and s+1 hand
+    over at attempts a < 8; k = 8 pairs, 20 attempts each."""
+
+    def streams(seeds):
+        completion = {
+            regularity._mix_seed(e, i, t) for e in seeds for i in range(8) for t in range(20)
+        }
+        return set(seeds) | completion, completion
+
+    for s in range(0, 4000, 97):
+        for one, other in (
+            ([s], [s + 1]),
+            ([regularity._mix_seed(s, a) for a in range(8)],
+             [regularity._mix_seed(s + 1, a) for a in range(8)]),
+        ):
+            (every, completion), (their_every, their_completion) = streams(one), streams(other)
+            assert not completion & their_every and not every & their_completion, s
 
 
 class TestMaxMatching:
@@ -395,7 +497,7 @@ class TestScheduleEpsilonGate:
             for hv, gv in runs[19][2].embedding.mapping.items()
         )
         assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
-            "a97b0b5932ea39590aed99f9ab544351e98bab38aef283c5e7a2188bf89576fb"
+            "9441f57faceca9a88da732326489eb04671aeb051baa27eda84150931a914193"
         )
 
     def test_phase_2_only_touches_up(self, runs):

@@ -19,7 +19,10 @@ from bipembed.regularity import (
     Strategy,
     Verdict,
     _draw,
+    _local_row,
     _mix_seed,
+    _pair_rows,
+    _shuffle,
     build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
@@ -773,6 +776,53 @@ def test_draw_equals_standard_library(seed, calls):
         else:
             assert _draw(gen.getrandbits, population, k) == ref.sample(population, k)
     assert gen.getrandbits(32) == ref.getrandbits(32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97, 2**32 + 5, 2**64 - 1])
+def test_shuffle_equals_standard_library(seed):
+    ref = random.Random(seed)
+    gen = random.Random(seed)
+    for n in range(201):
+        expected = [f"v{i}" for i in range(n)]
+        ref.shuffle(expected)
+        got = [f"v{i}" for i in range(n)]
+        _shuffle(gen.getrandbits, got)
+        assert got == expected, n
+    assert gen.getrandbits(32) == ref.getrandbits(32)
+
+
+@st.composite
+def graph_and_clusters(draw):
+    """A bipartite graph and a cluster on each side, each cluster empty,
+    one member or any ascending subset of its side."""
+    na, nb = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    edges = draw(st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))))
+    g = BipartiteGraph.build(na, nb, [(a, b) for a, b in edges if a < na and b < nb])
+    u = sorted(draw(st.sets(st.integers(0, na - 1)) if na else st.just(set())))
+    w = sorted(draw(st.sets(st.integers(0, nb - 1)) if nb else st.just(set())))
+    return g, u, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(gc=graph_and_clusters())
+@example(gc=(BipartiteGraph.build(2, 2, [(0, 1)]), [], [1]))
+@example(gc=(BipartiteGraph.build(2, 2, [(0, 1)]), [0], []))
+@example(gc=(BipartiteGraph.build(2, 2, [(0, 1)]), [0], [1]))
+@example(gc=(BipartiteGraph.build(0, 0, []), [], []))
+def test_local_rows_equal_the_restricted_adjacency(gc):
+    g, u, w = gc
+    rows_u, rows_w = _pair_rows(g, u, w)
+    assert rows_u == [sum(1 << j for j, b in enumerate(w) if g.has_edge(a, b)) for a in u]
+    assert rows_w == [sum(1 << i for i, a in enumerate(u) if g.has_edge(a, b)) for b in w]
+    # any row of either side, read in the other side's cluster
+    for a in range(g.size_a):
+        assert _local_row(g.adj_a[a], w, g.size_b) == sum(
+            1 << j for j, b in enumerate(w) if g.has_edge(a, b)
+        )
+    for b in range(g.size_b):
+        assert _local_row(g.adj_b[b], u, g.size_a) == sum(
+            1 << i for i, a in enumerate(u) if g.has_edge(a, b)
+        )
 
 
 def test_draw_refuses_more_than_the_population():
