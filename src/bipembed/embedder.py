@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, VertexSet, iter_bits
+from .graphs import (
+    BipartiteGraph, Check, GraphError, Side, VertexId, VertexSet, id_table, iter_bits,
+)
 from .homomorphism import (
     BandwidthLabelling,
     CycleHomomorphism,
@@ -137,8 +139,9 @@ def compatibility_report(
 
     edge_clause = Check(True)
     boundary: dict[ClassKey, set[VertexId]] = {c: set() for c in cls}
+    ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
     for x, y in H.edges():
-        vx, vy = VertexId(Side.A, x), VertexId(Side.B, y)
+        vx, vy = ids_a[x], ids_b[y]
         cx, cy = class_of[vx], class_of[vy]
         if cx[0] == cy[0]:
             if edge_clause.ok:
@@ -216,9 +219,10 @@ def verify_embedding(G: BipartiteGraph, H: BipartiteGraph, emb: Embedding) -> Ch
         if gv in used:
             return Check(False, f"two vertices share the image {gv}")
         used.add(gv)
+    ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
     for x, y in H.edges():
-        ga = mapping[VertexId(Side.A, x)]
-        gb = mapping[VertexId(Side.B, y)]
+        ga = mapping[ids_a[x]]
+        gb = mapping[ids_b[y]]
         if not G.has_edge(ga.index, gb.index):
             return Check(
                 False, f"edge ({x},{y}) maps to non-edge ({ga.index},{gb.index})"
@@ -457,8 +461,9 @@ def embed_compatible(
                 hall_violator=getattr(last_error, "hall_violator", None),
             ) from last_error
 
+    host_ids = {side: id_table(side, G.side_size(side)) for side in Side}
     emb = Embedding(
-        {v: VertexId(v.side, members[class_of[v]][t]) for v, t in images.items()}, phases
+        {v: host_ids[v.side][members[class_of[v]][t]] for v, t in images.items()}, phases
     )
     check = verify_embedding(G, H, emb)
     if not check:
@@ -629,8 +634,9 @@ def embed_bipartite(
             continue
         classes: dict[ClassKey, set[VertexId]] = {(s, i): set() for s in "AB" for i in range(k)}
         for side, cluster_of in ((Side.A, hom.cluster_of_x), (Side.B, hom.cluster_of_y)):
+            ids = id_table(side, len(cluster_of))
             for v, c in enumerate(cluster_of):
-                classes[(side.value, c)].add(VertexId(side, v))
+                classes[(side.value, c)].add(ids[v])
         sizes = {c: len(members) for c, members in classes.items()}
         rep = compatibility_report(
             H, classes, sizes, cycle, rprime, schedule.epsilon

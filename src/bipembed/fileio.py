@@ -18,7 +18,7 @@ import os
 from fractions import Fraction
 from typing import Iterator
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits
+from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits, vertex_id
 from .hamilton import HamiltonCycle
 from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
 from .embedder import Embedding
@@ -36,7 +36,7 @@ def global_id(v: VertexId) -> int:
 
 
 def from_global_id(g: int) -> VertexId:
-    return VertexId(Side.A, g // 2) if g % 2 == 0 else VertexId(Side.B, g // 2)
+    return vertex_id(Side.B if g % 2 else Side.A, g // 2)
 
 
 # ---------------------------------------------------------------------------

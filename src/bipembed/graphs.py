@@ -3,7 +3,8 @@
 Every other module works on top of the three types defined here:
 ``BipartiteGraph`` (immutable, two-sided, adjacency stored as one Python int
 bitmask per vertex), ``VertexSet`` (a side plus a bitmask) and ``VertexId``
-(side, index).  All densities are computed in exact rational arithmetic so
+(side, index), of which every vertex has one shared instance (``id_table``).
+All densities are computed in exact rational arithmetic so
 that threshold comparisons never depend on floating-point ties.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -31,6 +33,38 @@ class VertexId:
 
     def __repr__(self) -> str:
         return f"{self.side.value}{self.index}"
+
+
+# one shared VertexId per vertex, per side, for every graph in the process:
+# ids are immutable values, so sharing them changes no result.  A table only
+# grows, by replacing its tuple, so a tuple once handed out never changes.
+_ID_TABLES: dict[Side, tuple[VertexId, ...]] = {Side.A: (), Side.B: ()}
+
+
+def id_table(side: Side, count: int) -> tuple[VertexId, ...]:
+    """The shared ids of ``side``: entry i is ``VertexId(side, i)`` for every
+    i < ``count`` (the table may hold more).
+
+    Ids are values, so a shared id and a freshly built one are equal, hash
+    equal and sort equal; sharing saves building them (a neighbour list used
+    to build one object per neighbour) and lets dict lookups match by
+    identity before they compare fields.
+    """
+    ids = _ID_TABLES[side]
+    if len(ids) < count:
+        more = range(len(ids), max(count, 2 * len(ids)))
+        ids = _ID_TABLES[side] = ids + tuple(map(partial(VertexId, side), more))
+    return ids
+
+
+def vertex_id(side: Side, index: int) -> VertexId:
+    """``VertexId(side, index)``, the shared one when a table already holds it.
+
+    Never grows a table: ``index`` may come from a file and name a vertex of
+    no graph, so it is not allowed to size one.
+    """
+    ids = _ID_TABLES[side]
+    return ids[index] if 0 <= index < len(ids) else VertexId(side, index)
 
 
 @dataclass(frozen=True)
@@ -241,14 +275,14 @@ class BipartiteGraph:
                 yield (a, b)
 
     def vertices(self) -> Iterator[VertexId]:
-        for i in range(self.size_a):
-            yield VertexId(Side.A, i)
-        for j in range(self.size_b):
-            yield VertexId(Side.B, j)
+        yield from id_table(Side.A, self.size_a)[:self.size_a]
+        yield from id_table(Side.B, self.size_b)[:self.size_b]
 
     def neighbours(self, v: VertexId) -> list[VertexId]:
+        """The shared ids of ``v``'s neighbours, ascending."""
         opp = v.side.opposite()
-        return [VertexId(opp, i) for i in iter_bits(self.adjacency_mask(v))]
+        ids = id_table(opp, self.side_size(opp))
+        return list(map(ids.__getitem__, iter_bits(self.adjacency_mask(v))))
 
     def __eq__(self, other) -> bool:
         return (

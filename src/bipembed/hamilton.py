@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, iter_bits
+from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, id_table, iter_bits
 
 EXHAUSTIVE_LIMIT = 12
 
@@ -72,8 +72,9 @@ def _exhaustive(G: BipartiteGraph) -> Optional[HamiltonCycle]:
     n = G.size_a
     if any(m == 0 for m in G.adj_a) or any(m == 0 for m in G.adj_b):
         return None
+    ids_a, ids_b = id_table(Side.A, n), id_table(Side.B, n)
     # fix A0 as the start; sequence alternates A, B, A, B, ...
-    path: list[VertexId] = [VertexId(Side.A, 0)]
+    path: list[VertexId] = [ids_a[0]]
     full = (1 << n) - 1
 
     def dead_end(visited_a: int, visited_b: int, tail: VertexId) -> bool:
@@ -93,12 +94,12 @@ def _exhaustive(G: BipartiteGraph) -> Optional[HamiltonCycle]:
         last = path[-1]
         if last.side is Side.A:
             options = G.adj_a[last.index] & ~visited_b
-            side, adj, visited = Side.B, G.adj_b, visited_a
+            side, ids, adj, visited = Side.B, ids_b, G.adj_b, visited_a
         else:
             options = G.adj_b[last.index] & ~visited_a
-            side, adj, visited = Side.A, G.adj_a, visited_b
+            side, ids, adj, visited = Side.A, ids_a, G.adj_a, visited_b
         for _, i in sorted(((adj[i] & ~visited).bit_count(), i) for i in iter_bits(options)):
-            nxt = VertexId(side, i)
+            nxt = ids[i]
             path.append(nxt)
             na = visited_a | (1 << i) if side is Side.A else visited_a
             nb = visited_b | (1 << i) if side is Side.B else visited_b

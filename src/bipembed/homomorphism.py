@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId
+from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, id_table
 from .ratmath import Rational, frac
 
 
@@ -439,12 +439,13 @@ def verify_cycle_homomorphism(
     stray = next((c for c in hom.cluster_of_x + hom.cluster_of_y if not 0 <= c < k), None)
     homo = Check(stray is None, f"cluster {stray} outside 0..{k - 1}")
     matching = Check(True)
+    ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
     for x, y in H.edges():
         a_idx = hom.cluster_of_x[x]
         b_idx = hom.cluster_of_y[y]
         if not _cycle_edge(a_idx, b_idx, k) and homo.ok:
             homo = Check(False, f"edge ({x},{y}) -> (A_{a_idx}, B_{b_idx})")
-        vx, vy = VertexId(Side.A, x), VertexId(Side.B, y)
+        vx, vy = ids_a[x], ids_b[y]
         if vx not in hom.linking and vy not in hom.linking:
             if a_idx != b_idx and matching.ok:
                 matching = Check(

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -287,6 +289,16 @@ class TestGenerators:
         data = json.dumps([h.size_a, h.size_b, list(h.adj_a),
                            [[v.side.value, v.index] for v in lab.order]])
         assert hashlib.sha256(data.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "bipembed", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: bipembed")
 
 
 class TestCommands:

@@ -1,9 +1,13 @@
-import pytest
+import pickle
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipembed import graphs as graphs_module
 from bipembed.graphs import (
+    BipartiteGraph,
     EdgeIndexError,
     Side,
     SideMismatchError,
@@ -14,7 +18,9 @@ from bipembed.graphs import (
     degree_into,
     density,
     edges_between,
+    id_table,
     iter_bits,
+    vertex_id,
 )
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
@@ -158,6 +164,75 @@ def sparse_or_dense_ints(draw):
 @settings(max_examples=300)
 def test_iter_bits_sparse_wide_and_dense_ints(m):
     assert list(iter_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def fresh_vertices(g):
+    return [VertexId(Side.A, i) for i in range(g.size_a)] + [
+        VertexId(Side.B, j) for j in range(g.size_b)
+    ]
+
+
+@given(graphs())
+@settings(max_examples=150)
+def test_shared_ids_equal_freshly_built_ones(data):
+    na, nb, edges = data
+    g = build_bipartite_graph(na, nb, edges)
+    assert list(g.vertices()) == fresh_vertices(g)
+    for v in g.vertices():
+        opp = v.side.opposite()
+        assert g.neighbours(v) == [VertexId(opp, i) for i in iter_bits(g.adjacency_mask(v))]
+
+
+@given(st.lists(st.integers(0, 300), max_size=8), st.sampled_from(["rising", "falling", "drawn"]))
+@settings(max_examples=100)
+def test_tables_grow_from_empty_in_any_order_of_sizes(sizes, order):
+    if order != "drawn":
+        sizes = sorted(sizes, reverse=order == "falling")
+    with mock.patch.dict(graphs_module._ID_TABLES, {Side.A: (), Side.B: ()}):
+        for n in sizes:
+            g = BipartiteGraph(n, n + 1, [0] * n, [0] * (n + 1))
+            assert list(g.vertices()) == fresh_vertices(g)
+            for side in Side:
+                m = g.side_size(side)
+                table = id_table(side, m)
+                assert table[:m] == tuple(VertexId(side, i) for i in range(m))
+                assert all(type(v) is VertexId for v in table)
+
+
+@given(graphs(), graphs())
+@settings(max_examples=50)
+def test_repeated_calls_return_the_same_objects(first, second):
+    g, h = (build_bipartite_graph(*data) for data in (first, second))
+    for v, w in zip(g.vertices(), g.vertices()):
+        assert v is w
+        assert all(x is y for x, y in zip(g.neighbours(v), g.neighbours(w)))
+    # one id per vertex across graphs, too
+    in_h = {v: v for v in h.vertices()}
+    assert all(in_h[v] is v for v in g.vertices() if v in in_h)
+
+
+@given(st.sampled_from(list(Side)), st.lists(st.integers(0, 63), min_size=1, max_size=10))
+@settings(max_examples=100)
+def test_shared_ids_hash_compare_sort_and_pickle_as_fresh_ones(side, indices):
+    table = id_table(side, 64)
+    shared = [table[i] for i in indices]
+    fresh = [VertexId(side, i) for i in indices]
+    assert shared == fresh and list(map(hash, shared)) == list(map(hash, fresh))
+    assert sorted(shared) == sorted(fresh)
+    assert [a < b for a, b in zip(shared, fresh[1:])] == [
+        a < b for a, b in zip(fresh, fresh[1:])
+    ]
+    assert pickle.loads(pickle.dumps(shared)) == fresh
+    assert {v: True for v in fresh}.keys() == {v: True for v in shared}.keys()
+
+
+def test_vertex_id_never_grows_a_table():
+    before = {side: len(id_table(side, 0)) for side in Side}
+    for index in (-1, -5, 10 ** 9):
+        v = vertex_id(Side.B, index)
+        assert (v.side, v.index) == (Side.B, index)
+    assert {side: len(id_table(side, 0)) for side in Side} == before
+    assert vertex_id(Side.A, 0) is id_table(Side.A, 1)[0]
 
 
 def test_vertex_set_ops():

@@ -1,7 +1,11 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bipembed.generators import InstanceSpec, gen_host
 from bipembed.graphs import BipartiteGraph, Side, VertexId
 from bipembed.hamilton import (
     HamiltonCycle,
@@ -141,3 +145,77 @@ class TestMoonMoserProperty:
             assert found == exists, f"trial {trial}: rotation={found} exhaustive={exists}"
             agree += 1
         assert agree == 60
+
+
+# sha256 of "A0 B17 ..." for the cycle found on the n=400 host of each host
+# seed (gen_host at gamma = 2/n, as the hamilton-threshold benchmark builds
+# its hosts: min degree n/2 + 2) with search seeds 0, 1 and 2
+PINNED_THRESHOLD_CYCLES = {
+    1: ("f0adbbb846fdabd9c9a845a937905b6ac7f714d0b3e64d45c2655648102141e1",
+        "223343ce964e095589c1cd93ffce53b372839d9c490202d9ca1880215a6de503",
+        "989ea2af5e36c4f8622700fa4aac0ae0521c9167193a9625db67c7292eb1ebc5"),
+    2: ("3783e9ea8e9040d692edef7e2233a5e8207889d324a2d014f4c710cc74c1e0b0",
+        "eb6e1577c88e7dd604c724499b7ec39cf07be8ea6b6c6053f8de55cac5096880",
+        "445bb999ab46114d87b72fa2e62464a2714a4f7898a1ea07b643d55ac9d5c0d2"),
+    3: ("6c993173616c5a6dac24508df8e9489b6f7ccfb62923aec66278a7e177a884c2",
+        "9aac456d74c193691abe9c7e7ed026eb69e54140a1a823450fef0c72abad8ec2",
+        "cbb8657e7a4f2d2c448ab6dbf32df6f743806e6b3575cdb076e4419019da4d5c"),
+}
+
+
+@pytest.mark.parametrize("host_seed", sorted(PINNED_THRESHOLD_CYCLES))
+def test_search_at_the_threshold_finds_the_pinned_cycles(host_seed):
+    """The search's random stream is pinned: it sees the same neighbour
+    lists, in the same order, and draws the same choices from them."""
+    n = 400
+    g = gen_host(InstanceSpec("host-random-min-degree", n, host_seed, {"gamma": Fraction(2, n)}))
+    assert g.min_degree() == n // 2 + 2
+    found = []
+    for search_seed in range(3):
+        order = find_hamilton_cycle(g, seed=search_seed).order
+        text = " ".join(f"{v.side.value}{v.index}" for v in order)
+        found.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(found) == PINNED_THRESHOLD_CYCLES[host_seed]
+
+
+@st.composite
+def threshold_hosts(draw):
+    """A random n+n host (n even) whose min degree is exactly n/2 + 1:
+    one vertex keeps exactly n/2 + 1 neighbours, every other row and
+    every column is topped up to at least that."""
+    n = 2 * draw(st.integers(2, 16))
+    delta = n // 2 + 1
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    rows = [set(rng.sample(range(n), delta))]
+    for _ in range(1, n):
+        row = {b for b in range(n) if rng.random() < p}
+        while len(row) < delta:
+            row.add(rng.randrange(n))
+        rows.append(row)
+    for b in range(n):
+        count = sum(b in row for row in rows)
+        while count < delta:
+            row = rows[rng.randrange(1, n)]  # row 0 keeps its degree
+            if b not in row:
+                row.add(b)
+                count += 1
+    edges = [(a, b) for a, row in enumerate(rows) for b in row]
+    if draw(st.booleans()):
+        edges = [(b, a) for a, b in edges]
+    return BipartiteGraph.build(n, n, edges)
+
+
+@given(threshold_hosts(), st.integers(0, 1000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rotation_extension_at_exactly_the_moon_moser_degree(g, seed, data):
+    assert g.min_degree() == g.size_a // 2 + 1
+    cycle = find_hamilton_cycle(g, "rotation-extension", seed=seed)
+    assert verify_cycle(g, cycle)
+    # the same cycle on the host without one of its hops is refused
+    t = data.draw(st.integers(0, len(cycle.order) - 1))
+    v, w = cycle.order[t], cycle.order[(t + 1) % len(cycle.order)]
+    a, b = (v.index, w.index) if v.side is Side.A else (w.index, v.index)
+    cut = BipartiteGraph.build(g.size_a, g.size_b, [e for e in g.edges() if e != (a, b)])
+    res = verify_cycle(cut, cycle)
+    assert not res and "non-edge hop" in res.detail
