@@ -15,7 +15,6 @@ from .graphs import (
     Side,
     VertexId,
     VertexSet,
-    build_bipartite_graph,
     degree_into,
     density,
     edges_between,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -66,7 +67,7 @@ ClassKey = tuple[str, int]
 
 @dataclass
 class CompatibilityReport:
-    classes: dict[ClassKey, frozenset[VertexId]]  # the target partition
+    cluster_of: dict[Side, tuple[int, ...]]  # the target partition, as each side's map
     partner: dict[ClassKey, ClassKey]  # each class's super-regular partner
     boundary: dict[ClassKey, frozenset[VertexId]]  # S_i per class
     fringe: dict[ClassKey, frozenset[VertexId]]  # T_i per class
@@ -98,7 +99,8 @@ def _partners(rprime_edges: Iterable[tuple[int, int]]) -> dict[ClassKey, ClassKe
 
 def compatibility_report(
     H: BipartiteGraph,
-    classes: Mapping[ClassKey, Iterable[VertexId]],
+    cluster_of_x: Sequence[int],
+    cluster_of_y: Sequence[int],
     sizes: Mapping[ClassKey, int],
     r_edges: Iterable[tuple[int, int]],
     rprime_edges: Iterable[tuple[int, int]],
@@ -106,6 +108,8 @@ def compatibility_report(
 ) -> CompatibilityReport:
     """Evaluate the three compatibility clauses exactly.
 
+    X vertex x lies in class ("A", cluster_of_x[x]) and Y vertex y in
+    ("B", cluster_of_y[y]); ``sizes`` holds the budget of every class.
     ``r_edges`` and ``rprime_edges`` list pairs (i, j) meaning the class
     pair (("A", i), ("B", j)); ``rprime_edges``, the super-regular pairs,
     must form a matching.  The boundary set of a class holds its vertices
@@ -114,61 +118,51 @@ def compatibility_report(
     The fringe bound uses the smaller size budget of a class and its partner.
     """
     eps = frac(epsilon)
-    cls = {c: frozenset(v) for c, v in classes.items()}
-    class_of: dict[VertexId, ClassKey] = {}
-    for c, members in cls.items():
-        for v in members:
-            if v in class_of:
-                raise GraphError(f"{v} appears in two classes")
-            class_of[v] = c
-    for v in H.vertices():
-        if v not in class_of:
-            raise GraphError(f"{v} not covered by the class partition")
+    cluster_of = {Side.A: tuple(cluster_of_x), Side.B: tuple(cluster_of_y)}
+    held: Counter[ClassKey] = Counter()
+    for side, clusters in cluster_of.items():
+        if len(clusters) != H.side_size(side):
+            raise GraphError(f"the {side.value}-side map has {len(clusters)} entries")
+        held.update((side.value, i) for i in clusters)
+    unsized = held.keys() - sizes.keys()
+    if unsized:
+        raise GraphError(f"class {min(unsized)} is mapped to but has no size")
     r = {(i, j) for i, j in r_edges}
     partner = _partners(rprime_edges)
     if any(c[0] == "A" and (c[1], p[1]) not in r for c, p in partner.items()):
         raise GraphError("the super-regular pair list must be a subset of the regular one")
 
     size_clause = Check(True)
-    for c in cls:
-        if len(cls[c]) > sizes[c]:
-            size_clause = Check(
-                False, f"class {c} holds {len(cls[c])} vertices, budget {sizes[c]}"
-            )
+    for c in sizes:
+        if held[c] > sizes[c]:
+            size_clause = Check(False, f"class {c} holds {held[c]} vertices, budget {sizes[c]}")
             break
 
     edge_clause = Check(True)
-    boundary: dict[ClassKey, set[VertexId]] = {c: set() for c in cls}
+    boundary: dict[ClassKey, set[VertexId]] = {c: set() for c in sizes}
     ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
+    of_x, of_y = cluster_of[Side.A], cluster_of[Side.B]
     for x, y in H.edges():
-        vx, vy = ids_a[x], ids_b[y]
-        cx, cy = class_of[vx], class_of[vy]
-        if cx[0] == cy[0]:
-            if edge_clause.ok:
-                edge_clause = Check(
-                    False, f"edge ({x},{y}) joins same-side classes {cx} and {cy}"
-                )
-            continue
-        pair = (cx[1], cy[1]) if cx[0] == "A" else (cy[1], cx[1])
+        pair = (of_x[x], of_y[y])
         if pair not in r and edge_clause.ok:
             edge_clause = Check(
                 False, f"edge ({x},{y}) lies over uncertified pair {pair}"
             )
-        if partner.get(cx) != cy:
-            boundary[cx].add(vx)
-            boundary[cy].add(vy)
+        if partner.get(("A", pair[0])) != ("B", pair[1]):
+            boundary[("A", pair[0])].add(ids_a[x])
+            boundary[("B", pair[1])].add(ids_b[y])
 
     s_union: set[VertexId] = set().union(*boundary.values())
-    fringe: dict[ClassKey, set[VertexId]] = {c: set() for c in cls}
+    fringe: dict[ClassKey, set[VertexId]] = {c: set() for c in sizes}
     for v in s_union:
         for w in H.neighbours(v):
             if w not in s_union:
-                fringe[class_of[w]].add(w)
+                fringe[(w.side.value, cluster_of[w.side][w.index])].add(w)
 
     boundary_clause = Check(True)
-    for c in cls:
+    for c in sizes:
         p = partner.get(c)
-        budget = min(sizes[c], sizes[p]) if p in cls else sizes[c]
+        budget = min(sizes[c], sizes[p]) if p in sizes else sizes[c]
         if len(boundary[c]) > eps * sizes[c]:
             boundary_clause = Check(
                 False, f"boundary of {c} has {len(boundary[c])} > eps*{sizes[c]}"
@@ -181,10 +175,10 @@ def compatibility_report(
             )
             break
     return CompatibilityReport(
-        cls,
+        cluster_of,
         partner,
-        {c: frozenset(boundary[c]) for c in cls},
-        {c: frozenset(fringe[c]) for c in cls},
+        {c: frozenset(boundary[c]) for c in sizes},
+        {c: frozenset(fringe[c]) for c in sizes},
         size_clause,
         edge_clause,
         boundary_clause,
@@ -306,7 +300,7 @@ def embed_compatible(
 ) -> Embedding:
     """Two-phase embedding of H into G along compatible partitions.
 
-    ``report`` is the :func:`compatibility_report` of H's classes at
+    ``report`` is the :func:`compatibility_report` of H's cluster maps at
     ``params.epsilon``; each class must hold exactly its cluster's size in
     ``g_partition``, and the report's clauses must hold.  Phase 1 embeds
     the boundary and fringe vertices greedily in the given order.  Phase 2
@@ -326,27 +320,25 @@ def embed_compatible(
     whole result is verified once before it is returned.
     """
     k = g_partition.k
-    classes = report.classes
     clusters: dict[ClassKey, VertexSet] = {}
     for i in range(k):
         clusters[("A", i)] = g_partition.clusters_a[i]
         clusters[("B", i)] = g_partition.clusters_b[i]
-    for c in classes:
-        if len(classes[c]) != clusters[c].size:
+    cluster_of = report.cluster_of
+    class_of = {v: (v.side.value, cluster_of[v.side][v.index]) for v in H.vertices()}
+    nbrs = {v: H.neighbours(v) for v in H.vertices()}
+    held = Counter(class_of.values())
+    for c in sorted(clusters.keys() | held.keys()):
+        size = clusters[c].size if c in clusters else 0
+        if held[c] != size:
             raise EmbeddingError(
-                f"class {c} has {len(classes[c])} vertices but its cluster holds "
-                f"{clusters[c].size}; spanning embedding needs exact sizes"
+                f"class {c} has {held[c]} vertices but its cluster holds "
+                f"{size}; spanning embedding needs exact sizes"
             )
     if not report.ok:
         raise EmbeddingError(f"partitions are not compatible: {report.detail}")
     partner = report.partner
     pairs = sorted((c, p) for c, p in partner.items() if c[0] == "A")
-
-    if order is None:
-        order = sorted(H.vertices())
-    pos = {v: t for t, v in enumerate(order)}
-    class_of = {v: c for c, vs in classes.items() for v in vs}
-    nbrs = {v: H.neighbours(v) for v in H.vertices()}
 
     # local index t of cluster c is host vertex members[c][t]; rows[c][t]
     # is its adjacency to the partner cluster, in that cluster's indices
@@ -385,11 +377,17 @@ def embed_compatible(
                 mask &= image_row(w, c)
         return mask
 
-    # phase 1: boundary and fringe vertices, in labelling order
+    # phase 1: boundary and fringe vertices, in labelling order; the others
+    # are kept, in that order, for their matching pair's completion
     getrandbits = random.Random(seed).getrandbits
-    for v in sorted((v for c in classes for v in report.boundary[c] | report.fringe[c]),
-                    key=pos.__getitem__):
+    early = set().union(*report.boundary.values(), *report.fringe.values())
+    rest: dict[ClassKey, list[VertexId]] = {c: [] for pair in pairs for c in pair}
+    for v in sorted(H.vertices()) if order is None else order:
         c = class_of[v]
+        if v not in early:
+            if c in rest:
+                rest[c].append(v)
+            continue
         t = _choose(phase1_mask(v, c), typical[c], getrandbits)
         if t is None:
             raise EmbeddingError(f"phase 1 exhausted candidates for {v} in class {c}", stuck=v)
@@ -397,14 +395,9 @@ def embed_compatible(
         free[c] &= ~(1 << t)
         phases[v] = "boundary-greedy"
 
-    # phase 2: each pair's unplaced vertices in labelling order, and the
-    # candidates phase 1 leaves them; their neighbours all lie in the
-    # partner class, so only the pair's own placements narrow these
-    rest: dict[ClassKey, list[VertexId]] = {}
-    bases: dict[VertexId, int] = {}
-    for c in (c for pair in pairs for c in pair):
-        rest[c] = sorted((v for v in classes[c] if v not in images), key=pos.__getitem__)
-        bases.update((v, phase1_mask(v, c)) for v in rest[c])
+    # phase 2: the candidates phase 1 leaves each pair's rest, which only the
+    # pair's own placements narrow: their neighbours lie in the partner class
+    bases = {v: phase1_mask(v, c) for c, vs in rest.items() for v in vs}
 
     def complete(ca: ClassKey, cb: ClassKey, getrandbits) -> dict[VertexId, int]:
         """Place the rest of X class ca greedily, then match Y class cb;
@@ -632,14 +625,11 @@ def embed_bipartite(
             last_failure = f"homomorphism: {e}"
             report.record("distribution", False, f"{where}: {last_failure}")
             continue
-        classes: dict[ClassKey, set[VertexId]] = {(s, i): set() for s in "AB" for i in range(k)}
-        for side, cluster_of in ((Side.A, hom.cluster_of_x), (Side.B, hom.cluster_of_y)):
-            ids = id_table(side, len(cluster_of))
-            for v, c in enumerate(cluster_of):
-                classes[(side.value, c)].add(ids[v])
-        sizes = {c: len(members) for c, members in classes.items()}
+        pre_a, pre_b = hom.preimage_a, hom.preimage_b
+        sizes = {(s, i): size for s, pre in (("A", pre_a), ("B", pre_b))
+                 for i, size in enumerate(pre)}
         rep = compatibility_report(
-            H, classes, sizes, cycle, rprime, schedule.epsilon
+            H, hom.cluster_of_x, hom.cluster_of_y, sizes, cycle, rprime, schedule.epsilon
         )
         if not rep.ok:
             last_failure = f"compatibility: {rep.detail}"
@@ -656,7 +646,7 @@ def embed_bipartite(
         sub = _mix_seed(seed, attempt)
         try:
             resized = resize_host_partition(
-                state, G, hom.preimage_a, hom.preimage_b, budget=cfg.sample_budget, seed=sub
+                state, G, pre_a, pre_b, budget=cfg.sample_budget, seed=sub
             )
         except (PipelineStageError, RedistributionError) as e:
             report.record("host-phase-2", False, str(e))

@@ -216,6 +216,7 @@ class BipartiteGraph:
     def build(
         cls, size_a: int, size_b: int, edges: Iterable[tuple[int, int]]
     ) -> "BipartiteGraph":
+        """Build a graph from an edge list; duplicates collapse, bad indices reject."""
         if size_a < 0 or size_b < 0:
             raise GraphError("negative side size")
         adj_a = [0] * size_a
@@ -297,13 +298,6 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph({self.size_a}+{self.size_b}, m={self.edge_count})"
-
-
-def build_bipartite_graph(
-    size_a: int, size_b: int, edges: Iterable[tuple[int, int]]
-) -> BipartiteGraph:
-    """Build a graph from an edge list; duplicates collapse, bad indices reject."""
-    return BipartiteGraph.build(size_a, size_b, edges)
 
 
 def _require_pair(U: VertexSet, W: VertexSet) -> None:

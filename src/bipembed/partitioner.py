@@ -46,6 +46,7 @@ from .graphs import BipartiteGraph, GraphError, Side, VertexId, density, iter_bi
 from .hamilton import HamiltonCycle, HamiltonSearchError, find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
+    MAX_ROUNDS,
     ClusterPartition,
     PairCertificate,
     PartitionBuildError,
@@ -483,9 +484,9 @@ def redistribute_cluster_sizes(
 DeviationLedger = dict[tuple[int, int], tuple[PairCertificate, str]]
 
 # Seed streams under one run seed: the cycle certification draws on stream
-# 0, the builder's round-0 seeds; phases 1 and 2 on streams past its 40 rounds.
-PHASE1_STREAM = 40
-PHASE2_STREAM = 41
+# 0, the builder's round-0 seeds; phases 1 and 2 on streams past its rounds.
+PHASE1_STREAM = MAX_ROUNDS
+PHASE2_STREAM = MAX_ROUNDS + 1
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
-"""The benchmark under ``perfbench/`` traces bipembed's layers by name; every
-function it names must exist, or a traced benchmark run fails."""
+"""The benchmark under ``perfbench/`` traces bipembed's layers by name and
+reads fields of its results; every function it names must exist, and one
+operation of each in-process workload must still pass the benchmark's own
+checks and give the recorded output."""
 
+import hashlib
 import importlib
+import json
 import os
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -14,3 +20,23 @@ def test_every_traced_function_resolves(monkeypatch):
     assert tracing.TARGETS
     for module, name, _, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+# sha256 of the check record of instance 0 at seed 1, round 0; a change of
+# behaviour that is declared a re-baseline updates these
+RECORDS = {
+    "embed-512": "8490d8139e7313930fe2d69a8ddeae438bcb2d83aa3f9af741971e9dc480ff30",
+    "hamilton-threshold": "a79724edd1e80b888187aed7a1d56093fb12e6e51ebf152c4890936c32f6a54a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_one_operation_passes_the_benchmark_checks(monkeypatch, name):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    w = {cls.name: cls for cls in (workloads.Embed512, workloads.HamiltonThreshold)}[name]()
+    inst = w.setup(1, 0)
+    w.check_input(inst)
+    record = w.check(inst, w.op(inst, 0))
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == RECORDS[name]

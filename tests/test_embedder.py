@@ -63,13 +63,22 @@ def classes_from_ranges(k, m):
     return out
 
 
+def maps_of(h, classes):
+    """The two cluster maps of H's partition into the given class sets."""
+    of = {Side.A: [None] * h.size_a, Side.B: [None] * h.size_b}
+    for (_, i), members in classes.items():
+        for v in members:
+            of[v.side][v.index] = i
+    return of[Side.A], of[Side.B]
+
+
 class TestCompatibilityReport:
     def test_all_edges_on_matching_pairs(self):
         h = matching_graph(8)
         classes = classes_from_ranges(2, 4)
         sizes = {c: 4 for c in classes}
         rep = compatibility_report(
-            h, classes, sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
+            h, *maps_of(h, classes), sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
         )
         assert rep.ok
         assert not any(rep.boundary.values())
@@ -81,7 +90,7 @@ class TestCompatibilityReport:
         sizes = {c: 4 for c in classes}
         sizes[("A", 0)] = 3
         rep = compatibility_report(
-            h, classes, sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
+            h, *maps_of(h, classes), sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
         )
         assert not rep.size_clause.ok
         assert "(3" in rep.size_clause.detail or "budget 3" in rep.size_clause.detail
@@ -91,7 +100,7 @@ class TestCompatibilityReport:
         classes = classes_from_ranges(2, 4)
         sizes = {c: 4 for c in classes}
         rep = compatibility_report(
-            h, classes, sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
+            h, *maps_of(h, classes), sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
         )
         assert not rep.edge_clause.ok
 
@@ -101,15 +110,69 @@ class TestCompatibilityReport:
         classes = classes_from_ranges(2, 4)
         sizes = {c: 4 for c in classes}
         r = [(0, 0), (1, 1), (0, 1), (1, 0)]
-        rep = compatibility_report(h, classes, sizes, r, [(0, 0), (1, 1)], Fraction(1))
+        rep = compatibility_report(h, *maps_of(h, classes), sizes, r, [(0, 0), (1, 1)], Fraction(1))
+        index_of = {v: c[1] for c, members in classes.items() for v in members}
+        boundary = {v for v in index_of
+                    if any(index_of[w] != index_of[v] for w in h.neighbours(v))}
         for c, members in classes.items():
-            expect = set()
-            for v in members:
-                for w in h.neighbours(v):
-                    cw = ("A" if w.side is Side.A else "B", w.index // 4)
-                    if cw[1] != c[1]:
-                        expect.add(v)
-            assert rep.boundary[c] == expect
+            assert rep.boundary[c] == members & boundary
+            assert rep.fringe[c] == {
+                v for v in members - boundary if boundary & set(h.neighbours(v))
+            }
+        assert all(rep.boundary.values()) and all(rep.fringe.values())
+
+    def test_a_map_of_the_wrong_length_is_rejected(self):
+        h = matching_graph(8)
+        of_x, of_y = maps_of(h, classes_from_ranges(2, 4))
+        sizes = {(s, i): 4 for s in "AB" for i in range(2)}
+        with pytest.raises(GraphError, match="the B-side map has 9 entries"):
+            compatibility_report(h, of_x, of_y + [0], sizes, [(0, 0)], [(0, 0)], Fraction(1))
+
+    def test_a_class_without_a_size_is_rejected(self):
+        h = matching_graph(8)
+        of_x, of_y = maps_of(h, classes_from_ranges(2, 4))
+        of_x[5] = 2
+        sizes = {(s, i): 4 for s in "AB" for i in range(2)}
+        with pytest.raises(GraphError, match=r"class \('A', 2\) is mapped to but has no size"):
+            compatibility_report(h, of_x, of_y, sizes, [(0, 0)], [(0, 0)], Fraction(1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_clauses_and_sets_follow_the_definition(self, data):
+        """On random maps of a target of maximum degree 3, the boundary, the
+        fringe and the edge clause are those of the definition."""
+        n = data.draw(st.integers(1, 8), "n")
+        k = data.draw(st.integers(1, 3), "k")
+        edges, deg_a, deg_b = [], [0] * n, [0] * n
+        drawn = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        for a, b in dict.fromkeys(data.draw(drawn, "edges")):
+            if deg_a[a] < 3 and deg_b[b] < 3:
+                edges.append((a, b))
+                deg_a[a] += 1
+                deg_b[b] += 1
+        h = BipartiteGraph.build(n, n, edges)
+        of_x, of_y = (data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), side)
+                      for side in "XY")
+        perm = data.draw(st.permutations(range(k)), "partners")
+        rprime = [(i, perm[i]) for i in range(k) if data.draw(st.booleans(), f"pair {i}")]
+        pairs = [(i, j) for i in range(k) for j in range(k)]
+        r = rprime + [p for p in pairs if p not in rprime and data.draw(st.booleans(), f"{p}")]
+        sizes = {(s, i): n for s in "AB" for i in range(k)}
+        rep = compatibility_report(h, of_x, of_y, sizes, r, rprime, Fraction(1))
+
+        class_of = {VertexId(Side.A, x): ("A", i) for x, i in enumerate(of_x)}
+        class_of.update({VertexId(Side.B, y): ("B", j) for y, j in enumerate(of_y)})
+        partner = {("A", i): ("B", j) for i, j in rprime}
+        partner.update({b: a for a, b in partner.items()})
+        boundary = {v for v in class_of
+                    if any(class_of[w] != partner.get(class_of[v]) for w in h.neighbours(v))}
+        fringe = {v for v in class_of
+                  if v not in boundary and boundary & set(h.neighbours(v))}
+        for c in sizes:
+            assert rep.boundary[c] == {v for v in boundary if class_of[v] == c}
+            assert rep.fringe[c] == {v for v in fringe if class_of[v] == c}
+        assert rep.edge_clause.ok == all((of_x[x], of_y[y]) in r for x, y in edges)
+        assert rep.partner == partner
 
 
 class TestVerifyEmbedding:
@@ -164,7 +227,7 @@ def embed_along(g, h, part, classes, r, rprime, params, **kwargs):
     cluster sizes, as the pipeline hands it over."""
     sizes = {("A", i): c.size for i, c in enumerate(part.clusters_a)}
     sizes.update({("B", i): c.size for i, c in enumerate(part.clusters_b)})
-    rep = compatibility_report(h, classes, sizes, r, rprime, params.epsilon)
+    rep = compatibility_report(h, *maps_of(h, classes), sizes, r, rprime, params.epsilon)
     return embed_compatible(g, h, part, rep, params, **kwargs)
 
 
@@ -344,7 +407,7 @@ class TestEmbedCompatible:
         sizes = {c: 4 for c in classes}
         r = [(0, 0), (1, 1), (0, 1)]
         with pytest.raises(GraphError, match="not a matching"):
-            compatibility_report(h, classes, sizes, r, [(0, 0), (0, 1)], Fraction(1, 4))
+            compatibility_report(h, *maps_of(h, classes), sizes, r, [(0, 0), (0, 1)], Fraction(1, 4))
 
 
 def test_neighbouring_seeds_share_no_completion_stream():

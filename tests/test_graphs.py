@@ -14,7 +14,6 @@ from bipembed.graphs import (
     UndefinedDensityError,
     VertexId,
     VertexSet,
-    build_bipartite_graph,
     degree_into,
     density,
     edges_between,
@@ -27,80 +26,80 @@ C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
 
 def test_build_empty():
-    g = build_bipartite_graph(2, 2, [])
+    g = BipartiteGraph.build(2, 2, [])
     assert g.edge_count == 0
     assert list(g.edges()) == []
 
 
 def test_build_complete_k22():
-    g = build_bipartite_graph(2, 2, [(a, b) for a in range(2) for b in range(2)])
+    g = BipartiteGraph.build(2, 2, [(a, b) for a in range(2) for b in range(2)])
     assert g.edge_count == 4
     assert all(g.degree(VertexId(Side.A, a)) == 2 for a in range(2))
     assert all(g.degree(VertexId(Side.B, b)) == 2 for b in range(2))
 
 
 def test_build_c6_degrees():
-    g = build_bipartite_graph(3, 3, C6_EDGES)
+    g = BipartiteGraph.build(3, 3, C6_EDGES)
     assert all(g.degree(v) == 2 for v in g.vertices())
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(EdgeIndexError) as exc:
-        build_bipartite_graph(2, 2, [(0, 0), (2, 1)])
+        BipartiteGraph.build(2, 2, [(0, 0), (2, 1)])
     assert exc.value.edge == (2, 1)
 
 
 @pytest.mark.parametrize("a, b", [(0, -1), (0, 2), (-1, 0), (2, 0), (0, 1 << 70)])
 def test_has_edge_outside_either_side_is_false(a, b):
-    g = build_bipartite_graph(2, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph.build(2, 2, [(0, 0), (0, 1)])
     assert g.has_edge(0, 0) and g.has_edge(0, 1) and not g.has_edge(1, 0)
     assert g.has_edge(a, b) is False
 
 
 def test_build_collapses_duplicates():
-    g = build_bipartite_graph(2, 2, [(0, 1), (0, 1), (1, 0)])
+    g = BipartiteGraph.build(2, 2, [(0, 1), (0, 1), (1, 0)])
     assert g.edge_count == 2
 
 
 def test_density_complete_pair():
-    g = build_bipartite_graph(2, 2, [(a, b) for a in range(2) for b in range(2)])
+    g = BipartiteGraph.build(2, 2, [(a, b) for a in range(2) for b in range(2)])
     assert density(g, VertexSet.full(Side.A, 2), VertexSet.full(Side.B, 2)) == 1
 
 
 def test_density_empty_graph():
-    g = build_bipartite_graph(3, 3, [])
+    g = BipartiteGraph.build(3, 3, [])
     assert density(g, VertexSet.full(Side.A, 3), VertexSet.full(Side.B, 3)) == 0
 
 
 def test_density_c6_exact():
-    g = build_bipartite_graph(3, 3, C6_EDGES)
+    g = BipartiteGraph.build(3, 3, C6_EDGES)
     assert density(g, VertexSet.full(Side.A, 3), VertexSet.full(Side.B, 3)) == Fraction(2, 3)
 
 
 def test_density_empty_set_rejected():
-    g = build_bipartite_graph(3, 3, C6_EDGES)
+    g = BipartiteGraph.build(3, 3, C6_EDGES)
     with pytest.raises(UndefinedDensityError):
         density(g, VertexSet(Side.A, 3, 0), VertexSet.full(Side.B, 3))
 
 
 def test_degree_into_full_side():
-    g = build_bipartite_graph(3, 3, [(a, b) for a in range(3) for b in range(3)])
+    g = BipartiteGraph.build(3, 3, [(a, b) for a in range(3) for b in range(3)])
     assert degree_into(g, VertexId(Side.A, 1), VertexSet.full(Side.B, 3)) == 3
 
 
 def test_degree_into_empty_set():
-    g = build_bipartite_graph(3, 3, C6_EDGES)
+    g = BipartiteGraph.build(3, 3, C6_EDGES)
     assert degree_into(g, VertexId(Side.A, 0), VertexSet(Side.B, 3, 0)) == 0
 
 
 def test_degree_into_c6_subset():
-    g = build_bipartite_graph(3, 3, C6_EDGES)
+    g = BipartiteGraph.build(3, 3, C6_EDGES)
     w = VertexSet.from_indices(Side.B, 3, [1, 2])
     assert degree_into(g, VertexId(Side.A, 0), w) == 1
 
 
 def test_degree_into_side_mismatch():
-    g = build_bipartite_graph(3, 3, C6_EDGES)
+    g = BipartiteGraph.build(3, 3, C6_EDGES)
     with pytest.raises(SideMismatchError):
         degree_into(g, VertexId(Side.A, 0), VertexSet.full(Side.A, 3))
 
@@ -121,7 +120,7 @@ def graphs(draw):
 @settings(max_examples=150)
 def test_degree_sums_match_edge_count(data):
     na, nb, edges = data
-    g = build_bipartite_graph(na, nb, edges)
+    g = BipartiteGraph.build(na, nb, edges)
     total_a = sum(g.degree(VertexId(Side.A, a)) for a in range(na))
     total_b = sum(g.degree(VertexId(Side.B, b)) for b in range(nb))
     assert total_a == g.edge_count == total_b
@@ -132,7 +131,7 @@ def test_degree_sums_match_edge_count(data):
 @settings(max_examples=150)
 def test_density_times_sizes_is_edge_count(data):
     na, nb, edges = data
-    g = build_bipartite_graph(na, nb, edges)
+    g = BipartiteGraph.build(na, nb, edges)
     U = VertexSet.full(Side.A, na)
     W = VertexSet.full(Side.B, nb)
     val = density(g, U, W) * U.size * W.size
@@ -176,7 +175,7 @@ def fresh_vertices(g):
 @settings(max_examples=150)
 def test_shared_ids_equal_freshly_built_ones(data):
     na, nb, edges = data
-    g = build_bipartite_graph(na, nb, edges)
+    g = BipartiteGraph.build(na, nb, edges)
     assert list(g.vertices()) == fresh_vertices(g)
     for v in g.vertices():
         opp = v.side.opposite()
@@ -202,7 +201,7 @@ def test_tables_grow_from_empty_in_any_order_of_sizes(sizes, order):
 @given(graphs(), graphs())
 @settings(max_examples=50)
 def test_repeated_calls_return_the_same_objects(first, second):
-    g, h = (build_bipartite_graph(*data) for data in (first, second))
+    g, h = (BipartiteGraph.build(*data) for data in (first, second))
     for v, w in zip(g.vertices(), g.vertices()):
         assert v is w
         assert all(x is y for x, y in zip(g.neighbours(v), g.neighbours(w)))

@@ -754,9 +754,9 @@ class TestCycleFirst:
         seen = []
         real_report = embedder.compatibility_report
 
-        def report(H, classes, sizes, r_edges, *rest):
+        def report(H, cluster_of_x, cluster_of_y, sizes, r_edges, *rest):
             seen.append(list(r_edges))
-            return real_report(H, classes, sizes, r_edges, *rest)
+            return real_report(H, cluster_of_x, cluster_of_y, sizes, r_edges, *rest)
 
         monkeypatch.setattr(partitioner, "find_hamilton_cycle", search)
         monkeypatch.setattr(embedder, "compatibility_report", report)
