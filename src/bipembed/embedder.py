@@ -54,7 +54,7 @@ from .regularity import (
     _mix_seed,
     _pair_rows,
     _shuffle,
-    typical_vertices,
+    degree_at_least,
 )
 
 ClassKey = tuple[str, int]
@@ -346,16 +346,18 @@ def embed_compatible(
     rows: dict[ClassKey, list[int]] = {}
     for ca, cb in pairs:
         rows[ca], rows[cb] = _pair_rows(G, members[ca], members[cb])
-    # typical host vertices per class: enough neighbours in the partner
-    # cluster to keep the completion phase healthy
+    # typical host vertices per class: at least (d - eps)|partner| neighbours
+    # in the partner cluster, to keep the completion phase healthy
     typical: dict[ClassKey, int] = {}
     for c, vs in clusters.items():
         p = partner.get(c)
+        everyone = (1 << vs.size) - 1
         if p is None:
-            typical[c] = (1 << vs.size) - 1
+            typical[c] = everyone
             continue
-        bits = typical_vertices(G, vs, clusters[p], clusters[p], params).vertices.bits
-        typical[c] = _local_row(bits, members[c], vs.universe)
+        size = clusters[p].size
+        bound = (params.d - params.epsilon) * size
+        typical[c] = degree_at_least(rows[c], everyone, (1 << size) - 1, bound)
 
     images: dict[VertexId, int] = {}  # local index in the class's cluster
     phases: dict[VertexId, str] = {}
@@ -477,7 +479,6 @@ class EmbedConfig:
     k0: int = 8
     ell: int = 64
     size_slack: Optional[Rational] = None
-    labelling_mode: str = "cuthill-mckee"
     sample_budget: int = 800
     embed_retries: int = 20  # completion attempts per matching pair
     pipeline_retries: int = 8
@@ -563,11 +564,7 @@ def embed_bipartite(
     report.record("hypotheses", True, f"n={n}, delta={G.min_degree()}")
 
     if labelling is None:
-        try:
-            labelling = bandwidth_labelling(H, cfg.labelling_mode)
-        except ValueError as e:
-            report.record("labelling", False, str(e))
-            raise EmbeddingPipelineError(str(e), report) from e
+        labelling = bandwidth_labelling(H)
     report.record("labelling", True, f"bandwidth {labelling.bandwidth}")
 
     overrides = {"d": cfg.d}

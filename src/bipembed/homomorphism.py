@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,8 +30,6 @@ from .ratmath import Rational, frac
 class BandwidthLabelling:
     order: tuple[VertexId, ...]
     bandwidth: int
-    positions_a: tuple[int, ...] = field(repr=False)
-    positions_b: tuple[int, ...] = field(repr=False)
 
 
 def _labelling_from_order(H: BipartiteGraph, order: Sequence[VertexId]) -> BandwidthLabelling:
@@ -47,7 +45,7 @@ def _labelling_from_order(H: BipartiteGraph, order: Sequence[VertexId]) -> Bandw
     bw = 0
     for x, y in H.edges():
         bw = max(bw, abs(pos_a[x] - pos_b[y]))
-    return BandwidthLabelling(tuple(order), bw, tuple(pos_a), tuple(pos_b))
+    return BandwidthLabelling(tuple(order), bw)
 
 
 def _cuthill_mckee_order(H: BipartiteGraph) -> list[VertexId]:
@@ -238,18 +236,15 @@ def balance_assignment(
     n = sum(targets)
     if sum(x_counts) != n or sum(y_counts) != n:
         raise GraphError("piece counts must each sum to the cluster-target total")
-    # hypotheses: xi in (0, 1/4], targets at most n/8, pieces at most (1+xi)*2n/ell
-    hypothesis_ok = (
-        0 < xi <= Fraction(1, 4)
-        and all(8 * t <= n for t in targets)
-        and all(Fraction(x + y) <= (1 + xi) * Fraction(2 * n, ell) for x, y in zip(x_counts, y_counts))
-    )
-    if strict and not hypothesis_ok:
-        if not 0 < xi <= Fraction(1, 4):
-            raise GraphError(f"xi must lie in (0, 1/4], got {xi}")
-        if any(8 * t > n for t in targets):
-            raise GraphError("a cluster target exceeds n/8")
-        raise GraphError("a piece exceeds (1+xi)*2n/ell")
+    failed = [message for holds, message in (
+        (0 < xi <= Fraction(1, 4), f"xi must lie in (0, 1/4], got {xi}"),
+        (all(8 * t <= n for t in targets), "a cluster target exceeds n/8"),
+        (all(Fraction(x + y) <= (1 + xi) * Fraction(2 * n, ell)
+             for x, y in zip(x_counts, y_counts)), "a piece exceeds (1+xi)*2n/ell"),
+    ) if not holds]
+    hypothesis_ok = not failed
+    if strict and failed:
+        raise GraphError(failed[0])
     bound = [targets[i] + xi * n for i in range(k)]
     rng = random.Random(seed)
     violations: dict[int, int] = {i: 0 for i in range(k)}

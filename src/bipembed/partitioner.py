@@ -58,6 +58,7 @@ from .regularity import (
     _mix_seed,
     check_regular_pair,
     check_super_regular_pair,
+    degree_at_least,
     random_equipartition,
     reuse_deviation,
     super_regularize,
@@ -261,17 +262,11 @@ def candidate_index_set(
     if x.side is not Side.A or y.side is not Side.B:
         raise GraphError("candidate_index_set expects (A-side, B-side) vertices")
     d = frac(refined_density)
-    # an integer degree meets a rational bound exactly when it meets its ceiling
-    need = {size: ceil_frac(d * size) for size in partition.sizes_a() + partition.sizes_b()}
-    out = []
-    for i in range(partition.k):
-        B_i = partition.clusters_b[i]
-        A_i = partition.clusters_a[i]
-        if (G.adj_a[x.index] & B_i.bits).bit_count() >= need[B_i.size] and (
-            G.adj_b[y.index] & A_i.bits
-        ).bit_count() >= need[A_i.size]:
-            out.append(i)
-    return frozenset(out)
+    return frozenset(
+        i for i, (A_i, B_i) in enumerate(zip(partition.clusters_a, partition.clusters_b))
+        if degree_at_least(G.adj_a, 1 << x.index, B_i.bits, d * B_i.size)
+        and degree_at_least(G.adj_b, 1 << y.index, A_i.bits, d * A_i.size)
+    )
 
 
 class AbsorptionError(RuntimeError):
@@ -370,12 +365,13 @@ def redistribute_cluster_sizes(
     the lowest-index source and routes one vertex along consecutive
     clusters until a sink gains one vertex; intermediate clusters end the
     iteration at their original size.  Each move takes the lowest-index
-    vertex with enough neighbours ahead (arrival keeps the target pair's
-    degree condition) whose removal keeps every partner vertex above the
-    degree threshold.  No degree table is maintained across moves: each
-    move recounts the source partners' degrees into the source once and
-    masks the partners at the threshold, so testing a candidate is one
-    popcount and one AND against that mask.
+    vertex with at least d|partner of dst| neighbours there (arrival keeps
+    the target pair's degree condition) and no critical partner: a partner
+    vertex with fewer than d(|src| - 1) + 1 neighbours in the source, which
+    would fall below d(|src| - 1) on losing it.  No degree table or size
+    table is kept across moves: each move takes both sets from
+    ``degree_at_least`` on the current cluster masks, whose popcounts are
+    the sizes.
 
     The move count t satisfies t <= k*xi*n.  The result carries no
     regularity parameters: callers certify the resized pairs themselves.
@@ -400,30 +396,26 @@ def redistribute_cluster_sizes(
         if 2 * k * partition.clusters_a[i].size < n or 2 * k * partition.clusters_b[i].size < n:
             raise RedistributionError(f"cluster {i} smaller than n/(2k)", cluster=i)
 
-    d_thr = params.d
+    d = params.d
     other = {"A": "B", "B": "A"}
     adj = {"A": G.adj_a, "B": G.adj_b}
     masks = {
         "A": [c.bits for c in partition.clusters_a],
         "B": [c.bits for c in partition.clusters_b],
     }
-    sizes = {side: [m.bit_count() for m in masks[side]] for side in masks}
     orig = {side: list(masks[side]) for side in masks}
 
     def move(side: str, src: int, dst: int) -> None:
         rows, partner_rows = adj[side], adj[other[side]]
         partner_src, partner_dst = masks[other[side]][src], masks[other[side]][dst]
         src_mask = masks[side][src]
-        # an integer degree meets a rational bound exactly when it meets its ceiling
-        need_in = ceil_frac(d_thr * sizes[other[side]][dst])
-        floor_after = ceil_frac(d_thr * (sizes[side][src] - 1))
-        # partners that would fall below the floor on losing one neighbour
-        critical = sum([
-            1 << w for w in iter_bits(partner_src)
-            if (partner_rows[w] & src_mask).bit_count() <= floor_after
-        ])
-        for v in iter_bits(src_mask):
-            if not rows[v] & critical and (rows[v] & partner_dst).bit_count() >= need_in:
+        arriving = degree_at_least(rows, src_mask, partner_dst, d * partner_dst.bit_count())
+        # partners that would fall below d(|src| - 1) on losing one neighbour
+        critical = partner_src & ~degree_at_least(
+            partner_rows, partner_src, src_mask, d * (src_mask.bit_count() - 1) + 1
+        )
+        for v in iter_bits(arriving):
+            if not rows[v] & critical:
                 break
         else:
             raise RedistributionError(
@@ -433,18 +425,16 @@ def redistribute_cluster_sizes(
             )
         masks[side][src] &= ~(1 << v)
         masks[side][dst] |= 1 << v
-        sizes[side][src] -= 1
-        sizes[side][dst] += 1
 
     iterations = 0
     vertex_moves = 0
     route_log = []
     for side, deltas, step in (("A", deltas_a, +1), ("B", deltas_b, -1)):
-        size = sizes[side]
-        targets = [size[i] + deltas[i] for i in range(k)]
+        mask = masks[side]
+        targets = [mask[i].bit_count() + deltas[i] for i in range(k)]
         guard = 0
         while True:
-            sources = [i for i in range(k) if size[i] > targets[i]]
+            sources = [i for i in range(k) if mask[i].bit_count() > targets[i]]
             if not sources:
                 break
             src = sources[0]
@@ -452,7 +442,7 @@ def redistribute_cluster_sizes(
             sink = src
             while True:
                 dst = (j + step) % k
-                was_sink = size[dst] < targets[dst]
+                was_sink = mask[dst].bit_count() < targets[dst]
                 move(side, j, dst)
                 vertex_moves += 1
                 if was_sink:

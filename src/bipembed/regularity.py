@@ -132,6 +132,18 @@ def _mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def degree_at_least(adj: Sequence[int], members: int, partner: int, bound: Rational) -> int:
+    """The members (bits over the rows of ``adj``) with at least ``bound``
+    neighbours in ``partner``, as a mask.
+
+    Every degree condition of the pipeline goes through here, on global
+    rows or on a pair's local rows.  An integer degree meets a rational
+    bound exactly when it meets its ceiling.
+    """
+    need = ceil_frac(frac(bound))
+    return sum([1 << v for v in iter_bits(members) if (adj[v] & partner).bit_count() >= need])
+
+
 def _strategy(strategy, budget: int) -> Strategy:
     """The strategy, refusing a sampled check with no samples to draw: it
     would certify a pair it never looked at."""
@@ -526,14 +538,13 @@ def check_super_regular_pair(
         )
     for X, Y, adj in ((U, W, G.adj_a), (W, U, G.adj_b)):
         thr = params.d * Y.size
-        need = ceil_frac(thr)  # an integer degree is < thr exactly when < need
-        for v in X.indices():
-            if (adj[v] & Y.bits).bit_count() < need:
-                return PairCertificate(
-                    (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
-                    failing_vertex=VertexId(X.side, v),
-                    note=f"degree below {thr} into partner",
-                )
+        low = X.bits & ~degree_at_least(adj, X.bits, Y.bits, thr)
+        if low:
+            return PairCertificate(
+                (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
+                failing_vertex=VertexId(X.side, next(iter_bits(low))),
+                note=f"degree below {thr} into partner",
+            )
     reused = reuse_deviation(prior, U, W, params, budget) if strategy is Strategy.SAMPLED else None
     inner = reused or check_regular_pair(G, U, W, params, strategy, budget, seed)
     if inner.verdict is Verdict.REGULAR:
@@ -570,10 +581,8 @@ def typical_vertices(
     if bprime.side is not B.side or bprime.bits & ~B.bits:
         raise GraphError("B' must be a subset of B")
     adequate = bprime.size >= params.epsilon * B.size
-    threshold = (params.d - params.epsilon) * bprime.size
-    need = ceil_frac(threshold)  # an integer degree is >= threshold exactly when >= need
     adj = G.adj_a if A.side is Side.A else G.adj_b
-    bits = _mask(a for a in A.indices() if (adj[a] & bprime.bits).bit_count() >= need)
+    bits = degree_at_least(adj, A.bits, bprime.bits, (params.d - params.epsilon) * bprime.size)
     return TypicalVertices(VertexSet(A.side, A.universe, bits), adequate)
 
 
@@ -993,11 +1002,11 @@ def super_regularize(
     moves_per_pair: dict[tuple[int, int], int] = {}
     bad_a = [0] * k
     bad_b = [0] * k
+    floor = params.d - params.epsilon
     for i, j in edges:
-        A_i = partition.clusters_a[i]
-        B_j = partition.clusters_b[j]
-        low_a = A_i.bits & ~typical_vertices(G, A_i, B_j, B_j, params).vertices.bits
-        low_b = B_j.bits & ~typical_vertices(G, B_j, A_i, A_i, params).vertices.bits
+        A_i, B_j = partition.clusters_a[i], partition.clusters_b[j]
+        low_a = A_i.bits & ~degree_at_least(G.adj_a, A_i.bits, B_j.bits, floor * B_j.size)
+        low_b = B_j.bits & ~degree_at_least(G.adj_b, B_j.bits, A_i.bits, floor * A_i.size)
         bad_a[i] |= low_a
         bad_b[j] |= low_b
         moves_per_pair[(i, j)] = low_a.bit_count() + low_b.bit_count()

@@ -40,3 +40,18 @@ def test_one_operation_passes_the_benchmark_checks(monkeypatch, name):
     record = w.check(inst, w.op(inst, 0))
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     assert digest == RECORDS[name]
+
+
+def test_one_command_line_operation_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    """``cli-1024`` runs ``bipembed.cli.main`` in-process when traced, so
+    drift in the command line or the file formats shows here."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    reference = importlib.import_module("reference")
+    src = os.path.join(os.path.dirname(PERFBENCH), "src")
+    w = workloads.make("cli-1024", str(tmp_path), src, True, reference.Clock())
+    inst = w.setup(1, 0)
+    w.check_input(inst)
+    record = w.check(inst, w.op(inst, 0))
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == "40f2e0ca4208ea5121b6966abb03dd12451c26407dd4843bb17d19bb6ca79d1d"

@@ -723,19 +723,6 @@ class TestTypedFailures:
         assert (last.stage, last.ok) == ("regular-partition", False)
         assert "budget of at least 1" in last.detail
 
-    @pytest.mark.parametrize("mode,message", [
-        ("bogus", "unknown labelling mode 'bogus'"),
-        ("exact-small", "exact-small limited to 16 vertices"),
-    ])
-    def test_labelling_failure_is_typed(self, mode, message):
-        n = 12
-        g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
-        cfg = EmbedConfig(labelling_mode=mode, k0=2)
-        with pytest.raises(EmbeddingPipelineError) as exc:
-            embed_bipartite(g, cycle_graph(n), Fraction(1, 5), 2, cfg)
-        last = exc.value.report.stages[-1]
-        assert (last.stage, last.ok, last.detail) == ("labelling", False, message)
-
     def test_a_failed_embedding_moves_on_to_the_next_attempt(self, monkeypatch):
         real_embed = embedder.embed_compatible
         calls = []

@@ -166,6 +166,19 @@ class TestBalanceAssignment:
         with pytest.raises(GraphError):
             balance_assignment([100], [50, 50], [50, 50], Fraction(1, 10))
 
+    # k = 8, n = 800, 40 pieces of 20 + 20; each case breaks one hypothesis
+    @pytest.mark.parametrize("targets,pieces,xi,message", [
+        ([100] * 8, [20] * 40, Fraction(1, 2), "xi must lie in (0, 1/4], got 1/2"),
+        ([200] + [100] * 6, [20] * 40, Fraction(1, 4), "a cluster target exceeds n/8"),
+        ([100] * 8, [30, 10] + [20] * 38, Fraction(1, 4), "a piece exceeds (1+xi)*2n/ell"),
+    ])
+    def test_each_hypothesis_is_named_alone(self, targets, pieces, xi, message):
+        with pytest.raises(GraphError) as exc:
+            balance_assignment(targets, pieces, pieces, xi)
+        assert str(exc.value) == message
+        res = balance_assignment(targets, pieces, pieces, xi, strict=False)
+        assert res.hypothesis_ok is False
+
     def test_locally_balanced_success(self):
         k, n, ell = 8, 8000, 200
         targets = [1000] * k

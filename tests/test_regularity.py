@@ -26,6 +26,7 @@ from bipembed.regularity import (
     build_regular_partition,
     check_regular_pair,
     check_super_regular_pair,
+    degree_at_least,
     maximal_reduced_graph,
     min_subset_size,
     rebound_after_perturbation,
@@ -469,6 +470,19 @@ class TestCheckSuperRegularPair:
         assert cert.verdict is Verdict.SUPER_FAILED
         assert cert.failing_vertex == VertexId(Side.A, 0)
 
+    def test_lowest_failing_vertex_is_named(self):
+        # every A vertex has degree at least 2 = d|B|; B1 and B3 have degree 1
+        edges = [(a, b) for a in range(4) for b in (0, 2)] + [(0, 1), (0, 3)]
+        g = BipartiteGraph.build(4, 4, edges)
+        U, W = full_sides(g)
+        cert = check_super_regular_pair(
+            g, U, W, RegularityParams(Fraction(1, 4), Fraction(1, 2)),
+            Strategy.EXHAUSTIVE,
+        )
+        assert cert.verdict is Verdict.SUPER_FAILED
+        assert cert.failing_vertex == VertexId(Side.B, 1)
+        assert cert.note == "degree below 2 into partner"
+
     def test_c6_fails_regularity(self):
         g = BipartiteGraph.build(3, 3, C6_EDGES)
         U, W = full_sides(g)
@@ -829,6 +843,29 @@ def test_draw_refuses_more_than_the_population():
     for population, k in (([], 1), ([0, 1], 3), ([0], -1)):
         with pytest.raises(ValueError):
             _draw(random.Random(0).getrandbits, population, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.integers(0, 2**8 - 1), max_size=8),
+    members=st.integers(0, 2**8 - 1),
+    partner=st.integers(0, 2**8 - 1),
+    bound=st.integers(-3, 10) | st.fractions(-3, 10, max_denominator=12),
+)
+@example(rows=[3, 1], members=3, partner=3, bound=-2)  # negative: every member
+@example(rows=[3, 0], members=3, partner=3, bound=0)  # zero: every member
+@example(rows=[3, 1], members=3, partner=3, bound=2)  # integer, met exactly
+@example(rows=[3, 1], members=3, partner=3, bound=Fraction(3, 2))  # ceiling 2
+@example(rows=[3, 3], members=3, partner=3, bound=3)  # above |partner|: none
+@example(rows=[3, 1], members=0, partner=3, bound=1)  # no members
+@example(rows=[3, 1], members=3, partner=0, bound=0)  # empty partner, zero bound
+@example(rows=[3, 1], members=3, partner=0, bound=Fraction(1, 3))  # empty partner
+def test_degree_gate_matches_a_rational_comparison(rows, members, partner, bound):
+    members &= (1 << len(rows)) - 1
+    assert degree_at_least(rows, members, partner, bound) == sum(
+        1 << v for v in range(len(rows))
+        if members >> v & 1 and Fraction((rows[v] & partner).bit_count()) >= Fraction(bound)
+    )
 
 
 @settings(max_examples=100, deadline=None)
