@@ -2,7 +2,10 @@
 
 Graph files (".bg"): first significant line ``bipartite <nA> <nB> <m>``,
 then m lines ``<a> <b>`` with 0-based A-index then B-index; ``#`` starts a
-comment; duplicate edges are a parse error.  Labelling files hold one
+comment; duplicate edges are a parse error.  ``write_graph`` puts a row
+index after the header, one comment ``# <hex>`` per A-vertex, which
+``read_graph`` uses only when the edge lines are the ones it gives, so a
+reader that skips comments reads the same graph.  Labelling files hold one
 global vertex id per line, a permutation of 0..2n-1, where even ids are
 A-side (id 2i = A_i) and odd ids are B-side (id 2j+1 = B_j).
 
@@ -16,9 +19,10 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import Iterator
+from itertools import compress
+from typing import Iterable, Iterator
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId, iter_bits, vertex_id
+from .graphs import BipartiteGraph, GraphError, Side, VertexId, bit_flags, vertex_id
 from .hamilton import HamiltonCycle
 from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
 from .embedder import Embedding
@@ -44,91 +48,82 @@ def from_global_id(g: int) -> VertexId:
 # ---------------------------------------------------------------------------
 
 
+def _edge_lines(rows: Iterable[int], nb: int) -> Iterator[str]:
+    """Each row's edge lines ``a b``, b ascending: together, the sorted edge list."""
+    ends = [f"{b}\n" for b in range(nb)]
+    for a, row in enumerate(rows):
+        head = f"{a} "
+        yield head + head.join(compress(ends, bit_flags(row, row.bit_length()))) if row else ""
+
+
 def write_graph(path: str, G: BipartiteGraph) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(f"bipartite {G.size_a} {G.size_b} {G.edge_count}\n")
-        # row by row, each row's edges ascending: the sorted edge list
-        ends = [f"{b}\n" for b in range(G.size_b)]
-        for a, row in enumerate(G.adj_a):
-            if row:
-                head = f"{a} "
-                f.write(head + head.join([ends[b] for b in iter_bits(row)]))
+        f.write("".join([f"# {row:x}\n" for row in G.adj_a]))
+        f.writelines(_edge_lines(G.adj_a, G.size_b))
 
 
 def read_graph(path: str) -> BipartiteGraph:
-    """Parse a .bg file.
-
-    A canonical file, byte for byte what ``write_graph`` writes, is read in
-    bounded chunks straight into bitset rows; anything else, including a
-    canonical-looking file with a fault, goes through the line scan, so
-    every error carries the same line number and message either way.
-    """
-    g = _read_canonical_graph(path)
+    """Parse a .bg file: from its row index if it is byte for byte what
+    ``write_graph`` writes, else by the line scan, which gives every error."""
+    g = _read_indexed_graph(path)
     return g if g is not None else _read_graph_lines(path)
 
 
-_CHUNK = 1 << 18
+def _read_indexed_graph(path: str) -> BipartiteGraph | None:
+    """The graph of a file exactly as ``write_graph`` writes it, else None.
 
-
-def _read_canonical_graph(path: str) -> BipartiteGraph | None:
-    """The graph of a canonical, fault-free file, else None.
-
-    A canonical file is ``bipartite nA nB m`` and then m distinct lines
-    ``a b`` of plain decimals in range, every line ended by one newline.
-    Tokens decode through tables of the canonical strings, so a sign, a
-    leading zero, ``_`` or an index out of range misses; duplicates and a
-    wrong count show in the byte count of the nA*nB edge buffer, which is
-    only allocated when the file is at least that long.
+    The index rows must be canonical lowercase hex below 2**nB, and each
+    row's edge lines are regenerated and compared with a read of their
+    length, so the index never decides which graph a file holds.  No buffer
+    outgrows the file: a header whose nA*nB passes its size goes to the line scan.
     """
     with open(path, "rb") as f:
         header = f.readline()
-        parts = header.split(b" ")
-        if len(parts) != 4 or parts[0] != b"bipartite":
-            return None
         try:
-            na, nb, m = map(int, parts[1:])
+            na, nb, m = map(int, header.split(b" ")[1:])
         except ValueError:
             return None
         if (
             header != b"bipartite %d %d %d\n" % (na, nb, m)
             or min(na, nb) < 0
-            or na * nb > os.fstat(f.fileno()).st_size
+            or max(na, 1) * max(nb, 1) > os.fstat(f.fileno()).st_size
         ):
             return None
-        row_at = {b"%d" % a: a * nb for a in range(na)}
-        col_at = {b"%d" % b: b for b in range(nb)}
-        flat = bytearray(na * nb)
-        lines = 0
-        rest = b""
-        while block := f.read(_CHUNK):
-            block = rest + block
-            cut = block.rfind(b"\n") + 1
-            if not cut:
-                return None
-            data, rest = block[:cut], block[cut:]
-            count = data.count(b"\n")
-            tokens = data.split()
-            # digits aside, the chunk is " \n" repeated, and no token is
-            # empty: exactly `count` lines "x y"
-            if len(tokens) != 2 * count or data.translate(None, b"0123456789") != b" \n" * count:
-                return None
-            pair = iter(tokens)
+        rows = []
+        for _ in range(na):
+            line = f.readline()
             try:
-                for a, b in zip(pair, pair):
-                    flat[row_at[a] + col_at[b]] = 1
-            except KeyError:
+                row = int(line[2:], 16)
+            except ValueError:
                 return None
-            lines += count
-    if rest or lines != m or flat.count(1) != m:
-        return None
-    return BipartiteGraph._from_flat(na, nb, flat)
+            # the round trip rejects case, "+", "0x", zeros, "_" and white
+            # space; a negative row shifts to -1, so the shift rejects it
+            if line != b"# %x\n" % row or row >> nb:
+                return None
+            rows.append(row)
+        if sum(map(int.bit_count, rows)) != m:
+            return None
+        for lines in _edge_lines(rows, nb):
+            lines = lines.encode()
+            if f.read(len(lines)) != lines:
+                return None
+        if f.read(1):
+            return None
+    return BipartiteGraph._from_flat(na, nb, b"".join([bit_flags(row, nb) for row in rows]))
 
 
 def significant_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, text) of each line left non-empty once its ``#``
-    comment and surrounding white space are removed."""
-    with open(path) as f:
+    comment and surrounding white space are removed.  A line that is not
+    UTF-8 is a :class:`FileFormatError`."""
+    with open(path, errors="surrogateescape") as f:
         for no, raw in enumerate(f, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode()  # bytes that do not decode came in as surrogates
+                except UnicodeEncodeError:
+                    raise FileFormatError(path, no, "not UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield no, line
@@ -222,6 +217,8 @@ def read_json(path: str) -> dict:
             return json.load(f)
         except json.JSONDecodeError as e:
             raise FileFormatError(path, e.lineno, e.msg) from None
+        except UnicodeDecodeError:
+            raise FileFormatError(path, 0, "not UTF-8 text") from None
 
 
 def _int(value) -> bool:

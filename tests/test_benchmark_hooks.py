@@ -55,3 +55,22 @@ def test_one_command_line_operation_passes_the_benchmark_checks(monkeypatch, tmp
     record = w.check(inst, w.op(inst, 0))
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     assert digest == "40f2e0ca4208ea5121b6966abb03dd12451c26407dd4843bb17d19bb6ca79d1d"
+
+
+def test_benchmark_reader_skips_the_row_index(monkeypatch, tmp_path):
+    """``cli-1024`` checks the files ``gen-host`` and ``gen-target`` write
+    with ``checks.read_bg``; the row index is comment lines, which it skips,
+    so it reads the rows ``write_graph`` was given."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    checks = importlib.import_module("checks")
+    from bipembed.fileio import write_graph
+    from bipembed.generators import InstanceSpec, gen_host, gen_target
+
+    graphs = [
+        gen_host(InstanceSpec("host-random-min-degree", 64, 3, {"gamma": "3/10"})),
+        gen_target(InstanceSpec("target-random-local", 64, 5, {"window": 4, "max_degree": 3}))[0],
+    ]
+    for i, g in enumerate(graphs):
+        path = str(tmp_path / f"g{i}.bg")
+        write_graph(path, g)
+        assert checks.read_bg(path) == (g.size_a, g.size_b, list(g.adj_a))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,15 @@ from bipembed import fileio
 from bipembed.cli import main
 from bipembed.fileio import (
     FileFormatError,
-    _read_canonical_graph,
     _read_graph_lines,
+    _read_indexed_graph,
     read_graph,
     read_labelling,
     write_graph,
     write_labelling,
 )
 from bipembed.generators import InstanceSpec, gen_host, gen_target
-from bipembed.graphs import GraphError, Side, VertexId
+from bipembed.graphs import BipartiteGraph, GraphError, Side, VertexId
 from bipembed.regularity import RegularityParams, Strategy, build_regular_partition
 
 
@@ -57,31 +58,79 @@ class TestGraphFiles:
         g = read_graph(str(p))
         assert g.edge_count == 1
 
-    # sha256 of the bytes write_graph writes for a seeded host and target
+    # sha256 of the bytes write_graph writes for a seeded host and target,
+    # and of those bytes without the row index's comment lines
     WRITTEN = [
         (lambda: gen_host(InstanceSpec("host-random-min-degree", 64, 3, {"gamma": "3/10"})),
+         "e1eea72845d92fbdd647a4353d305e881753a915afcb65cfc4c2d0c664866b58",
          "99396b972001f971d3481f8ab4a79f08468b4c818e1b515020379a8f99eaefd2"),
         (lambda: gen_target(InstanceSpec(
             "target-random-local", 64, 5, {"window": 4, "max_degree": 3}))[0],
+         "7f76e5c50b933e2da1fa7957e97d9a0cc8676a02b18ebfbaf3fbc3f0ba7ffb59",
          "7fd78a631a4a56795c4b606f40952188a51f3305e4c04c5f0a26692c81098e24"),
     ]
 
-    @pytest.mark.parametrize("make,digest", WRITTEN, ids=["host-64", "random-local-64"])
-    def test_pinned_written_bytes(self, tmp_path, make, digest):
+    @pytest.mark.parametrize("make,digest,edges_digest", WRITTEN, ids=["host-64", "random-local-64"])
+    def test_pinned_written_bytes(self, tmp_path, make, digest, edges_digest):
         g = make()
         p = tmp_path / "g.bg"
         write_graph(str(p), g)
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        data = p.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        edges = b"".join(line for line in data.splitlines(True) if not line.startswith(b"#"))
+        assert hashlib.sha256(edges).hexdigest() == edges_digest
         back = read_graph(str(p))
         assert back == g and back.adj_b == g.adj_b
+        # a reader that skips the index comments sees the same graph
+        scanned = _read_graph_lines(str(p))
+        assert scanned == g and scanned.adj_b == g.adj_b
+
+    def test_row_index_follows_the_header(self, tmp_path):
+        g = BipartiteGraph.build(3, 5, [(0, 4), (0, 1), (2, 0)])
+        p = tmp_path / "g.bg"
+        write_graph(str(p), g)
+        assert p.read_text() == "bipartite 3 5 3\n# 12\n# 0\n# 1\n0 1\n0 4\n2 0\n"
 
     def test_huge_empty_graph_takes_line_scan(self, tmp_path):
-        # the row path would need a 10^12-byte buffer for this header
+        # the index path would need a 10^12-byte buffer for this header
         p = tmp_path / "g.bg"
         p.write_text("bipartite 1000000 1000000 0\n")
-        assert _read_canonical_graph(str(p)) is None
+        assert _read_indexed_graph(str(p)) is None
         g = read_graph(str(p))
         assert (g.size_a, g.size_b, g.edge_count) == (10**6, 10**6, 0)
+
+    @pytest.mark.parametrize("na,nb", [(1000, 10**9), (0, 10**9), (10**9, 0)])
+    def test_header_sizes_no_buffer(self, tmp_path, na, nb):
+        # an index that is right for the header: the empty rows
+        p = tmp_path / "g.bg"
+        p.write_text(f"bipartite {na} {nb} 0\n" + "# 0\n" * min(na, 1000))
+        tracemalloc.start()
+        try:
+            assert _read_indexed_graph(str(p)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_labelling_and_json_not_utf8(self, tmp_path):
+        h, _ = gen_target(InstanceSpec("target-hamilton-cycle", 4, 0))
+        p = tmp_path / "h.lab"
+        p.write_bytes(b"0\n1\n\xfe\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_labelling(str(p), h)
+        assert (exc.value.path, exc.value.line) == (str(p), 3)
+        j = tmp_path / "a.json"
+        j.write_bytes(b'{"kind": "\xff"}\n')
+        with pytest.raises(FileFormatError, match="not UTF-8"):
+            fileio.read_json(str(j))
+
+    def test_verify_names_a_graph_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bad.bg"
+        p.write_bytes(b"bipartite 2 2 1\n# \xc3\xa9 is UTF-8\n0 \xff1\n")
+        emb = tmp_path / "emb.json"
+        emb.write_text('{"kind": "embedding", "pairs": []}\n')
+        assert run(["verify", "--host", str(p), "--target", str(p), "--embedding", str(emb)]) == 2
+        assert f"parse error: {p}:3: not UTF-8 text" in capsys.readouterr().err
 
     def test_line_scan_reads_crlf_tabs_and_comments(self, tmp_path):
         g = gen_host(InstanceSpec("host-random-min-degree", 64, 3, {"gamma": "3/10"}))
@@ -91,7 +140,7 @@ class TestGraphFiles:
         lines = [header, "# edges follow, tab separated"] + [e.replace(" ", "\t") for e in edges]
         p = tmp_path / "crlf.bg"
         p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        assert _read_canonical_graph(str(p)) is None
+        assert _read_indexed_graph(str(p)) is None
         back = read_graph(str(p))
         assert back == g and back.adj_b == g.adj_b
 
@@ -121,27 +170,52 @@ class TestGraphFiles:
             read_labelling(str(p), h)
 
 
-# Mutations of a canonical graph file.  Each must parse to the graph the
-# line scan gives, or fail with the line scan's error, line and message.
+# Mutations of a graph file as write_graph writes it, row index included.
+# Each must parse to the graph the line scan gives, or fail with the line
+# scan's error, line and message.
 MUTATIONS = [
     "none", "duplicate", "duplicate-counted", "swap", "delete", "joined",
     "blank-line", "plus", "minus", "leading-zero", "underscore", "out-of-range",
     "tab", "crlf", "trailing-space", "comment", "inline-comment",
     "no-final-newline", "wrong-m", "m-zero",
+    "index-flip", "index-upper", "index-leading-zero", "index-missing",
+    "index-extra", "index-wide", "index-edges-shuffled",
 ]
 
 
 @st.composite
 def mutated_graph_files(draw):
+    """(mutated file, the file unmutated) as bytes."""
     na = draw(st.integers(0, 7))
     nb = draw(st.integers(0, 7))
     cells = st.tuples(st.integers(0, max(na - 1, 0)), st.integers(0, max(nb - 1, 0)))
     edges = sorted(draw(st.sets(cells, max_size=na * nb))) if na and nb else []
     header = ["bipartite", str(na), str(nb), str(len(edges))]
     body = [[str(a), str(b)] for a, b in edges]
+    rows = [sum(1 << b for a2, b in edges if a2 == a) for a in range(na)]
+    index = [f"# {row:x}" for row in rows]
+    unmutated = "".join(line + "\n" for line in [" ".join(header), *index, *map(" ".join, body)])
     mutation = draw(st.sampled_from(MUTATIONS))
     ends = "\n"
-    if mutation == "wrong-m":
+    if mutation.startswith("index-") and na:
+        i = draw(st.integers(0, na - 1))
+        if mutation == "index-flip" and nb:
+            index[i] = f"# {rows[i] ^ 1 << draw(st.integers(0, nb - 1)):x}"
+        elif mutation == "index-upper":
+            index[i] = index[i].upper()
+        elif mutation == "index-leading-zero":
+            index[i] = "# 0" + index[i][2:]
+        elif mutation == "index-missing":
+            del index[i]
+        elif mutation == "index-extra":
+            index.insert(i, f"# {draw(st.integers(0, (1 << nb) - 1)):x}")
+        elif mutation == "index-wide":
+            # counted in the header, so only the row's width gives it away
+            index[i] = f"# {rows[i] | 1 << nb + draw(st.integers(0, 2)):x}"
+            header[3] = str(len(edges) + 1)
+        elif mutation == "index-edges-shuffled":
+            body = draw(st.permutations(body))
+    elif mutation == "wrong-m":
         header[3] = str(len(edges) + draw(st.sampled_from([-2, -1, 1, 2])))
     elif mutation == "m-zero":
         header[3] = "0"
@@ -181,9 +255,9 @@ def mutated_graph_files(draw):
             body[i][1] += " "
         elif mutation == "inline-comment":
             body[i][1] += "  # note"
-    lines = [" ".join(header)] + [" ".join(line) for line in body]
+    lines = [" ".join(header), *index] + [" ".join(line) for line in body]
     text = ends.join(lines) + ("" if mutation == "no-final-newline" else ends)
-    return mutation, text.encode()
+    return text.encode(), unmutated.encode()
 
 
 def _outcome(read, path):
@@ -197,21 +271,25 @@ def _outcome(read, path):
 
 
 class TestRowPathMatchesLineScan:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(case=mutated_graph_files())
     def test_same_graph_or_same_error(self, case):
-        mutation, data = case
+        data, unmutated = case
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "g.bg")
             with open(path, "wb") as f:
                 f.write(data)
-            assert _outcome(read_graph, path) == _outcome(_read_graph_lines, path)
-            if mutation == "none":
-                na, nb = map(int, data.split()[1:3])
-                # canonical: the row path reads it unless its buffer would
-                # outgrow the file
-                took_rows = _read_canonical_graph(path) is not None
-                assert took_rows == (na * nb <= len(data))
+            outcome = _outcome(_read_graph_lines, path)
+            assert _outcome(read_graph, path) == outcome
+            # the index is used exactly on write_graph's bytes, unless its
+            # buffer would outgrow the file
+            na, nb = map(int, unmutated.split()[1:3])
+            used = _read_indexed_graph(path) is not None
+            assert used == (data == unmutated and max(na, 1) * max(nb, 1) <= len(data))
+            if data == unmutated:
+                write_graph(path, BipartiteGraph(*outcome[1:]))
+                with open(path, "rb") as f:
+                    assert f.read() == data
 
 
 class TestGenerators:
