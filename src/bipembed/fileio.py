@@ -2,12 +2,13 @@
 
 Graph files (".bg"): first significant line ``bipartite <nA> <nB> <m>``,
 then m lines ``<a> <b>`` with 0-based A-index then B-index; ``#`` starts a
-comment; duplicate edges are a parse error.  ``write_graph`` puts a row
-index after the header, one comment ``# <hex>`` per A-vertex, which
-``read_graph`` uses only when the edge lines are the ones it gives, so a
-reader that skips comments reads the same graph.  Labelling files hold one
-global vertex id per line, a permutation of 0..2n-1, where even ids are
-A-side (id 2i = A_i) and odd ids are B-side (id 2j+1 = B_j).
+comment; duplicate edges are a parse error, and so is a side of more than
+``MAX_SIDE`` vertices.  ``write_graph`` puts a row index after the header,
+one comment ``# <hex>`` per A-vertex, which ``read_graph`` uses only when
+the edge lines are the ones it gives, so a reader that skips comments reads
+the same graph.  Labelling files hold one global vertex id per line, a
+permutation of 0..2n-1, where even ids are A-side (id 2i = A_i) and odd ids
+are B-side (id 2j+1 = B_j).
 
 JSON artifacts carry a ``kind`` tag and print rationals exactly as
 "p/q" strings.  Writers sort everything they emit, so identical inputs
@@ -26,6 +27,10 @@ from .graphs import BipartiteGraph, GraphError, Side, VertexId, bit_flags, verte
 from .hamilton import HamiltonCycle
 from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
 from .embedder import Embedding
+
+
+# the most vertices a side of a .bg file may declare
+MAX_SIDE = 1 << 20
 
 
 class FileFormatError(ValueError):
@@ -142,6 +147,9 @@ def _read_graph_lines(path: str) -> BipartiteGraph:
         na, nb, expected = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise FileFormatError(path, no, "non-integer header field") from None
+    if max(na, nb) > MAX_SIDE:
+        # the header alone would size the rows: 16 bytes per vertex
+        raise FileFormatError(path, no, f"side of {max(na, nb)} vertices exceeds {MAX_SIDE}")
     adj_a = [0] * na
     adj_b = [0] * nb
     count = 0

@@ -150,6 +150,10 @@ class VertexSet:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("VertexSet is immutable")
 
+    def __reduce__(self):
+        # slots and no __dict__: pickle rebuilds it through the constructor
+        return VertexSet, (self.side, self.universe, self.bits)
+
     @classmethod
     def from_indices(cls, side: Side, universe: int, indices: Iterable[int]) -> "VertexSet":
         bits = 0

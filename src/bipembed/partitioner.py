@@ -26,7 +26,10 @@ tier (``absorbed_epsilon``, ``absorbed_density``), which practical mode
 declares equal to its (eps, d).  In practical mode, where the tiers thus
 share one epsilon, the rest of phase 1 and phase 2 sample only the pairs of
 clusters that super-regularisation, absorption or a route changed; faithful
-mode's tiers differ, so each phase samples anew.
+mode's tiers differ, so each phase samples anew.  The pairs a call of
+``_certify_pairs`` must sample run across cores
+(``regularity.sampled_across_cores``); each draws on its own seed, so
+which process samples it changes no certificate.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
@@ -52,6 +55,7 @@ from .regularity import (
     PartitionBuildError,
     ReducedGraph,
     RegularityParams,
+    Strategy,
     SuperRegularizeError,
     Verdict,
     _check_exceptional_budget,
@@ -61,6 +65,7 @@ from .regularity import (
     degree_at_least,
     random_equipartition,
     reuse_deviation,
+    sampled_across_cores,
     super_regularize,
 )
 
@@ -522,23 +527,33 @@ def _certify_pairs(
     when super-regular, the exhaustive degree condition) to that verdict,
     and its note names where the verdict was sampled.  Every other pair is
     sampled with seed ``_mix_seed(seed, i, j)`` and enters ``known`` under
-    ``source``."""
-    certs = []
-    for i, j, super_regular in pairs:
-        a, b = part.clusters_a[i], part.clusters_b[j]
+    ``source``; the pairs to sample are sampled across cores."""
+
+    def reusable(a, b):
         entry = known.get((a.bits, b.bits))
         reused = entry and reuse_deviation(entry[0], a, b, params, budget)
-        if reused:
-            note = [f"deviation verdict reused from {entry[1]}", reused.note]
-            reused = replace(reused, note="; ".join(filter(None, note)))
-        draw = {"budget": budget, "seed": _mix_seed(seed, i, j)}
-        if super_regular:
-            cert = check_super_regular_pair(G, a, b, params, prior=reused, **draw)
-        else:
-            cert = reused or check_regular_pair(G, a, b, params, **draw)
         if not reused:
-            known[(a.bits, b.bits)] = (cert, source)
-        certs.append(cert)
+            return None
+        note = [f"deviation verdict reused from {entry[1]}", reused.note]
+        return replace(reused, note="; ".join(filter(None, note)))
+
+    clusters = [(part.clusters_a[i], part.clusters_b[j]) for i, j, _ in pairs]
+    fresh = [
+        (a, b, params, Strategy.SAMPLED, budget, _mix_seed(seed, i, j))
+        for (a, b), (i, j, _) in zip(clusters, pairs) if not reusable(a, b)
+    ]
+    certs = []
+    with sampled_across_cores(G, fresh):
+        for (a, b), (i, j, super_regular) in zip(clusters, pairs):
+            reused = reusable(a, b)
+            draw = {"budget": budget, "seed": _mix_seed(seed, i, j)}
+            if super_regular:
+                cert = check_super_regular_pair(G, a, b, params, prior=reused, **draw)
+            else:
+                cert = reused or check_regular_pair(G, a, b, params, **draw)
+            if not reused:
+                known[(a.bits, b.bits)] = (cert, source)
+            certs.append(cert)
     return certs
 
 

@@ -32,20 +32,33 @@ members' degrees into the drawn partners come from one sum of per-partner
 lane integers (partner j's column with member i's bit in lane i, lanes wide
 enough for the subset size), read back as bytes and sorted; the partner
 mask is built only when a draw yields a witness.
+
+A batch of independent checks (``maximal_reduced_graph``'s k^2 pairs, or
+the partitioner's certification of the cycle pairs) runs inside
+``sampled_across_cores``: one helper is forked per spare core and samples
+every (h+1)-th distinct check of the batch, and the caller still calls
+``check_regular_pair`` for every pair, in order, taking the helper's
+certificate where it has one.  A check's draws depend only on its own
+arguments and seed, never on the order or process it runs in, so the
+certificates are the ones one process would sample.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graphs import (
     BipartiteGraph,
@@ -356,8 +369,40 @@ def check_regular_pair(
     would enumerate exceed the enumeration cap, and its verdicts are
     unconditional.
     """
+    job = _job(U, W, params, strategy, budget, seed, enumeration_cap, sample_sizes)
+    cert = _claim(G, job) if _prefetched else None
+    return cert if cert is not None else _check_pair(G, *job)
+
+
+def _job(
+    U: VertexSet,
+    W: VertexSet,
+    params: RegularityParams,
+    strategy: Strategy = Strategy.SAMPLED,
+    budget: int = SAMPLE_BUDGET_DEFAULT,
+    seed: int = 0,
+    enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
+    sample_sizes: Optional[tuple[int, int]] = None,
+) -> tuple:
+    """``check_regular_pair``'s arguments after G, normalised: the pair
+    (A side first) and the strategy."""
     strategy = _strategy(strategy, budget)
     U, W = _normalise_pair(U, W)
+    return U, W, params, strategy, budget, seed, enumeration_cap, sample_sizes
+
+
+def _check_pair(
+    G: BipartiteGraph,
+    U: VertexSet,
+    W: VertexSet,
+    params: RegularityParams,
+    strategy: Strategy,
+    budget: int,
+    seed: int,
+    enumeration_cap: int,
+    sample_sizes: Optional[tuple[int, int]],
+) -> PairCertificate:
+    """The body of ``check_regular_pair``, on a normalised ``_job``."""
     if not U or not W:
         raise GraphError("regularity check needs nonempty sets")
     base = density(G, U, W)
@@ -479,6 +524,135 @@ def check_regular_pair(
                 wmask, umask, e = hit
                 return refuted(umask, wmask, e, t + 1)
     return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, budget)
+
+
+# ---------------------------------------------------------------------------
+# sampling a batch of pair checks across cores
+# ---------------------------------------------------------------------------
+
+# The checks that a helper of the open batch samples: each normalised
+# ``_job`` -> (helper, position in its jobs).  Module state, because
+# the caller's loop still reaches every check through ``check_regular_pair``;
+# ``sampled_across_cores`` fills it and empties it on exit.
+_prefetched: dict[tuple, tuple["_Helper", int]] = {}
+
+
+def _claim(G: BipartiteGraph, job: tuple) -> Optional[PairCertificate]:
+    """The certificate a helper sampled for ``job`` on G, or None when no
+    helper has it (then the caller samples it itself)."""
+    helper, position = _prefetched.pop(job, (None, 0))
+    return helper.result(position) if helper is not None and helper.graph is G else None
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Helper:
+    """A forked process that samples its share of a batch's checks, in
+    order, and writes each certificate to its pipe as soon as it is done
+    (a 4-byte length, then the pickle; None when the check raised)."""
+
+    def __init__(self, G: BipartiteGraph, jobs: list[tuple]):
+        import pickle  # only a process that forks needs it
+
+        self.graph = G
+        self.results: list[Optional[PairCertificate]] = []
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as out:
+                    for job in jobs:
+                        try:
+                            cert = _check_pair(G, *job)
+                        except Exception:
+                            # the parent samples this pair itself and meets the error
+                            cert = None
+                        data = pickle.dumps(cert)
+                        out.write(len(data).to_bytes(4, "little") + data)
+                        out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.stream = open(read, "rb")
+
+    def result(self, position: int) -> Optional[PairCertificate]:
+        """The certificate of this helper's job ``position``, read from the
+        pipe up to it; None when the check raised or the helper died first."""
+        import pickle
+
+        while len(self.results) <= position:
+            head = self.stream.read(4)
+            size = int.from_bytes(head, "little")
+            data = self.stream.read(size) if len(head) == 4 else b""
+            if len(head) < 4 or len(data) < size:
+                return None
+            self.results.append(pickle.loads(data))
+        return self.results[position]
+
+    def reap(self) -> None:
+        """End the helper, whether or not it is done, and wait for it."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.stream.close()
+
+
+@contextmanager
+def sampled_across_cores(G: BipartiteGraph, checks: Iterable[tuple]) -> Iterator[None]:
+    """Sample a batch of pair checks on every core this process may use.
+
+    ``checks`` holds the arguments after G of the ``check_regular_pair``
+    calls the block is about to make.  One helper per spare core is forked
+    (fewer when there are fewer checks).  With h helpers, helper t (1 to h)
+    samples the distinct checks t, t+h+1, t+2(h+1), ... (counting from 0),
+    and the block's own call of such a check takes the helper's
+    certificate instead of sampling; the block samples checks 0, h+1, ...
+    Each check draws on its own seed, whatever order or process it runs
+    in, so every certificate is the one the block would sample itself.  A
+    check that raised in a helper, or that a dead helper never sent, is
+    sampled by the block's call, which meets the same error or result.
+    With one core, one check, no ``os.fork`` or other threads running, the
+    block samples every check itself, and it samples a failed fork's share
+    too.  On exit every helper is killed if still running and reaped.
+    """
+    jobs = {}
+    for args in checks:
+        try:
+            jobs[_job(*args)] = None
+        except ValueError:
+            continue  # the block's own call raises it
+    jobs = list(jobs)
+    count = min(_cores() - 1, len(jobs) - 1)
+    if count < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield
+        return
+    helpers = []
+    try:
+        for t in range(1, count + 1):
+            mine = jobs[t :: count + 1]
+            try:
+                helper = _Helper(G, mine)
+            except OSError:
+                break  # no process to spare: the block samples the rest itself
+            helpers.append(helper)
+            _prefetched.update((job, (helper, p)) for p, job in enumerate(mine))
+        yield
+    finally:
+        _prefetched.clear()
+        for helper in helpers:
+            helper.reap()
 
 
 def reuse_deviation(
@@ -716,13 +890,15 @@ def maximal_reduced_graph(
 ) -> ReducedGraph:
     """Edge (i, j) present iff (A_i, B_j) certifies regular with density >= d."""
     k = partition.k
-    certs = {
-        (i, j): check_regular_pair(
-            G, partition.clusters_a[i], partition.clusters_b[j], params,
+    checks = {
+        (i, j): (
+            partition.clusters_a[i], partition.clusters_b[j], params,
             strategy, budget, _mix_seed(seed, i, j),
         )
         for i in range(k) for j in range(k)
     }
+    with sampled_across_cores(G, checks.values()):
+        certs = {key: check_regular_pair(G, *args) for key, args in checks.items()}
     return _reduced_graph(k, certs, params)
 
 

@@ -112,6 +112,20 @@ class TestGraphFiles:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("na,nb", [(1, 10**9), (10**9, 1), (fileio.MAX_SIDE + 1, 0)])
+    def test_line_scan_refuses_a_side_past_the_limit(self, tmp_path, na, nb):
+        p = tmp_path / "g.bg"
+        p.write_text(f"bipartite {na} {nb} 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="exceeds") as exc:
+                read_graph(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.path, exc.value.line) == (str(p), 1)
+        assert peak < 1 << 20
+
     def test_labelling_and_json_not_utf8(self, tmp_path):
         h, _ = gen_target(InstanceSpec("target-hamilton-cycle", 4, 0))
         p = tmp_path / "h.lab"

@@ -1,4 +1,7 @@
+import os
 import random
+import signal
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -867,3 +870,191 @@ class TestCycleFirst:
         resize_host_partition(state, g, a, state.target_sizes, budget=400, seed=_mix_seed(1, 0))
         assert len(seeds[-1]) == 4 and seeds[-1] <= phase2
 
+
+
+class TestSampledAcrossCores:
+    """A batch's fresh pair checks run on forked helpers, and the caller
+    gets the certificates it would sample itself: compared against the
+    inline batch, which one core gives."""
+
+    params = RegularityParams(Fraction(1, 4), Fraction(3, 10))
+    m = 12
+
+    def host(self):
+        """Four 12-vertex clusters per side: (A_0, B_0) holds a dense 6x6
+        block in a sparse pair, (A_1, B_1) is below d, vertex 24 of A_2 has
+        no neighbour in B_2, (A_3, B_3) is complete and every other pair is
+        random at 0.6."""
+        rng = random.Random(5)
+        m = self.m
+        edges = []
+        for a in range(4 * m):
+            for b in range(4 * m):
+                i, j = a // m, b // m
+                if (i, j) == (0, 0):
+                    keep = (a < 6 and b < 6) or rng.random() < 0.3
+                elif (i, j) == (1, 1):
+                    keep = rng.random() < 0.1
+                elif (i, j) == (2, 2):
+                    keep = a != 2 * m and rng.random() < 0.7
+                elif (i, j) == (3, 3):
+                    keep = True
+                else:
+                    keep = rng.random() < 0.6
+                if keep:
+                    edges.append((a, b))
+        g = BipartiteGraph.build(4 * m, 4 * m, edges)
+        return g, contiguous_partition(g, 4, m)
+
+    @staticmethod
+    def batch(monkeypatch, cores, run):
+        """``run()`` with ``cores`` cores, the number of helpers it forked
+        and the number of checks it sampled in this process."""
+        forked, here = [], []
+        real_helper, real_check = regularity._Helper, regularity._check_pair
+
+        def helper(*args):
+            forked.append(1)
+            return real_helper(*args)
+
+        def check(*args):
+            here.append(1)  # a helper appends to its own copy
+            return real_check(*args)
+
+        monkeypatch.setattr(regularity, "_cores", lambda: cores)
+        monkeypatch.setattr(regularity, "_Helper", helper)
+        monkeypatch.setattr(regularity, "_check_pair", check)
+        return run(), len(forked), len(here)
+
+    def test_certificates_equal_the_inline_batch(self, monkeypatch):
+        g, part = self.host()
+        a3, b3 = part.clusters_a[3], part.clusters_b[3]
+        earlier = check_regular_pair(g, a3, b3, self.params, budget=200, seed=99)
+        pairs = [(0, 0, False), (2, 2, True), (1, 1, False), (3, 3, True),
+                 (0, 1, False), (1, 2, False), (2, 3, False), (3, 0, False), (0, 0, False)]
+
+        def run():
+            known = {(a3.bits, b3.bits): (earlier, "a test")}
+            certs = partitioner._certify_pairs(
+                g, part, pairs, self.params, 200, 7, known, "the batch")
+            return certs, known
+
+        inline = self.batch(monkeypatch, 1, run)
+        certs = inline[0][0]
+        assert [c.verdict for c in certs[:4]] == [
+            Verdict.IRREGULAR, Verdict.SUPER_FAILED, Verdict.DENSITY_BELOW, Verdict.SUPER_REGULAR]
+        assert certs[1].failing_vertex == VertexId(Side.A, 2 * self.m)
+        assert certs[3].note == f"{REUSED} a test"
+        assert certs[8].note == f"{REUSED} the batch"
+        # seven distinct fresh checks; (2, 2)'s degrees fail, so it and the
+        # repeated (0, 0) sample nothing
+        assert inline[1:] == (0, 6)
+        # a helper has check 1, (2, 2), which is never claimed
+        assert self.batch(monkeypatch, 2, run) == (inline[0], 1, 4)
+        assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 3)
+
+    def test_k1_batch_reuses_its_repeated_pair(self, monkeypatch):
+        g = BipartiteGraph.build(24, 24, [(a, b) for a in range(24) for b in range(24)])
+        part = contiguous_partition(g, 1, 24)
+
+        def run():
+            return _certify_cycle_pairs(g, part, self.params, 200, 4, {}, "the batch")
+
+        inline = self.batch(monkeypatch, 1, run)
+        # (0, 0) is the matching and the offset pair: one fresh check
+        assert self.batch(monkeypatch, 2, run) == inline == (inline[0], 0, 1)
+        matching, offsets = inline[0]
+        assert matching[0].verdict is Verdict.SUPER_REGULAR
+        assert offsets[0].note == f"{REUSED} the batch"
+
+    def test_reduced_graph_equals_the_inline_one(self, monkeypatch):
+        g, part = self.host()
+
+        def run():
+            r = maximal_reduced_graph(g, part, self.params, budget=200, seed=3)
+            return r, r.certificates
+
+        inline = self.batch(monkeypatch, 1, run)
+        assert inline[1:] == (0, 16)
+        assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 6)
+
+    def test_a_failed_fork_leaves_its_share_to_the_caller(self, monkeypatch):
+        g, part = self.host()
+
+        def run():
+            return maximal_reduced_graph(g, part, self.params, budget=200, seed=3).certificates
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        inline = self.batch(monkeypatch, 1, run)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.batch(monkeypatch, 2, run) == (inline[0], 1, 16)
+
+    def test_an_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+        """The helper sends no certificate for a check that raised; the
+        caller's own call of that check meets the same error."""
+        g, part = self.host()
+        pairs = [(i, (i + s) % 4, False) for i in range(4) for s in (0, 1)]
+        failing = _mix_seed(7, *pairs[1][:2])  # the helper's first check
+        real = regularity._check_pair
+
+        class Refused(ArithmeticError):
+            pass
+
+        def check(G, U, W, params, strategy, budget, seed, *rest):
+            if seed == failing:
+                raise Refused(seed)
+            return real(G, U, W, params, strategy, budget, seed, *rest)
+
+        monkeypatch.setattr(regularity, "_check_pair", check)
+        monkeypatch.setattr(regularity, "_cores", lambda: 2)
+        with pytest.raises(Refused):
+            partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
+
+    def test_an_error_in_the_caller_leaves_no_helper(self, monkeypatch):
+        g, part = self.host()
+        pairs = [(i, (i + s) % 4, False) for i in range(4) for s in (0, 1)]
+        real = partitioner.check_regular_pair
+        calls = []
+
+        def check(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyError("mid-batch")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(regularity, "_cores", lambda: 3)
+        with pytest.raises(KeyError, match="mid-batch"):
+            partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
+        assert regularity._prefetched == {}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_killed_helper_changes_no_certificate(self, monkeypatch):
+        g, part = self.host()
+        pairs = [(i, j, False) for i in range(4) for j in range(4)]
+        parent = os.getpid()
+        real_check = regularity._check_pair
+        real = partitioner.check_regular_pair
+
+        def slow_in_a_helper(*args):
+            if os.getpid() != parent:
+                time.sleep(5)
+            return real_check(*args)
+
+        def check(*args, **kwargs):
+            # kill every helper before it sends a certificate
+            for helper in {h for h, _ in regularity._prefetched.values()}:
+                os.kill(helper.pid, signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        def run():
+            return partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
+
+        inline = self.batch(monkeypatch, 1, run)
+        monkeypatch.setattr(regularity, "_check_pair", slow_in_a_helper)
+        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        # this process samples every check itself
+        assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 16)

@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from bipembed.partitioner import (
 from bipembed.regularity import (
     ClusterPartition,
     EnumerationCapExceeded,
+    PairCertificate,
     PartitionBuildError,
     RegularityParams,
     Strategy,
@@ -495,6 +498,25 @@ class TestCheckSuperRegularPair:
         assert cert.failing_vertex is None
         assert cert.witness is not None
         assert cert.witness.deviation > Fraction(1, 3)
+
+    def test_certificates_survive_a_pickle_round_trip(self):
+        """Helpers send certificates through pickle; both kinds come back
+        equal field by field, and a rebuilt VertexSet stays immutable."""
+        params = RegularityParams(Fraction(1, 3), Fraction(1, 2))
+        U, W = full_sides(BipartiteGraph.build(3, 3, C6_EDGES))
+        witnessed = check_super_regular_pair(
+            BipartiteGraph.build(3, 3, C6_EDGES), U, W, params, Strategy.EXHAUSTIVE)
+        g = BipartiteGraph.build(3, 3, [(a, b) for a in range(1, 3) for b in range(3)])
+        degree_failed = check_super_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE)
+        assert witnessed.witness is not None and degree_failed.failing_vertex is not None
+        for cert in (witnessed, degree_failed):
+            back = pickle.loads(pickle.dumps(cert))
+            for f in fields(PairCertificate):
+                assert getattr(back, f.name) == getattr(cert, f.name), f.name
+            assert back.witness == cert.witness
+            with pytest.raises(AttributeError):
+                back.pair[0].bits = 0
+            assert back.pair[0].bits == U.bits
 
 
 class TestTypicalVertices:
