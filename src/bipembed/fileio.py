@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .graphs import BipartiteGraph, GraphError, Side, VertexId, bit_flags, vertex_id
+from .graphs import BipartiteGraph, Side, VertexId, bit_flags, vertex_id
 from .hamilton import HamiltonCycle
 from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
 from .embedder import Embedding
@@ -147,6 +147,8 @@ def _read_graph_lines(path: str) -> BipartiteGraph:
         na, nb, expected = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise FileFormatError(path, no, "non-integer header field") from None
+    if min(na, nb, expected) < 0:
+        raise FileFormatError(path, no, "negative header field")
     if max(na, nb) > MAX_SIDE:
         # the header alone would size the rows: 16 bytes per vertex
         raise FileFormatError(path, no, f"side of {max(na, nb)} vertices exceeds {MAX_SIDE}")
@@ -170,8 +172,6 @@ def _read_graph_lines(path: str) -> BipartiteGraph:
         count += 1
     if count != expected:
         raise FileFormatError(path, 0, f"edge count {count} != declared {expected}")
-    if na < 0 or nb < 0:
-        raise GraphError("negative side size")
     return BipartiteGraph(na, nb, adj_a, adj_b)
 
 

@@ -522,14 +522,15 @@ def _certify_pairs(
     source: str,
 ) -> list[PairCertificate]:
     """Certify each (A_i, B_j) of the (i, j, super_regular) ``pairs``, in
-    order.  A pair whose verdict in ``known`` ``reuse_deviation`` lets stand
-    is not sampled again: its certificate re-applies the density gate (and,
-    when super-regular, the exhaustive degree condition) to that verdict,
-    and its note names where the verdict was sampled.  Every other pair is
-    sampled with seed ``_mix_seed(seed, i, j)`` and enters ``known`` under
-    ``source``; the pairs to sample are sampled across cores."""
+    order, deviation verdict first.  A pair whose verdict in ``known``
+    ``reuse_deviation`` lets stand takes it, re-gated at ``params.d``, with
+    a note naming where it was sampled; every other pair is sampled with
+    seed ``_mix_seed(seed, i, j)``, across cores, and its verdict enters
+    ``known`` under ``source``.  A regular pair's certificate is its
+    verdict; a super-regular pair's adds the density and degree gates to
+    it (``check_super_regular_pair``)."""
 
-    def reusable(a, b):
+    def kept(a, b):
         entry = known.get((a.bits, b.bits))
         reused = entry and reuse_deviation(entry[0], a, b, params, budget)
         if not reused:
@@ -537,23 +538,22 @@ def _certify_pairs(
         note = [f"deviation verdict reused from {entry[1]}", reused.note]
         return replace(reused, note="; ".join(filter(None, note)))
 
-    clusters = [(part.clusters_a[i], part.clusters_b[j]) for i, j, _ in pairs]
-    fresh = [
-        (a, b, params, Strategy.SAMPLED, budget, _mix_seed(seed, i, j))
-        for (a, b), (i, j, _) in zip(clusters, pairs) if not reusable(a, b)
+    checks = [
+        (part.clusters_a[i], part.clusters_b[j], params, Strategy.SAMPLED, budget,
+         _mix_seed(seed, i, j))
+        for i, j, _ in pairs
     ]
     certs = []
-    with sampled_across_cores(G, fresh):
-        for (a, b), (i, j, super_regular) in zip(clusters, pairs):
-            reused = reusable(a, b)
-            draw = {"budget": budget, "seed": _mix_seed(seed, i, j)}
-            if super_regular:
-                cert = check_super_regular_pair(G, a, b, params, prior=reused, **draw)
-            else:
-                cert = reused or check_regular_pair(G, a, b, params, **draw)
-            if not reused:
-                known[(a.bits, b.bits)] = (cert, source)
-            certs.append(cert)
+    with sampled_across_cores(G, [args for args in checks if not kept(*args[:2])]):
+        for args, (_, _, super_regular) in zip(checks, pairs):
+            a, b = args[:2]
+            verdict = kept(a, b)
+            if not verdict:
+                verdict = check_regular_pair(G, *args)
+                known[(a.bits, b.bits)] = (verdict, source)
+            certs.append(
+                check_super_regular_pair(G, *args, prior=verdict) if super_regular else verdict
+            )
     return certs
 
 

@@ -38,9 +38,11 @@ the partitioner's certification of the cycle pairs) runs inside
 ``sampled_across_cores``: one helper is forked per spare core and samples
 every (h+1)-th distinct check of the batch, and the caller still calls
 ``check_regular_pair`` for every pair, in order, taking the helper's
-certificate where it has one.  A check's draws depend only on its own
-arguments and seed, never on the order or process it runs in, so the
-certificates are the ones one process would sample.
+certificate (one pickle on the helper's pipe) where it has one.  The batch
+declares only checks the caller makes, so every helper's work is used.  A
+check's draws depend only on its own arguments and seed, never on the
+order or process it runs in, so the certificates are the ones one process
+would sample.
 """
 
 from __future__ import annotations
@@ -553,8 +555,8 @@ def _cores() -> int:
 
 class _Helper:
     """A forked process that samples its share of a batch's checks, in
-    order, and writes each certificate to its pipe as soon as it is done
-    (a 4-byte length, then the pickle; None when the check raised)."""
+    order, and writes each certificate to its pipe as soon as it is done,
+    one pickle per check (None when the check raised)."""
 
     def __init__(self, G: BipartiteGraph, jobs: list[tuple]):
         import pickle  # only a process that forks needs it
@@ -579,8 +581,7 @@ class _Helper:
                         except Exception:
                             # the parent samples this pair itself and meets the error
                             cert = None
-                        data = pickle.dumps(cert)
-                        out.write(len(data).to_bytes(4, "little") + data)
+                        pickle.dump(cert, out)
                         out.flush()
                 status = 0
             finally:
@@ -594,12 +595,10 @@ class _Helper:
         import pickle
 
         while len(self.results) <= position:
-            head = self.stream.read(4)
-            size = int.from_bytes(head, "little")
-            data = self.stream.read(size) if len(head) == 4 else b""
-            if len(head) < 4 or len(data) < size:
-                return None
-            self.results.append(pickle.loads(data))
+            try:
+                self.results.append(pickle.load(self.stream))
+            except (EOFError, pickle.UnpicklingError):
+                return None  # the helper died before or while writing it
         return self.results[position]
 
     def reap(self) -> None:
@@ -614,8 +613,11 @@ def sampled_across_cores(G: BipartiteGraph, checks: Iterable[tuple]) -> Iterator
     """Sample a batch of pair checks on every core this process may use.
 
     ``checks`` holds the arguments after G of the ``check_regular_pair``
-    calls the block is about to make.  One helper per spare core is forked
-    (fewer when there are fewer checks).  With h helpers, helper t (1 to h)
+    calls the block is about to make, and only those: every check handed
+    to a helper is one the block claims.  A malformed check (no sample to
+    draw, or both sets on one side) raises here, before anything is
+    forked, the error the block's call would meet.  One helper per spare
+    core is forked (fewer when there are fewer checks).  With h helpers, helper t (1 to h)
     samples the distinct checks t, t+h+1, t+2(h+1), ... (counting from 0),
     and the block's own call of such a check takes the helper's
     certificate instead of sampling; the block samples checks 0, h+1, ...
@@ -627,13 +629,7 @@ def sampled_across_cores(G: BipartiteGraph, checks: Iterable[tuple]) -> Iterator
     block samples every check itself, and it samples a failed fork's share
     too.  On exit every helper is killed if still running and reaped.
     """
-    jobs = {}
-    for args in checks:
-        try:
-            jobs[_job(*args)] = None
-        except ValueError:
-            continue  # the block's own call raises it
-    jobs = list(jobs)
+    jobs = list(dict.fromkeys(_job(*args) for args in checks))
     count = min(_cores() - 1, len(jobs) - 1)
     if count < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield
@@ -1138,8 +1134,6 @@ class SuperRegularizeResult:
     partition: ClusterPartition
     moved_a: dict[int, list[int]]
     moved_b: dict[int, list[int]]
-    trimmed_a: int
-    trimmed_b: int
 
 
 class SuperRegularizeError(RuntimeError):
@@ -1200,8 +1194,6 @@ def super_regularize(
 
     sizes_before = [len(g) for g in groups[Side.A]] + [len(g) for g in groups[Side.B]]
     target = min(sizes_before)
-    trimmed_a = sum(len(g) - target for g in groups[Side.A])
-    trimmed_b = sum(len(g) - target for g in groups[Side.B])
     _equalise(groups, exceptional, target)
 
     result_part = ClusterPartition.from_masks(
@@ -1217,4 +1209,4 @@ def super_regularize(
                 pair=worst,
             )
 
-    return SuperRegularizeResult(result_part, moved_a, moved_b, trimmed_a, trimmed_b)
+    return SuperRegularizeResult(result_part, moved_a, moved_b)

@@ -42,6 +42,28 @@ def test_one_operation_passes_the_benchmark_checks(monkeypatch, name):
     assert digest == RECORDS[name]
 
 
+def test_traced_pair_checks_do_not_depend_on_the_core_count(monkeypatch):
+    """A helper's checks reach the tracer through the caller's own
+    ``check_regular_pair`` call, so one ``embed-512`` operation reads the
+    same pair checks and samples on one core as on two."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    from bipembed import regularity
+
+    w = workloads.Embed512()
+    inst = w.setup(1, 0)
+    counts = []
+    for cores in (1, 2):
+        monkeypatch.setattr(regularity, "_cores", lambda: cores)
+        tracer = tracing.Tracer()
+        with tracer.operation("op-0"):
+            w.op(inst, 0)
+        m = tracer.layer_metrics(0, 1)
+        counts.append((m["regularity.pair_checks"], m["regularity.samples"]))
+    assert counts == [(20, 16_000)] * 2
+
+
 def test_one_command_line_operation_passes_the_benchmark_checks(monkeypatch, tmp_path):
     """``cli-1024`` runs ``bipembed.cli.main`` in-process when traced, so
     drift in the command line or the file formats shows here."""

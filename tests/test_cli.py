@@ -22,7 +22,7 @@ from bipembed.fileio import (
     write_labelling,
 )
 from bipembed.generators import InstanceSpec, gen_host, gen_target
-from bipembed.graphs import BipartiteGraph, GraphError, Side, VertexId
+from bipembed.graphs import BipartiteGraph, Side, VertexId
 from bipembed.regularity import RegularityParams, Strategy, build_regular_partition
 
 
@@ -159,14 +159,22 @@ class TestGraphFiles:
         assert back == g and back.adj_b == g.adj_b
 
     def test_line_scan_error_order(self, tmp_path):
+        """A negative header field is refused at the header, before any
+        edge line is read against it."""
         p = tmp_path / "g.bg"
-        p.write_text("bipartite -1 5 1\n0 0\n")
-        with pytest.raises(FileFormatError) as exc:
-            read_graph(str(p))
-        assert exc.value.line == 2 and "out of range" in str(exc.value)
-        p.write_text("bipartite -1 5 0\n")
-        with pytest.raises(GraphError, match="negative side size"):
-            read_graph(str(p))
+        for text in ("bipartite -1 5 1\n0 0\n", "bipartite -1 5 0\n", "bipartite 2 2 -1\n"):
+            p.write_text(text)
+            with pytest.raises(FileFormatError) as exc:
+                read_graph(str(p))
+            assert exc.value.line == 1 and "negative header field" in str(exc.value)
+
+    def test_verify_names_a_negative_header_field(self, tmp_path, capsys):
+        p = tmp_path / "bad.bg"
+        p.write_text("bipartite 2 -1 0\n")
+        emb = tmp_path / "emb.json"
+        emb.write_text('{"kind": "embedding", "pairs": []}\n')
+        assert run(["verify", "--host", str(p), "--target", str(p), "--embedding", str(emb)]) == 2
+        assert f"parse error: {p}:1: negative header field" in capsys.readouterr().err
 
     def test_labelling_round_trip(self, tmp_path):
         h, lab = gen_target(InstanceSpec("target-hamilton-cycle", 16, 0))

@@ -687,6 +687,27 @@ class TestDeviationReuse:
         assert wit.deviation > eps
         assert wit.subset_u.size >= eps * U.size and wit.subset_w.size >= eps * W.size
 
+    def test_a_failed_super_regular_pair_keeps_its_witness(self, sampled):
+        """At k = 1 the matching and the offset pair are both (A_0, B_0).
+        The matching pair's witness fails it as super-regular, and the ledger
+        keeps that deviation verdict, so the offset pair takes the witness
+        instead of sampling the pair again."""
+        rng = random.Random(5)
+        g = BipartiteGraph.build(24, 24, [
+            (a, b) for a in range(24) for b in range(24)
+            if a // 12 == b // 12 or rng.random() < 0.3
+        ])
+        part = contiguous_partition(g, 1, 24)
+        known = {}
+        matching, offsets = _certify_cycle_pairs(g, part, self.params, 200, 4, known, "the batch")
+        assert matching[0].verdict is Verdict.SUPER_FAILED and matching[0].witness
+        assert offsets[0].verdict is Verdict.IRREGULAR
+        assert offsets[0].note == f"{REUSED} the batch"
+        assert offsets[0].witness == matching[0].witness
+        assert len(sampled) == 1
+        ((verdict, _),) = known.values()
+        assert verdict.verdict is Verdict.IRREGULAR
+
 
 class TestCycleFirst:
     """Phase 1 searches the exact density graph of the round-0 partition and
@@ -946,12 +967,58 @@ class TestSampledAcrossCores:
         assert certs[1].failing_vertex == VertexId(Side.A, 2 * self.m)
         assert certs[3].note == f"{REUSED} a test"
         assert certs[8].note == f"{REUSED} the batch"
-        # seven distinct fresh checks; (2, 2)'s degrees fail, so it and the
-        # repeated (0, 0) sample nothing
-        assert inline[1:] == (0, 6)
-        # a helper has check 1, (2, 2), which is never claimed
+        # seven distinct fresh checks, each sampled once: (2, 2) before its
+        # degrees fail, and the repeated (0, 0) takes the first one's verdict
+        assert inline[1:] == (0, 7)
         assert self.batch(monkeypatch, 2, run) == (inline[0], 1, 4)
         assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 3)
+
+    def test_every_check_handed_to_a_helper_is_claimed(self, monkeypatch):
+        """The batch of ``test_certificates_equal_the_inline_batch`` hands its
+        helpers only checks the loop makes, a super-regular pair whose
+        degrees fail included."""
+        g, part = self.host()
+        a3, b3 = part.clusters_a[3], part.clusters_b[3]
+        earlier = check_regular_pair(g, a3, b3, self.params, budget=200, seed=99)
+        pairs = [(0, 0, False), (2, 2, True), (1, 1, False), (3, 3, True),
+                 (0, 1, False), (1, 2, False), (2, 3, False), (3, 0, False), (0, 0, False)]
+        real_helper, real_claim = regularity._Helper, regularity._claim
+
+        def counted(cores):
+            handed, claimed = [], []
+
+            def helper(G, jobs):
+                handed.append(len(jobs))
+                return real_helper(G, jobs)
+
+            def claim(G, job):
+                claimed.append(job in regularity._prefetched)
+                return real_claim(G, job)
+
+            monkeypatch.setattr(regularity, "_cores", lambda: cores)
+            monkeypatch.setattr(regularity, "_Helper", helper)
+            monkeypatch.setattr(regularity, "_claim", claim)
+            known = {(a3.bits, b3.bits): (earlier, "a test")}
+            partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, known, "the batch")
+            return sum(handed), sum(claimed)
+
+        assert counted(2) == (3, 3)
+        assert counted(3) == (4, 4)
+
+    @pytest.mark.parametrize("bad", ["no-budget", "one-side"])
+    def test_a_malformed_check_raises_before_any_fork(self, monkeypatch, bad):
+        g, part = self.host()
+        a, b = part.clusters_a[0], part.clusters_b[0]
+        checks = [(a, b, self.params, Strategy.SAMPLED, 200, seed) for seed in (1, 2)]
+        if bad == "no-budget":
+            checks.append((a, b, self.params, Strategy.SAMPLED, 0, 3))
+        else:
+            checks.append((a, part.clusters_a[1], self.params, Strategy.SAMPLED, 200, 3))
+        monkeypatch.setattr(regularity, "_cores", lambda: 3)
+        monkeypatch.setattr(regularity, "_Helper", lambda *args: pytest.fail("forked"))
+        with pytest.raises(ValueError):
+            with regularity.sampled_across_cores(g, checks):
+                pytest.fail("the block ran")
 
     def test_k1_batch_reuses_its_repeated_pair(self, monkeypatch):
         g = BipartiteGraph.build(24, 24, [(a, b) for a in range(24) for b in range(24)])
