@@ -32,7 +32,6 @@ from .regularity import (
     maximal_reduced_graph,
     rebound_after_perturbation,
     super_regularize,
-    typical_vertices,
 )
 from .hamilton import HamiltonCycle, find_hamilton_cycle, hamilton_cycle_exists, verify_cycle
 from .homomorphism import (

@@ -164,8 +164,9 @@ def cmd_regularity(args) -> int:
             VertexSet.from_indices(Side.B, g.size_b, _indices(args.w))
             if args.w else VertexSet.full(Side.B, g.size_b)
         )
-        fn = check_super_regular_pair if args.super_regular else check_regular_pair
-        cert = fn(g, U, W, params, strategy, args.budget, args.seed)
+        cert = check_regular_pair(g, U, W, params, strategy, args.budget, args.seed)
+        if args.super_regular:
+            cert = check_super_regular_pair(g, cert)
         data = {"kind": "pair-certificate", **_cert_json(cert)}
         _write_or_print(args.out, data)
         ok = cert.verdict in (Verdict.REGULAR, Verdict.SUPER_REGULAR)

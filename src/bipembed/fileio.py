@@ -4,11 +4,13 @@ Graph files (".bg"): first significant line ``bipartite <nA> <nB> <m>``,
 then m lines ``<a> <b>`` with 0-based A-index then B-index; ``#`` starts a
 comment; duplicate edges are a parse error, and so is a side of more than
 ``MAX_SIDE`` vertices.  ``write_graph`` puts a row index after the header,
-one comment ``# <hex>`` per A-vertex, which ``read_graph`` uses only when
-the edge lines are the ones it gives, so a reader that skips comments reads
-the same graph.  Labelling files hold one global vertex id per line, a
-permutation of 0..2n-1, where even ids are A-side (id 2i = A_i) and odd ids
-are B-side (id 2j+1 = B_j).
+one comment ``# <hex>`` per A-vertex, when the file it writes holds at
+least nA*nB bytes (the index path builds an nA*nB-byte buffer and declines
+a smaller file, so a sparse graph is written without one).  ``read_graph``
+uses the index only when the edge lines are the ones it gives, so a reader
+that skips comments reads the same graph.  Labelling files hold one global
+vertex id per line, a permutation of 0..2n-1, where even ids are A-side
+(id 2i = A_i) and odd ids are B-side (id 2j+1 = B_j).
 
 JSON artifacts carry a ``kind`` tag and print rationals exactly as
 "p/q" strings.  Writers sort everything they emit, so identical inputs
@@ -62,9 +64,16 @@ def _edge_lines(rows: Iterable[int], nb: int) -> Iterator[str]:
 
 
 def write_graph(path: str, G: BipartiteGraph) -> None:
+    """Write G as a .bg file, with the row index only when ``read_graph``
+    would use it: when the file holds at least nA*nB bytes."""
+    header = f"bipartite {G.size_a} {G.size_b} {G.edge_count}\n"
+    index = "".join([f"# {row:x}\n" for row in G.adj_a])
+    # an edge line "a b\n" holds a's digits, b's digits and two more bytes
+    size = len(header) + len(index) + sum(
+        row.bit_count() * (len(str(a)) + 2) for a, row in enumerate(G.adj_a)
+    ) + sum(col.bit_count() * len(str(b)) for b, col in enumerate(G.adj_b))
     with open(path, "w", newline="\n") as f:
-        f.write(f"bipartite {G.size_a} {G.size_b} {G.edge_count}\n")
-        f.write("".join([f"# {row:x}\n" for row in G.adj_a]))
+        f.write(header + (index if size >= max(G.size_a, 1) * max(G.size_b, 1) else ""))
         f.writelines(_edge_lines(G.adj_a, G.size_b))
 
 

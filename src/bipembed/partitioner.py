@@ -551,9 +551,7 @@ def _certify_pairs(
             if not verdict:
                 verdict = check_regular_pair(G, *args)
                 known[(a.bits, b.bits)] = (verdict, source)
-            certs.append(
-                check_super_regular_pair(G, *args, prior=verdict) if super_regular else verdict
-            )
+            certs.append(check_super_regular_pair(G, verdict) if super_regular else verdict)
     return certs
 
 

@@ -159,15 +159,6 @@ def degree_at_least(adj: Sequence[int], members: int, partner: int, bound: Ratio
     return sum([1 << v for v in iter_bits(members) if (adj[v] & partner).bit_count() >= need])
 
 
-def _strategy(strategy, budget: int) -> Strategy:
-    """The strategy, refusing a sampled check with no samples to draw: it
-    would certify a pair it never looked at."""
-    strategy = Strategy(strategy)
-    if strategy is Strategy.SAMPLED and budget < 1:
-        raise ValueError(f"a sampled check needs a budget of at least 1, got {budget}")
-    return strategy
-
-
 def _normalise_pair(U: VertexSet, W: VertexSet) -> tuple[VertexSet, VertexSet]:
     if U.side is W.side:
         raise SideMismatchError("pair must span both sides")
@@ -361,17 +352,15 @@ def check_regular_pair(
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
     enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
-    sample_sizes: Optional[tuple[int, int]] = None,
 ) -> PairCertificate:
     """Certify or refute the subset-density condition for one pair.
 
-    Sampled subsets default to the minimal qualifying size (deviation
-    witnesses concentrate there on planted instances); ``sample_sizes``
-    overrides that choice.  Exhaustive mode refuses when the subsets it
-    would enumerate exceed the enumeration cap, and its verdicts are
-    unconditional.
+    Sampled subsets have the minimal qualifying size (deviation witnesses
+    concentrate there on planted instances).  Exhaustive mode refuses when
+    the subsets it would enumerate exceed the enumeration cap, and its
+    verdicts are unconditional.
     """
-    job = _job(U, W, params, strategy, budget, seed, enumeration_cap, sample_sizes)
+    job = _job(U, W, params, strategy, budget, seed, enumeration_cap)
     cert = _claim(G, job) if _prefetched else None
     return cert if cert is not None else _check_pair(G, *job)
 
@@ -384,13 +373,15 @@ def _job(
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
     enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
-    sample_sizes: Optional[tuple[int, int]] = None,
 ) -> tuple:
     """``check_regular_pair``'s arguments after G, normalised: the pair
-    (A side first) and the strategy."""
-    strategy = _strategy(strategy, budget)
+    (A side first) and the strategy.  A sampled check with no samples to
+    draw is refused: it would certify a pair it never looked at."""
+    strategy = Strategy(strategy)
+    if strategy is Strategy.SAMPLED and budget < 1:
+        raise ValueError(f"a sampled check needs a budget of at least 1, got {budget}")
     U, W = _normalise_pair(U, W)
-    return U, W, params, strategy, budget, seed, enumeration_cap, sample_sizes
+    return U, W, params, strategy, budget, seed, enumeration_cap
 
 
 def _check_pair(
@@ -402,7 +393,6 @@ def _check_pair(
     budget: int,
     seed: int,
     enumeration_cap: int,
-    sample_sizes: Optional[tuple[int, int]],
 ) -> PairCertificate:
     """The body of ``check_regular_pair``, on a normalised ``_job``."""
     if not U or not W:
@@ -416,10 +406,6 @@ def _check_pair(
     eps = params.epsilon
     s_u = min_subset_size(eps, U.size)
     s_w = min_subset_size(eps, W.size)
-    if sample_sizes is not None:
-        s_u, s_w = sample_sizes
-        if not (eps * U.size <= s_u <= U.size and eps * W.size <= s_w <= W.size):
-            raise GraphError("sample sizes must be qualifying subset sizes")
     if s_u >= U.size and s_w >= W.size:
         # only the full pair qualifies; its deviation is zero
         return PairCertificate(
@@ -674,86 +660,46 @@ def reuse_deviation(
         or prior.strategy is not Strategy.SAMPLED
     ):
         return None
-    if prior.verdict is Verdict.IRREGULAR:
+    if prior.verdict is Verdict.IRREGULAR or (
+        prior.verdict is Verdict.REGULAR and prior.samples_used >= budget
+    ):
         return _restamp(prior, params)
-    if prior.verdict in (Verdict.REGULAR, Verdict.SUPER_REGULAR) and prior.samples_used >= budget:
-        return _restamp(replace(prior, verdict=Verdict.REGULAR), params)
     return None
 
 
-def check_super_regular_pair(
-    G: BipartiteGraph,
-    U: VertexSet,
-    W: VertexSet,
-    params: RegularityParams,
-    strategy: Strategy = Strategy.SAMPLED,
-    budget: int = SAMPLE_BUDGET_DEFAULT,
-    seed: int = 0,
-    prior: Optional[PairCertificate] = None,
-) -> PairCertificate:
-    """Super-regularity check; the degree condition is always exhaustive.
+def check_super_regular_pair(G: BipartiteGraph, deviation: PairCertificate) -> PairCertificate:
+    """The super-regularity verdict on the pair of ``deviation``, a
+    deviation certificate (from ``check_regular_pair``, or one that
+    ``reuse_deviation`` let stand).
 
-    The deviation condition comes from ``prior`` when ``reuse_deviation``
-    lets it stand in, and from a sampled check otherwise.
+    It keeps that certificate's sets, params, strategy and base density,
+    and adds the density gate and the degree gate (exact: every vertex has
+    at least d|partner| neighbours in the partner side), in that order,
+    before the deviation verdict.  Nothing is sampled.
     """
-    strategy = _strategy(strategy, budget)
-    U, W = _normalise_pair(U, W)
-    if not U or not W:
-        raise GraphError("regularity check needs nonempty sets")
-    base = density(G, U, W)
-    if base < params.d:
-        return PairCertificate(
-            (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
-            note=f"base density {base} below d={params.d}",
-        )
+    if deviation.verdict not in (Verdict.REGULAR, Verdict.IRREGULAR, Verdict.DENSITY_BELOW):
+        raise ValueError(f"a {deviation.verdict.value} certificate is not a deviation verdict")
+    U, W = deviation.pair
+    d, base = deviation.params.d, deviation.base_density
+
+    def failed(**fields):
+        return replace(deviation, verdict=Verdict.SUPER_FAILED, witness=None, samples_used=0,
+                       **fields)
+
+    if base < d:
+        return failed(note=f"base density {base} below d={d}")
     for X, Y, adj in ((U, W, G.adj_a), (W, U, G.adj_b)):
-        thr = params.d * Y.size
+        thr = d * Y.size
         low = X.bits & ~degree_at_least(adj, X.bits, Y.bits, thr)
         if low:
-            return PairCertificate(
-                (U, W), params, Verdict.SUPER_FAILED, base, None, strategy, 0,
-                failing_vertex=VertexId(X.side, next(iter_bits(low))),
-                note=f"degree below {thr} into partner",
-            )
-    reused = reuse_deviation(prior, U, W, params, budget) if strategy is Strategy.SAMPLED else None
-    inner = reused or check_regular_pair(G, U, W, params, strategy, budget, seed)
-    if inner.verdict is Verdict.REGULAR:
-        return PairCertificate(
-            (U, W), params, Verdict.SUPER_REGULAR, base, None,
-            strategy, inner.samples_used, note=inner.note,
-        )
-    return PairCertificate(
-        (U, W), params, Verdict.SUPER_FAILED, base, inner.witness,
-        strategy, inner.samples_used,
-        note="; ".join(filter(None, ["regularity failed", inner.note])),
+            return failed(failing_vertex=VertexId(X.side, next(iter_bits(low))),
+                          note=f"degree below {thr} into partner")
+    if deviation.verdict is Verdict.REGULAR:
+        return replace(deviation, verdict=Verdict.SUPER_REGULAR)
+    return replace(
+        deviation, verdict=Verdict.SUPER_FAILED,
+        note="; ".join(filter(None, ["regularity failed", deviation.note])),
     )
-
-
-@dataclass(frozen=True)
-class TypicalVertices:
-    vertices: VertexSet
-    subset_large_enough: bool
-
-
-def typical_vertices(
-    G: BipartiteGraph,
-    A: VertexSet,
-    B: VertexSet,
-    bprime: VertexSet,
-    params: RegularityParams,
-) -> TypicalVertices:
-    """Vertices of A with at least (d - eps)|B'| neighbours in B' <= B.
-
-    When (A, B) is a certified regular pair and |B'| >= eps|B|, at most
-    eps|A| vertices of A are missing from the result.  A smaller B' voids
-    that guarantee; the set is still computed but the report is flagged.
-    """
-    if bprime.side is not B.side or bprime.bits & ~B.bits:
-        raise GraphError("B' must be a subset of B")
-    adequate = bprime.size >= params.epsilon * B.size
-    adj = G.adj_a if A.side is Side.A else G.adj_b
-    bits = degree_at_least(adj, A.bits, bprime.bits, (params.d - params.epsilon) * bprime.size)
-    return TypicalVertices(VertexSet(A.side, A.universe, bits), adequate)
 
 
 def rebound_after_perturbation(

@@ -309,10 +309,10 @@ def test_criterion_6_redistribution_suite():
         recert_ok = True
         reb = RegularityParams(reb_eps, reb_d)
         for i in range(k):
-            c1 = check_super_regular_pair(
+            c1 = check_super_regular_pair(g, check_regular_pair(
                 g, res.partition.clusters_a[i], res.partition.clusters_b[i],
                 reb, Strategy.SAMPLED, 2000, seed * 31 + i,
-            )
+            ))
             c2 = check_regular_pair(
                 g, res.partition.clusters_a[i], res.partition.clusters_b[(i + 1) % k],
                 reb, Strategy.SAMPLED, 2000, seed * 37 + i,

@@ -66,7 +66,8 @@ class TestGraphFiles:
          "99396b972001f971d3481f8ab4a79f08468b4c818e1b515020379a8f99eaefd2"),
         (lambda: gen_target(InstanceSpec(
             "target-random-local", 64, 5, {"window": 4, "max_degree": 3}))[0],
-         "7f76e5c50b933e2da1fa7957e97d9a0cc8676a02b18ebfbaf3fbc3f0ba7ffb59",
+         # 685 bytes, below 64*64: written without the index
+         "7fd78a631a4a56795c4b606f40952188a51f3305e4c04c5f0a26692c81098e24",
          "7fd78a631a4a56795c4b606f40952188a51f3305e4c04c5f0a26692c81098e24"),
     ]
 
@@ -90,6 +91,28 @@ class TestGraphFiles:
         p = tmp_path / "g.bg"
         write_graph(str(p), g)
         assert p.read_text() == "bipartite 3 5 3\n# 12\n# 0\n# 1\n0 1\n0 4\n2 0\n"
+
+    # graph -> whether its file holds nA*nB bytes, so carries the index
+    INDEXED = [
+        (WRITTEN[0][0], True),
+        (WRITTEN[1][0], False),
+        (lambda: BipartiteGraph.build(4, 4, []), True),
+        # one edge: 23 bytes plus the digits of nB, against nB
+        (lambda: BipartiteGraph.build(1, 25, [(0, 0)]), True),
+        (lambda: BipartiteGraph.build(1, 26, [(0, 0)]), False),
+    ]
+
+    @pytest.mark.parametrize("make,indexed", INDEXED,
+                             ids=["host-64", "random-local-64", "empty", "at-size", "past-size"])
+    def test_index_is_written_exactly_when_it_is_read(self, tmp_path, make, indexed):
+        g = make()
+        p = tmp_path / "g.bg"
+        write_graph(str(p), g)
+        data = p.read_bytes()
+        assert (b"\n# " in data) == indexed
+        assert (len(data) >= g.size_a * g.size_b) == indexed
+        assert (_read_indexed_graph(str(p)) is not None) == indexed
+        assert read_graph(str(p)) == g
 
     def test_huge_empty_graph_takes_line_scan(self, tmp_path):
         # the index path would need a 10^12-byte buffer for this header
@@ -309,9 +332,12 @@ class TestRowPathMatchesLineScan:
             used = _read_indexed_graph(path) is not None
             assert used == (data == unmutated and max(na, 1) * max(nb, 1) <= len(data))
             if data == unmutated:
+                # write_graph gives these bytes, without the index where it goes unused
                 write_graph(path, BipartiteGraph(*outcome[1:]))
                 with open(path, "rb") as f:
-                    assert f.read() == data
+                    written = f.read()
+                assert written == (data if used else b"".join(
+                    line for line in data.splitlines(True) if not line.startswith(b"# ")))
 
 
 class TestGenerators:
@@ -410,6 +436,54 @@ class TestCommands:
         code = run(["regularity", "check", "--host", str(host),
                     "--epsilon", "1/4", "--d", "0", "--strategy", "exhaustive"])
         assert code == 1
+
+    # name -> (host, check options, exit code, certificate fields); hosts:
+    # a 32+32 min-degree graph (seed 1), two disjoint K_{8,8} and a 4+4 pair whose
+    # B-vertex 1 (global id 3) has one neighbour, below d|A| = 2
+    SUPER_REGULAR_CHECKS = {
+        "super-regular": ("dense", ["--d", "3/10", "--budget", "200", "--seed", "3"], 0, {
+            "base_density": "881/1024", "samples_used": 200,
+            "strategy": "sampled", "verdict": "certified-super-regular"}),
+        "degree-failing": ("low", ["--d", "1/2"], 1, {
+            "base_density": "5/8", "failing_vertex": 3,
+            "note": "degree below 2 into partner", "samples_used": 0,
+            "strategy": "sampled", "verdict": "failed-super-regular"}),
+        "irregular": ("blocks", ["--d", "0", "--budget", "100", "--seed", "2"], 1, {
+            "base_density": "1/2", "note": "regularity failed", "samples_used": 2,
+            "strategy": "sampled", "verdict": "failed-super-regular",
+            "witness": {"density": "0", "deviation": "1/2",
+                        "subset_a": [0, 1, 2, 3], "subset_b": [9, 12, 14, 15]}}),
+        "density-below": ("blocks", ["--d", "3/4"], 1, {
+            "base_density": "1/2", "note": "base density 1/2 below d=3/4",
+            "samples_used": 0, "strategy": "sampled", "verdict": "failed-super-regular"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUPER_REGULAR_CHECKS))
+    def test_super_regular_pair_check(self, tmp_path, name):
+        graph, options, code, fields = self.SUPER_REGULAR_CHECKS[name]
+        host = tmp_path / "g.bg"
+        if graph == "low":
+            edges = [(a, b) for a in range(4) for b in (0, 2)] + [(0, 1), (0, 3)]
+            write_graph(str(host), BipartiteGraph.build(4, 4, edges))
+        else:
+            kind = (["--n", "32", "--gamma", "3/10", "--seed", "1"] if graph == "dense"
+                    else ["--kind", "blocks", "--blocks", "2", "--block-size", "8"])
+            assert run(["gen-host", *kind, "--out", str(host)]) == 0
+        out = tmp_path / "c.json"
+        assert run(["regularity", "check", "--host", str(host), "--super-regular",
+                    "--epsilon", "1/4", *options, "--out", str(out)]) == code
+        assert json.loads(out.read_text()) == {"kind": "pair-certificate", **fields}
+
+    def test_exhaustive_super_regular_check_meets_the_cap_first(self, tmp_path, capsys):
+        # the deviation check runs before the degree gate, so a pair past
+        # the enumeration cap is refused even though A-vertex 0 fails degrees
+        host = tmp_path / "g.bg"
+        write_graph(str(host), BipartiteGraph.build(
+            64, 64, [(a, b) for a in range(64) for b in range(64) if a or b < 2]))
+        code = run(["regularity", "check", "--host", str(host), "--super-regular",
+                    "--epsilon", "1/4", "--d", "1/2", "--strategy", "exhaustive"])
+        assert code == 2
+        assert "exceed cap" in capsys.readouterr().err
 
     def test_failed_partition_build_exits_1(self, tmp_path, capsys):
         host = tmp_path / "b.bg"

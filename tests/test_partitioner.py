@@ -397,10 +397,10 @@ class TestRedistribution:
         )
         params = RegularityParams(Fraction(1, 4), Fraction(3, 10))
         for i in range(k):
-            cert = check_super_regular_pair(
+            cert = check_super_regular_pair(g, check_regular_pair(
                 g, res.partition.clusters_a[i], res.partition.clusters_b[i],
                 params, Strategy.SAMPLED, 400, i,
-            )
+            ))
             assert cert.verdict is Verdict.SUPER_REGULAR
 
 
@@ -664,8 +664,9 @@ class TestDeviationReuse:
         prior = PairCertificate(
             (U, W), self.params, Verdict.REGULAR, density(g, U, W), None, Strategy.SAMPLED, 100
         )
-        assert reuse_deviation(prior, U, W, self.params, 100) is not None
-        cert = check_super_regular_pair(g, U, W, self.params, budget=100, prior=prior)
+        reused = reuse_deviation(prior, U, W, self.params, 100)
+        assert reused is not None
+        cert = check_super_regular_pair(g, reused)
         assert cert.verdict is Verdict.SUPER_FAILED
         assert cert.failing_vertex == VertexId(Side.A, 0)
         assert sampled == []
@@ -677,7 +678,7 @@ class TestDeviationReuse:
         prior = check_regular_pair(g, U, W, self.params, budget=200, seed=1)
         assert prior.verdict is Verdict.IRREGULAR
         del sampled[:]
-        cert = check_super_regular_pair(g, U, W, self.params, budget=200, seed=9, prior=prior)
+        cert = check_super_regular_pair(g, reuse_deviation(prior, U, W, self.params, 200))
         assert sampled == []
         assert cert.verdict is Verdict.SUPER_FAILED
         wit = cert.witness
@@ -707,6 +708,34 @@ class TestDeviationReuse:
         assert len(sampled) == 1
         ((verdict, _),) = known.values()
         assert verdict.verdict is Verdict.IRREGULAR
+
+    def test_a_vacuous_pair_is_sampled_once(self, monkeypatch):
+        """At eps = 1 only full subsets qualify, so each fresh verdict is
+        regular with no samples drawn; the super-regular gate takes it as
+        it is and checks no pair a second time."""
+        g = BipartiteGraph.build(8, 8, [(a, b) for a in range(8) for b in range(8)])
+        part = contiguous_partition(g, 2, 4)
+        params = RegularityParams(Fraction(1), Fraction(1, 2))
+        monkeypatch.setattr(regularity, "_cores", lambda: 1)
+        bodies = []
+        real = regularity._check_pair
+
+        def counting(G, U, W, *args):
+            bodies.append((U.bits, W.bits))
+            return real(G, U, W, *args)
+
+        monkeypatch.setattr(regularity, "_check_pair", counting)
+        matching, offsets = _certify_cycle_pairs(g, part, params, 100, 1, {}, "the batch")
+        assert sorted(bodies) == sorted(cycle_pairs(part))
+        vacuous = "vacuous: only full subsets qualify at this epsilon"
+        for certs, verdict in ((matching, Verdict.SUPER_REGULAR), (offsets, Verdict.REGULAR)):
+            assert sorted(certs) == [0, 1]
+            for i, c in certs.items():
+                j = (i + (certs is offsets)) % 2
+                assert c == PairCertificate(
+                    (part.clusters_a[i], part.clusters_b[j]), params, verdict,
+                    Fraction(1), None, Strategy.SAMPLED, 0, note=vacuous,
+                )
 
 
 class TestCycleFirst:

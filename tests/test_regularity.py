@@ -1,7 +1,8 @@
+import hashlib
 import math
 import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,6 @@ from bipembed.regularity import (
     min_subset_size,
     rebound_after_perturbation,
     super_regularize,
-    typical_vertices,
 )
 
 from helpers import brute_force_regular, planted_blocks, random_bipartite
@@ -229,31 +229,29 @@ class TestCheckRegularPair:
                     assert big.verdict is Verdict.REGULAR
 
 
-# (graph, epsilon, seed, sample sizes) -> (verdict, samples used, and for a
-# refutation the witness bits on each side and the witness density), all at
-# budget 800 on 64x64 pairs
+# (graph, epsilon, seed) -> (verdict, samples used, and for a refutation
+# the witness bits on each side and the witness density), all at budget 800
+# on 64x64 pairs
 PINNED_CERTIFICATES = [
-    ("dense", "1/4", 0, None, ("REGULAR", 800)),
-    ("dense", "5/24", 0, None, ("IRREGULAR", 164, 0xc83a100051000206, 0x15804202200f0090, "115/196")),
-    ("dense", "5/24", 1, None, ("IRREGULAR", 26, 0x60509291002205, 0x8460860202096010, "115/196")),
-    ("dense", "3/16", 2, None, ("IRREGULAR", 18, 0x8004012820c300c0, 0x64052108080013, "1")),
-    ("dense", "1/16", 0, None, ("IRREGULAR", 1, 0x22000200000020, 0x6008004000000000, "15/16")),
-    ("blocks", "1/4", 0, None, ("IRREGULAR", 2, 0xffff, 0xffff, "1")),
-    ("dense", "1/6", 0, (16, 20), ("REGULAR", 800)),
-    ("dense", "1/6", 1, (16, 20), ("IRREGULAR", 380, 0x8447040a6000a58, 0x34404e1a22861920, "5/8")),
+    ("dense", "1/4", 0, ("REGULAR", 800)),
+    ("dense", "5/24", 0, ("IRREGULAR", 164, 0xc83a100051000206, 0x15804202200f0090, "115/196")),
+    ("dense", "5/24", 1, ("IRREGULAR", 26, 0x60509291002205, 0x8460860202096010, "115/196")),
+    ("dense", "3/16", 2, ("IRREGULAR", 18, 0x8004012820c300c0, 0x64052108080013, "1")),
+    ("dense", "1/16", 0, ("IRREGULAR", 1, 0x22000200000020, 0x6008004000000000, "15/16")),
+    ("blocks", "1/4", 0, ("IRREGULAR", 2, 0xffff, 0xffff, "1")),
 ]
 
 
-@pytest.mark.parametrize("graph, eps, seed, sizes, expected", PINNED_CERTIFICATES)
-def test_sampled_certificates_are_pinned(graph, eps, seed, sizes, expected):
+@pytest.mark.parametrize("graph, eps, seed, expected", PINNED_CERTIFICATES)
+def test_sampled_certificates_are_pinned(graph, eps, seed, expected):
     # uniform draws (1 sample), both seeded draw kinds, low and high
-    # responses and a size override; any change to the sampler's random
-    # stream or to its deviation test moves one of these
+    # responses; any change to the sampler's random stream or to its
+    # deviation test moves one of these
     g = random_bipartite(64, 0.8, random.Random(64)) if graph == "dense" else planted_blocks(4, 16)
     U, W = full_sides(g)
     cert = check_regular_pair(
         g, U, W, RegularityParams(Fraction(eps), Fraction(0)), Strategy.SAMPLED,
-        budget=800, seed=seed, sample_sizes=sizes,
+        budget=800, seed=seed,
     )
     got = (cert.verdict.name, cert.samples_used)
     if cert.witness is not None:
@@ -349,57 +347,45 @@ def test_scattered_certificates_are_pinned(scattered_graphs, graph, eps, seed, s
     assert got == expected
 
 
-# (graph, epsilon, seed) -> as in PINNED_CERTIFICATES, at budget 40 with
-# sample sizes (260, 260) on 300x300 pairs: a member's degree into 260
-# drawn partners can exceed 255, so the checker's degree lanes must be
-# wider than a byte ("dense" reaches degrees above 255; "blocks" widens
-# every 150-vertex neighbourhood before drawing)
+# (graph, seed) -> as in PINNED_CERTIFICATES, at budget 40 and eps = 1/4 on
+# 1200x1200 pairs, with the witness bits as a digest: subsets have 300
+# members, so a member's degree into the drawn partners can exceed 255 and
+# the checker's degree lanes must be wider than a byte ("dense" and the two
+# K_{600,600} reach such degrees; every neighbourhood of the 150- and
+# 75-vertex blocks is widened before drawing)
 WIDE_CERTIFICATES = [
-    ("dense", "1/200", 0, ("REGULAR", 40)),
-    ("dense", "1/400", 0, (
-        "IRREGULAR", 2,
-        0xedfffffff3bdf7ffbff7dfa7fbffdb7ffefbdffffffb7edffffffafffff3ffdfadffbdd37ed,
-        0xffffffffb3fdf1ff7bafefffdf6fbff9fffdfffddfff6ffc3fffdeff5bbfbfefff7fd7fffaf,
-        "32269/33800")),
-    ("dense", "1/400", 1, (
-        "IRREGULAR", 2,
-        0x3eefffff9cfeefdbfc7ceddfdff7f7fbf7f7faffffdff7eefbffffdeedfffbfbffffff7ffff,
-        0xfdffebfffffffd7dff7f5ed59ffff7dfff6fd7fffffffebbf6fffffffbd7fe7b77ffdf6c7ff,
-        "64097/67600")),
-    ("blocks", "1/100", 0, ("REGULAR", 40)),
-    ("blocks", "1/200", 2, (
-        "IRREGULAR", 32,
-        0xbfbffedb7fab7f67bbe6fafffdbfde57f7ff7ffffffffefffffcacff3fffbffffffffffffdf,
-        0xfffffffffffffffffffffffffffffffffffffc0000000003fffffffffffffffffffffffffff,
-        "418/845")),
-    ("blocks", "1/400", 1, (
-        "IRREGULAR", 8,
-        0xfffffffffffcfd977ffffff7fff7bffdfee77febffb0dffcf5effbffffef7f532ffffdffdff,
-        0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff,
-        "84/169")),
+    ("dense", 0, ("REGULAR", 40)),
+    ("blocks-600", 0, ("IRREGULAR", 2, "1e6986d380da261e", "0")),
+    ("blocks-150", 0, ("IRREGULAR", 2, "089eec4ac8918719", "1/2")),
+    ("blocks-150", 1, ("IRREGULAR", 2, "e58c5c80b17ba3dd", "1/2")),
+    ("blocks-75", 0, ("REGULAR", 40)),
 ]
 
 
 @pytest.fixture(scope="module")
 def wide_graphs():
     return {
-        "dense": random_bipartite(300, 0.95, random.Random(300)),
-        "blocks": planted_blocks(2, 150),
+        "dense": random_bipartite(1200, 0.95, random.Random(1200)),
+        "blocks-600": planted_blocks(2, 600),
+        "blocks-150": planted_blocks(8, 150),
+        "blocks-75": planted_blocks(16, 75),
     }
 
 
-@pytest.mark.parametrize("graph, eps, seed, expected", WIDE_CERTIFICATES)
-def test_wide_subset_certificates_are_pinned(wide_graphs, graph, eps, seed, expected):
+@pytest.mark.parametrize("graph, seed, expected", WIDE_CERTIFICATES)
+def test_wide_subset_certificates_are_pinned(wide_graphs, graph, seed, expected):
     g = wide_graphs[graph]
     U, W = full_sides(g)
     cert = check_regular_pair(
-        g, U, W, RegularityParams(Fraction(eps), Fraction(0)), Strategy.SAMPLED,
-        budget=40, seed=seed, sample_sizes=(260, 260),
+        g, U, W, RegularityParams(Fraction(1, 4), Fraction(0)), Strategy.SAMPLED,
+        budget=40, seed=seed,
     )
     got = (cert.verdict.name, cert.samples_used)
     if cert.witness is not None:
         wit = cert.witness
-        got += (wit.subset_u.bits, wit.subset_w.bits, str(wit.witness_density))
+        bits = b"%x %x" % (wit.subset_u.bits, wit.subset_w.bits)
+        got += (hashlib.sha256(bits).hexdigest()[:16], str(wit.witness_density))
+        assert wit.subset_u.size == wit.subset_w.size == 300
         assert density(g, wit.subset_u, wit.subset_w) == wit.witness_density
     assert got == expected
 
@@ -409,10 +395,9 @@ def test_sampled_check_needs_a_sample():
     g = planted_blocks(2, 4)
     U, W = full_sides(g)
     params = RegularityParams(Fraction(1, 4), Fraction(0))
-    for check in (check_regular_pair, check_super_regular_pair):
-        for budget in (0, -5):
-            with pytest.raises(ValueError, match="budget of at least 1"):
-                check(g, U, W, params, Strategy.SAMPLED, budget=budget)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget of at least 1"):
+            check_regular_pair(g, U, W, params, Strategy.SAMPLED, budget=budget)
     # the exhaustive strategy draws nothing and ignores the budget
     cert = check_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE, budget=0)
     assert cert.verdict is Verdict.IRREGULAR
@@ -456,20 +441,20 @@ class TestCheckSuperRegularPair:
     def test_k33_super_regular(self):
         g = complete(3)
         U, W = full_sides(g)
-        cert = check_super_regular_pair(
+        cert = check_super_regular_pair(g, check_regular_pair(
             g, U, W, RegularityParams(Fraction(1, 3), Fraction(1, 2)),
             Strategy.EXHAUSTIVE,
-        )
+        ))
         assert cert.verdict is Verdict.SUPER_REGULAR
 
     def test_isolated_vertex_fails_degree(self):
         edges = [(a, b) for a in range(1, 3) for b in range(3)]
         g = BipartiteGraph.build(3, 3, edges)
         U, W = full_sides(g)
-        cert = check_super_regular_pair(
+        cert = check_super_regular_pair(g, check_regular_pair(
             g, U, W, RegularityParams(Fraction(1, 3), Fraction(1, 2)),
             Strategy.EXHAUSTIVE,
-        )
+        ))
         assert cert.verdict is Verdict.SUPER_FAILED
         assert cert.failing_vertex == VertexId(Side.A, 0)
 
@@ -478,10 +463,10 @@ class TestCheckSuperRegularPair:
         edges = [(a, b) for a in range(4) for b in (0, 2)] + [(0, 1), (0, 3)]
         g = BipartiteGraph.build(4, 4, edges)
         U, W = full_sides(g)
-        cert = check_super_regular_pair(
+        cert = check_super_regular_pair(g, check_regular_pair(
             g, U, W, RegularityParams(Fraction(1, 4), Fraction(1, 2)),
             Strategy.EXHAUSTIVE,
-        )
+        ))
         assert cert.verdict is Verdict.SUPER_FAILED
         assert cert.failing_vertex == VertexId(Side.B, 1)
         assert cert.note == "degree below 2 into partner"
@@ -489,10 +474,10 @@ class TestCheckSuperRegularPair:
     def test_c6_fails_regularity(self):
         g = BipartiteGraph.build(3, 3, C6_EDGES)
         U, W = full_sides(g)
-        cert = check_super_regular_pair(
+        cert = check_super_regular_pair(g, check_regular_pair(
             g, U, W, RegularityParams(Fraction(1, 3), Fraction(1, 2)),
             Strategy.EXHAUSTIVE,
-        )
+        ))
         # degrees 2 >= 3/2 pass, but a singleton witness deviates by 2/3 > 1/3
         assert cert.verdict is Verdict.SUPER_FAILED
         assert cert.failing_vertex is None
@@ -503,11 +488,13 @@ class TestCheckSuperRegularPair:
         """Helpers send certificates through pickle; both kinds come back
         equal field by field, and a rebuilt VertexSet stays immutable."""
         params = RegularityParams(Fraction(1, 3), Fraction(1, 2))
-        U, W = full_sides(BipartiteGraph.build(3, 3, C6_EDGES))
-        witnessed = check_super_regular_pair(
-            BipartiteGraph.build(3, 3, C6_EDGES), U, W, params, Strategy.EXHAUSTIVE)
-        g = BipartiteGraph.build(3, 3, [(a, b) for a in range(1, 3) for b in range(3)])
-        degree_failed = check_super_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE)
+        certs = []
+        for edges in (C6_EDGES, [(a, b) for a in range(1, 3) for b in range(3)]):
+            g = BipartiteGraph.build(3, 3, edges)
+            U, W = full_sides(g)
+            certs.append(check_super_regular_pair(
+                g, check_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE)))
+        witnessed, degree_failed = certs
         assert witnessed.witness is not None and degree_failed.failing_vertex is not None
         for cert in (witnessed, degree_failed):
             back = pickle.loads(pickle.dumps(cert))
@@ -519,37 +506,15 @@ class TestCheckSuperRegularPair:
             assert back.pair[0].bits == U.bits
 
 
-class TestTypicalVertices:
-    def test_complete_all_typical(self):
-        g = complete(4)
-        A, B = full_sides(g)
-        bprime = VertexSet.from_indices(Side.B, 4, [0, 1])
-        rep = typical_vertices(g, A, B, bprime, RegularityParams(Fraction(1, 4), Fraction(1, 2)))
-        assert rep.vertices == A
-        assert rep.subset_large_enough
-
-    def test_edgeless_none_typical(self):
-        g = BipartiteGraph.build(4, 4, [])
-        A, B = full_sides(g)
-        rep = typical_vertices(g, A, B, B, RegularityParams(Fraction(1, 4), Fraction(1, 2)))
-        assert rep.vertices.size == 0
-
-    def test_planted_random_pair_bound(self):
-        rng = random.Random(0)
-        g = random_bipartite(64, 0.5, rng)
-        A, B = full_sides(g)
-        bprime = VertexSet.from_indices(Side.B, 64, range(32))
-        params = RegularityParams(Fraction(1, 4), Fraction(3, 8))
-        rep = typical_vertices(g, A, B, bprime, params)
-        assert rep.subset_large_enough
-        assert A.size - rep.vertices.size <= params.epsilon * A.size
-
-    def test_small_subset_flagged(self):
-        g = complete(8)
-        A, B = full_sides(g)
-        bprime = VertexSet.from_indices(Side.B, 8, [0])
-        rep = typical_vertices(g, A, B, bprime, RegularityParams(Fraction(1, 2), Fraction(1, 2)))
-        assert not rep.subset_large_enough
+    def test_gate_takes_only_a_deviation_certificate(self):
+        g = complete(3)
+        U, W = full_sides(g)
+        params = RegularityParams(Fraction(1, 3), Fraction(1, 2))
+        deviation = check_regular_pair(g, U, W, params, Strategy.EXHAUSTIVE)
+        gated = check_super_regular_pair(g, deviation)
+        assert gated == replace(deviation, verdict=Verdict.SUPER_REGULAR)
+        with pytest.raises(ValueError, match="not a deviation verdict"):
+            check_super_regular_pair(g, gated)
 
 
 class TestRebound:
@@ -756,11 +721,11 @@ class TestSuperRegularize:
             assert len(moved) <= eps * part.clusters_a[i].size
         cleaned = out.partition
         for i, j in cyc:
-            cert = check_super_regular_pair(
+            cert = check_super_regular_pair(g, check_regular_pair(
                 g, cleaned.clusters_a[i], cleaned.clusters_b[j],
                 RegularityParams(Fraction(1, 2), Fraction(1, 10)), Strategy.SAMPLED,
                 300, _mix_seed(0, i, j),
-            )
+            ))
             assert cert.verdict is Verdict.SUPER_REGULAR
 
 
@@ -897,14 +862,9 @@ def test_degree_gates_match_rational_thresholds(seed, d, eps):
     rng = random.Random(seed)
     g = random_bipartite(7, rng.random(), rng)
     A, B = full_sides(g)
-    bprime = VertexSet(Side.B, 7, rng.getrandbits(7))
     params = RegularityParams(max(eps, Fraction(1, 100)), d)
-    degree = [(g.adj_a[a] & bprime.bits).bit_count() for a in range(7)]
-    rep = typical_vertices(g, A, B, bprime, params)
-    assert list(rep.vertices.indices()) == [
-        a for a in range(7) if degree[a] >= (params.d - params.epsilon) * bprime.size
-    ]
-    cert = check_super_regular_pair(g, A, B, params, Strategy.SAMPLED, budget=8, seed=seed)
+    cert = check_super_regular_pair(
+        g, check_regular_pair(g, A, B, params, Strategy.SAMPLED, budget=8, seed=seed))
     low = [
         VertexId(X.side, v) for X, Y, adj in ((A, B, g.adj_a), (B, A, g.adj_b))
         for v in X.indices() if (adj[v] & Y.bits).bit_count() < params.d * Y.size
