@@ -19,19 +19,30 @@ only for the base density and for deviation witnesses.
 
 A pair check first copies the pair's adjacency into pair-local rows (bit j
 of member i's row: adjacency to the partner side's j-th member, both in
-ascending vertex order), so every draw, mask and degree sort works on
+ascending vertex order), so every draw, mask and degree count works on
 |U|- and |W|-bit integers; only a witness is mapped back to vertices.  The
-sampled draws come from ``_draw``, which returns exactly what the standard
-library's ``Random.sample``/``Random.choice`` return from the same seed, so
-certificates do not depend on how the sampler is implemented; ``_shuffle``
-does the same for ``Random.shuffle``.
+sampled draws make the ``getrandbits`` calls that the standard library's
+``Random.sample``/``Random.choice`` make on the same sequences from the
+same seed, and draw the same elements, so certificates do not depend on
+how the sampler is implemented: ``_draw`` returns what they return
+(``_shuffle`` does the same for ``Random.shuffle``), and the sampling loop
+runs ``_draw``'s pool branch inline, with the steps of ``_pool_steps``,
+summing the drawn elements instead of listing them.
 
-A seeded draw takes its partners from a member's pool, the local indices
-of its neighbours, built once per check from the row's binary digits.  The
-members' degrees into the drawn partners come from one sum of per-partner
-lane integers (partner j's column with member i's bit in lane i, lanes wide
-enough for the subset size), read back as bytes and sorted; the partner
-mask is built only when a draw yields a witness.
+What a check draws are tagged lane integers: partner j's column with
+member i's bit in lane i (lanes wide enough for the subset size) and bit j
+of a tag above the lanes.  The sum of the drawn ones holds, with no carry,
+each member's degree into the drawn partners in its lane and the
+partners' mask in the tag.  A seeded draw takes its partners from a
+member's pool (the tagged lane integers of its neighbours, built once per
+check); a uniform draw ANDs the partners' sum with a sum of drawn member
+lane selectors, and the sum of that one's lanes is the subset pair's edge
+count.  Degrees are read as bytes (a memoryview cast for lanes wider than
+a byte).  Since the lowest s degrees sum to at least s times the least
+degree and the highest s to at most s times the greatest, most seeded
+samples are decided by ``min`` and ``max`` (and a side of the band that no
+sum can leave is not tested); only the rest are sorted, and the tag is
+read only for a witness.
 
 A batch of independent checks (``maximal_reduced_graph``'s k^2 pairs, or
 the partitioner's certification of the cycle pairs) runs inside
@@ -58,7 +69,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -140,6 +151,12 @@ def min_subset_size(epsilon: Fraction, size: int) -> int:
     return max(1, ceil_frac(epsilon * size))
 
 
+def _only_full_subsets(epsilon: Fraction, U: VertexSet, W: VertexSet) -> bool:
+    """Whether only the full pair qualifies as a subset pair at ``epsilon``:
+    then every check of (U, W) is vacuous."""
+    return min_subset_size(epsilon, U.size) >= U.size and min_subset_size(epsilon, W.size) >= W.size
+
+
 def _mask(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
@@ -181,15 +198,16 @@ def _regular_band(base: Fraction, eps: Fraction, denom: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def _pool_steps(n: int, k: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """``Random.sample``'s pool-branch steps for (n, k) as (i, bits drawn),
-    or None when it takes the set branch (n beyond a k-element set's
+    """``Random.sample``'s pool-branch steps for (n, k) as (last, bits):
+    ``last`` is the highest index the step accepts and ``bits`` what it
+    draws; None when it takes the set branch (n beyond a k-element set's
     table)."""
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n > setsize:
         return None
-    return tuple((i, i.bit_length()) for i in range(n, n - k, -1))
+    return tuple((i - 1, i.bit_length()) for i in range(n, n - k, -1))
 
 
 def _draw(getrandbits, population: Sequence, k: int) -> list:
@@ -215,12 +233,12 @@ def _draw(getrandbits, population: Sequence, k: int) -> list:
     result = []
     if steps is not None:
         pool = list(population)
-        for i, bits in steps:
+        for last, bits in steps:
             j = getrandbits(bits)
-            while j >= i:
+            while j > last:
                 j = getrandbits(bits)
             result.append(pool[j])
-            pool[j] = pool[i - 1]
+            pool[j] = pool[last]
         return result
     bits = n.bit_length()
     selected = set()
@@ -282,27 +300,24 @@ def _pair_rows(G: BipartiteGraph, u_members: list[int], w_members: list[int]):
 
 
 def _degree_lanes(cols: Sequence[int], n_members: int, most: int):
-    """Partner columns as lane integers, and the reader of their sums.
+    """Partner columns as tagged lane integers, and where their tags start.
 
-    Lane integer j holds bit i of ``cols[j]`` (member i's adjacency to
-    partner j) in lane i, a field wide enough for any degree up to
-    ``most``.  A sum of lane integers therefore holds in lane i member i's
-    degree into those partners, with no carry between lanes, and
-    ``degrees(total)`` reads the lanes back (in an order that depends on
-    the machine's byte order; callers sort them).
+    Tagged lane integer j holds bit i of ``cols[j]`` (member i's adjacency
+    to partner j) in lane i, a field wide enough for any degree up to
+    ``most``, and bit ``shift + j`` above the lanes.  A sum of distinct
+    tagged lane integers therefore holds in lane i member i's degree into
+    those partners, with no carry between lanes, and from bit ``shift`` on
+    the partners' mask.  Returns the tagged lane integers, ``shift`` and the
+    memoryview format of a lane (None for one-byte lanes, read as bytes).
     """
     width = next(w for w in _LANE_FORMATS if most < 1 << 8 * w)
     buf = bytearray(width * n_members)
-    lanes = []
-    for col in cols:
+    shift = 8 * width * n_members
+    tagged = []
+    for j, col in enumerate(cols):
         buf[::width] = bit_flags(col, n_members)
-        lanes.append(int.from_bytes(buf, "little"))
-    size, fmt = width * n_members, _LANE_FORMATS[width]
-
-    def degrees(total: int) -> memoryview:
-        return memoryview(total.to_bytes(size, sys.byteorder)).cast(fmt)
-
-    return lanes, degrees
+        tagged.append(int.from_bytes(buf, "little") | 1 << shift + j)
+    return tagged, shift, _LANE_FORMATS[width] if width > 1 else None
 
 
 def _extremal_members(rows: Sequence[int], mask: int, s: int, high: bool) -> int:
@@ -404,15 +419,15 @@ def _check_pair(
             note=f"base density {base} below d={params.d}",
         )
     eps = params.epsilon
-    s_u = min_subset_size(eps, U.size)
-    s_w = min_subset_size(eps, W.size)
-    if s_u >= U.size and s_w >= W.size:
-        # only the full pair qualifies; its deviation is zero
+    if _only_full_subsets(eps, U, W):
+        # only the full pair qualifies, and its deviation is zero
         return PairCertificate(
             (U, W), params, Verdict.REGULAR, base, None, strategy, 0,
             note="vacuous: only full subsets qualify at this epsilon",
         )
 
+    s_u = min_subset_size(eps, U.size)
+    s_w = min_subset_size(eps, W.size)
     # every tested subset pair has s_u*s_w vertex pairs, so a pair deviates
     # exactly when its edge count leaves [lo, hi]; rationals are built only
     # for the witness
@@ -445,73 +460,126 @@ def _check_pair(
 
     # every draw below is from a sequence of the length and order of
     # u_members, w_members or a pool built from them, so the generator runs
-    # as Random.choice/Random.sample on those lists would run it
+    # as Random.choice/Random.sample on those lists would run it; the
+    # pool-branch loops are _draw's, inline, summing what they draw
     getrandbits = random.Random(seed).getrandbits
     nu, nw = len(rows_u), len(rows_w)
-    u_ids = list(range(nu))
-    w_bits = [1 << j for j in range(nw)]
-
-    def seeded_draw(rows, lanes, degrees, pools, s_members, s_partners):
-        """A partner subset inside N(v) for a random member v, answered by
-        the members of lowest and of highest degree into it.  Returns
-        (responders mask, partner mask, edge count) for the first response
-        that deviates, else None.  A neighbourhood holding fewer than
-        s_partners partners is widened by those of further random members,
-        so blocks smaller than the minimal subset size are still found; a
-        draw that needs no widening makes no extra RNG call.  A member's
-        own pool (its neighbours' local indices) is built once per check;
-        the members' degrees come from one sum of the drawn partners' lane
-        integers, and the partner mask is built only for a witness."""
-        v = _draw(getrandbits, range(len(rows)), 1)[0]
-        pool = pools[v]
-        if pool is None:
-            nb = rows[v]
-            if nb.bit_count() >= s_partners:
-                pool = pools[v] = list(iter_bits(nb))
-            else:
-                for _ in range(_WIDEN_TRIES):
-                    nb |= _draw(getrandbits, rows, 1)[0]
-                    if nb.bit_count() >= s_partners:
-                        break
-                else:
-                    return None
-                pool = list(iter_bits(nb))
-        chosen = _draw(getrandbits, pool, s_partners)
-        degs = sorted(degrees(sum(map(lanes.__getitem__, chosen))))
-        for e, high in ((sum(degs[:s_members]), False), (sum(degs[-s_members:]), True)):
-            if not lo <= e <= hi:
-                mask = sum([1 << j for j in chosen])
-                return _extremal_members(rows, mask, s_members, high), mask, e
-        return None
-
+    order = sys.byteorder
     # kind 1 draws partners from W and reads U's degrees, kind 3 the reverse
-    lanes_w, degrees_u = _degree_lanes(rows_w, nu, s_w)
-    lanes_u, degrees_w = _degree_lanes(rows_u, nw, s_u)
-    pools_u = [None] * nu
-    pools_w = [None] * nw
+    tagged_w, shift_w, fmt_w = _degree_lanes(rows_w, nu, s_w)
+    tagged_u, shift_u, fmt_u = _degree_lanes(rows_u, nw, s_u)
+    seeded = (
+        (rows_u, nu.bit_length(), [None] * nu, tagged_w, shift_w, (1 << shift_w) - 1, fmt_w,
+         s_u, s_w),
+        (rows_w, nw.bit_length(), [None] * nw, tagged_u, shift_u, (1 << shift_u) - 1, fmt_u,
+         s_w, s_u),
+    )
+    # uniform kinds draw U' as lane selectors (all ones in member i's lane
+    # of the tagged W lanes, bit i tagged above W's tags) and W' as tagged
+    # W lanes: the AND of the two sums holds each U' member's degree into W'
+    lane_bits = shift_w // nu
+    sel_u = [(1 << lane_bits) - 1 << lane_bits * i | 1 << shift_w + nw + i for i in range(nu)]
+    full_u, full_w = sum(sel_u), sum(tagged_w)
+    steps_u, steps_w = _pool_steps(nu, s_u), _pool_steps(nw, s_w)
+    # a sum of s members' degrees into s' partners lies in [0, s*s'], so a
+    # side of the band beyond that range is never left
+    low_open, high_open = lo > 0, hi < denom
     for t in range(budget):
         kind = t & 3
-        if kind in (0, 2):
+        if not kind & 1:
             # uniform independent subset pair at minimal qualifying size
-            uc = u_ids if s_u >= nu else _draw(getrandbits, u_ids, s_u)
-            wmask = sum(w_bits if s_w >= nw else _draw(getrandbits, w_bits, s_w))
-            e = sum([(rows_u[i] & wmask).bit_count() for i in uc])
+            if s_u >= nu:
+                us = full_u
+            elif steps_u is None:
+                us = sum(_draw(getrandbits, sel_u, s_u))
+            else:
+                pool = sel_u[:]
+                us = 0
+                for last, bits in steps_u:
+                    j = getrandbits(bits)
+                    while j > last:
+                        j = getrandbits(bits)
+                    us += pool[j]
+                    pool[j] = pool[last]
+            if s_w >= nw:
+                ws = full_w
+            elif steps_w is None:
+                ws = sum(_draw(getrandbits, tagged_w, s_w))
+            else:
+                pool = tagged_w[:]
+                ws = 0
+                for last, bits in steps_w:
+                    j = getrandbits(bits)
+                    while j > last:
+                        j = getrandbits(bits)
+                    ws += pool[j]
+                    pool[j] = pool[last]
+            degs = (us & ws).to_bytes(shift_w >> 3, order)
+            e = sum(memoryview(degs).cast(fmt_w) if fmt_w else degs)
             if not lo <= e <= hi:
-                return refuted(sum([1 << i for i in uc]), wmask, e, t + 1)
-        elif kind == 1:
-            # neighbourhood-seeded: W' inside N(a), U' an extremal response.
-            # Uniform pairs concentrate at the base density, so structured
-            # deviations (planted blocks) are found via seeded draws.
-            hit = seeded_draw(rows_u, lanes_w, degrees_u, pools_u, s_u, s_w)
-            if hit:
-                umask, wmask, e = hit
-                return refuted(umask, wmask, e, t + 1)
+                return refuted(us >> shift_w + nw, ws >> shift_w, e, t + 1)
+            continue
+        # neighbourhood-seeded: kind 1 draws W' inside N(a) for a random a
+        # in U and answers with U', an extremal response; kind 3 the reverse.
+        # Uniform pairs concentrate at the base density, so structured
+        # deviations (planted blocks) are found via seeded draws.
+        rows, bits, pools, tagged, shift, lane_mask, fmt, s_m, s_p = seeded[kind >> 1]
+        # the seeding member: _draw(getrandbits, range(n), 1)[0]
+        n = len(rows)
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        entry = pools[v]
+        if entry is None:
+            nb = rows[v]
+            if nb.bit_count() >= s_p:
+                entry = pools[v] = _member_pool(tagged, nb, s_p)
+            else:
+                # fewer than s_p partners: widen by those of further random
+                # members, so blocks smaller than the minimal subset size
+                # are found; a draw that needs no widening makes no RNG call
+                for _ in range(_WIDEN_TRIES):
+                    nb |= _draw(getrandbits, rows, 1)[0]
+                    if nb.bit_count() >= s_p:
+                        break
+                else:
+                    continue
+                entry = _member_pool(tagged, nb, s_p)
+        pool, steps = entry
+        if steps is None:
+            total = sum(_draw(getrandbits, pool, s_p))
         else:
-            hit = seeded_draw(rows_w, lanes_u, degrees_w, pools_w, s_w, s_u)
-            if hit:
-                wmask, umask, e = hit
-                return refuted(umask, wmask, e, t + 1)
+            pool = pool[:]
+            total = 0
+            for last, bits in steps:
+                j = getrandbits(bits)
+                while j > last:
+                    j = getrandbits(bits)
+                total += pool[j]
+                pool[j] = pool[last]
+        degs = (total & lane_mask).to_bytes(shift >> 3, order)
+        if fmt:
+            degs = memoryview(degs).cast(fmt)
+        # the s_m lowest degrees sum to at least s_m*min, the highest to at
+        # most s_m*max: inside those bounds both responses stay in the band
+        if (not low_open or s_m * min(degs) >= lo) and (not high_open or s_m * max(degs) <= hi):
+            continue
+        degs = sorted(degs)
+        for e, high in ((sum(degs[:s_m]), False), (sum(degs[-s_m:]), True)):
+            if not lo <= e <= hi:
+                mask = total >> shift
+                response = _extremal_members(rows, mask, s_m, high)
+                if kind == 1:
+                    return refuted(response, mask, e, t + 1)
+                return refuted(mask, response, e, t + 1)
     return PairCertificate((U, W), params, Verdict.REGULAR, base, None, strategy, budget)
+
+
+def _member_pool(tagged: list[int], nb: int, k: int):
+    """The tagged lane integers of the partners in ``nb``, ascending, and
+    the pool-branch steps of drawing k of them (None: the set branch)."""
+    pool = list(compress(tagged, bit_flags(nb, len(tagged))))
+    return pool, _pool_steps(len(pool), k)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +718,10 @@ def reuse_deviation(
 
     The deviation verdict depends only on the vertex sets, epsilon and the
     samples drawn, so a sampled prior on the same sets at the same epsilon
-    stands when it is irregular (its witness is an exact refutation) or
-    when it found no witness in at least ``budget`` samples.
+    stands when it is irregular (its witness is an exact refutation), when
+    it found no witness in at least ``budget`` samples, or when it is
+    vacuous (only the full sets qualify, so it depends on their sizes and
+    epsilon alone).
     """
     if (
         prior is None
@@ -661,7 +731,8 @@ def reuse_deviation(
     ):
         return None
     if prior.verdict is Verdict.IRREGULAR or (
-        prior.verdict is Verdict.REGULAR and prior.samples_used >= budget
+        prior.verdict is Verdict.REGULAR
+        and (prior.samples_used >= budget or _only_full_subsets(params.epsilon, U, W))
     ):
         return _restamp(prior, params)
     return None

@@ -154,3 +154,68 @@ def oracle_find_embedding(G: BipartiteGraph, H: BipartiteGraph):
         return False
 
     return dict(mapping) if rec(0) else None
+
+
+def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: Fraction,
+                            budget: int, seed: int):
+    """The sampled deviation check of ``check_regular_pair``, written plainly.
+
+    The same draws in the same order, made with ``Random.sample`` and
+    ``Random.choice``; degrees are counted member by member and sorted.
+    Sample t is of kind t % 4: kinds 0 and 2 draw U' and W' uniformly;
+    kind 1 draws W' inside the neighbourhood of a random member of U
+    (widened by up to 8 further random members' neighbourhoods while it is
+    shorter than |W'|) and answers with the |U'| members of lowest, then
+    of highest degree into it (ties by index); kind 3 is kind 1 with the
+    sides swapped.  Returns the result, ("REGULAR", samples) or
+    ("IRREGULAR", samples, witness U bits, witness W bits, witness
+    density), and how a refutation was found, (kind, "uniform" | "low" |
+    "high", edge count, the band's upper end), or None.
+    """
+    if U.side is Side.B:
+        U, W = W, U
+    us, ws = list(U.indices()), list(W.indices())
+    rows_u = [sum(1 << j for j, b in enumerate(ws) if G.adj_a[a] >> b & 1) for a in us]
+    rows_w = [sum(1 << i for i, row in enumerate(rows_u) if row >> j & 1) for j in range(len(ws))]
+    base = Fraction(sum(row.bit_count() for row in rows_u), len(us) * len(ws))
+    s_u, s_w = max(1, math.ceil(eps * len(us))), max(1, math.ceil(eps * len(ws)))
+    if s_u >= len(us) and s_w >= len(ws):
+        return ("REGULAR", 0), None
+    hi = math.floor((base + eps) * s_u * s_w)
+    rng = random.Random(seed)
+
+    def refuted(u_local, w_local, e, t, how):
+        wit = Fraction(e, s_u * s_w)
+        if abs(wit - base) <= eps:
+            return None
+        u_bits = sum(1 << us[i] for i in u_local)
+        w_bits = sum(1 << ws[j] for j in w_local)
+        return ("IRREGULAR", t + 1, u_bits, w_bits, wit), (t % 4, how, e, hi)
+
+    for t in range(budget):
+        if t % 2 == 0:
+            uc = range(len(us)) if s_u >= len(us) else rng.sample(range(len(us)), s_u)
+            wc = range(len(ws)) if s_w >= len(ws) else rng.sample(range(len(ws)), s_w)
+            w_mask = sum(1 << j for j in wc)
+            hit = refuted(uc, wc, sum((rows_u[i] & w_mask).bit_count() for i in uc), t, "uniform")
+            if hit:
+                return hit
+            continue
+        rows, s_m, s_p = (rows_u, s_u, s_w) if t % 4 == 1 else (rows_w, s_w, s_u)
+        nb, widened = rng.choice(rows), 0
+        while nb.bit_count() < s_p and widened < 8:
+            nb |= rng.choice(rows)
+            widened += 1
+        if nb.bit_count() < s_p:
+            continue
+        chosen = rng.sample([j for j in range(nb.bit_length()) if nb >> j & 1], s_p)
+        mask = sum(1 << j for j in chosen)
+        ranked = sorted(((row & mask).bit_count(), i) for i, row in enumerate(rows))
+        for how, picked in (("low", ranked[:s_m]), ("high", ranked[-s_m:])):
+            members = [i for _, i in picked]
+            e = sum(degree for degree, _ in picked)
+            hit = (refuted(members, chosen, e, t, how) if rows is rows_u
+                   else refuted(chosen, members, e, t, how))
+            if hit:
+                return hit
+    return ("REGULAR", budget), None

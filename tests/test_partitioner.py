@@ -737,6 +737,32 @@ class TestDeviationReuse:
                     Fraction(1), None, Strategy.SAMPLED, 0, note=vacuous,
                 )
 
+    def test_a_vacuous_verdict_stands_in_a_later_batch(self, monkeypatch):
+        """A vacuous verdict depends only on the sizes and epsilon, so a
+        later batch on the same ledger takes it instead of checking again."""
+        g = BipartiteGraph.build(8, 8, [(a, b) for a in range(8) for b in range(8)])
+        part = contiguous_partition(g, 2, 4)
+        params = RegularityParams(Fraction(1), Fraction(1, 2))
+        monkeypatch.setattr(regularity, "_cores", lambda: 1)
+        bodies = []
+        real = regularity._check_pair
+
+        def counting(G, *args):
+            bodies.append(args)
+            return real(G, *args)
+
+        monkeypatch.setattr(regularity, "_check_pair", counting)
+        known = {}
+        _certify_cycle_pairs(g, part, params, 100, 1, known, "the first batch")
+        assert len(bodies) == 4
+        matching, offsets = _certify_cycle_pairs(g, part, params, 100, 1, known, "a later one")
+        assert len(bodies) == 4
+        assert {src for _, src in known.values()} == {"the first batch"}
+        certs = list(matching.values()) + list(offsets.values())
+        assert all(c.note.startswith(f"{REUSED} the first batch; vacuous") for c in certs)
+        assert all(c.samples_used == 0 for c in certs)
+        assert [c.verdict for c in certs] == [Verdict.SUPER_REGULAR] * 2 + [Verdict.REGULAR] * 2
+
 
 class TestCycleFirst:
     """Phase 1 searches the exact density graph of the round-0 partition and

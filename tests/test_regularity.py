@@ -37,7 +37,7 @@ from bipembed.regularity import (
     super_regularize,
 )
 
-from helpers import brute_force_regular, planted_blocks, random_bipartite
+from helpers import brute_force_regular, planted_blocks, random_bipartite, reference_sampled_check
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
@@ -388,6 +388,85 @@ def test_wide_subset_certificates_are_pinned(wide_graphs, graph, seed, expected)
         assert wit.subset_u.size == wit.subset_w.size == 300
         assert density(g, wit.subset_u, wit.subset_w) == wit.witness_density
     assert got == expected
+
+
+def _oracle_cases():
+    """(name, graph, U, W, epsilon, budget, seed): sampled checks that reach
+    every branch of the sampler's loop."""
+    dense = random_bipartite(64, 0.8, random.Random(64))
+    sparse = random_bipartite(64, 0.15, random.Random(65))
+    # B-vertices 0..15 adjacent to every A-vertex, the rest to none: a
+    # seeded draw inside N(a) gives every A-vertex full degree, so even the
+    # low response lies above the band
+    columns = BipartiteGraph.build(32, 32, [(a, b) for a in range(32) for b in range(16)])
+    # 40 + 600 vertices, A-vertices 0..19 complete to B-vertices 0..299: at
+    # eps = 1/2, W' has 300 members, so degrees into it need two-byte lanes
+    star = BipartiteGraph.build(40, 600, [(a, b) for a in range(20) for b in range(300)])
+    banded = BipartiteGraph.build(40, 600, [
+        (a, b) for a in range(40) for b in range(600) if (a * 7 + b * 13) % 10 < 9
+    ])
+    # neighbourhoods of 4 partners, short of s = 8
+    blocks = planted_blocks(8, 4)
+    odd = random_bipartite(96, 0.5, random.Random(96))
+    half_u = VertexSet.from_indices(Side.A, 96, range(0, 96, 2))
+    most_w = VertexSet.from_indices(Side.B, 96, range(90))
+    for seed in range(6):
+        # s = 4: uniform draws and pools of about 51 take the set branch
+        yield "set branch", dense, *full_sides(dense), Fraction(1, 16), 50, seed
+        # base + eps >= 1, so only the low side of the band can fail
+        yield "late witness", dense, *full_sides(dense), Fraction(5, 24), 400, seed
+        # base <= eps, so only the high side can fail
+        yield "sparse", sparse, *full_sides(sparse), Fraction(1, 5), 100, seed
+    for seed in range(3):
+        yield "widened pools", blocks, *full_sides(blocks), Fraction(1, 4), 100, seed
+        yield "low response above the band", columns, *full_sides(columns), Fraction(1, 4), 50, seed
+        yield "unbalanced", odd, half_u, most_w, Fraction(1, 6), 200, seed
+        yield "unbalanced, B first", odd, most_w, half_u, Fraction(1, 7), 200, seed
+    even = random_bipartite(64, 0.5, random.Random(66))
+    yield "both sides open, regular", even, *full_sides(even), Fraction(1, 4), 200, 0
+    yield "low side only, regular", dense, *full_sides(dense), Fraction(1, 4), 200, 0
+    yield "high side only, regular", sparse, *full_sides(sparse), Fraction(1, 4), 200, 0
+    # every neighbourhood is one vertex, and nine of them stay short of 16
+    matching = BipartiteGraph.build(64, 64, [(a, a) for a in range(64)])
+    yield "short pools, regular", matching, *full_sides(matching), Fraction(1, 4), 40, 0
+    yield "two-byte lanes", star, *full_sides(star), Fraction(1, 2), 40, 0
+    yield "two-byte lanes, regular", banded, *full_sides(banded), Fraction(1, 2), 40, 0
+    # responses whose s members all have the same degree, one edge outside
+    # the band: K_{32,32} minus a perfect matching at eps = 1/7 (s = 5, low
+    # response 20 against lo = 21), and a perfect matching on 8 + 8 at
+    # eps = 1/8 (s = 1, high response 1 against hi = 0)
+    near_complete = BipartiteGraph.build(32, 32, [
+        (a, b) for a in range(32) for b in range(32) if a != b
+    ])
+    yield "low response one edge below", near_complete, *full_sides(near_complete), \
+        Fraction(1, 7), 20, 1
+    small_matching = BipartiteGraph.build(8, 8, [(a, a) for a in range(8)])
+    yield "high response one edge above", small_matching, *full_sides(small_matching), \
+        Fraction(1, 8), 20, 1
+    odd24 = random_bipartite(24, 0.7, random.Random(247))
+    yield "uniform refutation at kind 2", odd24, *full_sides(odd24), Fraction(1, 4), 8, 17
+
+
+def test_sampled_checks_match_a_plain_reference_sampler():
+    # the sampler answers each seeded draw from one sum of tagged lane
+    # integers and decides most samples from the least and greatest degree;
+    # a plain transcription on random.Random draws the same subsets and
+    # must reach the same certificates on every branch
+    found = set()
+    for name, g, U, W, eps, budget, seed in _oracle_cases():
+        expected, how = reference_sampled_check(g, U, W, eps, budget, seed)
+        cert = check_regular_pair(g, U, W, RegularityParams(eps, Fraction(0)),
+                                  Strategy.SAMPLED, budget, seed)
+        got = (cert.verdict.name, cert.samples_used)
+        if cert.witness is not None:
+            wit = cert.witness
+            got += (wit.subset_u.bits, wit.subset_w.bits, wit.witness_density)
+        assert got == expected, (name, seed)
+        if how:
+            kind, response, e, hi = how
+            found.add((kind, response, response == "low" and e > hi))
+    assert {(0, "uniform", False), (2, "uniform", False), (1, "low", False), (1, "high", False),
+            (3, "low", False), (3, "high", False), (1, "low", True)} <= found
 
 
 def test_sampled_check_needs_a_sample():
