@@ -1,10 +1,11 @@
 """Compatibility checking, two-phase embedding, and the end-to-end pipeline.
 
-A partition of the target H into classes aligned with the host clusters is
-"compatible" when classes fit size-wise, every H-edge lands on a certified
-regular pair, and the boundary sets (vertices with edges leaving the
-super-regular matching pairs, plus their neighbours) are small.  Embedding
-then proceeds in two phases: the boundary vertices go first, greedily in
+A partition of the target H into classes A_i, B_i aligned with the host
+clusters is "compatible" when every H-edge lies over a pair of the cluster
+cycle A_0 B_0 A_1 B_1 ... A_{k-1} B_{k-1}, the pairs the host's certificates
+cover, and the boundary (vertices with an edge leaving the cycle's matching
+pairs (A_i, B_i)) and its fringe of neighbours are small.  Embedding then
+proceeds in two phases: the boundary vertices go first, greedily in
 bandwidth order, each placed on an unused typical host vertex compatible
 with its already-embedded neighbours; each matching pair is then completed
 by random-greedy placement of its X side and a maximum-matching finish on
@@ -13,7 +14,7 @@ pair that fails is retried alone.  Every embedding is verified before it
 is returned; no unverified output ever escapes.  The pipeline distributes
 the target deterministically, in runs along the cluster cycle sized to the
 phase-1 targets, so phase 2 only touches the cluster sizes up; it accepts a
-distribution only when all three clauses hold at the schedule's epsilon.
+distribution only when both clauses hold at the schedule's epsilon.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import (
     BipartiteGraph, Check, GraphError, Side, VertexId, VertexSet, id_table, iter_bits,
@@ -31,6 +32,7 @@ from .graphs import (
 from .homomorphism import (
     BandwidthLabelling,
     CycleHomomorphism,
+    _cycle_edge,
     bandwidth_labelling,
     build_cycle_homomorphism,
     partition_runs,
@@ -68,121 +70,92 @@ ClassKey = tuple[str, int]
 @dataclass
 class CompatibilityReport:
     cluster_of: dict[Side, tuple[int, ...]]  # the target partition, as each side's map
-    partner: dict[ClassKey, ClassKey]  # each class's super-regular partner
-    boundary: dict[ClassKey, frozenset[VertexId]]  # S_i per class
-    fringe: dict[ClassKey, frozenset[VertexId]]  # T_i per class
-    size_clause: Check
+    boundary: dict[Side, int]  # S, one bit row per side
+    fringe: dict[Side, int]  # T, one bit row per side
     edge_clause: Check
     boundary_clause: Check
 
     @property
     def ok(self) -> bool:
-        return self.size_clause.ok and self.edge_clause.ok and self.boundary_clause.ok
+        return self.edge_clause.ok and self.boundary_clause.ok
 
     @property
     def detail(self) -> str:
         """The failing clauses' details, joined."""
-        clauses = (self.size_clause, self.edge_clause, self.boundary_clause)
+        clauses = (self.edge_clause, self.boundary_clause)
         return "; ".join(c.detail for c in clauses if not c.ok)
-
-
-def _partners(rprime_edges: Iterable[tuple[int, int]]) -> dict[ClassKey, ClassKey]:
-    """Each class's partner under the super-regular pairs, which form a matching."""
-    partner: dict[ClassKey, ClassKey] = {}
-    for i, j in rprime_edges:
-        a, b = ("A", i), ("B", j)
-        if partner.get(a, b) != b or partner.get(b, a) != a:
-            raise GraphError(f"the super-regular pairs are not a matching at {(i, j)}")
-        partner[a], partner[b] = b, a
-    return partner
 
 
 def compatibility_report(
     H: BipartiteGraph,
     cluster_of_x: Sequence[int],
     cluster_of_y: Sequence[int],
-    sizes: Mapping[ClassKey, int],
-    r_edges: Iterable[tuple[int, int]],
-    rprime_edges: Iterable[tuple[int, int]],
+    k: int,
     epsilon: Rational,
 ) -> CompatibilityReport:
-    """Evaluate the three compatibility clauses exactly.
+    """Evaluate the compatibility clauses exactly along the cluster cycle.
 
     X vertex x lies in class ("A", cluster_of_x[x]) and Y vertex y in
-    ("B", cluster_of_y[y]); ``sizes`` holds the budget of every class.
-    ``r_edges`` and ``rprime_edges`` list pairs (i, j) meaning the class
-    pair (("A", i), ("B", j)); ``rprime_edges``, the super-regular pairs,
-    must form a matching.  The boundary set of a class holds its vertices
-    with a neighbour in a class other than its partner, and the fringe
-    holds neighbours of boundary vertices that are not boundary themselves.
-    The fringe bound uses the smaller size budget of a class and its partner.
+    ("B", cluster_of_y[y]), every cluster in 0..k-1, and a class's budget
+    is the number of vertices its map sends to it.  The regular pairs are
+    the 2k pairs of the cycle A_0 B_0 A_1 B_1 ... A_{k-1} B_{k-1}, and the
+    super-regular pairs its matching (A_i, B_i).  Every H-edge must lie
+    over a regular pair.  The boundary S holds the vertices with an edge
+    between A_i and B_j for i != j, and the fringe T the neighbours of S
+    outside S; the report keeps each as one bit row per side.  A class's
+    part of S may hold at most epsilon times its budget, and its part of T
+    at most epsilon times the smaller budget of the class and its partner.
+    The classes are checked A_0..A_{k-1}, then B_0..B_{k-1}, the boundary
+    before the fringe, and the first bound exceeded is named.
     """
     eps = frac(epsilon)
     cluster_of = {Side.A: tuple(cluster_of_x), Side.B: tuple(cluster_of_y)}
-    held: Counter[ClassKey] = Counter()
+    held: dict[Side, Counter[int]] = {}
     for side, clusters in cluster_of.items():
         if len(clusters) != H.side_size(side):
             raise GraphError(f"the {side.value}-side map has {len(clusters)} entries")
-        held.update((side.value, i) for i in clusters)
-    unsized = held.keys() - sizes.keys()
-    if unsized:
-        raise GraphError(f"class {min(unsized)} is mapped to but has no size")
-    r = {(i, j) for i, j in r_edges}
-    partner = _partners(rprime_edges)
-    if any(c[0] == "A" and (c[1], p[1]) not in r for c, p in partner.items()):
-        raise GraphError("the super-regular pair list must be a subset of the regular one")
-
-    size_clause = Check(True)
-    for c in sizes:
-        if held[c] > sizes[c]:
-            size_clause = Check(False, f"class {c} holds {held[c]} vertices, budget {sizes[c]}")
-            break
+        held[side] = Counter(clusters)
+        stray = held[side].keys() - range(k)
+        if stray:
+            raise GraphError(
+                f"the {side.value}-side map sends vertices to cluster {min(stray)}, "
+                f"outside 0..{k - 1}"
+            )
 
     edge_clause = Check(True)
-    boundary: dict[ClassKey, set[VertexId]] = {c: set() for c in sizes}
-    ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
+    s_a = s_b = 0
     of_x, of_y = cluster_of[Side.A], cluster_of[Side.B]
     for x, y in H.edges():
-        pair = (of_x[x], of_y[y])
-        if pair not in r and edge_clause.ok:
-            edge_clause = Check(
-                False, f"edge ({x},{y}) lies over uncertified pair {pair}"
-            )
-        if partner.get(("A", pair[0])) != ("B", pair[1]):
-            boundary[("A", pair[0])].add(ids_a[x])
-            boundary[("B", pair[1])].add(ids_b[y])
+        i, j = of_x[x], of_y[y]
+        if i != j:
+            s_a |= 1 << x
+            s_b |= 1 << y
+            if edge_clause.ok and not _cycle_edge(i, j, k):
+                edge_clause = Check(False, f"edge ({x},{y}) lies over uncertified pair {(i, j)}")
+    reach_a = reach_b = 0
+    for y in iter_bits(s_b):
+        reach_a |= H.adj_b[y]
+    for x in iter_bits(s_a):
+        reach_b |= H.adj_a[x]
+    boundary = {Side.A: s_a, Side.B: s_b}
+    fringe = {Side.A: reach_a & ~s_a, Side.B: reach_b & ~s_b}
 
-    s_union: set[VertexId] = set().union(*boundary.values())
-    fringe: dict[ClassKey, set[VertexId]] = {c: set() for c in sizes}
-    for v in s_union:
-        for w in H.neighbours(v):
-            if w not in s_union:
-                fringe[(w.side.value, cluster_of[w.side][w.index])].add(w)
+    def excesses():
+        for side in Side:
+            of, size, other = cluster_of[side], held[side], held[side.opposite()]
+            in_s = Counter(map(of.__getitem__, iter_bits(boundary[side])))
+            in_t = Counter(map(of.__getitem__, iter_bits(fringe[side])))
+            for i in range(k):
+                c = (side.value, i)
+                if in_s[i] > eps * size[i]:
+                    yield f"boundary of {c} has {in_s[i]} > eps*{size[i]}"
+                budget = min(size[i], other[i])
+                if in_t[i] > eps * budget:
+                    yield f"fringe of {c} has {in_t[i]} > eps*min-component-size {budget}"
 
-    boundary_clause = Check(True)
-    for c in sizes:
-        p = partner.get(c)
-        budget = min(sizes[c], sizes[p]) if p in sizes else sizes[c]
-        if len(boundary[c]) > eps * sizes[c]:
-            boundary_clause = Check(
-                False, f"boundary of {c} has {len(boundary[c])} > eps*{sizes[c]}"
-            )
-            break
-        if len(fringe[c]) > eps * budget:
-            boundary_clause = Check(
-                False,
-                f"fringe of {c} has {len(fringe[c])} > eps*min-component-size {budget}",
-            )
-            break
-    return CompatibilityReport(
-        cluster_of,
-        partner,
-        {c: frozenset(boundary[c]) for c in sizes},
-        {c: frozenset(fringe[c]) for c in sizes},
-        size_clause,
-        edge_clause,
-        boundary_clause,
-    )
+    excess = next(excesses(), None)
+    boundary_clause = Check(excess is None, excess or "")
+    return CompatibilityReport(cluster_of, boundary, fringe, edge_clause, boundary_clause)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +277,10 @@ def embed_compatible(
     ``params.epsilon``; each class must hold exactly its cluster's size in
     ``g_partition``, and the report's clauses must hold.  Phase 1 embeds
     the boundary and fringe vertices greedily in the given order.  Phase 2
-    completes each matching pair: its X side is placed random-greedily on
-    typical host vertices, after which every remaining Y vertex has all
-    neighbours embedded and the pair is finished by a maximum matching on
-    the admissible-placement graph.  A vertex outside the boundary and
+    completes each matching pair (A_i, B_i): its X side is placed
+    random-greedily on typical host vertices, after which every remaining
+    Y vertex has all neighbours embedded and the pair is finished by a
+    maximum matching on the admissible-placement graph.  A vertex outside the boundary and
     fringe has all its neighbours in its partner class, and a pair writes
     only its own two clusters, so the pairs complete independently: each
     pair gets up to ``retries`` attempts of its own, attempt t of pair i on
@@ -337,27 +310,23 @@ def embed_compatible(
             )
     if not report.ok:
         raise EmbeddingError(f"partitions are not compatible: {report.detail}")
-    partner = report.partner
-    pairs = sorted((c, p) for c, p in partner.items() if c[0] == "A")
+    pairs = [(("A", i), ("B", i)) for i in range(k)]
 
     # local index t of cluster c is host vertex members[c][t]; rows[c][t]
     # is its adjacency to the partner cluster, in that cluster's indices
     members = {c: list(vs.indices()) for c, vs in clusters.items()}
     rows: dict[ClassKey, list[int]] = {}
-    for ca, cb in pairs:
-        rows[ca], rows[cb] = _pair_rows(G, members[ca], members[cb])
     # typical host vertices per class: at least (d - eps)|partner| neighbours
     # in the partner cluster, to keep the completion phase healthy
     typical: dict[ClassKey, int] = {}
-    for c, vs in clusters.items():
-        p = partner.get(c)
-        everyone = (1 << vs.size) - 1
-        if p is None:
-            typical[c] = everyone
-            continue
-        size = clusters[p].size
-        bound = (params.d - params.epsilon) * size
-        typical[c] = degree_at_least(rows[c], everyone, (1 << size) - 1, bound)
+    for ca, cb in pairs:
+        rows[ca], rows[cb] = _pair_rows(G, members[ca], members[cb])
+        for c, p in ((ca, cb), (cb, ca)):
+            size = clusters[p].size
+            bound = (params.d - params.epsilon) * size
+            typical[c] = degree_at_least(
+                rows[c], (1 << clusters[c].size) - 1, (1 << size) - 1, bound
+            )
 
     images: dict[VertexId, int] = {}  # local index in the class's cluster
     phases: dict[VertexId, str] = {}
@@ -367,7 +336,7 @@ def embed_compatible(
         """The adjacency of w's image to cluster c, in c's local indices;
         outside the matching pairs it is read from G when asked for."""
         cw = class_of[w]
-        if partner.get(cw) == c:
+        if cw[1] == c[1]:
             return rows[cw][images[w]]
         adj = G.adj_a if cw[0] == "A" else G.adj_b
         return _local_row(adj[members[cw][images[w]]], members[c], clusters[c].universe)
@@ -382,13 +351,12 @@ def embed_compatible(
     # phase 1: boundary and fringe vertices, in labelling order; the others
     # are kept, in that order, for their matching pair's completion
     getrandbits = random.Random(seed).getrandbits
-    early = set().union(*report.boundary.values(), *report.fringe.values())
-    rest: dict[ClassKey, list[VertexId]] = {c: [] for pair in pairs for c in pair}
+    early = {side: report.boundary[side] | report.fringe[side] for side in Side}
+    rest: dict[ClassKey, list[VertexId]] = {c: [] for c in clusters}
     for v in sorted(H.vertices()) if order is None else order:
         c = class_of[v]
-        if v not in early:
-            if c in rest:
-                rest[c].append(v)
+        if not early[v.side] >> v.index & 1:
+            rest[c].append(v)
             continue
         t = _choose(phase1_mask(v, c), typical[c], getrandbits)
         if t is None:
@@ -604,8 +572,6 @@ def embed_bipartite(
     group = -(-(2 * k + 1) * beta_n // (2 * min(targets)))
     ell = max(1, min(cfg.ell, k // group))
     firsts = [t * k // ell for t in range(ell + 1)]
-    rprime = [(i, i) for i in range(k)]
-    cycle = rprime + [(i, (i + 1) % k) for i in range(k)]
 
     last_failure = "no attempt"
     for attempt in range(cfg.pipeline_retries):
@@ -622,12 +588,7 @@ def embed_bipartite(
             last_failure = f"homomorphism: {e}"
             report.record("distribution", False, f"{where}: {last_failure}")
             continue
-        pre_a, pre_b = hom.preimage_a, hom.preimage_b
-        sizes = {(s, i): size for s, pre in (("A", pre_a), ("B", pre_b))
-                 for i, size in enumerate(pre)}
-        rep = compatibility_report(
-            H, hom.cluster_of_x, hom.cluster_of_y, sizes, cycle, rprime, schedule.epsilon
-        )
+        rep = compatibility_report(H, hom.cluster_of_x, hom.cluster_of_y, k, schedule.epsilon)
         if not rep.ok:
             last_failure = f"compatibility: {rep.detail}"
             report.record("distribution", False, f"{where}: {last_failure}")
@@ -643,7 +604,8 @@ def embed_bipartite(
         sub = _mix_seed(seed, attempt)
         try:
             resized = resize_host_partition(
-                state, G, pre_a, pre_b, budget=cfg.sample_budget, seed=sub
+                state, G, hom.preimage_a, hom.preimage_b,
+                budget=cfg.sample_budget, seed=sub,
             )
         except (PipelineStageError, RedistributionError) as e:
             report.record("host-phase-2", False, str(e))

@@ -86,7 +86,7 @@ from .graphs import (
 )
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 
-ENUMERATION_CAP_DEFAULT = 1 << 22
+ENUMERATION_CAP = 1 << 22
 SAMPLE_BUDGET_DEFAULT = 2000
 # most further members whose neighbourhoods widen a seeded draw's short pool
 _WIDEN_TRIES = 8
@@ -366,16 +366,15 @@ def check_regular_pair(
     strategy: Strategy = Strategy.SAMPLED,
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
 ) -> PairCertificate:
     """Certify or refute the subset-density condition for one pair.
 
     Sampled subsets have the minimal qualifying size (deviation witnesses
     concentrate there on planted instances).  Exhaustive mode refuses when
-    the subsets it would enumerate exceed the enumeration cap, and its
+    the subsets it would enumerate exceed ``ENUMERATION_CAP``, and its
     verdicts are unconditional.
     """
-    job = _job(U, W, params, strategy, budget, seed, enumeration_cap)
+    job = _job(U, W, params, strategy, budget, seed)
     cert = _claim(G, job) if _prefetched else None
     return cert if cert is not None else _check_pair(G, *job)
 
@@ -387,7 +386,6 @@ def _job(
     strategy: Strategy = Strategy.SAMPLED,
     budget: int = SAMPLE_BUDGET_DEFAULT,
     seed: int = 0,
-    enumeration_cap: int = ENUMERATION_CAP_DEFAULT,
 ) -> tuple:
     """``check_regular_pair``'s arguments after G, normalised: the pair
     (A side first) and the strategy.  A sampled check with no samples to
@@ -396,7 +394,7 @@ def _job(
     if strategy is Strategy.SAMPLED and budget < 1:
         raise ValueError(f"a sampled check needs a budget of at least 1, got {budget}")
     U, W = _normalise_pair(U, W)
-    return U, W, params, strategy, budget, seed, enumeration_cap
+    return U, W, params, strategy, budget, seed
 
 
 def _check_pair(
@@ -407,7 +405,6 @@ def _check_pair(
     strategy: Strategy,
     budget: int,
     seed: int,
-    enumeration_cap: int,
 ) -> PairCertificate:
     """The body of ``check_regular_pair``, on a normalised ``_job``."""
     if not U or not W:
@@ -449,9 +446,9 @@ def _check_pair(
 
     if strategy is Strategy.EXHAUSTIVE:
         count = min(math.comb(U.size, s_u), math.comb(W.size, s_w))
-        if count > enumeration_cap:
+        if count > ENUMERATION_CAP:
             raise EnumerationCapExceeded(
-                f"{count} minimal-size subsets to enumerate exceed cap {enumeration_cap}"
+                f"{count} minimal-size subsets to enumerate exceed cap {ENUMERATION_CAP}"
             )
         for e, u_mask, w_mask in _exhaustive_extremes(rows_u, rows_w, s_u, s_w):
             if not lo <= e <= hi:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -72,77 +73,80 @@ def maps_of(h, classes):
     return of[Side.A], of[Side.B]
 
 
+def as_mask(vertices, side):
+    return sum(1 << v.index for v in vertices if v.side is side)
+
+
 class TestCompatibilityReport:
     def test_all_edges_on_matching_pairs(self):
         h = matching_graph(8)
-        classes = classes_from_ranges(2, 4)
-        sizes = {c: 4 for c in classes}
-        rep = compatibility_report(
-            h, *maps_of(h, classes), sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
-        )
+        rep = compatibility_report(h, *maps_of(h, classes_from_ranges(2, 4)), 2, Fraction(1, 4))
         assert rep.ok
-        assert not any(rep.boundary.values())
-        assert not any(rep.fringe.values())
-
-    def test_oversized_class_fails_clause_one(self):
-        h = matching_graph(8)
-        classes = classes_from_ranges(2, 4)
-        sizes = {c: 4 for c in classes}
-        sizes[("A", 0)] = 3
-        rep = compatibility_report(
-            h, *maps_of(h, classes), sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
-        )
-        assert not rep.size_clause.ok
-        assert "(3" in rep.size_clause.detail or "budget 3" in rep.size_clause.detail
+        assert rep.boundary == rep.fringe == {Side.A: 0, Side.B: 0}
 
     def test_edge_over_missing_pair_fails_clause_two(self):
-        h = BipartiteGraph.build(8, 8, [(0, 7)])  # class (A,0) to (B,1)
-        classes = classes_from_ranges(2, 4)
-        sizes = {c: 4 for c in classes}
-        rep = compatibility_report(
-            h, *maps_of(h, classes), sizes, [(0, 0), (1, 1)], [(0, 0), (1, 1)], Fraction(1, 4)
-        )
-        assert not rep.edge_clause.ok
+        # at k = 3, (A_0, B_2) and (A_1, B_0) are not cycle pairs; (A_2, B_0)
+        # closes the cycle.  The first such edge in edge order is named.
+        h = BipartiteGraph.build(6, 6, [(5, 0), (0, 2), (0, 5), (2, 4), (3, 0)])
+        of = [0, 0, 1, 1, 2, 2]
+        rep = compatibility_report(h, of, of, 3, Fraction(1))
+        assert rep.boundary_clause.ok and not rep.ok
+        assert rep.detail == "edge (0,5) lies over uncertified pair (0, 2)"
+
+    @pytest.mark.parametrize("edges, of_x, of_y, epsilon, detail", [
+        # C_16 over two clusters: every class has one boundary vertex, and
+        # A_0, the first class walked, is named
+        (list(cycle_graph(8).edges()), [0] * 4 + [1] * 4, [0] * 4 + [1] * 4, Fraction(1, 5),
+         "boundary of ('A', 0) has 1 > eps*4"),
+        # x0 leaves its matching pair once but sees three B_0 vertices; the
+        # fringe bound takes the smaller class of the pair (A_0, B_0)
+        ([(0, 4), (0, 0), (0, 1), (0, 2)], [0] * 3 + [1] * 5, [0] * 4 + [1] * 4,
+         Fraction(1, 2), "fringe of ('B', 0) has 3 > eps*min-component-size 3"),
+    ])
+    def test_the_boundary_clause_names_the_first_class_over_its_bound(
+        self, edges, of_x, of_y, epsilon, detail
+    ):
+        rep = compatibility_report(BipartiteGraph.build(8, 8, edges), of_x, of_y, 2, epsilon)
+        assert rep.edge_clause.ok and not rep.ok
+        assert rep.detail == detail
 
     def test_boundary_sets_recomputable(self):
-        # a cycle's linking vertices leave the matching; recompute S_i, T_i
+        # a cycle's linking vertices leave the matching; recompute S and T
         h = cycle_graph(8)
         classes = classes_from_ranges(2, 4)
-        sizes = {c: 4 for c in classes}
-        r = [(0, 0), (1, 1), (0, 1), (1, 0)]
-        rep = compatibility_report(h, *maps_of(h, classes), sizes, r, [(0, 0), (1, 1)], Fraction(1))
+        rep = compatibility_report(h, *maps_of(h, classes), 2, Fraction(1))
         index_of = {v: c[1] for c, members in classes.items() for v in members}
         boundary = {v for v in index_of
                     if any(index_of[w] != index_of[v] for w in h.neighbours(v))}
-        for c, members in classes.items():
-            assert rep.boundary[c] == members & boundary
-            assert rep.fringe[c] == {
-                v for v in members - boundary if boundary & set(h.neighbours(v))
-            }
-        assert all(rep.boundary.values()) and all(rep.fringe.values())
+        fringe = {v for v in index_of if v not in boundary and boundary & set(h.neighbours(v))}
+        for side in Side:
+            assert rep.boundary[side] == as_mask(boundary, side)
+            assert rep.fringe[side] == as_mask(fringe, side)
+        assert all(members & boundary and members & fringe for members in classes.values())
 
     def test_a_map_of_the_wrong_length_is_rejected(self):
         h = matching_graph(8)
         of_x, of_y = maps_of(h, classes_from_ranges(2, 4))
-        sizes = {(s, i): 4 for s in "AB" for i in range(2)}
         with pytest.raises(GraphError, match="the B-side map has 9 entries"):
-            compatibility_report(h, of_x, of_y + [0], sizes, [(0, 0)], [(0, 0)], Fraction(1))
+            compatibility_report(h, of_x, of_y + [0], 2, Fraction(1))
 
-    def test_a_class_without_a_size_is_rejected(self):
+    @pytest.mark.parametrize("cluster", [2, -1])
+    def test_a_cluster_outside_the_cycle_is_rejected(self, cluster):
         h = matching_graph(8)
         of_x, of_y = maps_of(h, classes_from_ranges(2, 4))
-        of_x[5] = 2
-        sizes = {(s, i): 4 for s in "AB" for i in range(2)}
-        with pytest.raises(GraphError, match=r"class \('A', 2\) is mapped to but has no size"):
-            compatibility_report(h, of_x, of_y, sizes, [(0, 0)], [(0, 0)], Fraction(1))
+        of_y[5] = cluster
+        with pytest.raises(GraphError, match=rf"the B-side map sends vertices to cluster "
+                                             rf"{cluster}, outside 0\.\.1"):
+            compatibility_report(h, of_x, of_y, 2, Fraction(1))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_clauses_and_sets_follow_the_definition(self, data):
-        """On random maps of a target of maximum degree 3, the boundary, the
-        fringe and the edge clause are those of the definition."""
+        """On random maps of a target of maximum degree 3 onto a cycle of at
+        most four clusters, the boundary, the fringe and both clauses are
+        those of the definition."""
         n = data.draw(st.integers(1, 8), "n")
-        k = data.draw(st.integers(1, 3), "k")
+        k = data.draw(st.integers(1, 4), "k")
         edges, deg_a, deg_b = [], [0] * n, [0] * n
         drawn = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
         for a, b in dict.fromkeys(data.draw(drawn, "edges")):
@@ -153,26 +157,26 @@ class TestCompatibilityReport:
         h = BipartiteGraph.build(n, n, edges)
         of_x, of_y = (data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), side)
                       for side in "XY")
-        perm = data.draw(st.permutations(range(k)), "partners")
-        rprime = [(i, perm[i]) for i in range(k) if data.draw(st.booleans(), f"pair {i}")]
-        pairs = [(i, j) for i in range(k) for j in range(k)]
-        r = rprime + [p for p in pairs if p not in rprime and data.draw(st.booleans(), f"{p}")]
-        sizes = {(s, i): n for s in "AB" for i in range(k)}
-        rep = compatibility_report(h, of_x, of_y, sizes, r, rprime, Fraction(1))
+        eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2)]), "eps")
+        rep = compatibility_report(h, of_x, of_y, k, eps)
 
         class_of = {VertexId(Side.A, x): ("A", i) for x, i in enumerate(of_x)}
         class_of.update({VertexId(Side.B, y): ("B", j) for y, j in enumerate(of_y)})
-        partner = {("A", i): ("B", j) for i, j in rprime}
-        partner.update({b: a for a, b in partner.items()})
         boundary = {v for v in class_of
-                    if any(class_of[w] != partner.get(class_of[v]) for w in h.neighbours(v))}
+                    if any(class_of[w][1] != class_of[v][1] for w in h.neighbours(v))}
         fringe = {v for v in class_of
                   if v not in boundary and boundary & set(h.neighbours(v))}
-        for c in sizes:
-            assert rep.boundary[c] == {v for v in boundary if class_of[v] == c}
-            assert rep.fringe[c] == {v for v in fringe if class_of[v] == c}
-        assert rep.edge_clause.ok == all((of_x[x], of_y[y]) in r for x, y in edges)
-        assert rep.partner == partner
+        for side in Side:
+            assert rep.boundary[side] == as_mask(boundary, side)
+            assert rep.fringe[side] == as_mask(fringe, side)
+        assert rep.edge_clause.ok == all((of_y[y] - of_x[x]) % k in (0, 1) for x, y in edges)
+        size = Counter(class_of.values())
+        assert rep.boundary_clause.ok == all(
+            sum(class_of[v] == c for v in boundary) <= eps * size[c]
+            and sum(class_of[v] == c for v in fringe)
+            <= eps * min(size[c], size[("B" if c[0] == "A" else "A", c[1])])
+            for c in size
+        )
 
 
 class TestVerifyEmbedding:
@@ -222,12 +226,10 @@ class TestVerifyEmbedding:
         assert not res and "not a target vertex" in res.detail
 
 
-def embed_along(g, h, part, classes, r, rprime, params, **kwargs):
-    """embed_compatible with the compatibility report at the partition's
-    cluster sizes, as the pipeline hands it over."""
-    sizes = {("A", i): c.size for i, c in enumerate(part.clusters_a)}
-    sizes.update({("B", i): c.size for i, c in enumerate(part.clusters_b)})
-    rep = compatibility_report(h, *maps_of(h, classes), sizes, r, rprime, params.epsilon)
+def embed_along(g, h, part, classes, params, **kwargs):
+    """embed_compatible with the compatibility report along the
+    partition's cluster cycle, as the pipeline hands it over."""
+    rep = compatibility_report(h, *maps_of(h, classes), part.k, params.epsilon)
     return embed_compatible(g, h, part, rep, params, **kwargs)
 
 
@@ -238,7 +240,6 @@ class TestEmbedCompatible:
         h = matching_graph(k * m)
         emb = embed_along(
             g, h, planted_partition(g, k, m), classes_from_ranges(k, m),
-            [(0, 0), (1, 1)], [(0, 0), (1, 1)],
             RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
         )
         assert verify_embedding(g, h, emb)
@@ -253,7 +254,6 @@ class TestEmbedCompatible:
         with pytest.raises(EmbeddingError):
             embed_along(
                 g, h, planted_partition(g, k, m), classes,
-                [(0, 0), (1, 1)], [(0, 0), (1, 1)],
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
             )
 
@@ -281,9 +281,8 @@ class TestEmbedCompatible:
             for i in range(2)
         )
         part = ClusterPartition(ca, cb, VertexSet(Side.A, n, 0), VertexSet(Side.B, n, 0))
-        r = [(0, 0), (1, 1), (0, 1), (1, 0)]
         emb = embed_along(
-            g, h, part, classes, r, [(0, 0), (1, 1)],
+            g, h, part, classes,
             RegularityParams(Fraction(1, 2), Fraction(1, 4)), seed=1,
             order=lab.order, retries=20,
         )
@@ -299,7 +298,6 @@ class TestEmbedCompatible:
         for seed in range(30):
             emb = embed_along(
                 g, h, planted_partition(g, k, m), classes_from_ranges(k, m),
-                [(0, 0), (1, 1)], [(0, 0), (1, 1)],
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=seed,
             )
             if verify_embedding(g, h, emb):
@@ -316,7 +314,7 @@ class TestEmbedCompatible:
         part = ClusterPartition.from_masks(g, [0b111], [0b111])
         with pytest.raises(EmbeddingError) as exc:
             embed_along(
-                g, h, part, classes_from_ranges(1, 3), [(0, 0)], [(0, 0)],
+                g, h, part, classes_from_ranges(1, 3),
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
             )
         e = exc.value
@@ -330,7 +328,7 @@ class TestEmbedCompatible:
         with pytest.raises(EmbeddingError) as exc:
             embed_along(
                 g, matching_graph(3), ClusterPartition.from_masks(g, [0b111], [0b111]),
-                classes_from_ranges(1, 3), [(0, 0)], [(0, 0)],
+                classes_from_ranges(1, 3),
                 RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0, retries=3,
             )
         kept = exc.value.__cause__
@@ -368,7 +366,6 @@ class TestEmbedCompatible:
         h = matching_graph(k * m)
         emb = embed_along(
             g, h, planted_partition(g, k, m), classes_from_ranges(k, m),
-            [(i, i) for i in range(k)], [(i, i) for i in range(k)],
             RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=5, retries=4,
         )
         assert verify_embedding(g, h, emb)
@@ -396,18 +393,10 @@ class TestEmbedCompatible:
         classes[("A", 1)], classes[("B", 1)] = set(), set()
         part = ClusterPartition.from_masks(g, [0b1111, 0], [0b1111, 0])
         emb = embed_along(
-            g, h, part, classes, [(0, 0), (1, 1)], [(0, 0), (1, 1)],
+            g, h, part, classes,
             RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
         )
         assert verify_embedding(g, h, emb)
-
-    def test_non_matching_super_regular_pairs_rejected(self):
-        h = matching_graph(8)
-        classes = classes_from_ranges(2, 4)
-        sizes = {c: 4 for c in classes}
-        r = [(0, 0), (1, 1), (0, 1)]
-        with pytest.raises(GraphError, match="not a matching"):
-            compatibility_report(h, *maps_of(h, classes), sizes, r, [(0, 0), (0, 1)], Fraction(1, 4))
 
 
 def test_neighbouring_seeds_share_no_completion_stream():

@@ -830,15 +830,7 @@ class TestCycleFirst:
             searches.append(set(args[0].edges()))
             return real_search(*args, **kwargs)
 
-        seen = []
-        real_report = embedder.compatibility_report
-
-        def report(H, cluster_of_x, cluster_of_y, sizes, r_edges, *rest):
-            seen.append(list(r_edges))
-            return real_report(H, cluster_of_x, cluster_of_y, sizes, r_edges, *rest)
-
         monkeypatch.setattr(partitioner, "find_hamilton_cycle", search)
-        monkeypatch.setattr(embedder, "compatibility_report", report)
         # the same schedule, budget and seed as prepare_host_partition above
         res = embed_bipartite(g, cycle_graph(n), Fraction(3, 10), 2,
                               EmbedConfig(k0=4, ell=16, sample_budget=400), seed=1,
@@ -853,13 +845,9 @@ class TestCycleFirst:
         assert len(state.build.reduced.edges) == 2 * state.k
         assert state.deviation_certificates[target][0].verdict is Verdict.IRREGULAR
         # nothing moves on this host, so the relabelled clusters are the
-        # round-0 clusters, and no pair compatibility reads is the refuted one
-        assert seen and all(len(r_edges) == 2 * state.k for r_edges in seen)
-        for r_edges in seen:
-            assert target not in {
-                (state.partition.clusters_a[a].bits, state.partition.clusters_b[b].bits)
-                for a, b in r_edges
-            }
+        # round-0 clusters, and the refuted pair is none of the cycle pairs
+        # (A_i, B_i) and (A_i, B_{i+1}) the embedding runs along
+        assert target not in cycle_pairs(state.partition)
 
     def test_a_second_search_takes_the_first_searchs_verdicts(self, monkeypatch):
         g, sched = self.dense_host()

@@ -87,12 +87,12 @@ class TestCheckRegularPair:
         assert wit.deviation > Fraction(1, 4)
 
     def test_cap_refusal(self):
-        g = random_bipartite(26, 0.5, random.Random(0))
+        # C(40, 10) = 847,660,528 minimal-size subsets per side exceed the cap
+        g = random_bipartite(40, 0.5, random.Random(0))
         U, W = full_sides(g)
-        with pytest.raises(EnumerationCapExceeded):
+        with pytest.raises(EnumerationCapExceeded, match="847660528 minimal-size subsets"):
             check_regular_pair(
-                g, U, W, RegularityParams(Fraction(1, 4), Fraction(0)),
-                Strategy.EXHAUSTIVE, enumeration_cap=1000,
+                g, U, W, RegularityParams(Fraction(1, 4), Fraction(0)), Strategy.EXHAUSTIVE
             )
 
     def test_exhaustive_decides_12x12_under_default_cap(self):
@@ -713,8 +713,7 @@ class TestMaximalReducedGraph:
         sub_u = VertexSet.from_indices(Side.A, 256, range(10))
         sub_w = VertexSet.from_indices(Side.B, 256, range(10))
         loose = RegularityParams(Fraction(1, 2), Fraction(0))
-        exact = check_regular_pair(g, sub_u, sub_w, loose, Strategy.EXHAUSTIVE,
-                                   enumeration_cap=1 << 26)
+        exact = check_regular_pair(g, sub_u, sub_w, loose, Strategy.EXHAUSTIVE)
         sampled = check_regular_pair(g, sub_u, sub_w, loose, Strategy.SAMPLED,
                                      budget=3000, seed=9)
         if sampled.verdict is Verdict.IRREGULAR:
