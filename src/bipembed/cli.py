@@ -2,6 +2,12 @@
 
 Exit codes: 0 on success, 1 when a verification or search fails, 2 on
 usage errors (including malformed input files).
+
+Each command imports the pipeline modules it calls when it runs, so a
+command loads only what it uses: ``verify --embedding`` loads ``fileio`` and
+``graphs`` and nothing of the pipeline it checks, and ``gen-host`` and
+``gen-target`` load no regularity, partitioning, Hamilton or embedding
+module.
 """
 
 from __future__ import annotations
@@ -11,31 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .embedder import (
-    EmbedConfig,
-    EmbeddingPipelineError,
-    embed_bipartite,
-    verify_embedding,
-)
-from .generators import InstanceSpec, gen_host, gen_target
-from .graphs import Check, GraphError, Side, VertexSet
-from .hamilton import HamiltonSearchError, find_hamilton_cycle, verify_cycle
-from .homomorphism import (
-    BalanceError,
-    balance_assignment,
-    build_cycle_homomorphism,
-    partition_pieces,
-    verify_cycle_homomorphism,
-)
-from .regularity import (
-    PartitionBuildError,
-    RegularityParams,
-    Strategy,
-    Verdict,
-    build_regular_partition,
-    check_regular_pair,
-    check_super_regular_pair,
-)
+from .graphs import Check, GraphError, Side, VertexSet, verify_embedding
 
 
 def _rat(text: str) -> Fraction:
@@ -111,6 +93,8 @@ def _write_or_print(out, data):
 
 
 def cmd_gen_host(args) -> int:
+    from .generators import InstanceSpec, gen_host
+
     if args.kind == "random":
         spec = InstanceSpec(
             "host-random-min-degree", args.n, args.seed,
@@ -141,6 +125,8 @@ def _target_params(args) -> dict:
 
 
 def cmd_gen_target(args) -> int:
+    from .generators import InstanceSpec, gen_target
+
     spec = InstanceSpec(f"target-{args.family}", args.n, args.seed, _target_params(args))
     g, lab = gen_target(spec)
     fileio.write_graph(args.out, g)
@@ -152,6 +138,16 @@ def cmd_gen_target(args) -> int:
 
 
 def cmd_regularity(args) -> int:
+    from .regularity import (
+        PartitionBuildError,
+        RegularityParams,
+        Strategy,
+        Verdict,
+        build_regular_partition,
+        check_regular_pair,
+        check_super_regular_pair,
+    )
+
     g = fileio.read_graph(args.host)
     params = RegularityParams(args.epsilon, args.d)
     strategy = Strategy(args.strategy)
@@ -188,6 +184,8 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_hamilton(args) -> int:
+    from .hamilton import HamiltonSearchError, find_hamilton_cycle
+
     g = fileio.read_graph(args.host)
     try:
         cyc = find_hamilton_cycle(g, args.search, args.seed, args.restarts)
@@ -202,6 +200,8 @@ def cmd_hamilton(args) -> int:
 
 
 def cmd_balance(args) -> int:
+    from .homomorphism import BalanceError, balance_assignment
+
     targets = _sizes(args.ni)
     xs, ys = _read_pieces(args.pieces)
     try:
@@ -229,6 +229,14 @@ def cmd_balance(args) -> int:
 
 
 def cmd_homomorphism(args) -> int:
+    from .homomorphism import (
+        BalanceError,
+        balance_assignment,
+        build_cycle_homomorphism,
+        partition_pieces,
+        verify_cycle_homomorphism,
+    )
+
     h = fileio.read_graph(args.target)
     lab = fileio.read_labelling(args.labelling, h)
     targets = _sizes(args.ni)
@@ -257,8 +265,10 @@ def cmd_homomorphism(args) -> int:
     return 0 if rep.homomorphism.ok else 1
 
 
-def _embed_config(args) -> EmbedConfig:
+def _embed_config(args):
     """The pipeline configuration of ``embed`` and ``experiment``."""
+    from .embedder import EmbedConfig
+
     return EmbedConfig(
         mode=args.mode, epsilon=args.epsilon, d=args.d, k0=args.k0, ell=args.ell,
         sample_budget=args.budget, pipeline_retries=args.retries,
@@ -266,6 +276,8 @@ def _embed_config(args) -> EmbedConfig:
 
 
 def cmd_embed(args) -> int:
+    from .embedder import EmbeddingPipelineError, embed_bipartite
+
     g = fileio.read_graph(args.host)
     h = fileio.read_graph(args.target)
     lab = fileio.read_labelling(args.labelling, h) if args.labelling else None
@@ -305,10 +317,14 @@ def cmd_verify(args) -> int:
         emb = fileio.embedding_from_json(fileio.read_json(args.embedding))
         check = verify_embedding(g, h, emb)
     elif args.cycle:
+        from .hamilton import verify_cycle
+
         g = fileio.read_graph(args.host)
         cyc = fileio.cycle_from_json(fileio.read_json(args.cycle))
         check = verify_cycle(g, cyc)
     elif args.homomorphism:
+        from .homomorphism import verify_cycle_homomorphism
+
         h = fileio.read_graph(args.target)
         hom = fileio.homomorphism_from_json(fileio.read_json(args.homomorphism))
         targets = _sizes(args.ni)
@@ -337,6 +353,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .embedder import EmbeddingPipelineError, embed_bipartite
+    from .generators import InstanceSpec, gen_host, gen_target
+
     cfg = _embed_config(args)
     successes = 0
     per_seed = []

@@ -10,8 +10,11 @@ bandwidth order, each placed on an unused typical host vertex compatible
 with its already-embedded neighbours; each matching pair is then completed
 by random-greedy placement of its X side and a maximum-matching finish on
 the candidate graph of its Y side, independently of the other pairs, so a
-pair that fails is retried alone.  Every embedding is verified before it
-is returned; no unverified output ever escapes.  The pipeline distributes
+pair that fails is retried alone.  Placement keeps its state in per-side
+lists indexed by target vertex and reads neighbours from H's bit rows; the
+``VertexId`` maps of the ``Embedding`` are built once, at the end.  Every
+embedding is verified by ``graphs.verify_embedding`` before it is returned;
+no unverified output ever escapes.  The pipeline distributes
 the target deterministically, in runs along the cluster cycle sized to the
 phase-1 targets, so phase 2 only touches the cluster sizes up; it accepts a
 distribution only when both clauses hold at the schedule's epsilon.
@@ -27,7 +30,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .graphs import (
-    BipartiteGraph, Check, GraphError, Side, VertexId, VertexSet, id_table, iter_bits,
+    BipartiteGraph,
+    Check,
+    Embedding,
+    GraphError,
+    Side,
+    VertexId,
+    id_table,
+    iter_bits,
+    verify_embedding,
 )
 from .homomorphism import (
     BandwidthLabelling,
@@ -58,8 +69,6 @@ from .regularity import (
     _shuffle,
     degree_at_least,
 )
-
-ClassKey = tuple[str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -163,40 +172,6 @@ def compatibility_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
-    mapping: dict[VertexId, VertexId]
-    phases: dict[VertexId, str] = field(compare=False, default_factory=dict)
-
-
-def verify_embedding(G: BipartiteGraph, H: BipartiteGraph, emb: Embedding) -> Check:
-    """Exhaustive check: total, injective, side-respecting, edge-preserving."""
-    mapping = emb.mapping
-    for v in H.vertices():
-        if v not in mapping:
-            return Check(False, f"{v} is not mapped")
-    used: set[VertexId] = set()
-    for hv, gv in mapping.items():
-        if not 0 <= hv.index < H.side_size(hv.side):
-            return Check(False, f"{hv} is not a target vertex")
-        if hv.side is not gv.side:
-            return Check(False, f"{hv} mapped across sides to {gv}")
-        if not 0 <= gv.index < G.side_size(gv.side):
-            return Check(False, f"{hv} mapped outside the host to {gv}")
-        if gv in used:
-            return Check(False, f"two vertices share the image {gv}")
-        used.add(gv)
-    ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
-    for x, y in H.edges():
-        ga = mapping[ids_a[x]]
-        gb = mapping[ids_b[y]]
-        if not G.has_edge(ga.index, gb.index):
-            return Check(
-                False, f"edge ({x},{y}) maps to non-edge ({ga.index},{gb.index})"
-            )
-    return Check(True)
-
-
 class EmbeddingError(RuntimeError):
     def __init__(self, message: str, stuck=None, hall_violator=None):
         super().__init__(message)
@@ -290,144 +265,175 @@ def embed_compatible(
     pair's adjacency is read once, both ways.  Phase-1 exhaustion and a
     pair that fails all its attempts raise :class:`EmbeddingError` with the
     stuck vertex or a witness set violating the matching condition; the
-    whole result is verified once before it is returned.
+    whole result is verified once before it is returned.  Its ``mapping``
+    and ``phases`` are in placement order: phase 1's vertices, then pair by
+    pair the X side and the Y side.
     """
     k = g_partition.k
-    clusters: dict[ClassKey, VertexSet] = {}
-    for i in range(k):
-        clusters[("A", i)] = g_partition.clusters_a[i]
-        clusters[("B", i)] = g_partition.clusters_b[i]
-    cluster_of = report.cluster_of
-    class_of = {v: (v.side.value, cluster_of[v.side][v.index]) for v in H.vertices()}
-    nbrs = {v: H.neighbours(v) for v in H.vertices()}
-    held = Counter(class_of.values())
-    for c in sorted(clusters.keys() | held.keys()):
-        size = clusters[c].size if c in clusters else 0
-        if held[c] != size:
-            raise EmbeddingError(
-                f"class {c} has {held[c]} vertices but its cluster holds "
-                f"{size}; spanning embedding needs exact sizes"
-            )
+    # per side (0 = A, 1 = B): each target vertex's cluster, and each
+    # cluster's host vertex set
+    of = (report.cluster_of[Side.A], report.cluster_of[Side.B])
+    groups = (g_partition.clusters_a, g_partition.clusters_b)
+    for side, mine, clusters in zip(Side, of, groups):
+        held = Counter(mine)
+        for i in sorted(held.keys() | range(k)):
+            size = clusters[i].size if 0 <= i < k else 0
+            if held[i] != size:
+                raise EmbeddingError(
+                    f"class {(side.value, i)} has {held[i]} vertices but its cluster holds "
+                    f"{size}; spanning embedding needs exact sizes"
+                )
     if not report.ok:
         raise EmbeddingError(f"partitions are not compatible: {report.detail}")
-    pairs = [(("A", i), ("B", i)) for i in range(k)]
+    ids = (id_table(Side.A, H.size_a), id_table(Side.B, H.size_b))
 
-    # local index t of cluster c is host vertex members[c][t]; rows[c][t]
-    # is its adjacency to the partner cluster, in that cluster's indices
-    members = {c: list(vs.indices()) for c, vs in clusters.items()}
-    rows: dict[ClassKey, list[int]] = {}
-    # typical host vertices per class: at least (d - eps)|partner| neighbours
-    # in the partner cluster, to keep the completion phase healthy
-    typical: dict[ClassKey, int] = {}
-    for ca, cb in pairs:
-        rows[ca], rows[cb] = _pair_rows(G, members[ca], members[cb])
-        for c, p in ((ca, cb), (cb, ca)):
-            size = clusters[p].size
+    # local index t of cluster i on side s is host vertex members[s][i][t];
+    # rows[s][i][t] is its adjacency to the partner cluster, in that
+    # cluster's indices
+    members = tuple([list(vs.indices()) for vs in clusters] for clusters in groups)
+    rows: tuple[list, list] = ([None] * k, [None] * k)
+    # typical host vertices per cluster: at least (d - eps)|partner|
+    # neighbours in the partner cluster, to keep the completion phase healthy
+    typical = ([0] * k, [0] * k)
+    for i in range(k):
+        rows[0][i], rows[1][i] = _pair_rows(G, members[0][i], members[1][i])
+        for s in (0, 1):
+            size = groups[1 - s][i].size
             bound = (params.d - params.epsilon) * size
-            typical[c] = degree_at_least(
-                rows[c], (1 << clusters[c].size) - 1, (1 << size) - 1, bound
+            typical[s][i] = degree_at_least(
+                rows[s][i], (1 << groups[s][i].size) - 1, (1 << size) - 1, bound
             )
 
-    images: dict[VertexId, int] = {}  # local index in the class's cluster
-    phases: dict[VertexId, str] = {}
-    free = {c: (1 << vs.size) - 1 for c, vs in clusters.items()}
+    # per side and target vertex: its image's local index, -1 until placed
+    image = ([-1] * H.size_a, [-1] * H.size_b)
+    free = tuple([(1 << vs.size) - 1 for vs in clusters] for clusters in groups)
+    h_adj, g_adj = (H.adj_a, H.adj_b), (G.adj_a, G.adj_b)
 
-    def image_row(w: VertexId, c: ClassKey) -> int:
-        """The adjacency of w's image to cluster c, in c's local indices;
-        outside the matching pairs it is read from G when asked for."""
-        cw = class_of[w]
-        if cw[1] == c[1]:
-            return rows[cw][images[w]]
-        adj = G.adj_a if cw[0] == "A" else G.adj_b
-        return _local_row(adj[members[cw][images[w]]], members[c], clusters[c].universe)
-
-    def phase1_mask(v: VertexId, c: ClassKey) -> int:
-        mask = free[c]
-        for w in nbrs[v]:
-            if w in images:
-                mask &= image_row(w, c)
+    def phase1_mask(s: int, v: int, i: int) -> int:
+        """The free local indices of cluster i on side s adjacent to the
+        images of v's placed neighbours; an image outside the matching pair
+        has its adjacency read from G when asked for."""
+        mask = free[s][i]
+        o = 1 - s
+        placed, of_o = image[o], of[o]
+        for w in iter_bits(h_adj[s][v]):
+            t = placed[w]
+            if t < 0:
+                continue
+            j = of_o[w]
+            if j == i:
+                mask &= rows[o][i][t]
+            else:
+                row = g_adj[o][members[o][j][t]]
+                mask &= _local_row(row, members[s][i], groups[s][i].universe)
         return mask
 
     # phase 1: boundary and fringe vertices, in labelling order; the others
     # are kept, in that order, for their matching pair's completion
     getrandbits = random.Random(seed).getrandbits
-    early = {side: report.boundary[side] | report.fringe[side] for side in Side}
-    rest: dict[ClassKey, list[VertexId]] = {c: [] for c in clusters}
-    for v in sorted(H.vertices()) if order is None else order:
-        c = class_of[v]
-        if not early[v.side] >> v.index & 1:
-            rest[c].append(v)
+    early = tuple(report.boundary[side] | report.fringe[side] for side in Side)
+    rest = ([[] for _ in range(k)], [[] for _ in range(k)])
+    first: list[VertexId] = []
+    for v in H.vertices() if order is None else order:
+        s, x = v.side is Side.B, v.index
+        i = of[s][x]
+        if not early[s] >> x & 1:
+            rest[s][i].append(x)
             continue
-        t = _choose(phase1_mask(v, c), typical[c], getrandbits)
+        t = _choose(phase1_mask(s, x, i), typical[s][i], getrandbits)
         if t is None:
-            raise EmbeddingError(f"phase 1 exhausted candidates for {v} in class {c}", stuck=v)
-        images[v] = t
-        free[c] &= ~(1 << t)
-        phases[v] = "boundary-greedy"
+            raise EmbeddingError(
+                f"phase 1 exhausted candidates for {v} in class {(v.side.value, i)}", stuck=v
+            )
+        image[s][x] = t
+        free[s][i] &= ~(1 << t)
+        first.append(v)
 
     # phase 2: the candidates phase 1 leaves each pair's rest, which only the
     # pair's own placements narrow: their neighbours lie in the partner class
-    bases = {v: phase1_mask(v, c) for c, vs in rest.items() for v in vs}
+    bases = ([0] * H.size_a, [0] * H.size_b)
+    for s in (0, 1):
+        for i, vs in enumerate(rest[s]):
+            for v in vs:
+                bases[s][v] = phase1_mask(s, v, i)
+    # an attempt's X images; a Y vertex's neighbours are phase 1's (never
+    # written here) or its partner class's rest (written by the attempt)
+    new_x = [-1] * H.size_a
 
-    def complete(ca: ClassKey, cb: ClassKey, getrandbits) -> dict[VertexId, int]:
-        """Place the rest of X class ca greedily, then match Y class cb;
-        returns the new images."""
-        new: dict[VertexId, int] = {}
-        free_a = free[ca]
-        for x in rest[ca]:
-            t = _choose(free_a & bases[x], typical[ca], getrandbits)
+    def complete(i: int, getrandbits) -> list[int]:
+        """Place the rest of X class i greedily into ``new_x``, then match
+        Y class i; returns the Y side's images."""
+        free_a, typical_a, base_a = free[0][i], typical[0][i], bases[0]
+        for x in rest[0][i]:
+            t = _choose(free_a & base_a[x], typical_a, getrandbits)
             if t is None:
-                raise EmbeddingError(f"completion stuck on {x} in {ca}", stuck=x)
-            new[x] = t
+                raise EmbeddingError(
+                    f"completion stuck on {ids[0][x]} in {('A', i)}", stuck=ids[0][x]
+                )
+            new_x[x] = t
             free_a &= ~(1 << t)
-        row_a = rows[ca]
+        row_a, adj_b, base_b = rows[0][i], H.adj_b, bases[1]
         cands: list[list[int]] = []
-        for y in rest[cb]:
-            mask = bases[y]
-            for w in nbrs[y]:
-                t = new.get(w)
-                if t is not None:
+        for y in rest[1][i]:
+            mask = base_b[y]
+            for w in iter_bits(adj_b[y]):
+                t = new_x[w]
+                if t >= 0:
                     mask &= row_a[t]
             opts = list(iter_bits(mask))
             _shuffle(getrandbits, opts)
             cands.append(opts)
-        match, deficient = _max_matching(cands, clusters[cb].size)
+        match, deficient = _max_matching(cands, groups[1][i].size)
         if deficient:
             reached, saw = deficient
-            ys = rest[cb]
+            ys = rest[1][i]
             raise EmbeddingError(
-                f"matching completion deficient in {cb}: {len(reached)} vertices share "
-                f"{len(saw)} candidates",
-                stuck=ys[match.index(-1)],
-                hall_violator=sorted(ys[t] for t in reached),
+                f"matching completion deficient in {('B', i)}: {len(reached)} vertices "
+                f"share {len(saw)} candidates",
+                stuck=ids[1][ys[match.index(-1)]],
+                hall_violator=[ids[1][y] for y in sorted(ys[t] for t in reached)],
             )
-        new.update(zip(rest[cb], match))
-        return new
+        return match
 
-    for ca, cb in pairs:
+    for i in range(k):
         last_error: Optional[EmbeddingError] = None
         for attempt in range(retries):
             try:
-                new = complete(ca, cb, random.Random(_mix_seed(seed, ca[1], attempt)).getrandbits)
+                match = complete(i, random.Random(_mix_seed(seed, i, attempt)).getrandbits)
             except EmbeddingError as e:
                 # without its traceback, the error does not pin the attempt's frames
                 last_error = e.with_traceback(None)
                 continue
-            images.update(new)
-            for v in new:
-                phases[v] = "completion-greedy" if v.side is Side.A else "completion-matching"
+            for x in rest[0][i]:
+                image[0][x] = new_x[x]
+            for y, t in zip(rest[1][i], match):
+                image[1][y] = t
             break
         else:
             raise EmbeddingError(
-                f"no completion of pair {ca}-{cb} within {retries} attempts: {last_error}",
+                f"no completion of pair {('A', i)}-{('B', i)} within {retries} attempts: "
+                f"{last_error}",
                 stuck=getattr(last_error, "stuck", None),
                 hall_violator=getattr(last_error, "hall_violator", None),
             ) from last_error
 
-    host_ids = {side: id_table(side, G.side_size(side)) for side in Side}
-    emb = Embedding(
-        {v: host_ids[v.side][members[class_of[v]][t]] for v, t in images.items()}, phases
-    )
+    # the VertexId maps, in placement order: phase 1, then each pair's X
+    # side and Y side
+    host = (id_table(Side.A, G.size_a), id_table(Side.B, G.size_b))
+    mapping: dict[VertexId, VertexId] = {}
+    phases: dict[VertexId, str] = {}
+
+    def record(vs, phase: str) -> None:
+        for v in vs:
+            s, x = v.side is Side.B, v.index
+            mapping[v] = host[s][members[s][of[s][x]][image[s][x]]]
+            phases[v] = phase
+
+    record(first, "boundary-greedy")
+    for i in range(k):
+        record(map(ids[0].__getitem__, rest[0][i]), "completion-greedy")
+        record(map(ids[1].__getitem__, rest[1][i]), "completion-matching")
+    emb = Embedding(mapping, phases)
     check = verify_embedding(G, H, emb)
     if not check:
         raise EmbeddingError(f"verification failed: {check.detail}")

@@ -15,6 +15,12 @@ vertex id per line, a permutation of 0..2n-1, where even ids are A-side
 JSON artifacts carry a ``kind`` tag and print rationals exactly as
 "p/q" strings.  Writers sort everything they emit, so identical inputs
 produce byte-identical files.
+
+Of the package, importing this module loads only ``graphs``: the three
+readers that build a labelling, a Hamilton cycle or a cycle homomorphism
+import ``homomorphism`` or ``hamilton`` when they run, so reading and
+writing graphs and embeddings (all that ``bipembed verify --embedding``
+does here) loads neither.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ import json
 import os
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .graphs import BipartiteGraph, Side, VertexId, bit_flags, vertex_id
-from .hamilton import HamiltonCycle
-from .homomorphism import BandwidthLabelling, CycleHomomorphism, bandwidth_labelling
-from .embedder import Embedding
+from .graphs import BipartiteGraph, Embedding, Side, VertexId, bit_flags, vertex_id
+
+if TYPE_CHECKING:
+    from .hamilton import HamiltonCycle
+    from .homomorphism import BandwidthLabelling, CycleHomomorphism
 
 
 # the most vertices a side of a .bg file may declare
@@ -201,6 +208,8 @@ def write_labelling(path: str, lab: BandwidthLabelling) -> None:
 
 
 def read_labelling(path: str, H: BipartiteGraph) -> BandwidthLabelling:
+    from .homomorphism import bandwidth_labelling
+
     ids: list[int] = []
     for no, line in significant_lines(path):
         try:
@@ -281,6 +290,8 @@ def cycle_to_json(cycle: HamiltonCycle) -> dict:
 
 
 def cycle_from_json(data: dict) -> HamiltonCycle:
+    from .hamilton import HamiltonCycle
+
     (order,) = _fields(data, "hamilton-cycle", order=_ints)
     return HamiltonCycle(tuple(map(from_global_id, order)))
 
@@ -301,6 +312,8 @@ def homomorphism_to_json(hom: CycleHomomorphism) -> dict:
 
 
 def homomorphism_from_json(data: dict) -> CycleHomomorphism:
+    from .homomorphism import CycleHomomorphism
+
     k, beta_n, phi, cx, cy, linking = _fields(
         data, "cycle-homomorphism", k=lambda k: _int(k) and k > 0, beta_n=_int, phi=_ints,
         cluster_of_x=_ints, cluster_of_y=_ints, linking=_ints,

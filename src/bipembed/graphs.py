@@ -6,11 +6,16 @@ bitmask per vertex), ``VertexSet`` (a side plus a bitmask) and ``VertexId``
 (side, index), of which every vertex has one shared instance (``id_table``).
 All densities are computed in exact rational arithmetic so
 that threshold comparisons never depend on floating-point ties.
+
+An ``Embedding`` of a target into a host, and ``verify_embedding``, its
+edge-by-edge check, live here too: the check needs nothing but the two
+graphs, so ``bipembed verify --embedding`` loads this module and ``fileio``
+and none of the pipeline whose output it checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -334,3 +339,60 @@ def degree_into(G: BipartiteGraph, v: VertexId, W: VertexSet) -> int:
     if W.universe != G.side_size(W.side):
         raise GraphError("vertex set universe does not match graph")
     return (G.adjacency_mask(v) & W.bits).bit_count()
+
+
+# ---------------------------------------------------------------------------
+# embeddings
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Embedding:
+    mapping: dict[VertexId, VertexId]
+    phases: dict[VertexId, str] = field(compare=False, default_factory=dict)
+
+
+def verify_embedding(G: BipartiteGraph, H: BipartiteGraph, emb: Embedding) -> Check:
+    """Exhaustive check: total, injective, side-respecting, edge-preserving.
+
+    The mapping is read once, in its own order, into one host index per
+    target vertex and side; the edges are then checked on those ints.  The
+    first fault is named: an unmapped vertex (A side, then B side, by
+    index), else the first entry that is not a target vertex, crosses sides,
+    leaves the host or repeats an image, else the first H-edge in edge
+    order whose image is no G-edge.
+    """
+    images = ([None] * H.size_a, [None] * H.size_b)
+    used = (bytearray(G.size_a), bytearray(G.size_b))
+    fault = None
+    for hv, gv in emb.mapping.items():
+        s = hv.side is Side.B
+        mine, i = images[s], hv.index
+        if not 0 <= i < len(mine):
+            fault = fault or f"{hv} is not a target vertex"
+            continue
+        g = mine[i] = gv.index
+        if fault:
+            continue
+        if hv.side is not gv.side:
+            fault = f"{hv} mapped across sides to {gv}"
+        elif not 0 <= g < len(used[s]):
+            fault = f"{hv} mapped outside the host to {gv}"
+        elif used[s][g]:
+            fault = f"two vertices share the image {gv}"
+        else:
+            used[s][g] = 1
+    for side, mine in zip(Side, images):
+        if None in mine:
+            return Check(False, f"{VertexId(side, mine.index(None))} is not mapped")
+    if fault:
+        return Check(False, fault)
+    image_a, image_b = images
+    for x, row in enumerate(H.adj_a):
+        ga = image_a[x]
+        host_row = G.adj_a[ga]
+        for y in iter_bits(row):
+            gb = image_b[y]
+            if not host_row >> gb & 1:
+                return Check(False, f"edge ({x},{y}) maps to non-edge ({ga},{gb})")
+    return Check(True)

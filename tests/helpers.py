@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet
+from bipembed.graphs import BipartiteGraph, Check, Side, VertexId, VertexSet
 
 
 def random_bipartite(n: int, p: float, rng: random.Random) -> BipartiteGraph:
@@ -108,6 +108,33 @@ def oracle_is_valid_embedding(G: BipartiteGraph, H: BipartiteGraph, mapping) -> 
         if not G.has_edge(gx.index, gy.index):
             return False
     return True
+
+
+def reference_verify_embedding(G: BipartiteGraph, H: BipartiteGraph, mapping) -> Check:
+    """``verify_embedding`` as it was written on ``VertexId`` keys: the same
+    checks in the same order, with the mapping and the used images looked
+    up in a dict and a set."""
+    for side, size in ((Side.A, H.size_a), (Side.B, H.size_b)):
+        for i in range(size):
+            if VertexId(side, i) not in mapping:
+                return Check(False, f"{VertexId(side, i)} is not mapped")
+    used: set[VertexId] = set()
+    for hv, gv in mapping.items():
+        if not 0 <= hv.index < H.side_size(hv.side):
+            return Check(False, f"{hv} is not a target vertex")
+        if hv.side is not gv.side:
+            return Check(False, f"{hv} mapped across sides to {gv}")
+        if not 0 <= gv.index < G.side_size(gv.side):
+            return Check(False, f"{hv} mapped outside the host to {gv}")
+        if gv in used:
+            return Check(False, f"two vertices share the image {gv}")
+        used.add(gv)
+    for x, y in H.edges():
+        ga = mapping[VertexId(Side.A, x)]
+        gb = mapping[VertexId(Side.B, y)]
+        if not G.has_edge(ga.index, gb.index):
+            return Check(False, f"edge ({x},{y}) maps to non-edge ({ga.index},{gb.index})")
+    return Check(True)
 
 
 def oracle_find_embedding(G: BipartiteGraph, H: BipartiteGraph):

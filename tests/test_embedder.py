@@ -36,6 +36,7 @@ from helpers import (
     oracle_is_valid_embedding,
     planted_blocks,
     random_min_degree,
+    reference_verify_embedding,
 )
 from test_homomorphism import zigzag_labelling
 
@@ -225,6 +226,73 @@ class TestVerifyEmbedding:
         res = verify_embedding(g, g, Embedding(mapping))
         assert not res and "not a target vertex" in res.detail
 
+    @staticmethod
+    def mutate(rng, g, h, mapping):
+        """One fault, applied in place: a dropped vertex, a source vertex
+        outside H, an image across sides or outside G, a shared image, or
+        two images swapped across an edge."""
+        kind = rng.randrange(6)
+        keys = list(mapping)
+        v = rng.choice(keys) if keys else VertexId(Side.A, 0)
+        if kind == 0 and keys:
+            del mapping[v]
+        elif kind == 1:
+            side = rng.choice(list(Side))
+            index = rng.choice([-1, -2, h.side_size(side), h.side_size(side) + 2])
+            mapping[VertexId(side, index)] = VertexId(side, rng.randrange(g.side_size(side)))
+        elif kind == 2:
+            other = v.side.opposite()
+            mapping[v] = VertexId(other, rng.randrange(g.side_size(other)))
+        elif kind == 3:
+            size = g.side_size(v.side)
+            mapping[v] = VertexId(v.side, rng.choice([-1, size, size + 3]))
+        else:
+            same = [w for w in keys if w.side is v.side and w != v]
+            if not same:
+                return
+            w = rng.choice(same)
+            if kind == 4:
+                mapping[v] = mapping[w]
+            else:
+                # w a neighbour's other neighbour when there is one, so
+                # that the swap breaks an edge more often than not
+                nbrs = h.neighbours(v) if 0 <= v.index < h.side_size(v.side) else []
+                far = [u for n in nbrs for u in h.neighbours(n) if u != v and u in mapping]
+                w = rng.choice(far) if far else w
+                mapping[v], mapping[w] = mapping[w], mapping[v]
+
+    def test_faults_are_named_as_by_the_reference(self):
+        """One to three random faults in valid embeddings of random targets
+        into larger hosts: the verdict and the named fault (the first in
+        the check's order, when there are several) are the reference's."""
+        faults = ("is not mapped", "is not a target vertex", "mapped across sides",
+                  "mapped outside the host", "share the image", "maps to non-edge")
+        rng = random.Random(29)
+        named = Counter()
+        for case in range(600):
+            na, nb = rng.randint(1, 6), rng.randint(1, 6)
+            h = BipartiteGraph.build(na, nb, [
+                (x, y) for x in range(na) for y in range(nb) if rng.random() < 0.4
+            ])
+            ga, gb = na + rng.randint(0, 3), nb + rng.randint(0, 3)
+            img_a, img_b = rng.sample(range(ga), na), rng.sample(range(gb), nb)
+            g = BipartiteGraph.build(ga, gb, {(img_a[x], img_b[y]) for x, y in h.edges()} | {
+                (a, b) for a in range(ga) for b in range(gb) if rng.random() < 0.3
+            })
+            pairs = [(VertexId(Side.A, x), VertexId(Side.A, img_a[x])) for x in range(na)]
+            pairs += [(VertexId(Side.B, y), VertexId(Side.B, img_b[y])) for y in range(nb)]
+            rng.shuffle(pairs)
+            mapping = dict(pairs)
+            assert verify_embedding(g, h, Embedding(mapping))
+            for _ in range(rng.randint(1, 3)):
+                self.mutate(rng, g, h, mapping)
+            got = verify_embedding(g, h, Embedding(mapping))
+            want = reference_verify_embedding(g, h, mapping)
+            assert (got.ok, got.detail) == (want.ok, want.detail), (case, mapping)
+            named[next((f for f in faults if f in want.detail), "ok")] += 1
+        # every fault is named in some case, and some cases stay valid
+        assert named.keys() == {*faults, "ok"}, named
+
 
 def embed_along(g, h, part, classes, params, **kwargs):
     """embed_compatible with the compatibility report along the
@@ -385,6 +453,59 @@ class TestEmbedCompatible:
         assert "matching completion deficient in ('B', 1)" in str(exc.value)
         assert exc.value.stuck == VertexId(Side.B, 6)
 
+    @staticmethod
+    def random_instance(trial):
+        """k clusters of m host vertices a side (k in 1..3, m in 2..4), a
+        random host on them and a random target of maximum degree 2, whose
+        vertex i lies in cluster i // m on both sides."""
+        rng = random.Random(trial)
+        k = rng.choice([1, 2, 2, 3])
+        m = rng.choice([2, 3, 4])
+        n = k * m
+        p = rng.choice([0.4, 0.55, 0.7])
+        g = BipartiteGraph.build(n, n, [
+            (a, b) for a in range(n) for b in range(n) if rng.random() < p
+        ])
+        edges, deg_a, deg_b = set(), [0] * n, [0] * n
+        for _ in range(2 * n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if deg_a[a] < 2 and deg_b[b] < 2 and (a, b) not in edges:
+                edges.add((a, b))
+                deg_a[a] += 1
+                deg_b[b] += 1
+        h = BipartiteGraph.build(n, n, sorted(edges))
+        of = [i // m for i in range(n)]
+        masks = [((1 << m) - 1) << (i * m) for i in range(k)]
+        return g, h, ClusterPartition.from_masks(g, masks, masks), compatibility_report(
+            h, of, of, k, Fraction(1)
+        )
+
+    @pytest.mark.parametrize("trial, message, stuck, violator, cause", [
+        (226, "phase 1 exhausted candidates for B0 in class ('B', 0)", "B0", None, None),
+        (26, "no completion of pair ('A', 0)-('B', 0) within 2 attempts: completion stuck "
+             "on A2 in ('A', 0)", "A2", None, "completion stuck on A2 in ('A', 0)"),
+        (180, "no completion of pair ('A', 1)-('B', 1) within 2 attempts: matching "
+              "completion deficient in ('B', 1): 2 vertices share 1 candidates",
+         "B3", ["B2", "B3"], "matching completion deficient in ('B', 1): 2 vertices share "
+                             "1 candidates"),
+    ])
+    def test_failures_name_their_vertices(self, trial, message, stuck, violator, cause):
+        """Each failure path on a small random instance: the message, the
+        stuck vertex and the Hall violator, and those of the attempt's error
+        kept as the cause."""
+        g, h, part, rep = self.random_instance(trial)
+        assert rep.ok
+        with pytest.raises(EmbeddingError) as exc:
+            embed_compatible(g, h, part, rep, RegularityParams(Fraction(1), Fraction(1, 2)),
+                             seed=trial, retries=2)
+        errors = [exc.value] + ([exc.value.__cause__] if cause else [])
+        assert [str(e) for e in errors] == [message] + ([cause] if cause else [])
+        for e in errors:
+            assert repr(e.stuck) == stuck
+            assert e.hall_violator is None if violator is None else (
+                list(map(repr, e.hall_violator)) == violator
+            )
+
     def test_empty_clusters_embed(self):
         # a pair of empty clusters, as on the tiniest hosts
         g = planted_blocks(1, 4)
@@ -397,6 +518,25 @@ class TestEmbedCompatible:
             RegularityParams(Fraction(1, 4), Fraction(1, 2)), seed=0,
         )
         assert verify_embedding(g, h, emb)
+
+
+def test_criterion_1_phases_in_placement_order():
+    """The phase of each vertex of a criterion-1 embedding (n = 512, seed
+    1), in placement order: phase 1's vertices in labelling order, then
+    pair by pair the X side and the Y side; the mapping has the same order."""
+    g = gen_host(InstanceSpec("host-random-min-degree", 512, 40_001,
+                              {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)}))
+    h, lab = gen_target(InstanceSpec("target-hamilton-cycle", 512))
+    emb = embed_bipartite(g, h, Fraction(3, 10), 2, EmbedConfig(k0=8, ell=64),
+                          seed=1, labelling=lab).embedding
+    assert list(emb.phases) == list(emb.mapping)
+    assert Counter(emb.phases.values()) == {
+        "boundary-greedy": 56, "completion-greedy": 484, "completion-matching": 484,
+    }
+    data = json.dumps([[repr(v), phase] for v, phase in emb.phases.items()])
+    assert hashlib.sha256(data.encode()).hexdigest() == (
+        "fb0e0f02b91062ee089585dc167743738df4b7e2c90d4fb6a0a8fc88a0b59611"
+    )
 
 
 def test_neighbouring_seeds_share_no_completion_stream():
