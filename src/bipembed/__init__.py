@@ -19,7 +19,7 @@ _HOMES = {
     for module, names in {
         "graphs": (
             "BipartiteGraph", "Check", "Embedding", "Side", "VertexId", "VertexSet",
-            "degree_into", "density", "edges_between", "verify_embedding",
+            "density", "edges_between", "verify_embedding",
         ),
         "regularity": (
             "ClusterPartition", "PairCertificate", "ReducedGraph", "RegularityParams",
@@ -33,8 +33,8 @@ _HOMES = {
         "homomorphism": (
             "BalancingAssignment", "BandwidthLabelling", "CycleHomomorphism",
             "PiecePartition", "balance_assignment", "bandwidth_labelling",
-            "build_cycle_homomorphism", "failure_probability_bound", "partition_pieces",
-            "partition_runs", "verify_cycle_homomorphism",
+            "build_cycle_homomorphism", "partition_pieces", "partition_runs",
+            "verify_cycle_homomorphism",
         ),
         "partitioner": (
             "HostPartitionState", "ParameterSchedule", "absorb_exceptional_vertices",

@@ -219,7 +219,7 @@ def read_labelling(path: str, H: BipartiteGraph) -> BandwidthLabelling:
     total = H.size_a + H.size_b
     if sorted(ids) != list(range(total)):
         raise FileFormatError(path, 0, f"not a permutation of 0..{total - 1}")
-    return bandwidth_labelling(H, "given", [from_global_id(g) for g in ids])
+    return bandwidth_labelling(H, [from_global_id(g) for g in ids])
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +318,10 @@ def homomorphism_from_json(data: dict) -> CycleHomomorphism:
         data, "cycle-homomorphism", k=lambda k: _int(k) and k > 0, beta_n=_int, phi=_ints,
         cluster_of_x=_ints, cluster_of_y=_ints, linking=_ints,
     )
-    return CycleHomomorphism(
-        k, tuple(cx), tuple(cy), frozenset(map(from_global_id, linking)), beta_n, tuple(phi)
-    )
+    linking_set = frozenset(map(from_global_id, linking))
+    if len(linking_set) != len(linking):
+        raise ValueError("'cycle-homomorphism' artifact: a linking vertex is listed twice")
+    return CycleHomomorphism(k, tuple(cx), tuple(cy), linking_set, beta_n, tuple(phi))
 
 
 def run_report_to_json(report) -> dict:

@@ -15,15 +15,6 @@ from .graphs import BipartiteGraph, GraphError, Side, VertexId
 from .homomorphism import BandwidthLabelling, bandwidth_labelling
 from .ratmath import ceil_frac, frac
 
-HOST_KINDS = ("host-random-min-degree", "host-planted-blocks")
-TARGET_KINDS = (
-    "target-hamilton-cycle",
-    "target-ladder",
-    "target-moebius-ladder",
-    "target-grid",
-    "target-random-local",
-)
-
 
 @dataclass
 class InstanceSpec:
@@ -113,7 +104,7 @@ def _target(n: int, keys, colour, edges, order) -> tuple[BipartiteGraph, Bandwid
         x, y = ids[u], ids[v]
         pairs.append((x.index, y.index) if x.side is Side.A else (y.index, x.index))
     g = BipartiteGraph.build(n, n, pairs)
-    return g, bandwidth_labelling(g, "given", [ids[key] for key in order])
+    return g, bandwidth_labelling(g, [ids[key] for key in order])
 
 
 def _parity(i: int) -> int:

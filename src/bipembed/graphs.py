@@ -332,15 +332,6 @@ def density(G: BipartiteGraph, U: VertexSet, W: VertexSet) -> Fraction:
     return Fraction(edges_between(G, U, W), U.size * W.size)
 
 
-def degree_into(G: BipartiteGraph, v: VertexId, W: VertexSet) -> int:
-    """|N(v) ∩ W| for W on the side opposite to v."""
-    if W.side is v.side:
-        raise SideMismatchError(f"{v} and target set on the same side")
-    if W.universe != G.side_size(W.side):
-        raise GraphError("vertex set universe does not match graph")
-    return (G.adjacency_mask(v) & W.bits).bit_count()
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ totals below their targets (checked exactly, resampled on failure).  The map
 into the doubled cycle C on A_1, B_2, A_2, ..., B_k, A_k, B_1 then sends
 most of each piece to its assigned pair and walks short "linking" blocks at
 the start of each piece across the intermediate cycle vertices, producing a
-graph homomorphism that is verified edge by edge before being returned.
+graph homomorphism.  The construction does not re-check H's edges itself:
+``verify_cycle_homomorphism`` tests every edge against the cycle (the
+``homomorphism`` command runs it on what it builds), and the pipeline's gate
+is ``embedder.compatibility_report``'s edge clause.
 
 {A_i, B_j} is an edge of C exactly when (j - i) mod k is 0 or 1.
 """
@@ -16,7 +19,6 @@ graph homomorphism that is verified edge by edge before being returned.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,68 +73,16 @@ def _cuthill_mckee_order(H: BipartiteGraph) -> list[VertexId]:
     return order
 
 
-def _exact_small_order(H: BipartiteGraph) -> list[VertexId]:
-    """Branch-and-bound optimal bandwidth order for at most 16 vertices."""
-    verts = list(H.vertices())
-    n = len(verts)
-    nbrs = {v: set(H.neighbours(v)) for v in verts}
-    lb = max((math.ceil(H.degree(v) / 2) for v in verts), default=0)
-
-    def feasible(bound: int) -> Optional[list[VertexId]]:
-        placed: dict[VertexId, int] = {}
-        seq: list[VertexId] = []
-
-        def rec(t: int) -> bool:
-            if t == n:
-                return True
-            # a placed vertex with unplaced neighbours must still be reachable
-            for u, pu in placed.items():
-                if t > pu + bound and any(w not in placed for w in nbrs[u]):
-                    return False
-            for v in verts:
-                if v in placed:
-                    continue
-                if any(t - placed[u] > bound for u in nbrs[v] if u in placed):
-                    continue
-                placed[v] = t
-                seq.append(v)
-                if rec(t + 1):
-                    return True
-                seq.pop()
-                del placed[v]
-            return False
-
-        return list(seq) if rec(0) else None
-
-    for bound in range(max(lb, 0), max(n, 1)):
-        got = feasible(bound)
-        if got is not None:
-            return got
-    return verts  # n <= 1
-
-
 def bandwidth_labelling(
-    H: BipartiteGraph,
-    mode: str = "cuthill-mckee",
-    order: Optional[Sequence[VertexId]] = None,
+    H: BipartiteGraph, order: Optional[Sequence[VertexId]] = None
 ) -> BandwidthLabelling:
-    """Produce a vertex order together with its exact (scanned) bandwidth.
+    """A vertex order together with its exact (scanned) bandwidth.
 
-    "given" validates the supplied order; "cuthill-mckee" is the BFS level
-    heuristic (no optimality claim); "exact-small" is branch-and-bound
-    optimal for at most 16 vertices.
+    A given ``order`` is validated as a permutation of H's vertices;
+    without one, the Cuthill-McKee BFS level order is used (a heuristic,
+    with no optimality claim).
     """
-    if mode == "given":
-        if order is None:
-            raise GraphError("given mode needs an order")
-        return _labelling_from_order(H, order)
-    if mode == "cuthill-mckee":
-        return _labelling_from_order(H, _cuthill_mckee_order(H))
-    if mode == "exact-small":
-        if H.size_a + H.size_b > 16:
-            raise GraphError("exact-small limited to 16 vertices")
-        return _labelling_from_order(H, _exact_small_order(H))
-    raise ValueError(f"unknown labelling mode {mode!r}")
+    return _labelling_from_order(H, _cuthill_mckee_order(H) if order is None else order)
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +225,6 @@ def balance_assignment(
     )
 
 
-def failure_probability_bound(k: int, xi: Rational, ell: int) -> float:
-    """Union-bound failure estimate for a single sampled assignment.
-
-    2k*exp(-xi^2*ell/2) covers the cluster-count concentration and
-    2k*exp(-xi^2*ell/72) the side-imbalance concentration; values above 1
-    are clamped (the bound is then vacuous).
-    """
-    if k < 1 or ell < 1:
-        raise GraphError("k and ell must be positive")
-    x = float(frac(xi))
-    if x <= 0:
-        raise GraphError("xi must be positive")
-    val = 2 * k * math.exp(-x * x * ell / 2) + 2 * k * math.exp(-x * x * ell / 72)
-    return min(1.0, val)
-
-
 # ---------------------------------------------------------------------------
 # the cycle homomorphism
 # ---------------------------------------------------------------------------
@@ -316,10 +250,6 @@ class CycleHomomorphism:
         return tuple(map(self.cluster_of_y.count, range(self.k)))
 
 
-class HomomorphismError(GraphError):
-    """An edge of the target maps to a pair that is not a cycle edge."""
-
-
 def _cycle_edge(a_idx: int, b_idx: int, k: int) -> bool:
     return (b_idx - a_idx) % k in (0, 1)
 
@@ -340,8 +270,8 @@ def build_cycle_homomorphism(
     the cycle: block j sends its X vertices to A_{p + floor(j/2)} and its Y
     vertices to B_{p + ceil(j/2)} (indices mod k); everything else goes to
     A_{phi[t]} / B_{phi[t]}.  The linking set holds the first 2k*beta_n
-    positions of every piece regardless of the jump.  The construction is
-    followed by a full edge-by-edge verification pass.
+    positions of every piece regardless of the jump.  H's edges are not
+    walked here; ``verify_cycle_homomorphism`` checks them.
     """
     n = H.size_a
     if H.size_b != n:
@@ -387,15 +317,6 @@ def build_cycle_homomorphism(
                 cluster_of_x[v.index] = c
             else:
                 cluster_of_y[v.index] = c
-
-    # verification pass: every edge of H must land on an edge of the cycle
-    for x, y in H.edges():
-        a_idx = cluster_of_x[x]
-        b_idx = cluster_of_y[y]
-        if not _cycle_edge(a_idx, b_idx, k):
-            raise HomomorphismError(
-                f"edge ({x}, {y}) maps to non-cycle pair (A_{a_idx}, B_{b_idx})"
-            )
     return CycleHomomorphism(
         k, tuple(cluster_of_x), tuple(cluster_of_y), frozenset(linking), beta_n, tuple(phi)
     )
@@ -425,7 +346,8 @@ def verify_cycle_homomorphism(
     xi: Rational,
 ) -> HomomorphismReport:
     """Re-check the homomorphism and its three size guarantees from the
-    cluster maps alone; a cluster outside 0..k-1 fails the first clause."""
+    cluster maps alone; a cluster outside 0..k-1 fails the first clause,
+    and a linking vertex outside H the linking clause."""
     xi = frac(xi)
     k = hom.k
     n = H.size_a
@@ -449,10 +371,13 @@ def verify_cycle_homomorphism(
                     f"(A_{a_idx}, B_{b_idx})",
                 )
     bound = xi * 2 * k * n
-    size_ok = len(hom.linking) <= bound
-    link = Check(
-        size_ok, f"|S| = {len(hom.linking)} vs bound {bound}"
+    stray_link = min(
+        (v for v in hom.linking if not 0 <= v.index < H.side_size(v.side)), default=None
     )
+    if stray_link is not None:
+        link = Check(False, f"linking vertex {stray_link} outside the target")
+    else:
+        link = Check(len(hom.linking) <= bound, f"|S| = {len(hom.linking)} vs bound {bound}")
     pre = Check(True)
     for i, (pre_a, pre_b) in enumerate(zip(hom.preimage_a, hom.preimage_b)):
         lim = targets[i] + xi * n

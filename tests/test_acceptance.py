@@ -200,9 +200,9 @@ def test_criterion_4_balancing_suite():
 
 def test_criterion_5_homomorphism_executable_theorem():
     """500 randomized inputs satisfying the construction's preconditions:
-    the edge-by-edge verification pass succeeds 500/500, the linking set
-    has size 2k*ell*beta_n exactly, and the clause checks match an
-    independent recomputation."""
+    ``verify_cycle_homomorphism``'s edge-by-edge homomorphism clause passes
+    500/500, the linking set has size 2k*ell*beta_n exactly, and the clause
+    checks match an independent recomputation."""
     rng = random.Random(5)
     runs = 0
     trial = 0
@@ -227,11 +227,11 @@ def test_criterion_5_homomorphism_executable_theorem():
         ell = rng.randint(1, max_ell)
         pieces = partition_pieces(h, lab, ell)
         phi = [rng.randrange(k) for _ in range(ell)]
-        hom = build_cycle_homomorphism(h, lab, pieces, phi, beta_n, k)  # verifies
+        hom = build_cycle_homomorphism(h, lab, pieces, phi, beta_n, k)
         assert len(hom.linking) == 2 * k * ell * beta_n
         targets = [n // k] * k
         xi = Fraction(rng.choice([1, 2]), 4)
-        rep = verify_cycle_homomorphism(h, hom, targets, xi)
+        rep = verify_cycle_homomorphism(h, hom, targets, xi)  # verifies every edge
         # independent recomputation of every clause
         img = {}
         for xx, c in enumerate(hom.cluster_of_x):

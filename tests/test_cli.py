@@ -603,6 +603,22 @@ class TestCommands:
         report = json.loads(rep.read_text())
         assert report["verdict"] == "verified-embedding"
 
+    def test_embed_without_labelling_orders_the_target_itself(self, tmp_path):
+        """With no ``--labelling``, ``embed`` labels the target by Cuthill-McKee."""
+        host, target = tmp_path / "g.bg", tmp_path / "h.bg"
+        emb, rep = tmp_path / "emb.json", tmp_path / "rep.json"
+        assert run(["gen-host", "--n", "128", "--gamma", "3/10", "--seed", "3",
+                    "--out", str(host)]) == 0
+        assert run(["gen-target", "--family", "hamilton-cycle", "--n", "128",
+                    "--out", str(target)]) == 0
+        assert run(["embed", "--host", str(host), "--target", str(target),
+                    "--gamma", "3/10", "--k0", "2", "--seed", "1",
+                    "--out", str(emb), "--report", str(rep)]) == 0
+        stages = json.loads(rep.read_text())["stages"]
+        assert [s["detail"] for s in stages if s["stage"] == "labelling"] == ["bandwidth 2"]
+        assert run(["verify", "--host", str(host), "--target", str(target),
+                    "--embedding", str(emb)]) == 0
+
     def test_failed_embed_writes_its_report(self, tmp_path, capsys):
         host = tmp_path / "g.bg"
         target = tmp_path / "h.bg"
@@ -833,8 +849,17 @@ class TestUntrustedArtifacts:
         assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 1
         assert "cluster -1 outside 0..3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stray", [1000000, -7])
+    def test_linking_vertex_outside_the_target_fails(self, tmp_path, capsys, homomorphism,
+                                                     stray):
+        target, _, data = homomorphism
+        data["linking"][0] = stray
+        assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 1
+        err = capsys.readouterr().err
+        assert "linking: linking vertex " in err and " outside the target" in err
+
     @pytest.mark.parametrize("edit", [
-        {"cluster_of_x": None}, {"k": 0}, {"k": "4"}, {"linking": [0.5]},
+        {"cluster_of_x": None}, {"k": 0}, {"k": "4"}, {"linking": [0.5]}, {"linking": [0, 0]},
     ])
     def test_malformed_homomorphism_is_a_usage_error(self, tmp_path, homomorphism, edit):
         target, _, data = homomorphism

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -620,7 +621,7 @@ class TestEmbedBipartite:
             ]
         from bipembed.homomorphism import bandwidth_labelling
 
-        lab = bandwidth_labelling(h, "given", order)
+        lab = bandwidth_labelling(h, order)
         assert lab.bandwidth == 3
         cfg = EmbedConfig(k0=2, ell=16, sample_budget=300, pipeline_retries=8)
         res = embed_bipartite(g, h, Fraction(3, 10), 4, cfg, seed=5, labelling=lab)
@@ -726,6 +727,42 @@ class TestScheduleEpsilonGate:
         assert failed[0].detail == (
             "ell=4, first cluster=0: compatibility: boundary of ('A', 1) has 8 > eps*8"
         )
+
+    def test_an_edge_off_the_cycle_stops_every_attempt(self, monkeypatch):
+        """The homomorphism's build does not walk H's edges, so the
+        compatibility gate's edge clause is what refuses an H-edge off the
+        cluster cycle: here one Y vertex is moved two clusters along."""
+        real_build = embedder.build_cycle_homomorphism
+        embedded = []
+
+        def off_cycle(H, labelling, pieces, phi, beta_n, k):
+            hom = real_build(H, labelling, pieces, phi, beta_n, k)
+            moved = list(hom.cluster_of_y)
+            moved[0] = (moved[0] + 2) % k
+            return replace(hom, cluster_of_y=tuple(moved))
+
+        monkeypatch.setattr(embedder, "build_cycle_homomorphism", off_cycle)
+        monkeypatch.setattr(embedder, "embed_compatible", lambda *a, **kw: embedded.append(a))
+        n = 512
+        g = gen_host(InstanceSpec(
+            "host-random-min-degree", n, 40_000,
+            {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)},
+        ))
+        cfg = EmbedConfig(
+            mode="practical", epsilon=Fraction(1, 4), d=Fraction(3, 10),
+            k0=8, ell=64, sample_budget=800, pipeline_retries=8,
+        )
+        with pytest.raises(EmbeddingPipelineError) as exc:
+            embed_bipartite(g, cycle_graph(n), Fraction(3, 10), 2, cfg, seed=0,
+                            labelling=zigzag_labelling(n))
+        stages = exc.value.report.stages
+        assert [s.detail[:4] for s in stages if s.stage == "host-phase-1"] == ["k=8,"]
+        distribution = [s for s in stages if s.stage == "distribution"]
+        assert len(distribution) == cfg.pipeline_retries
+        assert all(
+            not s.ok and "lies over uncertified pair" in s.detail for s in distribution
+        )
+        assert embedded == []
 
     def test_each_cycle_pair_is_sampled_once(self, monkeypatch):
         """Criterion-1 seed 0: the cycle certification samples the Hamilton

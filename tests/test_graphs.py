@@ -14,7 +14,6 @@ from bipembed.graphs import (
     UndefinedDensityError,
     VertexId,
     VertexSet,
-    degree_into,
     density,
     edges_between,
     id_table,
@@ -82,26 +81,13 @@ def test_density_empty_set_rejected():
         density(g, VertexSet(Side.A, 3, 0), VertexSet.full(Side.B, 3))
 
 
-def test_degree_into_full_side():
-    g = BipartiteGraph.build(3, 3, [(a, b) for a in range(3) for b in range(3)])
-    assert degree_into(g, VertexId(Side.A, 1), VertexSet.full(Side.B, 3)) == 3
-
-
-def test_degree_into_empty_set():
+def test_pair_side_mismatch():
     g = BipartiteGraph.build(3, 3, C6_EDGES)
-    assert degree_into(g, VertexId(Side.A, 0), VertexSet(Side.B, 3, 0)) == 0
-
-
-def test_degree_into_c6_subset():
-    g = BipartiteGraph.build(3, 3, C6_EDGES)
-    w = VertexSet.from_indices(Side.B, 3, [1, 2])
-    assert degree_into(g, VertexId(Side.A, 0), w) == 1
-
-
-def test_degree_into_side_mismatch():
-    g = BipartiteGraph.build(3, 3, C6_EDGES)
+    same_side = VertexSet.full(Side.A, 3), VertexSet.full(Side.A, 3)
     with pytest.raises(SideMismatchError):
-        degree_into(g, VertexId(Side.A, 0), VertexSet.full(Side.A, 3))
+        density(g, *same_side)
+    with pytest.raises(SideMismatchError):
+        edges_between(g, *same_side)
 
 
 @st.composite

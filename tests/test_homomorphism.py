@@ -1,4 +1,3 @@
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +10,6 @@ from bipembed.homomorphism import (
     balance_assignment,
     bandwidth_labelling,
     build_cycle_homomorphism,
-    failure_probability_bound,
     partition_pieces,
     partition_runs,
     verify_cycle_homomorphism,
@@ -43,7 +41,7 @@ def zigzag_order(n):
 
 
 def zigzag_labelling(n):
-    return bandwidth_labelling(cycle_graph(n), "given", zigzag_order(n))
+    return bandwidth_labelling(cycle_graph(n), zigzag_order(n))
 
 
 def path_graph(m):
@@ -65,55 +63,23 @@ class TestBandwidthLabelling:
         order = []
         for t in range(6):
             order.append(VertexId(Side.A if t % 2 == 0 else Side.B, t // 2))
-        lab = bandwidth_labelling(h, "given", order)
+        lab = bandwidth_labelling(h, order)
         assert lab.bandwidth == 1
 
     def test_cycle_zigzag(self):
         lab = zigzag_labelling(4)
         assert lab.bandwidth == 2
 
-    def test_k33_exact(self):
-        h = BipartiteGraph.build(3, 3, [(a, b) for a in range(3) for b in range(3)])
-        lab = bandwidth_labelling(h, "exact-small")
-        # brute force over all 720 orders: the vertex at position 0 forces
-        # the whole opposite side into {1,2,3}, which the vertex at
-        # position 5 cannot reach at bound 3, so the optimum is 4
-        from itertools import permutations
-
-        verts = list(h.vertices())
-        best = min(
-            max(
-                abs(perm[verts.index(VertexId(Side.A, x))] - perm[verts.index(VertexId(Side.B, y))])
-                for x, y in h.edges()
-            )
-            for perm in permutations(range(6))
-        )
-        assert best == 4
-        assert lab.bandwidth == best
-
     def test_given_rejects_non_permutation(self):
         h = path_graph(4)
         with pytest.raises(GraphError):
-            bandwidth_labelling(h, "given", [VertexId(Side.A, 0)] * 4)
+            bandwidth_labelling(h, [VertexId(Side.A, 0)] * 4)
 
     def test_cuthill_mckee_on_cycle(self):
         h = cycle_graph(16)
-        lab = bandwidth_labelling(h, "cuthill-mckee")
+        lab = bandwidth_labelling(h)
         assert lab.bandwidth <= 3  # BFS orders a cycle within bandwidth 2..3
         assert sorted(lab.order) == sorted(h.vertices())
-
-    def test_exact_small_beats_or_ties_cuthill_mckee(self):
-        rng = random.Random(5)
-        for _ in range(5):
-            edges = set()
-            for a in range(4):
-                for b in range(4):
-                    if rng.random() < 0.4:
-                        edges.add((a, b))
-            h = BipartiteGraph.build(4, 4, edges)
-            exact = bandwidth_labelling(h, "exact-small")
-            cm = bandwidth_labelling(h, "cuthill-mckee")
-            assert exact.bandwidth <= cm.bandwidth
 
 
 class TestPartitionRuns:
@@ -233,21 +199,6 @@ class TestBalanceAssignment:
             balance_assignment(targets, x, y, Fraction(1, 4), 5, 0, strict=False)
         assert exc.value.attempts == 6
         assert sum(exc.value.violation_counts.values()) > 0
-
-
-class TestFailureProbabilityBound:
-    def test_papers_ell_forces_bound_below_one(self):
-        xi = Fraction(1, 4)
-        ell = math.ceil(1000 * 1 / (xi * xi))
-        assert ell == 16000
-        assert failure_probability_bound(1, xi, ell) < 1
-
-    def test_tiny_ell_clamped(self):
-        assert failure_probability_bound(3, Fraction(1, 4), 1) == 1.0
-
-    def test_informational_value(self):
-        val = failure_probability_bound(8, Fraction(1, 20), 200)
-        assert 0 < val <= 1
 
 
 class TestBuildCycleHomomorphism:

@@ -1,6 +1,8 @@
 """The README's examples stay in step with the code: every ``bipembed``
-command in its code blocks parses, and its Library block runs."""
+command in its code blocks parses, its Library block runs, and every name
+its Library section lists resolves."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -40,3 +42,17 @@ def test_every_command_parses():
 def test_library_block_runs():
     (block,) = [text for lang, text in code_blocks() if lang == "python"]
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_library_names_resolve():
+    """Each name of the Library section's "Lower-level entry points" list
+    exists: a bare name as ``bipembed.<name>``, a qualified one as
+    ``bipembed.<module>.<name>``; a call's arguments are ignored."""
+    (entries,) = re.findall(r"^Lower-level entry points:(.*?)\.$", README.read_text(),
+                            re.S | re.M)
+    names = [re.match(r"[\w.]+", span).group() for span in re.findall(r"`([^`]+)`", entries)]
+    assert len(names) >= 20
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        home = importlib.import_module(f"bipembed.{module}" if module else "bipembed")
+        assert getattr(home, attr, None) is not None, name
