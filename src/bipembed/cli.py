@@ -5,9 +5,9 @@ usage errors (including malformed input files).
 
 Each command imports the pipeline modules it calls when it runs, so a
 command loads only what it uses: ``verify --embedding`` loads ``fileio`` and
-``graphs`` and nothing of the pipeline it checks, and ``gen-host`` and
-``gen-target`` load no regularity, partitioning, Hamilton or embedding
-module.
+``graphs`` and nothing of the pipeline it checks, ``gen-host`` loads no
+pipeline module, and ``gen-target`` only ``homomorphism``, for its
+labellings.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ by scanning the edges, never assumed from the construction.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
+
 from .graphs import BipartiteGraph, GraphError, Side, VertexId
-from .homomorphism import BandwidthLabelling, bandwidth_labelling
 from .ratmath import ceil_frac, frac
+
+if TYPE_CHECKING:
+    from .homomorphism import BandwidthLabelling
 
 
 @dataclass
@@ -28,8 +31,23 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     """Generate a balanced host meeting its declared minimum degree.
 
     Random model: each edge independently with probability
-    1/2 + gamma + slack, then deficient vertices are patched with random
-    extra edges until the degree bound holds on both sides.
+    p = min(49/50, 1/2 + gamma + slack), then deficient vertices are patched
+    with random extra edges until the degree bound holds on both sides.
+
+    Edge (a, b) is present when the b-th of row a's n ``Random.random()``
+    draws lies below p, and the draws are made in bulk, exactly.  CPython's
+    ``random()`` (``random_random``, Matsumoto and Nishimura's
+    ``genrand_res53``) returns V / 2^53 with V = (w0 >> 5) * 2^26 + (w1 >> 6)
+    for the next two 32-bit outputs w0, w1 of the Mersenne Twister, and its
+    ``getrandbits(64 * n)`` packs the same 2n outputs, in order, as
+    little-endian 32-bit words: 64-bit lane t holds draw t's w0 in its low
+    half and w1 in its high half.  So one ``getrandbits`` per row stands for
+    the row's n draws and leaves the generator where they would, and the
+    ``randrange`` draws that then patch rows and columns are the ones a
+    per-draw loop makes.  A draw is below p exactly when the integer V is
+    below T = ceil(p * 2^53).  The top byte of w0 is V >> 45, so it decides
+    every draw whose top byte differs from T >> 45; the rest (about 1 in
+    256) are read from their own lane.
     """
     if spec.kind == "host-planted-blocks":
         k = int(spec.params.get("blocks", 2))
@@ -46,29 +64,41 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
         raise GraphError(f"gamma = {gamma} >= 1/2 is unsatisfiable")
     delta = ceil_frac((Fraction(1, 2) + gamma) * n)
     p = min(Fraction(49, 50), Fraction(1, 2) + gamma + slack)
-    # a float draw lies below p exactly when it lies below the smallest
-    # float >= p, so the n^2 comparisons need no rational arithmetic
-    pf = float(p)
-    if Fraction(pf) < p:
-        pf = math.nextafter(pf, math.inf)
+    T = ceil_frac(p * (1 << 53))
+    # top byte -> 1 (below T), 0 (not below) or 2 (read the whole draw)
+    top = T >> 45
+    decide = bytes(1 if x < top else 2 if x == top else 0 for x in range(256))
     rng = random.Random(spec.seed)
-    adj = [[rng.random() < pf for _ in range(n)] for _ in range(n)]
-    rows = [sum(adj[a]) for a in range(n)]
-    for a in range(n):
-        while rows[a] < delta:
-            b = rng.randrange(n)
-            if not adj[a][b]:
-                adj[a][b] = True
-                rows[a] += 1
-    cols = [sum(col) for col in zip(*adj)]
+    # flat[a * n + b] is 1 when (a, b) is an edge
+    flat = bytearray(n * n)
+    for row in range(0, n * n, n):
+        raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        flat[row:row + n] = raw[3::8].translate(decide)
+        i = flat.find(2, row, row + n)
+        while i >= 0:
+            t = 8 * (i - row)
+            w0 = int.from_bytes(raw[t:t + 4], "little")
+            w1 = int.from_bytes(raw[t + 4:t + 8], "little")
+            flat[i] = (w0 >> 5 << 26 | w1 >> 6) < T
+            i = flat.find(2, i + 1, row + n)
+    for row in range(0, n * n, n):
+        deg = flat.count(1, row, row + n)
+        while deg < delta:
+            i = row + rng.randrange(n)
+            if not flat[i]:
+                flat[i] = 1
+                deg += 1
     for b in range(n):
-        while cols[b] < delta:
-            a = rng.randrange(n)
-            if not adj[a][b]:
-                adj[a][b] = True
-                cols[b] += 1
-    g = BipartiteGraph._from_flat(n, n, b"".join(map(bytes, adj)))
-    assert g.min_degree() >= delta
+        deg = flat[b::n].count(1)
+        while deg < delta:
+            i = rng.randrange(n) * n + b
+            if not flat[i]:
+                flat[i] = 1
+                deg += 1
+    g = BipartiteGraph._from_flat(n, n, flat)
+    low = g.min_degree()
+    if low < delta:
+        raise GraphError(f"gen_host: minimum degree {low} is below the bound {delta}")
     return g
 
 
@@ -93,6 +123,8 @@ def _target(n: int, keys, colour, edges, order) -> tuple[BipartiteGraph, Bandwid
     (colour 0 is side A); ``edges`` and ``order`` name vertices by key.  The
     labelling's bandwidth is scanned from the built graph.
     """
+    from .homomorphism import bandwidth_labelling
+
     ids = {}
     count = [0, 0]
     for key in keys:
@@ -177,7 +209,8 @@ def gen_target(spec: InstanceSpec) -> tuple[BipartiteGraph, BandwidthLabelling]:
                     degree[t] += 1
                     degree[u] += 1
         g, lab = _target(n, range(total), _parity, edges, range(total))
-        assert lab.bandwidth <= w
+        if lab.bandwidth > w:
+            raise GraphError(f"gen_target: bandwidth {lab.bandwidth} exceeds the window {w}")
         return g, lab
 
     raise GraphError(f"not a target kind: {spec.kind}")
