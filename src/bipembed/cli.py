@@ -19,6 +19,8 @@ from fractions import Fraction
 from . import fileio
 from .graphs import Check, GraphError, Side, VertexSet, verify_embedding
 
+TARGET_FAMILIES = ("hamilton-cycle", "ladder", "moebius-ladder", "grid", "random-local")
+
 
 def _rat(text: str) -> Fraction:
     try:
@@ -415,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_host)
 
     p = sub.add_parser("gen-target", help="generate a bounded-bandwidth target")
-    p.add_argument("--family", choices=[
-        "hamilton-cycle", "ladder", "moebius-ladder", "grid", "random-local",
-    ], default="hamilton-cycle")
+    p.add_argument("--family", choices=TARGET_FAMILIES, default="hamilton-cycle")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--height", type=int, default=None)
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--gamma", type=_rat, default=Fraction(3, 10))
     p.add_argument("--slack", type=_rat, default=Fraction(1, 20))
-    p.add_argument("--family", default="hamilton-cycle")
+    p.add_argument("--family", choices=TARGET_FAMILIES, default="hamilton-cycle")
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--height", type=int, default=None)

@@ -2,13 +2,14 @@
 
 A partition of the target H into classes A_i, B_i aligned with the host
 clusters is "compatible" when every H-edge lies over a pair of the cluster
-cycle A_0 B_0 A_1 B_1 ... A_{k-1} B_{k-1}, the pairs the host's certificates
-cover, and the boundary (vertices with an edge leaving the cycle's matching
-pairs (A_i, B_i)) and its fringe of neighbours are small.  Embedding then
-proceeds in two phases: the boundary vertices go first, greedily in
-bandwidth order, each placed on an unused typical host vertex compatible
-with its already-embedded neighbours; each matching pair is then completed
-by random-greedy placement of its X side and a maximum-matching finish on
+cycle A_0 B_1 A_1 B_2 ... A_{k-1} B_0, that is over (A_i, B_i) or
+(A_i, B_{i+1}), the pairs the host's certificates cover, and the boundary
+(vertices with an edge leaving the cycle's matching pairs (A_i, B_i)) and
+its fringe of neighbours are small.  Embedding then proceeds in two
+phases: the boundary vertices go first, greedily in bandwidth order, each
+placed on an unused typical host vertex compatible with its
+already-embedded neighbours; each matching pair is then completed by
+random-greedy placement of its X side and a maximum-matching finish on
 the candidate graph of its Y side, independently of the other pairs, so a
 pair that fails is retried alone.  Placement keeps its state in per-side
 lists indexed by target vertex and reads neighbours from H's bit rows; the
@@ -107,8 +108,9 @@ def compatibility_report(
     X vertex x lies in class ("A", cluster_of_x[x]) and Y vertex y in
     ("B", cluster_of_y[y]), every cluster in 0..k-1, and a class's budget
     is the number of vertices its map sends to it.  The regular pairs are
-    the 2k pairs of the cycle A_0 B_0 A_1 B_1 ... A_{k-1} B_{k-1}, and the
-    super-regular pairs its matching (A_i, B_i).  Every H-edge must lie
+    the 2k pairs (A_i, B_i) and (A_i, B_{i+1}) of the cycle
+    A_0 B_1 A_1 B_2 ... A_{k-1} B_0, and the super-regular pairs its
+    matching (A_i, B_i).  Every H-edge must lie
     over a regular pair.  The boundary S holds the vertices with an edge
     between A_i and B_j for i != j, and the fringe T the neighbours of S
     outside S; the report keeps each as one bit row per side.  A class's

@@ -12,10 +12,12 @@ global conclusion, at least (1-eps)k^2 regular pairs, is not checked here,
 and the partition is never refined; ``build_regular_partition`` does both,
 but the pipeline does not call it.  Phase 1 then relabels clusters along
 the cycle (so pair (A_i, B_i) is a matching edge and (A_i, B_{i+1}) a cycle
-edge), makes the partition super-regular on the cycle, and absorbs the
-exceptional vertices into clusters where they have high degree.  Phase 2
-then adjusts the cluster sizes to externally requested exact values by
-walking vertices around the cycle, one source-to-sink route at a time.
+edge), makes the partition super-regular on the cycle, bounds the
+exceptional sets by refined_epsilon*n as the cut's are bounded by eps*n,
+and absorbs the exceptional vertices into clusters where they have high
+degree.  Phase 2 then adjusts the cluster sizes to externally requested
+exact values by walking vertices around the cycle, one source-to-sink
+route at a time.
 
 The cycle search and both phases sample pairs through one routine,
 ``_certify_pairs``, into one ledger: each deviation verdict drawn is kept
@@ -33,9 +35,11 @@ which process samples it changes no certificate.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
-inequalities fail or k0 is below the derived cluster bound k_min;
-practical mode takes user overrides and flags every report so overridden
-constants are never presented as derived ones.
+inequalities fail or k0 is below the derived cluster bound k_min.  Its
+size_slack*n is below 1 for every n under 10^19, so its phase 2 accepts
+only the phase-1 target sizes.  Practical mode takes user overrides and
+flags every report so overridden constants are never presented as
+derived ones.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .regularity import (
     ReducedGraph,
     RegularityParams,
     Strategy,
-    SuperRegularizeError,
     Verdict,
     _check_exceptional_budget,
     _mix_seed,
@@ -125,10 +128,6 @@ class ParameterSchedule:
     target_slack: Fraction
     min_clusters_for_cycle: int
     checks: tuple[tuple[str, bool], ...] = field(default=())
-
-    @property
-    def is_faithful(self) -> bool:
-        return self.mode == "faithful"
 
     def working_params(self) -> RegularityParams:
         """Parameters used to certify the phase-1 regular partition."""
@@ -360,7 +359,6 @@ def redistribute_cluster_sizes(
     deltas_b: Sequence[int],
     xi: Rational,
     params: RegularityParams,
-    enforce_xi_cap: bool = True,
 ) -> RedistributionResult:
     """Adjust cluster sizes to |A_i| + deltas_a[i] by cyclic vertex walks.
 
@@ -395,8 +393,6 @@ def redistribute_cluster_sizes(
             raise RedistributionError(
                 f"delta at cluster {i} exceeds xi*n = {xi * n}", cluster=i
             )
-    if enforce_xi_cap and xi > Fraction(1, 20 * k * k):
-        raise RedistributionError(f"xi = {xi} exceeds 1/(20k^2) = {Fraction(1, 20 * k * k)}")
     for i in range(k):
         if 2 * k * partition.clusters_a[i].size < n or 2 * k * partition.clusters_b[i].size < n:
             raise RedistributionError(f"cluster {i} smaller than n/(2k)", cluster=i)
@@ -720,11 +716,9 @@ def prepare_host_partition(
     rstar = [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
 
     try:
-        sup = super_regularize(
-            G, part, rstar, params,
-            exceptional_bound=schedule.refined_epsilon,
-        )
-    except (GraphError, SuperRegularizeError) as e:
+        sup = super_regularize(G, part, rstar, params)
+        _check_exceptional_budget(G, sup.partition, schedule.refined_epsilon)
+    except (GraphError, PartitionBuildError) as e:
         raise PipelineStageError("super-regularize", str(e)) from e
     try:
         absorption = absorb_exceptional_vertices(
@@ -817,14 +811,9 @@ def resize_host_partition(
             )
     deltas_a = [a_sizes[i] - state.target_sizes[i] for i in range(k)]
     deltas_b = [b_sizes[i] - state.target_sizes[i] for i in range(k)]
-    worst = max(
-        [abs(d) for d in deltas_a] + [abs(d) for d in deltas_b] + [0]
-    )
-    xi = Fraction(worst, n) if worst else Fraction(1, 20 * k * k)
-    enforce = sched.is_faithful
+    worst = max(map(abs, deltas_a + deltas_b))
     redis = redistribute_cluster_sizes(
-        G, state.partition, deltas_a, deltas_b, xi, state.hat_params,
-        enforce_xi_cap=enforce,
+        G, state.partition, deltas_a, deltas_b, Fraction(worst, n), state.hat_params
     )
     matching, offsets = _certify_cycle_pairs(
         G, redis.partition, sched.final_params(), budget, _mix_seed(seed, PHASE2_STREAM),

@@ -1000,18 +1000,27 @@ def _pair_pieces_by_similarity(profiles: list[list[float]]) -> list[tuple[int, i
     return pairs
 
 
-def _equalise(
-    side_clusters: dict[Side, list[list[int]]],
-    exceptional: dict[Side, list[int]],
-    target: int,
-) -> None:
-    """Trim every cluster to the common target size, keeping lowest indices."""
-    for side, groups in side_clusters.items():
-        for g in groups:
-            g.sort()
-            if len(g) > target:
-                exceptional[side].extend(g[target:])
-                del g[target:]
+def _trimmed_partition(
+    G: BipartiteGraph,
+    masks_a: list[int],
+    masks_b: list[int],
+    exceptional_a: int,
+    exceptional_b: int,
+) -> ClusterPartition:
+    """The partition whose clusters keep the lowest members of the given
+    masks, as many as the smallest mask has; the rest join the exceptional
+    sets."""
+    target = min(m.bit_count() for m in masks_a + masks_b)
+    exceptional = [exceptional_a, exceptional_b]
+    kept: tuple[list[int], list[int]] = ([], [])
+    for side, masks in enumerate((masks_a, masks_b)):
+        for m in masks:
+            for _ in range(m.bit_count() - target):
+                top = 1 << (m.bit_length() - 1)
+                m ^= top
+                exceptional[side] |= top
+            kept[side].append(m)
+    return ClusterPartition.from_masks(G, *kept, *exceptional)
 
 
 MAX_ROUNDS = 40
@@ -1094,17 +1103,13 @@ def build_regular_partition(
             stall = 0
             best_frac_at_k = fraction
 
-        exceptional = {
-            Side.A: list(part.exceptional_a.indices()),
-            Side.B: list(part.exceptional_b.indices()),
-        }
         if stall >= REGROUP_STALL:
             if 2 * k > kmax:
                 raise PartitionBuildError(
                     f"certification threshold unreached and 2k={2 * k} exceeds kmax={kmax}",
                     best,
                 )
-            groups = {side: [list(p) for p in pieces[side]] for side in (Side.A, Side.B)}
+            groups = {side: list(map(_mask, pieces[side])) for side in (Side.A, Side.B)}
             k = 2 * k
             stall = 0
             best_frac_at_k = None
@@ -1114,16 +1119,12 @@ def build_regular_partition(
                 profiles = _piece_profiles(
                     G, pieces[side], side, pieces[side.opposite()]
                 )
-                merged = [
-                    sorted(pieces[side][p] + pieces[side][q])
+                groups[side] = [
+                    _mask(pieces[side][p] + pieces[side][q])
                     for p, q in _pair_pieces_by_similarity(profiles)
                 ]
-                groups[side] = merged
-        target = min(len(g) for side in (Side.A, Side.B) for g in groups[side])
-        _equalise(groups, exceptional, target)
-        part = ClusterPartition.from_masks(
-            G, map(_mask, groups[Side.A]), map(_mask, groups[Side.B]),
-            _mask(exceptional[Side.A]), _mask(exceptional[Side.B]),
+        part = _trimmed_partition(
+            G, groups[Side.A], groups[Side.B], part.exceptional_a.bits, part.exceptional_b.bits
         )
     raise PartitionBuildError(f"no certified partition within {MAX_ROUNDS} rounds", best)
 
@@ -1132,7 +1133,7 @@ def _check_exceptional_budget(G: BipartiteGraph, part: ClusterPartition, eps: Fr
     bound = eps * G.size_a
     if part.exceptional_a.size > bound or part.exceptional_b.size > bound:
         raise PartitionBuildError(
-            f"exceptional sets exceed eps*n={bound} "
+            f"exceptional sets exceed {eps}*n = {bound} "
             f"({part.exceptional_a.size}, {part.exceptional_b.size})",
             None,
         )
@@ -1150,18 +1151,11 @@ class SuperRegularizeResult:
     moved_b: dict[int, list[int]]
 
 
-class SuperRegularizeError(RuntimeError):
-    def __init__(self, message: str, pair: Optional[tuple[int, int]] = None):
-        super().__init__(message)
-        self.pair = pair
-
-
 def super_regularize(
     G: BipartiteGraph,
     partition: ClusterPartition,
     rstar_edges: Iterable[tuple[int, int]],
     params: RegularityParams,
-    exceptional_bound: Optional[Fraction] = None,
 ) -> SuperRegularizeResult:
     """Move low-degree vertices of each listed pair to the exceptional sets.
 
@@ -1169,7 +1163,8 @@ def super_regularize(
     cluster cycle), vertices of A_i with fewer than (d - eps)|B_j|
     neighbours in B_j (and symmetrically in B_j) leave their cluster;
     clusters are then trimmed to a common size.  Only degrees are cleaned:
-    the pairs are not certified here.
+    the pairs are not certified here, and the exceptional sets are not
+    bounded here either.
     """
     edges = sorted(set(rstar_edges))
     k = partition.k
@@ -1183,44 +1178,24 @@ def super_regularize(
     if edges and max(max(deg_a), max(deg_b)) > 2:
         raise GraphError("subgraph max degree exceeds 2")
 
-    moves_per_pair: dict[tuple[int, int], int] = {}
     bad_a = [0] * k
     bad_b = [0] * k
     floor = params.d - params.epsilon
     for i, j in edges:
         A_i, B_j = partition.clusters_a[i], partition.clusters_b[j]
-        low_a = A_i.bits & ~degree_at_least(G.adj_a, A_i.bits, B_j.bits, floor * B_j.size)
-        low_b = B_j.bits & ~degree_at_least(G.adj_b, B_j.bits, A_i.bits, floor * A_i.size)
-        bad_a[i] |= low_a
-        bad_b[j] |= low_b
-        moves_per_pair[(i, j)] = low_a.bit_count() + low_b.bit_count()
+        bad_a[i] |= A_i.bits & ~degree_at_least(G.adj_a, A_i.bits, B_j.bits, floor * B_j.size)
+        bad_b[j] |= B_j.bits & ~degree_at_least(G.adj_b, B_j.bits, A_i.bits, floor * A_i.size)
 
-    groups = {
-        Side.A: [list(iter_bits(c.bits & ~bad_a[i])) for i, c in enumerate(partition.clusters_a)],
-        Side.B: [list(iter_bits(c.bits & ~bad_b[j])) for j, c in enumerate(partition.clusters_b)],
-    }
-    moved_a = {i: list(iter_bits(bad_a[i])) for i in range(k)}
-    moved_b = {j: list(iter_bits(bad_b[j])) for j in range(k)}
-    exceptional = {
-        Side.A: list(partition.exceptional_a.indices()) + [a for m in moved_a.values() for a in m],
-        Side.B: list(partition.exceptional_b.indices()) + [b for m in moved_b.values() for b in m],
-    }
-
-    sizes_before = [len(g) for g in groups[Side.A]] + [len(g) for g in groups[Side.B]]
-    target = min(sizes_before)
-    _equalise(groups, exceptional, target)
-
-    result_part = ClusterPartition.from_masks(
-        G, map(_mask, groups[Side.A]), map(_mask, groups[Side.B]),
-        _mask(exceptional[Side.A]), _mask(exceptional[Side.B]),
+    # each bad mask lies inside its own cluster, so their sum is their union
+    cleaned = _trimmed_partition(
+        G,
+        [c.bits & ~bad for c, bad in zip(partition.clusters_a, bad_a)],
+        [c.bits & ~bad for c, bad in zip(partition.clusters_b, bad_b)],
+        partition.exceptional_a.bits | sum(bad_a),
+        partition.exceptional_b.bits | sum(bad_b),
     )
-    if exceptional_bound is not None:
-        bound = exceptional_bound * G.size_a
-        if result_part.exceptional_a.size > bound or result_part.exceptional_b.size > bound:
-            worst = max(moves_per_pair, key=lambda e: moves_per_pair[e]) if edges else None
-            raise SuperRegularizeError(
-                f"exceptional set exceeds bound {bound} after degree cleaning",
-                pair=worst,
-            )
-
-    return SuperRegularizeResult(result_part, moved_a, moved_b)
+    return SuperRegularizeResult(
+        cleaned,
+        {i: list(iter_bits(bad)) for i, bad in enumerate(bad_a)},
+        {j: list(iter_bits(bad)) for j, bad in enumerate(bad_b)},
+    )

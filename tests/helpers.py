@@ -246,3 +246,15 @@ def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: 
             if hit:
                 return hit
     return ("REGULAR", budget), None
+
+
+def reference_equalise(side_clusters: dict, exceptional: dict, target: int) -> None:
+    """Trim every cluster (an index list per side) to the common target
+    size in place, keeping its lowest indices; the trimmed indices are
+    appended to that side's exceptional list."""
+    for side, groups in side_clusters.items():
+        for g in groups:
+            g.sort()
+            if len(g) > target:
+                exceptional[side].extend(g[target:])
+                del g[target:]

@@ -761,6 +761,12 @@ class TestCommands:
         assert code == 0
         assert json.loads(out.read_text())["runs"] == 1
 
+    def test_experiment_refuses_an_unknown_family(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["experiment", "--family", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_experiment_aggregates(self, tmp_path, capsys):
         out = tmp_path / "agg.json"
         code = run(["experiment", "--n", "64", "--gamma", "0.3", "--seeds", "2",

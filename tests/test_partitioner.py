@@ -259,7 +259,6 @@ class TestRedistribution:
         assert res.partition.sizes_a() == part.sizes_a()
 
     def test_single_forced_move(self):
-        # xi <= 1/(20k^2) means xi*n >= 1 needs n >= 20k^2, so use m = 128
         k, m = 2, 128
         rng = random.Random(1)
         g = random_bipartite(k * m, 0.6, rng)
@@ -325,7 +324,7 @@ class TestRedistribution:
         part = contiguous_partition(g, k, m)
         res = redistribute_cluster_sizes(
             g, part, [2, 0, -1, -1], [1, -2, 0, 1], Fraction(1, 16),
-            RegularityParams(Fraction(1, 4), Fraction(2, 5)), enforce_xi_cap=False,
+            RegularityParams(Fraction(1, 4), Fraction(2, 5)),
         )
         assert res.route_log == (("A", 2, 0), ("A", 3, 0), ("B", 1, 0), ("B", 1, 3))
         assert res.vertex_moves == 6
@@ -356,7 +355,7 @@ class TestRedistribution:
         with pytest.raises(RedistributionError) as exc:
             redistribute_cluster_sizes(
                 g, part, deltas_a, deltas_b, Fraction(1, 8),
-                RegularityParams(Fraction(1, 4), Fraction(1)), enforce_xi_cap=False,
+                RegularityParams(Fraction(1, 4), Fraction(1)),
             )
         assert exc.value.side == side
         assert exc.value.cluster == src
@@ -366,14 +365,6 @@ class TestRedistribution:
         with pytest.raises(RedistributionError):
             redistribute_cluster_sizes(
                 g, part, [5, -5], [0, 0], Fraction(1, 80),
-                RegularityParams(Fraction(1, 4), Fraction(3, 10)),
-            )
-
-    def test_xi_cap_enforced(self):
-        g, part = self.make_dense_cycle_instance(2, 16, 0.9, 0)
-        with pytest.raises(RedistributionError):
-            redistribute_cluster_sizes(
-                g, part, [1, -1], [0, 0], Fraction(1, 4),
                 RegularityParams(Fraction(1, 4), Fraction(3, 10)),
             )
 
@@ -480,6 +471,39 @@ class TestHostPhases:
         with pytest.raises(PipelineStageError):
             resize_host_partition(state, g, a, state.target_sizes, budget=200, seed=6)
 
+    def test_cut_leftovers_over_budget_end_phase_1_at_the_partition(self):
+        # 20 = 3*6 + 2: the cut leaves 2 vertices per side, above eps*n = 1
+        n = 20
+        g = BipartiteGraph.build(n, n, [(a, b) for a in range(n) for b in range(n)])
+        sched = self.practical_schedule(Fraction(1, 10), k0=3, epsilon=Fraction(1, 20))
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(g, sched, budget=200, seed=0)
+        assert exc.value.stage == "regular-partition"
+        assert "exceptional sets exceed" in str(exc.value)
+
+    def test_cleaning_over_budget_ends_phase_1_at_super_regularize(self):
+        # On the seeded cut into 16 + 16, five A_0 vertices see only four
+        # vertices of B_0 and five others only four of B_1, below
+        # (d - eps)*16 = 4.16; every other pair is complete.  All four pairs
+        # stay (1/2)-regular at density 196/256 >= d, so the cycle certifies,
+        # but cleaning moves ten vertices out of A_0 and trimming to six
+        # leaves 20 exceptional vertices per side, above eps*n = 16.
+        n, seed = 32, 0
+        cut = random_equipartition(BipartiteGraph.build(n, n, []), 2, random.Random(seed))
+        a0 = sorted(cut.clusters_a[0].indices())
+        b0, b1 = (sorted(c.indices()) for c in cut.clusters_b)
+        missing = {a: set(b0[4:]) for a in a0[:5]}
+        missing.update({a: set(b1[4:]) for a in a0[5:10]})
+        g = BipartiteGraph.build(n, n, [
+            (a, b) for a in range(n) for b in range(n) if b not in missing.get(a, ())
+        ])
+        sched = self.practical_schedule(Fraction(1, 10), k0=2, epsilon=Fraction(1, 2),
+                                        d=Fraction(19, 25))
+        with pytest.raises(PipelineStageError) as exc:
+            prepare_host_partition(g, sched, budget=200, seed=seed)
+        assert exc.value.stage == "super-regularize"
+        assert "exceptional set" in str(exc.value) and "exceed" in str(exc.value)
+
     def test_a_failed_post_absorption_pair_ends_phase_1_by_name(self, monkeypatch):
         rng = random.Random(11)
         n = 256
@@ -539,6 +563,26 @@ class TestFaithfulPhase1:
             min(sched.absorbed_epsilon.upper(), Fraction(1)), sched.absorbed_density
         )
         assert all(c.params == state.hat_params for c in state.matching_certificates.values())
+
+    def test_faithful_resize_refuses_every_size_change(self):
+        # size_slack*n is about 2e-19 here, so a cluster can grow by no
+        # vertex: the only size vector resize accepts is the targets
+        sched = self.schedule(27)
+        g = self.complete(54)
+        state = prepare_host_partition(g, sched, budget=50, seed=0)
+        assert sched.size_slack * 54 < Fraction(1, 10**18)
+        res = resize_host_partition(state, g, state.target_sizes, state.target_sizes,
+                                    budget=50, seed=1)
+        assert res.redistribution.vertex_moves == 0
+        for i, j in ((0, 1), (26, 0)):
+            sizes = list(state.target_sizes)
+            sizes[i] += 1
+            sizes[j] -= 1
+            for a_sizes, b_sizes in ((sizes, state.target_sizes), (state.target_sizes, sizes)):
+                with pytest.raises(PipelineStageError) as exc:
+                    resize_host_partition(state, g, a_sizes, b_sizes, budget=50, seed=1)
+                assert exc.value.stage == "resize"
+                assert f"requested size at cluster {i} exceeds" in str(exc.value)
 
 
 REUSED = "deviation verdict reused from"

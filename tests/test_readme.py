@@ -1,8 +1,10 @@
 """The README's examples stay in step with the code: every ``bipembed``
-command in its code blocks parses, its Library block runs, and every name
-its Library section lists resolves."""
+command in its code blocks parses, its Library block runs, every name its
+Library section lists resolves, and every call its prose shows names the
+function's parameters."""
 
 import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -44,6 +46,30 @@ def test_library_block_runs():
     exec(compile(block, str(README), "exec"), {})
 
 
+def resolve(name):
+    """``bipembed.<name>`` for a bare name, ``bipembed.<module>.<name>`` for
+    a qualified one, or None."""
+    module, _, attr = name.rpartition(".")
+    home = importlib.import_module(f"bipembed.{module}" if module else "bipembed")
+    return getattr(home, attr, None)
+
+
+def test_library_calls_name_the_leading_parameters():
+    """Outside fenced code, each backquoted call of the Library section
+    that names a bipembed function, such as ``f(a, b=None)``, lists f's
+    first parameters in order (``ceil(bound)`` names none)."""
+    (section,) = re.findall(r"^## Library\n(.*?)^## ", README.read_text(), re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", section, flags=re.S | re.M)
+    calls = [(resolve(name), name, args)
+             for name, args in re.findall(r"`([\w.]+)\(([^`]*)\)`", prose)]
+    calls = [call for call in calls if call[0] is not None]
+    assert len(calls) >= 5
+    for fn, name, args in calls:
+        shown = [a.split("=")[0].strip() for a in args.split(",") if a.strip()]
+        params = list(inspect.signature(fn).parameters)
+        assert shown == params[:len(shown)], (name, shown, params)
+
+
 def test_library_names_resolve():
     """Each name of the Library section's "Lower-level entry points" list
     exists: a bare name as ``bipembed.<name>``, a qualified one as
@@ -53,6 +79,4 @@ def test_library_names_resolve():
     names = [re.match(r"[\w.]+", span).group() for span in re.findall(r"`([^`]+)`", entries)]
     assert len(names) >= 20
     for name in names:
-        module, _, attr = name.rpartition(".")
-        home = importlib.import_module(f"bipembed.{module}" if module else "bipembed")
-        assert getattr(home, attr, None) is not None, name
+        assert resolve(name) is not None, name

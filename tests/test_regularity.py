@@ -37,7 +37,10 @@ from bipembed.regularity import (
     super_regularize,
 )
 
-from helpers import brute_force_regular, planted_blocks, random_bipartite, reference_sampled_check
+from helpers import (
+    brute_force_regular, planted_blocks, random_bipartite, reference_equalise,
+    reference_sampled_check,
+)
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
@@ -807,6 +810,76 @@ class TestSuperRegularize:
             assert cert.verdict is Verdict.SUPER_REGULAR
 
 
+@st.composite
+def cleaning_instances(draw):
+    """A random host with some vertices of random low density, cut into k
+    random clusters per side (some vertices left exceptional), and a
+    subgraph of the cluster cycle's pairs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 4))
+    n = k * draw(st.integers(1, 6)) + draw(st.integers(0, 3))
+    row_p = [rng.choice([0.1, 0.4, 0.9, 1.0]) for _ in range(n)]
+    g = BipartiteGraph.build(n, n, [
+        (a, b) for a in range(n) for b in range(n) if rng.random() < min(row_p[a], row_p[b])
+    ])
+    masks = []
+    for _ in range(2):
+        owner = [rng.randrange(k + 1) for _ in range(n)]  # k: exceptional
+        masks.append([sum(1 << v for v in range(n) if owner[v] == i) for i in range(k + 1)])
+    pairs = [(i, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    params = RegularityParams(Fraction(draw(st.integers(1, 4)), 8),
+                              Fraction(draw(st.integers(0, 8)), 8))
+    return g, masks, edges, params
+
+
+def reference_cleaning(g, part, edges, params):
+    """Degree cleaning with every degree counted vertex by vertex, then the
+    index-list trimming: the partition's masks, moved_a and moved_b."""
+    floor = params.d - params.epsilon
+    members_a = [sorted(c.indices()) for c in part.clusters_a]
+    members_b = [sorted(c.indices()) for c in part.clusters_b]
+    moved = {Side.A: {i: set() for i in range(part.k)}, Side.B: {i: set() for i in range(part.k)}}
+    for i, j in set(edges):
+        for side, own, partner, adj, idx in (
+            (Side.A, members_a[i], members_b[j], g.adj_a, i),
+            (Side.B, members_b[j], members_a[i], g.adj_b, j),
+        ):
+            for v in own:
+                if sum(adj[v] >> w & 1 for w in partner) < floor * len(partner):
+                    moved[side][idx].add(v)
+    groups = {
+        Side.A: [[v for v in c if v not in moved[Side.A][i]] for i, c in enumerate(members_a)],
+        Side.B: [[v for v in c if v not in moved[Side.B][j]] for j, c in enumerate(members_b)],
+    }
+    exceptional = {
+        Side.A: list(part.exceptional_a.indices()) + [v for m in moved[Side.A].values() for v in m],
+        Side.B: list(part.exceptional_b.indices()) + [v for m in moved[Side.B].values() for v in m],
+    }
+    reference_equalise(groups, exceptional, min(len(c) for s in groups.values() for c in s))
+    masks = tuple(
+        [sum(1 << v for v in c) for c in groups[side]] + [sum(1 << v for v in exceptional[side])]
+        for side in (Side.A, Side.B)
+    )
+    return (masks,
+            {i: sorted(m) for i, m in moved[Side.A].items()},
+            {j: sorted(m) for j, m in moved[Side.B].items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=cleaning_instances())
+def test_cleaning_trims_like_the_index_list_rule(instance):
+    g, (masks_a, masks_b), edges, params = instance
+    part = ClusterPartition.from_masks(g, masks_a[:-1], masks_b[:-1], masks_a[-1], masks_b[-1])
+    res = super_regularize(g, part, edges, params)
+    got = res.partition
+    res_masks = (
+        [c.bits for c in got.clusters_a] + [got.exceptional_a.bits],
+        [c.bits for c in got.clusters_b] + [got.exceptional_b.bits],
+    )
+    assert (res_masks, res.moved_a, res.moved_b) == reference_cleaning(g, part, edges, params)
+
+
 class TestPerturbationSoundness:
     def test_moved_pair_not_irregular_at_rebound(self):
         rng = random.Random(2)
@@ -979,7 +1052,7 @@ def test_degree_gates_match_rational_thresholds(seed, d, eps):
     ]
     try:
         moved = redistribute_cluster_sizes(
-            g, part, [-1, 1], [0, 0], Fraction(1, 7), params, enforce_xi_cap=False
+            g, part, [-1, 1], [0, 0], Fraction(1, 7), params
         )
     except RedistributionError:
         assert not eligible
@@ -1076,7 +1149,6 @@ def test_mover_follows_its_documented_rule(instance):
     try:
         res = redistribute_cluster_sizes(
             g, part, deltas_a, deltas_b, Fraction(1), RegularityParams(Fraction(1, 4), d),
-            enforce_xi_cap=False,
         )
     except RedistributionError as e:
         assert (e.side, e.cluster, str(e)) == expected
