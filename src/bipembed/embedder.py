@@ -473,7 +473,8 @@ class RunReport:
     seed: int
     stages: list[StageRecord] = field(default_factory=list)
     verdict: str = "failed"
-    # the end of the previous stage: stages run back to back
+    # the end of the previous stage: stages run back to back, except that
+    # placement runs inside host phase 2 and is counted in its time
     stage_start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def record(self, stage: str, ok: bool, detail: str) -> None:
@@ -519,8 +520,13 @@ def embed_bipartite(
     linking blocks;
     a run ends where the X count reaches its clusters' phase-1 targets and
     goes to its first cluster.  An attempt goes on only when the
-    compatibility clauses hold at the schedule epsilon.  Verification
-    failure is fatal: no unverified embedding is ever returned.
+    compatibility clauses hold at the schedule epsilon.  Placement
+    (``embed_compatible``) runs on the resized partition while phase 2's
+    certification batch samples: it reads none of phase 2's verdicts,
+    which are claimed after it and go only into the host-phase-2 record,
+    made before the embedding record whether placement succeeded or not.
+    Verification failure is fatal: no unverified embedding is ever
+    returned.
     """
     cfg = config or EmbedConfig()
     gamma = frac(gamma)
@@ -610,10 +616,21 @@ def embed_bipartite(
         report.record("compatibility", True, "clauses hold at the schedule epsilon")
 
         sub = _mix_seed(seed, attempt)
+        placed = []  # the embedding, or the EmbeddingError placement raised
+
+        def place(partition: ClusterPartition) -> None:
+            try:
+                placed.append(embed_compatible(
+                    G, H, partition, rep, schedule.final_params(), sub,
+                    order=labelling.order, retries=cfg.embed_retries,
+                ))
+            except EmbeddingError as e:
+                placed.append(e)
+
         try:
             resized = resize_host_partition(
                 state, G, hom.preimage_a, hom.preimage_b,
-                budget=cfg.sample_budget, seed=sub,
+                budget=cfg.sample_budget, seed=sub, meanwhile=place,
             )
         except (PipelineStageError, RedistributionError) as e:
             report.record("host-phase-2", False, str(e))
@@ -625,15 +642,10 @@ def embed_bipartite(
             f"certified={'yes' if resized.certificates_ok else 'vacuous/partial'}",
         )
 
-        try:
-            emb = embed_compatible(
-                G, H, resized.partition, rep,
-                schedule.final_params(), sub, order=labelling.order,
-                retries=cfg.embed_retries,
-            )
-        except EmbeddingError as e:
-            report.record("embedding", False, str(e))
-            last_failure = f"embedding: {e}"
+        [emb] = placed
+        if isinstance(emb, EmbeddingError):
+            report.record("embedding", False, str(emb))
+            last_failure = f"embedding: {emb}"
             continue
         # embed_compatible returns only embeddings that verify_embedding passed
         report.record("embedding", True, f"verified on attempt {attempt + 1}")

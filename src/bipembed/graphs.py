@@ -241,14 +241,17 @@ class BipartiteGraph:
     def _from_flat(cls, size_a: int, size_b: int, flat: bytes) -> "BipartiteGraph":
         """The graph with edge (a, b) where byte ``flat[a * size_b + b]`` is 1.
 
-        ``flat`` holds only 0 and 1 bytes.  Each row and each (strided)
-        column becomes one bitset through a single ``int(..., 2)``.
+        ``flat`` holds only 0 and 1 bytes.  Each row and each (strided,
+        last row first) column slice is translated to digits on its own, so
+        no second copy of the whole flat is made, and becomes one bitset
+        through a single ``int(..., 2)``.
         """
         if not size_a or not size_b:
             return cls(size_a, size_b, [0] * size_a, [0] * size_b)
-        s = flat.translate(_DIGITS)
-        adj_a = [int(s[i:i + size_b][::-1], 2) for i in range(0, len(s), size_b)]
-        adj_b = [int(s[j::size_b][::-1], 2) for j in range(size_b)]
+        last = len(flat) - size_b  # where the last row starts
+        adj_a = [int(flat[i:i + size_b].translate(_DIGITS)[::-1], 2)
+                 for i in range(0, len(flat), size_b)]
+        adj_b = [int(flat[last + j::-size_b].translate(_DIGITS), 2) for j in range(size_b)]
         return cls(size_a, size_b, adj_a, adj_b)
 
     @property

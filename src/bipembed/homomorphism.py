@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, id_table
+from .graphs import BipartiteGraph, Check, GraphError, Side, VertexId, bit_flags
 from .ratmath import Rational, frac
 
 
@@ -356,14 +356,18 @@ def verify_cycle_homomorphism(
     stray = next((c for c in hom.cluster_of_x + hom.cluster_of_y if not 0 <= c < k), None)
     homo = Check(stray is None, f"cluster {stray} outside 0..{k - 1}")
     matching = Check(True)
-    ids_a, ids_b = id_table(Side.A, H.size_a), id_table(Side.B, H.size_b)
+    # the linking vertices inside H as one bit row per side
+    linked = {Side.A: 0, Side.B: 0}
+    for v in hom.linking:
+        if 0 <= v.index < H.side_size(v.side):
+            linked[v.side] |= 1 << v.index
+    linked_x, linked_y = bit_flags(linked[Side.A], H.size_a), bit_flags(linked[Side.B], H.size_b)
     for x, y in H.edges():
         a_idx = hom.cluster_of_x[x]
         b_idx = hom.cluster_of_y[y]
         if not _cycle_edge(a_idx, b_idx, k) and homo.ok:
             homo = Check(False, f"edge ({x},{y}) -> (A_{a_idx}, B_{b_idx})")
-        vx, vy = ids_a[x], ids_b[y]
-        if vx not in hom.linking and vy not in hom.linking:
+        if not (linked_x[x] or linked_y[y]):
             if a_idx != b_idx and matching.ok:
                 matching = Check(
                     False,

@@ -31,7 +31,10 @@ clusters that super-regularisation, absorption or a route changed; faithful
 mode's tiers differ, so each phase samples anew.  The pairs a call of
 ``_certify_pairs`` must sample run across cores
 (``regularity.sampled_across_cores``); each draws on its own seed, so
-which process samples it changes no certificate.
+which process samples it changes no certificate.  Phase 2 opens its batch
+as soon as the redistribution is known and can run the caller's placement
+(``meanwhile``) while the helpers sample, before it claims their
+certificates.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
@@ -47,7 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .graphs import BipartiteGraph, GraphError, Side, VertexId, density, iter_bits
 from .hamilton import HamiltonCycle, HamiltonSearchError, find_hamilton_cycle
@@ -516,6 +519,7 @@ def _certify_pairs(
     seed: int,
     known: DeviationLedger,
     source: str,
+    meanwhile: Optional[Callable[[ClusterPartition], object]] = None,
 ) -> list[PairCertificate]:
     """Certify each (A_i, B_j) of the (i, j, super_regular) ``pairs``, in
     order, deviation verdict first.  A pair whose verdict in ``known``
@@ -524,7 +528,9 @@ def _certify_pairs(
     seed ``_mix_seed(seed, i, j)``, across cores, and its verdict enters
     ``known`` under ``source``.  A regular pair's certificate is its
     verdict; a super-regular pair's adds the density and degree gates to
-    it (``check_super_regular_pair``)."""
+    it (``check_super_regular_pair``).  ``meanwhile``, when given, is
+    called with ``part`` once the batch is open and before any pair is
+    certified, so it runs while the helpers sample."""
 
     def kept(a, b):
         entry = known.get((a.bits, b.bits))
@@ -541,6 +547,8 @@ def _certify_pairs(
     ]
     certs = []
     with sampled_across_cores(G, [args for args in checks if not kept(*args[:2])]):
+        if meanwhile is not None:
+            meanwhile(part)
         for args, (_, _, super_regular) in zip(checks, pairs):
             a, b = args[:2]
             verdict = kept(a, b)
@@ -559,15 +567,17 @@ def _certify_cycle_pairs(
     seed: int,
     known: DeviationLedger,
     source: str,
+    meanwhile: Optional[Callable[[ClusterPartition], object]] = None,
 ) -> tuple[dict[int, PairCertificate], dict[int, PairCertificate]]:
     """Certify each (A_i, B_i) super-regular and each (A_i, B_{i+1}) regular,
-    keyed by i; a pair with an empty cluster has nothing to certify."""
+    keyed by i; a pair with an empty cluster has nothing to certify.
+    ``meanwhile`` goes to ``_certify_pairs``."""
     k = part.k
     pairs = [
         (i, (i + s) % k, s == 0) for i in range(k) for s in (0, 1)
         if part.clusters_a[i] and part.clusters_b[(i + s) % k]
     ]
-    certs = _certify_pairs(G, part, pairs, params, budget, seed, known, source)
+    certs = _certify_pairs(G, part, pairs, params, budget, seed, known, source, meanwhile)
     matching = {i: c for (i, _, sup), c in zip(pairs, certs) if sup}
     offsets = {i: c for (i, _, sup), c in zip(pairs, certs) if not sup}
     return matching, offsets
@@ -786,13 +796,17 @@ def resize_host_partition(
     b_sizes: Sequence[int],
     budget: int = 2000,
     seed: int = 0,
+    meanwhile: Optional[Callable[[ClusterPartition], object]] = None,
 ) -> ResizeResult:
     """Phase 2: realise |A_i| = a_sizes[i], |B_i| = b_sizes[i] exactly.
 
     Requested sizes may exceed the phase-1 targets by at most size_slack*n
     each.  Certification of the resized pairs happens at the schedule's
     final parameters; a pair whose clusters no route changed keeps its
-    earlier deviation verdict when the epsilon is the same.
+    earlier deviation verdict when the epsilon is the same.  ``meanwhile``,
+    when given, is called with the resized partition as soon as it is
+    known, while the certification batch's helpers sample; its errors
+    propagate, and the pairs are certified once it returns.
     """
     sched = state.schedule
     k = state.k
@@ -817,6 +831,6 @@ def resize_host_partition(
     )
     matching, offsets = _certify_cycle_pairs(
         G, redis.partition, sched.final_params(), budget, _mix_seed(seed, PHASE2_STREAM),
-        dict(state.deviation_certificates), "phase 2",
+        dict(state.deviation_certificates), "phase 2", meanwhile,
     )
     return ResizeResult(redis, matching, offsets)

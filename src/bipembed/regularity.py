@@ -47,13 +47,16 @@ read only for a witness.
 A batch of independent checks (``maximal_reduced_graph``'s k^2 pairs, or
 the partitioner's certification of the cycle pairs) runs inside
 ``sampled_across_cores``: one helper is forked per spare core and samples
-every (h+1)-th distinct check of the batch, and the caller still calls
-``check_regular_pair`` for every pair, in order, taking the helper's
-certificate (one pickle on the helper's pipe) where it has one.  The batch
-declares only checks the caller makes, so every helper's work is used.  A
-check's draws depend only on its own arguments and seed, never on the
-order or process it runs in, so the certificates are the ones one process
-would sample.
+the batch's distinct checks from the back, while the caller still calls
+``check_regular_pair`` for every pair, in order, from the front.  At each
+check the caller takes the helper's certificate (one pickle on the
+helper's pipe) if it has arrived, waits for it if the helper is sampling
+that very check, and otherwise samples the check itself; a helper stops
+at the first check the caller has reached, so the batch balances itself
+however fast each process runs.  The batch declares only checks the
+caller makes, so every helper's work is used.  A check's draws depend
+only on its own arguments and seed, never on the order or process it
+runs in, so the certificates are the ones one process would sample.
 """
 
 from __future__ import annotations
@@ -583,10 +586,11 @@ def _member_pool(tagged: list[int], nb: int, k: int):
 # sampling a batch of pair checks across cores
 # ---------------------------------------------------------------------------
 
-# The checks that a helper of the open batch samples: each normalised
-# ``_job`` -> (helper, position in its jobs).  Module state, because
-# the caller's loop still reaches every check through ``check_regular_pair``;
-# ``sampled_across_cores`` fills it and empties it on exit.
+# The open batch's checks: each normalised ``_job`` -> (the helper that
+# samples it unless the caller gets there first, its position in the
+# batch).  Module state, because the caller's loop still reaches every
+# check through ``check_regular_pair``; ``sampled_across_cores`` fills it
+# and empties it on exit.
 _prefetched: dict[tuple, tuple["_Helper", int]] = {}
 
 
@@ -604,16 +608,38 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-class _Helper:
-    """A forked process that samples its share of a batch's checks, in
-    order, and writes each certificate to its pipe as soon as it is done,
-    one pickle per check (None when the check raised)."""
+def _board(slots: int) -> memoryview:
+    """``slots`` signed 64-bit integers in memory that forked processes
+    share, each -1."""
+    import mmap  # only a process that forks needs it
 
-    def __init__(self, G: BipartiteGraph, jobs: list[tuple]):
+    board = memoryview(mmap.mmap(-1, 8 * slots)).cast("q")
+    for slot in range(slots):
+        board[slot] = -1
+    return board
+
+
+class _Helper:
+    """A forked process that samples the batch's checks at ``positions``,
+    in that (descending) order, until the caller's position reaches the
+    next one.  The ``board`` is shared memory: slot 0 holds the caller's
+    position, and the helper writes each check's position to its ``slot``
+    before sampling it.  Each certificate goes to the helper's pipe as soon
+    as it is done, one frame per check: the length of a pickle of
+    (position, certificate), then the pickle (certificate None when the
+    check raised)."""
+
+    def __init__(
+        self, G: BipartiteGraph, jobs: list[tuple], positions: range, board: memoryview, slot: int
+    ):
         import pickle  # only a process that forks needs it
 
         self.graph = G
-        self.results: list[Optional[PairCertificate]] = []
+        self.board = board
+        self.slot = slot
+        self.results: dict[int, Optional[PairCertificate]] = {}
+        self.pending = bytearray()
+        self.ended = False
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -626,37 +652,64 @@ class _Helper:
             try:
                 os.close(read)
                 with open(write, "wb") as out:
-                    for job in jobs:
+                    for p in positions:
+                        if board[0] >= p:
+                            break  # the caller has got here: the rest are its own
+                        board[slot] = p
                         try:
-                            cert = _check_pair(G, *job)
+                            cert = _check_pair(G, *jobs[p])
                         except Exception:
                             # the parent samples this pair itself and meets the error
                             cert = None
-                        pickle.dump(cert, out)
+                        frame = pickle.dumps((p, cert))
+                        out.write(len(frame).to_bytes(4, "little") + frame)
                         out.flush()
                 status = 0
             finally:
                 os._exit(status)
         os.close(write)
-        self.stream = open(read, "rb")
+        self.fd = read
 
     def result(self, position: int) -> Optional[PairCertificate]:
-        """The certificate of this helper's job ``position``, read from the
-        pipe up to it; None when the check raised or the helper died first."""
+        """The certificate of the batch's check ``position``, where the
+        caller has got to: taken if it has arrived, waited for if the helper
+        is sampling it, None otherwise (also when the check raised or the
+        helper died before sending it)."""
+        self.board[0] = position  # no helper starts a check at or before it now
+        self._receive(wait=False)
+        while position not in self.results and self.board[self.slot] == position and not self.ended:
+            self._receive(wait=True)
+        return self.results.pop(position, None)
+
+    def _receive(self, wait: bool) -> None:
+        """Take in every frame the helper has sent; with ``wait``, block
+        until more arrives or the pipe closes."""
         import pickle
 
-        while len(self.results) <= position:
-            try:
-                self.results.append(pickle.load(self.stream))
-            except (EOFError, pickle.UnpicklingError):
-                return None  # the helper died before or while writing it
-        return self.results[position]
+        os.set_blocking(self.fd, wait)
+        try:
+            # a frame is under 1 KB at n = 512; a larger read buffer only
+            # raises the process's peak memory
+            while chunk := os.read(self.fd, 4096):
+                self.pending += chunk
+                while len(self.pending) >= 4:
+                    end = 4 + int.from_bytes(self.pending[:4], "little")
+                    if len(self.pending) < end:
+                        break
+                    position, cert = pickle.loads(self.pending[4:end])
+                    self.results[position] = cert
+                    del self.pending[:end]
+                if wait:
+                    return
+        except BlockingIOError:
+            return
+        self.ended = True
 
     def reap(self) -> None:
         """End the helper, whether or not it is done, and wait for it."""
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        self.stream.close()
+        os.close(self.fd)
 
 
 @contextmanager
@@ -664,37 +717,42 @@ def sampled_across_cores(G: BipartiteGraph, checks: Iterable[tuple]) -> Iterator
     """Sample a batch of pair checks on every core this process may use.
 
     ``checks`` holds the arguments after G of the ``check_regular_pair``
-    calls the block is about to make, and only those: every check handed
-    to a helper is one the block claims.  A malformed check (no sample to
-    draw, or both sets on one side) raises here, before anything is
-    forked, the error the block's call would meet.  One helper per spare
-    core is forked (fewer when there are fewer checks).  With h helpers, helper t (1 to h)
-    samples the distinct checks t, t+h+1, t+2(h+1), ... (counting from 0),
-    and the block's own call of such a check takes the helper's
-    certificate instead of sampling; the block samples checks 0, h+1, ...
-    Each check draws on its own seed, whatever order or process it runs
-    in, so every certificate is the one the block would sample itself.  A
-    check that raised in a helper, or that a dead helper never sent, is
-    sampled by the block's call, which meets the same error or result.
-    With one core, one check, no ``os.fork`` or other threads running, the
-    block samples every check itself, and it samples a failed fork's share
-    too.  On exit every helper is killed if still running and reaped.
+    calls the block is about to make, in order, and only those.  A
+    malformed check (no sample to draw, or both sets on one side) raises
+    here, before anything is forked, the error the block's call would meet.
+    One helper per spare core is forked (fewer when there are fewer
+    checks).  The helpers sample the distinct checks from the back: with n
+    of them and h helpers, helper t (1 to h) takes positions n-t, n-t-h,
+    ... (counting from 0), and stops at the first one the block has
+    reached.  The block's own call of a check takes the helper's
+    certificate if it has arrived, waits for it if the helper is sampling
+    that very check, and otherwise samples it itself, so the work meets in
+    the middle however fast each process runs.  Each check draws on its
+    own seed, whatever order or process it runs in, so every certificate
+    is the one the block would sample itself.  A check that raised in a
+    helper, or that a dead helper never sent, is sampled by the block's
+    call, which meets the same error or result.  With one core, one check,
+    no ``os.fork`` or other threads running, the block samples every check
+    itself, and it samples a failed fork's share too.  On exit every
+    helper is killed if still running and reaped.
     """
     jobs = list(dict.fromkeys(_job(*args) for args in checks))
     count = min(_cores() - 1, len(jobs) - 1)
     if count < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield
         return
+    # slot 0: the block's position in the batch; slot t: helper t's check
+    board = _board(count + 1)
     helpers = []
     try:
         for t in range(1, count + 1):
-            mine = jobs[t :: count + 1]
+            positions = range(len(jobs) - t, -1, -count)
             try:
-                helper = _Helper(G, mine)
+                helper = _Helper(G, jobs, positions, board, t)
             except OSError:
                 break  # no process to spare: the block samples the rest itself
             helpers.append(helper)
-            _prefetched.update((job, (helper, p)) for p, job in enumerate(mine))
+            _prefetched.update((jobs[p], (helper, p)) for p in positions)
         yield
     finally:
         _prefetched.clear()

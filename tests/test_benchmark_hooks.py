@@ -7,6 +7,8 @@ import hashlib
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +98,23 @@ def test_benchmark_reader_skips_the_row_index(monkeypatch, tmp_path):
         path = str(tmp_path / f"g{i}.bg")
         write_graph(path, g)
         assert checks.read_bg(path) == (g.size_a, g.size_b, list(g.adj_a))
+
+
+# the digest line ``perfbench/run.py`` prints at seed 1 (one set-up per
+# instance, one operation each): a moved certificate, embedding or Hamilton
+# cycle changes it, whichever process sampled or searched
+DIGESTS = {
+    "embed-512": "66818f1d397ab4c66700f0fa9769bb93a60d51fd6876daaa2a13f8a74ab06c63",
+    "hamilton-threshold": "71963526a88e8afdbd739df0f56a009c925f837f7368e2e3f8129c4aa24085dc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_the_benchmark_prints_the_recorded_digest(name):
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", name,
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"digest {name} seed=1: {DIGESTS[name]}" in done.stdout.splitlines()

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipembed import embedder, partitioner, regularity
+from bipembed import embedder, fileio, partitioner, regularity
 from bipembed.embedder import (
     EmbedConfig,
     Embedding,
@@ -809,6 +809,100 @@ class TestScheduleEpsilonGate:
         assert len(set(calls[:16])) == 16
         phase1 = [s.detail for s in res.report.stages if s.stage == "host-phase-1"]
         assert phase1[0].endswith(", certified=cycle 16/16, global regularity not checked")
+
+
+class TestPlacementBesidePhase2:
+    """Placement runs while phase 2's certification batch samples, and the
+    run reads as it does when one core samples every pair: phase 2's
+    verdicts only fill its report line, recorded after placement."""
+
+    cfg = EmbedConfig(
+        mode="practical", epsilon=Fraction(1, 4), d=Fraction(3, 10),
+        k0=8, ell=64, sample_budget=800, pipeline_retries=8,
+    )
+
+    @staticmethod
+    def criterion_1(seed):
+        n = 512
+        g = gen_host(InstanceSpec(
+            "host-random-min-degree", n, 40_000 + seed,
+            {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)},
+        ))
+        return g, cycle_graph(n), zigzag_labelling(n)
+
+    def run(self, monkeypatch, cores, instance, seed, place=None):
+        """``embed_bipartite`` on ``instance`` with ``cores`` cores: its
+        result, every phase-2 result, and for each placement whether it
+        ran inside an open batch.  ``place(call)`` runs before each
+        placement, numbered from 0."""
+        resized, beside = [], []
+        real_resize, real_embed = partitioner.resize_host_partition, embedder.embed_compatible
+
+        def resize(*args, **kwargs):
+            resized.append(real_resize(*args, **kwargs))
+            return resized[-1]
+
+        def embed(*args, **kwargs):
+            beside.append(bool(regularity._prefetched))
+            if place is not None:
+                place(len(beside) - 1)
+            return real_embed(*args, **kwargs)
+
+        monkeypatch.setattr(regularity, "_cores", lambda: cores)
+        monkeypatch.setattr(embedder, "resize_host_partition", resize)
+        monkeypatch.setattr(embedder, "embed_compatible", embed)
+        g, h, lab = instance
+        res = embed_bipartite(g, h, Fraction(3, 10), 2, self.cfg, seed=seed, labelling=lab)
+        certs = [(r.matching_certificates, r.offset_certificates) for r in resized]
+        return res, certs, beside
+
+    @staticmethod
+    def report_bytes(report) -> str:
+        return json.dumps(fileio.run_report_to_json(report), indent=2)
+
+    def test_criterion_1_reads_as_on_one_core(self, monkeypatch):
+        placed_beside = []
+        for seed in range(5):
+            instance = self.criterion_1(seed)
+            one, certs_one, _ = self.run(monkeypatch, 1, instance, seed)
+            two, certs_two, beside = self.run(monkeypatch, 2, instance, seed)
+            assert self.report_bytes(two.report) == self.report_bytes(one.report), seed
+            assert two.embedding.mapping == one.embedding.mapping, seed
+            assert certs_two == certs_one, seed
+            placed_beside += beside
+        # phase 2 samples at least two fresh pairs at some seeds: there
+        # placement runs while a helper samples
+        assert any(placed_beside)
+
+    def test_a_failed_placement_is_recorded_after_phase_2(self, monkeypatch):
+        def fail_first(call):
+            if call == 0:
+                raise EmbeddingError("completion stuck on purpose")
+
+        instance = self.criterion_1(0)
+        runs = [self.run(monkeypatch, cores, instance, 0, fail_first) for cores in (1, 2)]
+        (one, _, _), (two, _, beside) = runs
+        assert beside[0]
+        assert self.report_bytes(two.report) == self.report_bytes(one.report)
+        stages = [(s.stage, s.ok) for s in two.report.stages]
+        first = stages.index(("embedding", False))
+        assert stages[first - 1] == ("host-phase-2", True)
+        assert two.report.stages[first].detail == "completion stuck on purpose"
+        assert two.report.verdict == "verified-embedding"
+
+    def test_another_error_in_placement_propagates(self, monkeypatch):
+        beside = []
+
+        def fail(call):
+            beside.append(bool(regularity._prefetched))
+            raise KeyError("placement broke")
+
+        with pytest.raises(KeyError, match="placement broke"):
+            self.run(monkeypatch, 2, self.criterion_1(0), 0, fail)
+        # placement raised while a helper sampled; the conftest fixture
+        # checks that the helper was reaped
+        assert beside == [True]
+        assert regularity._prefetched == {}
 
 
 class TestTinyOracleSoundness:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bipembed.graphs import BipartiteGraph, GraphError, Side, VertexId
+from bipembed.graphs import BipartiteGraph, Check, GraphError, Side, VertexId
 from bipembed.homomorphism import (
     BalanceError,
+    CycleHomomorphism,
     balance_assignment,
     bandwidth_labelling,
     build_cycle_homomorphism,
@@ -322,6 +323,47 @@ class TestVerifyCycleHomomorphism:
         )
         rep = verify_cycle_homomorphism(h, bad, [18] * 8, Fraction(1, 4))
         assert not rep.homomorphism.ok and "cluster -1 outside 0..7" in rep.homomorphism.detail
+
+    @staticmethod
+    def frozenset_matching_clause(h, hom):
+        """The matching clause with each edge's endpoints looked up in the
+        ``linking`` frozenset, as ``verify_cycle_homomorphism`` tested it
+        before it built bit rows."""
+        for x, y in h.edges():
+            a_idx, b_idx = hom.cluster_of_x[x], hom.cluster_of_y[y]
+            if VertexId(Side.A, x) not in hom.linking and VertexId(Side.B, y) not in hom.linking:
+                if a_idx != b_idx:
+                    return Check(
+                        False,
+                        f"non-linking edge ({x},{y}) not on a matching pair "
+                        f"(A_{a_idx}, B_{b_idx})",
+                    )
+        return Check(True)
+
+    def test_matching_clause_equals_the_frozenset_lookups(self):
+        """Random targets, cluster maps and linking sets, with linking
+        vertices outside the target too: the bit-row clause gives the
+        frozenset version's verdict and message."""
+        rng = random.Random(33)
+        verdicts = set()
+        for _ in range(300):
+            na, nb, k = rng.randint(1, 24), rng.randint(1, 24), rng.randint(1, 4)
+            p = rng.random()
+            h = BipartiteGraph.build(
+                na, nb, [(a, b) for a in range(na) for b in range(nb) if rng.random() < p]
+            )
+            cx = [rng.randrange(k) for _ in range(na)]
+            cy = [cx[b % na] if rng.random() < 0.9 else rng.randrange(k) for b in range(nb)]
+            q = rng.random()
+            linking = {VertexId(Side.A, a) for a in range(na) if rng.random() < q}
+            linking |= {VertexId(Side.B, b) for b in range(nb) if rng.random() < q}
+            linking |= {VertexId(rng.choice([Side.A, Side.B]), rng.choice([-2, -1, na, nb, 99]))
+                        for _ in range(rng.randint(0, 2))}
+            hom = CycleHomomorphism(k, tuple(cx), tuple(cy), frozenset(linking), 1, tuple(range(k)))
+            rep = verify_cycle_homomorphism(h, hom, [na] * k, Fraction(1, 4))
+            assert rep.matching_edges == self.frozenset_matching_clause(h, hom)
+            verdicts.add(rep.matching_edges.ok)
+        assert verdicts == {True, False}
 
     def test_maps_must_cover_the_target(self):
         h, hom = self.clean()

@@ -980,6 +980,14 @@ class TestCycleFirst:
 
 
 
+def wait_for_exit(pid, seconds=60):
+    """Wait until child ``pid`` has ended, leaving it unreaped."""
+    deadline = time.monotonic() + seconds
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+        assert time.monotonic() < deadline, f"child {pid} still running"
+        time.sleep(0.001)
+
+
 class TestSampledAcrossCores:
     """A batch's fresh pair checks run on forked helpers, and the caller
     gets the certificates it would sample itself: compared against the
@@ -1015,11 +1023,15 @@ class TestSampledAcrossCores:
         return g, contiguous_partition(g, 4, m)
 
     @staticmethod
-    def batch(monkeypatch, cores, run):
+    def batch(monkeypatch, cores, run, helpers_first=False):
         """``run()`` with ``cores`` cores, the number of helpers it forked
-        and the number of checks it sampled in this process."""
+        and the number of checks it sampled in this process.  With
+        ``helpers_first`` the caller makes its first claim of each batch
+        only once every helper has ended, so the helpers sample the whole
+        batch whatever the machine's speed."""
         forked, here = [], []
-        real_helper, real_check = regularity._Helper, regularity._check_pair
+        real_helper, real_check, real_claim = (
+            regularity._Helper, regularity._check_pair, regularity._claim)
 
         def helper(*args):
             forked.append(1)
@@ -1029,9 +1041,16 @@ class TestSampledAcrossCores:
             here.append(1)  # a helper appends to its own copy
             return real_check(*args)
 
+        def claim(G, job):
+            for h in {h for h, _ in regularity._prefetched.values()}:
+                wait_for_exit(h.pid)  # the batch reaps it
+            return real_claim(G, job)
+
         monkeypatch.setattr(regularity, "_cores", lambda: cores)
         monkeypatch.setattr(regularity, "_Helper", helper)
         monkeypatch.setattr(regularity, "_check_pair", check)
+        if helpers_first:
+            monkeypatch.setattr(regularity, "_claim", claim)
         return run(), len(forked), len(here)
 
     def test_certificates_equal_the_inline_batch(self, monkeypatch):
@@ -1057,13 +1076,17 @@ class TestSampledAcrossCores:
         # seven distinct fresh checks, each sampled once: (2, 2) before its
         # degrees fail, and the repeated (0, 0) takes the first one's verdict
         assert inline[1:] == (0, 7)
-        assert self.batch(monkeypatch, 2, run) == (inline[0], 1, 4)
-        assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 3)
+        # the helpers sample all seven; each certificate is the inline one
+        assert self.batch(monkeypatch, 2, run, helpers_first=True) == (inline[0], 1, 0)
+        assert self.batch(monkeypatch, 3, run, helpers_first=True) == (inline[0], 2, 0)
+        # however the work splits, the certificates are the inline ones
+        assert self.batch(monkeypatch, 3, run)[:2] == (inline[0], 2)
 
     def test_every_check_handed_to_a_helper_is_claimed(self, monkeypatch):
         """The batch of ``test_certificates_equal_the_inline_batch`` hands its
         helpers only checks the loop makes, a super-regular pair whose
-        degrees fail included."""
+        degrees fail included: its seven fresh checks, split from the back,
+        and each one is claimed."""
         g, part = self.host()
         a3, b3 = part.clusters_a[3], part.clusters_b[3]
         earlier = check_regular_pair(g, a3, b3, self.params, budget=200, seed=99)
@@ -1074,9 +1097,9 @@ class TestSampledAcrossCores:
         def counted(cores):
             handed, claimed = [], []
 
-            def helper(G, jobs):
-                handed.append(len(jobs))
-                return real_helper(G, jobs)
+            def helper(G, jobs, positions, *rest):
+                handed.append(len(positions))
+                return real_helper(G, jobs, positions, *rest)
 
             def claim(G, job):
                 claimed.append(job in regularity._prefetched)
@@ -1089,8 +1112,74 @@ class TestSampledAcrossCores:
             partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, known, "the batch")
             return sum(handed), sum(claimed)
 
-        assert counted(2) == (3, 3)
-        assert counted(3) == (4, 4)
+        assert counted(2) == (7, 7)
+        assert counted(3) == (7, 7)
+
+    def jobs(self):
+        """The host and the 16 pair checks of its 4x4 clusters, normalised."""
+        g, part = self.host()
+        return g, [
+            regularity._job(part.clusters_a[i], part.clusters_b[j], self.params,
+                            Strategy.SAMPLED, 200, _mix_seed(7, i, j))
+            for i in range(4) for j in range(4)
+        ]
+
+    def test_a_helper_stops_where_the_caller_is(self):
+        """A helper samples from the back and starts no check at or before
+        the caller's position."""
+        g, jobs = self.jobs()
+        board = regularity._board(2)
+        board[0] = 11
+        helper = regularity._Helper(g, jobs, range(15, -1, -1), board, 1)
+        try:
+            wait_for_exit(helper.pid)  # it ends on its own
+            assert board[1] == 12
+            for p in (15, 14, 13, 12):
+                assert helper.result(p) == regularity._check_pair(g, *jobs[p])
+            assert helper.result(11) is None
+        finally:
+            helper.reap()
+
+    def test_a_certificate_longer_than_one_read_arrives_whole(self, monkeypatch):
+        g, jobs = self.jobs()
+
+        def long_note(*args):
+            return replace(real(*args), note="x" * 20_000)
+
+        real = regularity._check_pair
+        monkeypatch.setattr(regularity, "_check_pair", long_note)
+        helper = regularity._Helper(g, jobs, range(15, 13, -1), regularity._board(2), 1)
+        try:
+            wait_for_exit(helper.pid)
+            assert [helper.result(p) for p in (15, 14)] == [long_note(g, *jobs[p]) for p in (15, 14)]
+        finally:
+            helper.reap()
+
+    def test_the_caller_waits_for_the_check_a_helper_samples(self, monkeypatch):
+        """The caller reaches the check the helper is sampling, takes the
+        helper's certificate, and the helper stops there."""
+        g, jobs = self.jobs()
+        board = regularity._board(2)
+        parent, real = os.getpid(), regularity._check_pair
+
+        def held_in_a_helper(*args):
+            while os.getpid() != parent and board[0] != 15:
+                time.sleep(0.001)  # until the caller has reached check 15
+            return real(*args)
+
+        monkeypatch.setattr(regularity, "_check_pair", held_in_a_helper)
+        helper = regularity._Helper(g, jobs, range(15, -1, -1), board, 1)
+        try:
+            deadline = time.monotonic() + 60
+            while board[1] != 15:
+                assert time.monotonic() < deadline, "the helper never started"
+                time.sleep(0.001)
+            assert helper.result(15) == real(g, *jobs[15])
+            wait_for_exit(helper.pid)
+            assert board[1] == 15
+            assert helper.result(14) is None
+        finally:
+            helper.reap()
 
     @pytest.mark.parametrize("bad", ["no-budget", "one-side"])
     def test_a_malformed_check_raises_before_any_fork(self, monkeypatch, bad):
@@ -1130,7 +1219,27 @@ class TestSampledAcrossCores:
 
         inline = self.batch(monkeypatch, 1, run)
         assert inline[1:] == (0, 16)
-        assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 6)
+        assert self.batch(monkeypatch, 3, run, helpers_first=True) == (inline[0], 2, 0)
+
+    def test_more_helpers_than_cores_change_no_certificate(self, monkeypatch):
+        """Up to four helpers on this machine's cores, with the caller
+        pausing at random between claims so the helpers and the caller
+        meet at varying checks: every run gives the inline certificates."""
+        g, part = self.host()
+        rng = random.Random(12)
+        real_claim = regularity._claim
+
+        def run():
+            return maximal_reduced_graph(g, part, self.params, budget=200, seed=3).certificates
+
+        def claim(G, job):
+            time.sleep(rng.choice([0, 0, 0.0005, 0.002]))
+            return real_claim(G, job)
+
+        inline = self.batch(monkeypatch, 1, run)[0]
+        monkeypatch.setattr(regularity, "_claim", claim)
+        for cores in (2, 3, 5) * 4:
+            assert self.batch(monkeypatch, cores, run)[:2] == (inline, cores - 1)
 
     def test_a_failed_fork_leaves_its_share_to_the_caller(self, monkeypatch):
         g, part = self.host()
