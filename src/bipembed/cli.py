@@ -29,6 +29,14 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}: zero denominator") from e
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option: a number of seeds, retries or restarts."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count {value} is negative")
+    return value
+
+
 def _indices(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t != ""]
 
@@ -447,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--search", choices=["rotation-extension", "exhaustive-small"],
                    default=None)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=_count, default=None)
     _common(p)
     p.set_defaults(fn=cmd_hamilton)
 
@@ -455,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ni", required=True, help="cluster targets, '1000x8' or list")
     p.add_argument("--pieces", required=True, help="file of '<x> <y>' piece counts")
     p.add_argument("--xi", type=_rat, default=Fraction(1, 20))
-    p.add_argument("--retries", type=int, default=50)
+    p.add_argument("--retries", type=_count, default=50)
     p.add_argument("--loose", action="store_true",
                    help="record instead of enforce the lemma hypotheses")
     _common(p)
@@ -468,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--beta-n", type=int, default=0)
     p.add_argument("--xi", type=_rat, default=Fraction(1, 4))
-    p.add_argument("--retries", type=int, default=50)
+    p.add_argument("--retries", type=_count, default=50)
     p.add_argument("--loose", action="store_true")
     _common(p)
     p.set_defaults(fn=cmd_homomorphism)
@@ -484,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_rat, default=Fraction(1, 4))
     p.add_argument("--d", type=_rat, default=Fraction(3, 10))
     p.add_argument("--budget", type=int, default=800)
-    p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--retries", type=_count, default=8)
     p.add_argument("--report", default=None)
     p.add_argument("--mode", choices=["faithful", "practical"], default="practical")
     _common(p, "embedding.json")
@@ -510,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--edge-prob", type=float, default=0.5)
     p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_count, default=5)
     p.add_argument("--k0", type=int, default=2)
     p.add_argument("--ell", type=int, default=16)
     p.add_argument("--epsilon", type=_rat, default=Fraction(1, 4))
     p.add_argument("--d", type=_rat, default=Fraction(3, 10))
     p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--retries", type=_count, default=8)
     p.add_argument("--mode", choices=["faithful", "practical"], default="practical")
     _common(p)
     p.set_defaults(fn=cmd_experiment)

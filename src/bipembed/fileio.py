@@ -314,8 +314,11 @@ def homomorphism_to_json(hom: CycleHomomorphism) -> dict:
 def homomorphism_from_json(data: dict) -> CycleHomomorphism:
     from .homomorphism import CycleHomomorphism
 
+    # fields are checked in order, so phi's check reads a valid k
     k, beta_n, phi, cx, cy, linking = _fields(
-        data, "cycle-homomorphism", k=lambda k: _int(k) and k > 0, beta_n=_int, phi=_ints,
+        data, "cycle-homomorphism", k=lambda k: _int(k) and k > 0,
+        beta_n=lambda b: _int(b) and b > 0,
+        phi=lambda phi: _ints(phi) and all(0 <= c < data["k"] for c in phi),
         cluster_of_x=_ints, cluster_of_y=_ints, linking=_ints,
     )
     linking_set = frozenset(map(from_global_id, linking))

@@ -312,16 +312,20 @@ class BipartiteGraph:
         return f"BipartiteGraph({self.size_a}+{self.size_b}, m={self.edge_count})"
 
 
-def _require_pair(U: VertexSet, W: VertexSet) -> None:
+def a_side_first(U: VertexSet, W: VertexSet) -> tuple[VertexSet, VertexSet]:
+    """The pair of U and W with its A side first; a pair must span both sides."""
     if U.side is W.side:
         raise SideMismatchError("pair must span both sides")
+    return (U, W) if U.side is Side.A else (W, U)
 
 
 def edges_between(G: BipartiteGraph, U: VertexSet, W: VertexSet) -> int:
     """Number of edges with one end in U and the other in W (opposite sides)."""
-    _require_pair(U, W)
-    if U.side is Side.B:
-        U, W = W, U
+    return _edge_count(G, *a_side_first(U, W))
+
+
+def _edge_count(G: BipartiteGraph, U: VertexSet, W: VertexSet) -> int:
+    """``edges_between`` on a pair with its A side first."""
     if U.universe != G.size_a or W.universe != G.size_b:
         raise GraphError("vertex set universe does not match graph")
     return sum((G.adj_a[a] & W.bits).bit_count() for a in U.indices())
@@ -329,10 +333,10 @@ def edges_between(G: BipartiteGraph, U: VertexSet, W: VertexSet) -> int:
 
 def density(G: BipartiteGraph, U: VertexSet, W: VertexSet) -> Fraction:
     """Exact edge density e(U,W) / (|U||W|)."""
-    _require_pair(U, W)
+    U, W = a_side_first(U, W)
     if not U or not W:
         raise UndefinedDensityError("density undefined for empty sets")
-    return Fraction(edges_between(G, U, W), U.size * W.size)
+    return Fraction(_edge_count(G, U, W), U.size * W.size)
 
 
 # ---------------------------------------------------------------------------

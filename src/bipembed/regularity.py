@@ -26,8 +26,8 @@ sampled draws make the ``getrandbits`` calls that the standard library's
 same seed, and draw the same elements, so certificates do not depend on
 how the sampler is implemented: ``_draw`` returns what they return
 (``_shuffle`` does the same for ``Random.shuffle``), and the sampling loop
-runs ``_draw``'s pool branch inline, with the steps of ``_pool_steps``,
-summing the drawn elements instead of listing them.
+draws through ``_drawn_sum``, which sums the drawn elements instead of
+listing them, with pool-branch steps (``_pool_steps``) fixed once per check.
 
 What a check draws are tagged lane integers: partner j's column with
 member i's bit in lane i (lanes wide enough for the subset size) and bit j
@@ -80,9 +80,9 @@ from .graphs import (
     BipartiteGraph,
     GraphError,
     Side,
-    SideMismatchError,
     VertexId,
     VertexSet,
+    a_side_first,
     bit_flags,
     density,
     iter_bits,
@@ -179,12 +179,6 @@ def degree_at_least(adj: Sequence[int], members: int, partner: int, bound: Ratio
     return sum([1 << v for v in iter_bits(members) if (adj[v] & partner).bit_count() >= need])
 
 
-def _normalise_pair(U: VertexSet, W: VertexSet) -> tuple[VertexSet, VertexSet]:
-    if U.side is W.side:
-        raise SideMismatchError("pair must span both sides")
-    return (U, W) if U.side is Side.A else (W, U)
-
-
 def _regular_band(base: Fraction, eps: Fraction, denom: int) -> tuple[int, int]:
     """Edge counts e with |e/denom - base| <= eps, as the interval [lo, hi].
 
@@ -252,6 +246,26 @@ def _draw(getrandbits, population: Sequence, k: int) -> list:
         selected.add(j)
         result.append(population[j])
     return result
+
+
+def _drawn_sum(getrandbits, population: Sequence[int], k: int, steps) -> int:
+    """``sum(_draw(getrandbits, population, k))``, with the same generator
+    calls; ``steps`` is ``_pool_steps(len(population), k)``.
+
+    The pool branch is ``_draw``'s loop again, adding up what it draws
+    instead of listing it (a check's hottest loop, so it keeps no list).
+    """
+    if steps is None:
+        return sum(_draw(getrandbits, population, k))
+    pool = list(population)
+    total = 0
+    for last, bits in steps:
+        j = getrandbits(bits)
+        while j > last:
+            j = getrandbits(bits)
+        total += pool[j]
+        pool[j] = pool[last]
+    return total
 
 
 def _shuffle(getrandbits, x: list) -> None:
@@ -396,7 +410,7 @@ def _job(
     strategy = Strategy(strategy)
     if strategy is Strategy.SAMPLED and budget < 1:
         raise ValueError(f"a sampled check needs a budget of at least 1, got {budget}")
-    U, W = _normalise_pair(U, W)
+    U, W = a_side_first(U, W)
     return U, W, params, strategy, budget, seed
 
 
@@ -460,8 +474,8 @@ def _check_pair(
 
     # every draw below is from a sequence of the length and order of
     # u_members, w_members or a pool built from them, so the generator runs
-    # as Random.choice/Random.sample on those lists would run it; the
-    # pool-branch loops are _draw's, inline, summing what they draw
+    # as Random.choice/Random.sample on those lists would run it; subsets
+    # are drawn by _drawn_sum, with steps computed once per check
     getrandbits = random.Random(seed).getrandbits
     nu, nw = len(rows_u), len(rows_w)
     order = sys.byteorder
@@ -488,32 +502,8 @@ def _check_pair(
         kind = t & 3
         if not kind & 1:
             # uniform independent subset pair at minimal qualifying size
-            if s_u >= nu:
-                us = full_u
-            elif steps_u is None:
-                us = sum(_draw(getrandbits, sel_u, s_u))
-            else:
-                pool = sel_u[:]
-                us = 0
-                for last, bits in steps_u:
-                    j = getrandbits(bits)
-                    while j > last:
-                        j = getrandbits(bits)
-                    us += pool[j]
-                    pool[j] = pool[last]
-            if s_w >= nw:
-                ws = full_w
-            elif steps_w is None:
-                ws = sum(_draw(getrandbits, tagged_w, s_w))
-            else:
-                pool = tagged_w[:]
-                ws = 0
-                for last, bits in steps_w:
-                    j = getrandbits(bits)
-                    while j > last:
-                        j = getrandbits(bits)
-                    ws += pool[j]
-                    pool[j] = pool[last]
+            us = full_u if s_u >= nu else _drawn_sum(getrandbits, sel_u, s_u, steps_u)
+            ws = full_w if s_w >= nw else _drawn_sum(getrandbits, tagged_w, s_w, steps_w)
             degs = (us & ws).to_bytes(shift_w >> 3, order)
             e = sum(memoryview(degs).cast(fmt_w) if fmt_w else degs)
             if not lo <= e <= hi:
@@ -545,18 +535,7 @@ def _check_pair(
                 else:
                     continue
                 entry = _member_pool(tagged, nb, s_p)
-        pool, steps = entry
-        if steps is None:
-            total = sum(_draw(getrandbits, pool, s_p))
-        else:
-            pool = pool[:]
-            total = 0
-            for last, bits in steps:
-                j = getrandbits(bits)
-                while j > last:
-                    j = getrandbits(bits)
-                total += pool[j]
-                pool[j] = pool[last]
+        total = _drawn_sum(getrandbits, entry[0], s_p, entry[1])
         degs = (total & lane_mask).to_bytes(shift >> 3, order)
         if fmt:
             degs = memoryview(degs).cast(fmt)
@@ -780,7 +759,7 @@ def reuse_deviation(
     """
     if (
         prior is None
-        or prior.pair != _normalise_pair(U, W)
+        or prior.pair != a_side_first(U, W)
         or prior.params.epsilon != params.epsilon
         or prior.strategy is not Strategy.SAMPLED
     ):

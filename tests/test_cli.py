@@ -724,6 +724,21 @@ class TestCommands:
         assert exc.value.code == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--host", "g.bg", "--target", "t.bg", "--retries", "-1"],
+        ["experiment", "--seeds", "-1"],
+        ["experiment", "--retries", "-1"],
+        ["balance", "--ni", "4x2", "--pieces", "p.txt", "--retries", "-1"],
+        ["homomorphism", "--target", "t.bg", "--labelling", "t.lab", "--ni", "4x2",
+         "--ell", "2", "--retries", "-1"],
+        ["hamilton", "--host", "g.bg", "--restarts", "-3"],
+    ])
+    def test_negative_count_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"count {argv[-1]} is negative" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for rep in range(2):
@@ -871,6 +886,13 @@ class TestUntrustedArtifacts:
         target, _, data = homomorphism
         data.update(edit)
         assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 2
+
+    @pytest.mark.parametrize("edit", [{"phi": [0, 10**30]}, {"beta_n": -7}])
+    def test_field_no_check_reads_is_still_refused(self, tmp_path, capsys, homomorphism, edit):
+        target, _, data = homomorphism
+        data.update(edit)
+        assert self.verify_homomorphism(tmp_path, target, data, "16x4", "1/4") == 2
+        assert f"field {next(iter(edit))!r} is missing or malformed" in capsys.readouterr().err
 
     def test_short_cluster_map_is_a_usage_error(self, tmp_path, capsys, homomorphism):
         target, _, data = homomorphism

@@ -23,9 +23,11 @@ from bipembed.regularity import (
     Strategy,
     Verdict,
     _draw,
+    _drawn_sum,
     _local_row,
     _mix_seed,
     _pair_rows,
+    _pool_steps,
     _shuffle,
     build_regular_partition,
     check_regular_pair,
@@ -928,6 +930,10 @@ def test_draw_equals_standard_library(seed, calls):
             assert _draw(gen.getrandbits, population, 1)[0] == ref.choice(population)
         else:
             assert _draw(gen.getrandbits, population, k) == ref.sample(population, k)
+            # distinct powers of two: the sum names the drawn set
+            powers = [1 << i for i in range(n)]
+            steps = _pool_steps(n, k)
+            assert _drawn_sum(gen.getrandbits, powers, k, steps) == sum(ref.sample(powers, k))
     assert gen.getrandbits(32) == ref.getrandbits(32)
 
 
