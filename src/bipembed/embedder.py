@@ -454,7 +454,7 @@ class EmbedConfig:
     d: Rational = Fraction(3, 10)
     k0: int = 8
     ell: int = 64
-    size_slack: Optional[Rational] = None
+    size_slack: Rational = Fraction(3, 10)
     sample_budget: int = 800
     embed_retries: int = 20  # completion attempts per matching pair
     pipeline_retries: int = 8
@@ -549,12 +549,9 @@ def embed_bipartite(
         labelling = bandwidth_labelling(H)
     report.record("labelling", True, f"bandwidth {labelling.bandwidth}")
 
-    overrides = {"d": cfg.d}
-    if cfg.size_slack is not None:
-        overrides["size_slack"] = cfg.size_slack
     try:
         schedule = derive_parameter_schedule(
-            gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode, overrides
+            gamma, max_degree, cfg.epsilon, cfg.k0, cfg.mode, d=cfg.d, size_slack=cfg.size_slack
         )
     except ScheduleError as e:
         report.record("schedule", False, str(e))

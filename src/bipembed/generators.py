@@ -33,6 +33,8 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     Random model: each edge independently with probability
     p = min(49/50, 1/2 + gamma + slack), then deficient vertices are patched
     with random extra edges until the degree bound holds on both sides.
+    An ``n``, ``blocks`` or ``block_size`` below 1 raises ``GraphError``
+    naming it, before anything is drawn.
 
     Edge (a, b) is present when the b-th of row a's n ``Random.random()``
     draws lies below p, and the draws are made in bulk, exactly.  CPython's
@@ -50,14 +52,14 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     256) are read from their own lane.
     """
     if spec.kind == "host-planted-blocks":
-        k = int(spec.params.get("blocks", 2))
-        m = int(spec.params.get("block_size", spec.n // max(k, 1)))
+        k = _at_least_one("blocks", int(spec.params.get("blocks", 2)))
+        m = _at_least_one("block_size", int(spec.params.get("block_size", spec.n // k)))
         # vertex v on either side is joined to every vertex of its block
         rows = [((1 << m) - 1) << (v - v % m) for v in range(k * m)]
         return BipartiteGraph(k * m, k * m, rows, rows)
     if spec.kind != "host-random-min-degree":
         raise GraphError(f"not a host kind: {spec.kind}")
-    n = spec.n
+    n = _at_least_one("n", spec.n)
     gamma = frac(spec.params.get("gamma", Fraction(1, 10)))
     slack = frac(spec.params.get("slack", Fraction(1, 20)))
     if gamma >= Fraction(1, 2):
@@ -100,6 +102,12 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     if low < delta:
         raise GraphError(f"gen_host: minimum degree {low} is below the bound {delta}")
     return g
+
+
+def _at_least_one(name: str, value: int) -> int:
+    if value < 1:
+        raise GraphError(f"gen_host: {name} = {value} is below 1")
+    return value
 
 
 def _zigzag(m: int) -> list[int]:

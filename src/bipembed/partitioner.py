@@ -19,22 +19,17 @@ degree.  Phase 2 then adjusts the cluster sizes to externally requested
 exact values by walking vertices around the cycle, one source-to-sink
 route at a time.
 
-The cycle search and both phases sample pairs through one routine,
-``_certify_pairs``, into one ledger: each deviation verdict drawn is kept
-by the pair's vertex sets, and a later check of the same sets at the same
-epsilon takes the kept verdict (``regularity.reuse_deviation``).  After
-absorption both modes certify the cycle pairs at the schedule's absorbed
-tier (``absorbed_epsilon``, ``absorbed_density``), which practical mode
-declares equal to its (eps, d).  In practical mode, where the tiers thus
-share one epsilon, the rest of phase 1 and phase 2 sample only the pairs of
-clusters that super-regularisation, absorption or a route changed; faithful
-mode's tiers differ, so each phase samples anew.  The pairs a call of
-``_certify_pairs`` must sample run across cores
-(``regularity.sampled_across_cores``); each draws on its own seed, so
-which process samples it changes no certificate.  Phase 2 opens its batch
-as soon as the redistribution is known and can run the caller's placement
-(``meanwhile``) while the helpers sample, before it claims their
-certificates.
+The cycle search and both phases certify pairs through
+``regularity.certify_pairs`` into one ledger, which keeps each deviation
+verdict drawn by the pair's vertex sets for a later check of the same sets
+at the same epsilon, and splits each batch across cores.  After absorption
+both modes certify the cycle pairs at the schedule's absorbed tier
+(``absorbed_epsilon``, ``absorbed_density``), which practical mode declares
+equal to its (eps, d).  In practical mode, where the tiers thus share one
+epsilon, the rest of phase 1 and phase 2 sample only the pairs of clusters
+that super-regularisation, absorption or a route changed; faithful mode's
+tiers differ, so each phase samples anew.  Phase 2 can run the caller's
+placement (``meanwhile``) while its batch's helpers sample.
 
 Faithful mode derives every constant from the proof's closed forms in
 exact rational arithmetic and refuses to run when the asserted
@@ -48,7 +43,7 @@ derived ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -58,20 +53,17 @@ from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
     MAX_ROUNDS,
     ClusterPartition,
+    DeviationLedger,
     PairCertificate,
     PartitionBuildError,
     ReducedGraph,
     RegularityParams,
-    Strategy,
     Verdict,
     _check_exceptional_budget,
     _mix_seed,
-    check_regular_pair,
-    check_super_regular_pair,
+    certify_pairs,
     degree_at_least,
     random_equipartition,
-    reuse_deviation,
-    sampled_across_cores,
     super_regularize,
 )
 
@@ -147,11 +139,15 @@ def derive_parameter_schedule(
     epsilon: Rational,
     k0: int,
     mode: str = "faithful",
-    overrides: Optional[Mapping[str, Rational]] = None,
+    *,
+    d: Rational = Fraction(3, 10),
+    size_slack: Rational = Fraction(3, 10),
 ) -> ParameterSchedule:
     """Build the constant chain for one pipeline run.
 
-    Faithful mode evaluates, in exact rational arithmetic,
+    Practical mode takes ``epsilon``, ``d`` and ``size_slack`` as given, for
+    every tier.  Faithful mode ignores ``d`` and ``size_slack`` and derives
+    both.  It evaluates, in exact rational arithmetic,
     embed_density = gamma^2/100, partition tiers eps' = eps^3*gamma^3 and
     d' = eps + gamma^2, the refinements eps'' = eps'/(1-2eps') and
     d'' = d' - 4eps', the post-absorption pair
@@ -163,29 +159,26 @@ def derive_parameter_schedule(
     gamma = frac(gamma)
     epsilon = frac(epsilon)
     if mode == "practical":
-        ov = dict(overrides or {})
-        eps_work = frac(ov.get("epsilon", epsilon))
-        d_work = frac(ov.get("d", Fraction(3, 10)))
-        size_slack = frac(ov.get("size_slack", Fraction(3, 10)))
+        d = frac(d)
         if not 0 < gamma < HALF:
             raise ScheduleError(f"gamma must lie in (0, 1/2), got {gamma}")
-        if not 0 < eps_work <= 1:
-            raise ScheduleError(f"epsilon must lie in (0, 1], got {eps_work}")
-        if not 0 <= d_work <= 1:
-            raise ScheduleError(f"d must lie in [0, 1], got {d_work}")
+        if not 0 < epsilon <= 1:
+            raise ScheduleError(f"epsilon must lie in (0, 1], got {epsilon}")
+        if not 0 <= d <= 1:
+            raise ScheduleError(f"d must lie in [0, 1], got {d}")
         return ParameterSchedule(
             mode="practical",
             gamma=gamma,
-            epsilon=eps_work,
+            epsilon=epsilon,
             k0=k0,
-            embed_density=d_work,
-            partition_epsilon=eps_work,
-            partition_density=d_work,
-            refined_epsilon=eps_work,
-            refined_density=d_work,
-            absorbed_epsilon=RootExpr(eps_work, Fraction(0), Fraction(0)),
-            absorbed_density=d_work,
-            size_slack=size_slack,
+            embed_density=d,
+            partition_epsilon=epsilon,
+            partition_density=d,
+            refined_epsilon=epsilon,
+            refined_density=d,
+            absorbed_epsilon=RootExpr(epsilon, Fraction(0), Fraction(0)),
+            absorbed_density=d,
+            size_slack=frac(size_slack),
             target_slack=Fraction(1, 4),
             min_clusters_for_cycle=k0,
             checks=(("practical-overrides", True),),
@@ -474,9 +467,6 @@ def redistribute_cluster_sizes(
 # ---------------------------------------------------------------------------
 
 
-# (A-side bits, B-side bits) -> (sampled certificate, where it was sampled)
-DeviationLedger = dict[tuple[int, int], tuple[PairCertificate, str]]
-
 # Seed streams under one run seed: the cycle certification draws on stream
 # 0, the builder's round-0 seeds; phases 1 and 2 on streams past its rounds.
 PHASE1_STREAM = MAX_ROUNDS
@@ -510,55 +500,6 @@ class HostPartitionState:
         return not _failed_cycle_pairs(self.matching_certificates, self.offset_certificates)
 
 
-def _certify_pairs(
-    G: BipartiteGraph,
-    part: ClusterPartition,
-    pairs: Sequence[tuple[int, int, bool]],
-    params: RegularityParams,
-    budget: int,
-    seed: int,
-    known: DeviationLedger,
-    source: str,
-    meanwhile: Optional[Callable[[ClusterPartition], object]] = None,
-) -> list[PairCertificate]:
-    """Certify each (A_i, B_j) of the (i, j, super_regular) ``pairs``, in
-    order, deviation verdict first.  A pair whose verdict in ``known``
-    ``reuse_deviation`` lets stand takes it, re-gated at ``params.d``, with
-    a note naming where it was sampled; every other pair is sampled with
-    seed ``_mix_seed(seed, i, j)``, across cores, and its verdict enters
-    ``known`` under ``source``.  A regular pair's certificate is its
-    verdict; a super-regular pair's adds the density and degree gates to
-    it (``check_super_regular_pair``).  ``meanwhile``, when given, is
-    called with ``part`` once the batch is open and before any pair is
-    certified, so it runs while the helpers sample."""
-
-    def kept(a, b):
-        entry = known.get((a.bits, b.bits))
-        reused = entry and reuse_deviation(entry[0], a, b, params, budget)
-        if not reused:
-            return None
-        note = [f"deviation verdict reused from {entry[1]}", reused.note]
-        return replace(reused, note="; ".join(filter(None, note)))
-
-    checks = [
-        (part.clusters_a[i], part.clusters_b[j], params, Strategy.SAMPLED, budget,
-         _mix_seed(seed, i, j))
-        for i, j, _ in pairs
-    ]
-    certs = []
-    with sampled_across_cores(G, [args for args in checks if not kept(*args[:2])]):
-        if meanwhile is not None:
-            meanwhile(part)
-        for args, (_, _, super_regular) in zip(checks, pairs):
-            a, b = args[:2]
-            verdict = kept(a, b)
-            if not verdict:
-                verdict = check_regular_pair(G, *args)
-                known[(a.bits, b.bits)] = (verdict, source)
-            certs.append(check_super_regular_pair(G, verdict) if super_regular else verdict)
-    return certs
-
-
 def _certify_cycle_pairs(
     G: BipartiteGraph,
     part: ClusterPartition,
@@ -571,13 +512,14 @@ def _certify_cycle_pairs(
 ) -> tuple[dict[int, PairCertificate], dict[int, PairCertificate]]:
     """Certify each (A_i, B_i) super-regular and each (A_i, B_{i+1}) regular,
     keyed by i; a pair with an empty cluster has nothing to certify.
-    ``meanwhile`` goes to ``_certify_pairs``."""
+    ``meanwhile`` goes to ``certify_pairs``."""
     k = part.k
     pairs = [
         (i, (i + s) % k, s == 0) for i in range(k) for s in (0, 1)
         if part.clusters_a[i] and part.clusters_b[(i + s) % k]
     ]
-    certs = _certify_pairs(G, part, pairs, params, budget, seed, known, source, meanwhile)
+    certs = certify_pairs(G, part, pairs, params, budget, seed, known, source,
+                          meanwhile=meanwhile)
     matching = {i: c for (i, _, sup), c in zip(pairs, certs) if sup}
     offsets = {i: c for (i, _, sup), c in zip(pairs, certs) if not sup}
     return matching, offsets
@@ -634,7 +576,7 @@ def _certified_cycle(
     """A Hamilton cycle of the exact density graph D on ``part``'s cluster
     pairs (i, j), with the certificates of its 2k pairs, all regular.
 
-    Each pair is certified through :func:`_certify_pairs` on seed stream
+    Each pair is certified through ``certify_pairs`` on seed stream
     0, so it is sampled once, with seed ``_mix_seed(seed, 0, i, j)``, and
     enters ``known``.  That is the builder's round-0 seed for the pair, and
     a pair of D meets the density gate, so its verdict is the one the
@@ -659,7 +601,7 @@ def _certified_cycle(
             (cyc.order[t].index, cyc.order[t + s].index, False)
             for t in range(0, 2 * k, 2) for s in (-1, 1)
         ]
-        certs = _certify_pairs(
+        certs = certify_pairs(
             G, part, pairs, params, budget, _mix_seed(seed, 0), known, "the cycle certification"
         )
         certified = {(i, j): c for (i, j, _), c in zip(pairs, certs)}

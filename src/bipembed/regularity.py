@@ -44,17 +44,17 @@ samples are decided by ``min`` and ``max`` (and a side of the band that no
 sum can leave is not tested); only the rest are sorted, and the tag is
 read only for a witness.
 
-A batch of independent checks (``maximal_reduced_graph``'s k^2 pairs, or
-the partitioner's certification of the cycle pairs) runs inside
-``sampled_across_cores``: one helper is forked per spare core and samples
-the batch's distinct checks from the back, while the caller still calls
-``check_regular_pair`` for every pair, in order, from the front.  At each
-check the caller takes the helper's certificate (one pickle on the
-helper's pipe) if it has arrived, waits for it if the helper is sampling
-that very check, and otherwise samples the check itself; a helper stops
-at the first check the caller has reached, so the batch balances itself
-however fast each process runs.  The batch declares only checks the
-caller makes, so every helper's work is used.  A check's draws depend
+Every batch of cluster-pair checks (``maximal_reduced_graph``'s k^2
+pairs, the partitioner's cycle pairs) goes through ``certify_pairs``.  It
+takes a pair's kept deviation verdict from a ledger when
+``reuse_deviation`` lets it stand, forks one helper per spare core to
+sample the batch's fresh checks from the back, and still calls
+``check_regular_pair`` for every fresh pair, in order, from the front.
+At each check the caller takes the helper's certificate (one pickle on
+the helper's pipe) if it has arrived, waits for it if the helper is
+sampling that very check, and otherwise samples the check itself; a
+helper stops at the first check the caller has reached, so the batch
+balances itself however fast each process runs.  A check's draws depend
 only on its own arguments and seed, never on the order or process it
 runs in, so the certificates are the ones one process would sample.
 """
@@ -67,14 +67,13 @@ import random
 import signal
 import sys
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import (
     BipartiteGraph,
@@ -562,14 +561,14 @@ def _member_pool(tagged: list[int], nb: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# sampling a batch of pair checks across cores
+# certifying a batch of cluster pairs across cores
 # ---------------------------------------------------------------------------
 
 # The open batch's checks: each normalised ``_job`` -> (the helper that
 # samples it unless the caller gets there first, its position in the
 # batch).  Module state, because the caller's loop still reaches every
-# check through ``check_regular_pair``; ``sampled_across_cores`` fills it
-# and empties it on exit.
+# check through ``check_regular_pair``; ``certify_pairs`` fills it and
+# empties it on exit.
 _prefetched: dict[tuple, tuple["_Helper", int]] = {}
 
 
@@ -691,37 +690,59 @@ class _Helper:
         os.close(self.fd)
 
 
-@contextmanager
-def sampled_across_cores(G: BipartiteGraph, checks: Iterable[tuple]) -> Iterator[None]:
-    """Sample a batch of pair checks on every core this process may use.
+def certify_pairs(
+    G: BipartiteGraph,
+    part: ClusterPartition,
+    pairs: Sequence[tuple[int, int, bool]],
+    params: RegularityParams,
+    budget: int,
+    seed: int,
+    known: DeviationLedger,
+    source: str,
+    strategy: Strategy = Strategy.SAMPLED,
+    meanwhile: Optional[Callable[[ClusterPartition], object]] = None,
+) -> list[PairCertificate]:
+    """Certify each (A_i, B_j) of the (i, j, super_regular) ``pairs``, in
+    order, deviation verdict first, on every core this process may use.
 
-    ``checks`` holds the arguments after G of the ``check_regular_pair``
-    calls the block is about to make, in order, and only those.  A
-    malformed check (no sample to draw, or both sets on one side) raises
-    here, before anything is forked, the error the block's call would meet.
-    One helper per spare core is forked (fewer when there are fewer
-    checks).  The helpers sample the distinct checks from the back: with n
-    of them and h helpers, helper t (1 to h) takes positions n-t, n-t-h,
-    ... (counting from 0), and stops at the first one the block has
-    reached.  The block's own call of a check takes the helper's
-    certificate if it has arrived, waits for it if the helper is sampling
-    that very check, and otherwise samples it itself, so the work meets in
-    the middle however fast each process runs.  Each check draws on its
-    own seed, whatever order or process it runs in, so every certificate
-    is the one the block would sample itself.  A check that raised in a
-    helper, or that a dead helper never sent, is sampled by the block's
-    call, which meets the same error or result.  With one core, one check,
-    no ``os.fork`` or other threads running, the block samples every check
-    itself, and it samples a failed fork's share too.  On exit every
-    helper is killed if still running and reaped.
+    A pair whose verdict in ``known`` ``reuse_deviation`` lets stand takes
+    it, re-gated at ``params.d``, with a note naming where it was sampled.
+    Every other pair is checked by ``check_regular_pair`` at ``strategy``
+    with seed ``_mix_seed(seed, i, j)``, and its verdict enters ``known``
+    under ``source``.  A regular pair's certificate is its verdict; a
+    super-regular pair's adds the density and degree gates to it
+    (``check_super_regular_pair``).
+
+    A malformed check (no sample to draw, or an unknown strategy) raises
+    before anything is forked.  With n distinct fresh checks, h = min(cores
+    - 1, n - 1) helpers are forked; helper t (1 to h) samples positions
+    n-t, n-t-h, ... (counting from 0) until the caller reaches one, and the
+    caller samples whatever no helper sent, so a check that raised in a
+    helper meets the same error here.  Without ``os.fork``, or with other
+    threads running, nothing is forked; a failed fork leaves its share to
+    the caller.  ``meanwhile``, when given, is called with ``part`` once the
+    helpers are forked and before any pair is certified, so it runs while
+    they sample.  Every helper is killed and reaped on return or error.
     """
-    jobs = list(dict.fromkeys(_job(*args) for args in checks))
+
+    def kept(a, b):
+        entry = known.get((a.bits, b.bits))
+        reused = entry and reuse_deviation(entry[0], a, b, params, budget)
+        if not reused:
+            return None
+        note = [f"deviation verdict reused from {entry[1]}", reused.note]
+        return replace(reused, note="; ".join(filter(None, note)))
+
+    checks = [
+        (part.clusters_a[i], part.clusters_b[j], params, strategy, budget, _mix_seed(seed, i, j))
+        for i, j, _ in pairs
+    ]
+    jobs = list(dict.fromkeys(_job(*args) for args in checks if not kept(*args[:2])))
     count = min(_cores() - 1, len(jobs) - 1)
     if count < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield
-        return
-    # slot 0: the block's position in the batch; slot t: helper t's check
-    board = _board(count + 1)
+        count = 0
+    # slot 0: the caller's position in the batch; slot t: helper t's check
+    board = _board(count + 1) if count else None
     helpers = []
     try:
         for t in range(1, count + 1):
@@ -729,14 +750,28 @@ def sampled_across_cores(G: BipartiteGraph, checks: Iterable[tuple]) -> Iterator
             try:
                 helper = _Helper(G, jobs, positions, board, t)
             except OSError:
-                break  # no process to spare: the block samples the rest itself
+                break  # no process to spare: the caller samples the rest itself
             helpers.append(helper)
             _prefetched.update((jobs[p], (helper, p)) for p in positions)
-        yield
+        if meanwhile is not None:
+            meanwhile(part)
+        certs = []
+        for args, (_, _, super_regular) in zip(checks, pairs):
+            a, b = args[:2]
+            verdict = kept(a, b)
+            if not verdict:
+                verdict = check_regular_pair(G, *args)
+                known[(a.bits, b.bits)] = (verdict, source)
+            certs.append(check_super_regular_pair(G, verdict) if super_regular else verdict)
+        return certs
     finally:
         _prefetched.clear()
         for helper in helpers:
             helper.reap()
+
+
+# (A-side bits, B-side bits) -> (sampled certificate, where it was sampled)
+DeviationLedger = dict[tuple[int, int], tuple[PairCertificate, str]]
 
 
 def reuse_deviation(
@@ -937,16 +972,11 @@ def maximal_reduced_graph(
 ) -> ReducedGraph:
     """Edge (i, j) present iff (A_i, B_j) certifies regular with density >= d."""
     k = partition.k
-    checks = {
-        (i, j): (
-            partition.clusters_a[i], partition.clusters_b[j], params,
-            strategy, budget, _mix_seed(seed, i, j),
-        )
-        for i in range(k) for j in range(k)
-    }
-    with sampled_across_cores(G, checks.values()):
-        certs = {key: check_regular_pair(G, *args) for key, args in checks.items()}
-    return _reduced_graph(k, certs, params)
+    pairs = [(i, j, False) for i in range(k) for j in range(k)]
+    certs = certify_pairs(
+        G, partition, pairs, params, budget, seed, {}, "the reduced graph", strategy
+    )
+    return _reduced_graph(k, {(i, j): c for (i, j, _), c in zip(pairs, certs)}, params)
 
 
 def _reduced_graph(

@@ -100,21 +100,45 @@ def test_benchmark_reader_skips_the_row_index(monkeypatch, tmp_path):
         assert checks.read_bg(path) == (g.size_a, g.size_b, list(g.adj_a))
 
 
-# the digest line ``perfbench/run.py`` prints at seed 1 (one set-up per
-# instance, one operation each): a moved certificate, embedding or Hamilton
-# cycle changes it, whichever process sampled or searched
+# the digest lines ``perfbench/run.py --workload all`` prints at seeds 1, 4
+# and 17 (one set-up per instance, one operation each): a moved
+# certificate, embedding or Hamilton cycle changes them, whichever process
+# sampled or searched
 DIGESTS = {
-    "embed-512": "66818f1d397ab4c66700f0fa9769bb93a60d51fd6876daaa2a13f8a74ab06c63",
-    "hamilton-threshold": "71963526a88e8afdbd739df0f56a009c925f837f7368e2e3f8129c4aa24085dc",
+    "embed-512": {
+        1: "66818f1d397ab4c66700f0fa9769bb93a60d51fd6876daaa2a13f8a74ab06c63",
+        4: "6c478beb7fff38832424cec5fb05893bedc27e6271e9869a20292aee51346742",
+        17: "b57a3848b37b8c38878437dcc60270334520c649e7d2d282ac633a324ce48cf0",
+    },
+    "cli-1024": {
+        1: "293afecc8f7babe8ccc0f3d9c52d052db403a3926203b1d3a8f1032da929c20b",
+        4: "ee470db7ae38fb694069d0c991367f16f91b9455b3cf013a87c034a54646f439",
+        17: "f11b5c38ee88b7cd7b2669070657a78292854bce199d2c0500d18943ae8282f0",
+    },
+    "hamilton-threshold": {
+        1: "71963526a88e8afdbd739df0f56a009c925f837f7368e2e3f8129c4aa24085dc",
+        4: "b3ad100ea679526e50a03ff2bc9f4d93e5ae6cd9dc4191d9ac30ae7d6208d851",
+        17: "b6e15807d9825fad8d56d90e59e04d8a23e0ac268e029f12c123ba34314793b1",
+    },
 }
 
 
+@pytest.fixture(scope="module")
+def printed_lines():
+    """Every line one ``--workload all`` run prints, for each seed."""
+    lines = []
+    for seed in sorted(next(iter(DIGESTS.values()))):
+        done = subprocess.run(
+            [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", "all",
+             "--seed", str(seed), "--seconds", "0", "--trace", "0"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        lines += done.stdout.splitlines()
+    return lines
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_the_benchmark_prints_the_recorded_digest(name):
-    done = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", name,
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
-        capture_output=True, text=True, timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    assert f"digest {name} seed=1: {DIGESTS[name]}" in done.stdout.splitlines()
+def test_the_benchmark_prints_the_recorded_digest(printed_lines, name):
+    for seed, digest in DIGESTS[name].items():
+        assert f"digest {name} seed={seed}: {digest}" in printed_lines

@@ -724,6 +724,12 @@ class TestCommands:
         assert exc.value.code == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    def test_gen_host_refuses_a_negative_side(self, tmp_path, capsys):
+        out = tmp_path / "g.bg"
+        assert run(["gen-host", "--n", "-4", "--out", str(out)]) == 2
+        assert "gen_host: n = -4 is below 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["embed", "--host", "g.bg", "--target", "t.bg", "--retries", "-1"],
         ["experiment", "--seeds", "-1"],

@@ -788,7 +788,6 @@ class TestScheduleEpsilonGate:
             return real_resize(*args, **kwargs)
 
         monkeypatch.setattr(regularity, "check_regular_pair", check)
-        monkeypatch.setattr(partitioner, "check_regular_pair", check)
         monkeypatch.setattr(partitioner, "_certify_cycle_pairs", certify)
         monkeypatch.setattr(embedder, "resize_host_partition", resize)
         n = 512

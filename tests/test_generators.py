@@ -141,3 +141,18 @@ def test_gen_target_raises_when_the_bandwidth_exceeds_the_window(monkeypatch):
                         target(n, keys, colour, edges, sorted(order, key=colour)))
     with pytest.raises(GraphError, match=r"gen_target: bandwidth \d+ exceeds the window 4"):
         gen_target(InstanceSpec("target-random-local", 16, 1, {"window": 4}))
+
+
+@pytest.mark.parametrize("kind,n,params,field", [
+    ("host-random-min-degree", 0, {}, "n = 0"),
+    ("host-random-min-degree", -4, {"gamma": Fraction(3, 10)}, "n = -4"),
+    ("host-planted-blocks", -6, {"blocks": -2, "block_size": 3}, "blocks = -2"),
+    ("host-planted-blocks", 0, {"blocks": 0}, "blocks = 0"),
+    ("host-planted-blocks", 6, {"blocks": 2, "block_size": 0}, "block_size = 0"),
+    ("host-planted-blocks", 1, {"blocks": 2}, "block_size = 0"),
+])
+def test_gen_host_refuses_a_side_below_one(monkeypatch, kind, n, params, field):
+    """Before anything is drawn, naming the field."""
+    monkeypatch.setattr(generators.random, "Random", lambda *a: pytest.fail("drew"))
+    with pytest.raises(GraphError, match=rf"gen_host: {field} is below 1"):
+        gen_host(InstanceSpec(kind, n, 1, params))

@@ -31,6 +31,7 @@ from bipembed.regularity import (
     Strategy,
     Verdict,
     _mix_seed,
+    certify_pairs,
     check_regular_pair,
     check_super_regular_pair,
     maximal_reduced_graph,
@@ -81,7 +82,6 @@ def sampled(monkeypatch):
         return real(G, U, W, *args, **kwargs)
 
     monkeypatch.setattr(regularity, "check_regular_pair", counting)
-    monkeypatch.setattr(partitioner, "check_regular_pair", counting)
     return calls
 
 
@@ -105,12 +105,28 @@ class TestSchedule:
 
     def test_practical_passthrough(self):
         sched = derive_parameter_schedule(
-            Fraction(1, 25), 2, 0, 8, "practical",
-            overrides={"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+            Fraction(1, 25), 2, Fraction(1, 4), 8, "practical", d=Fraction(3, 10),
         )
         assert sched.mode == "practical"
         assert sched.epsilon == Fraction(1, 4)
         assert sched.embed_density == Fraction(3, 10)
+
+    def test_settings_are_named_keywords(self):
+        """A misspelt or positional setting is refused, and faithful mode
+        derives what practical mode takes."""
+        with pytest.raises(TypeError):
+            derive_parameter_schedule(Fraction(1, 25), 2, Fraction(1, 4), 8, "practical",
+                                      eps=Fraction(1, 3))
+        with pytest.raises(TypeError):
+            derive_parameter_schedule(Fraction(1, 25), 2, Fraction(1, 4), 8, "practical",
+                                      {"d": Fraction(1, 2)})
+        sched = derive_parameter_schedule(Fraction(1, 25), 2, Fraction(1, 4), 8, "practical",
+                                          d=Fraction(1, 2), size_slack=Fraction(1, 5))
+        assert (sched.embed_density, sched.size_slack) == (Fraction(1, 2), Fraction(1, 5))
+        g = Fraction(1, 25)
+        assert derive_parameter_schedule(
+            g, 2, g * g / 1000, 2, "faithful", d=Fraction(1, 2), size_slack=Fraction(1, 5)
+        ) == derive_parameter_schedule(g, 2, g * g / 1000, 2, "faithful")
 
     def test_gamma_above_bound_rejected(self):
         with pytest.raises(ScheduleError):
@@ -396,10 +412,8 @@ class TestRedistribution:
 
 
 class TestHostPhases:
-    def practical_schedule(self, gamma, k0=4, **ov):
-        overrides = {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)}
-        overrides.update(ov)
-        return derive_parameter_schedule(gamma, 2, 0, k0, "practical", overrides)
+    def practical_schedule(self, gamma, k0=4, epsilon=Fraction(1, 4), d=Fraction(3, 10)):
+        return derive_parameter_schedule(gamma, 2, epsilon, k0, "practical", d=d)
 
     def test_phase1_on_dense_random_host(self):
         rng = random.Random(11)
@@ -508,7 +522,7 @@ class TestHostPhases:
         rng = random.Random(11)
         n = 256
         g = random_min_degree(n, 205, 0.82, rng)
-        real = partitioner.check_super_regular_pair
+        real = regularity.check_super_regular_pair
         calls = []
 
         def first_fails(*args, **kwargs):
@@ -516,7 +530,7 @@ class TestHostPhases:
             calls.append(cert)
             return replace(cert, verdict=Verdict.SUPER_FAILED) if len(calls) == 1 else cert
 
-        monkeypatch.setattr(partitioner, "check_super_regular_pair", first_fails)
+        monkeypatch.setattr(regularity, "check_super_regular_pair", first_fails)
         sched = self.practical_schedule(Fraction(3, 10), k0=4)
         with pytest.raises(PipelineStageError) as exc:
             prepare_host_partition(g, sched, budget=400, seed=1)
@@ -597,8 +611,8 @@ class TestDeviationReuse:
     def dense_state(self, host_seed, seed):
         g = random_min_degree(256, 205, 0.82, random.Random(host_seed))
         sched = derive_parameter_schedule(
-            Fraction(3, 10), 2, 0, 4, "practical",
-            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+            Fraction(3, 10), 2, Fraction(1, 4), 4, "practical",
+            d=Fraction(3, 10),
         )
         return g, prepare_host_partition(g, sched, budget=400, seed=seed)
 
@@ -634,8 +648,8 @@ class TestDeviationReuse:
             "host-random-min-degree", 516, 3, {"gamma": Fraction(3, 10)}
         ))
         sched = derive_parameter_schedule(
-            Fraction(3, 10), 2, 0, 8, "practical",
-            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+            Fraction(3, 10), 2, Fraction(1, 4), 8, "practical",
+            d=Fraction(3, 10),
         )
         state = prepare_host_partition(g, sched, budget=800, seed=3)
         assert state.build.partition.exceptional_a.size > 0  # 516 = 8*64 + 4
@@ -815,8 +829,8 @@ class TestCycleFirst:
     def dense_host(self):
         g = random_min_degree(256, 205, 0.82, random.Random(11))
         sched = derive_parameter_schedule(
-            Fraction(3, 10), 2, 0, 4, "practical",
-            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+            Fraction(3, 10), 2, Fraction(1, 4), 4, "practical",
+            d=Fraction(3, 10),
         )
         return g, sched
 
@@ -825,7 +839,7 @@ class TestCycleFirst:
         """Make phase 1's own sampled checks refute the pairs ``refute``
         accepts; return the (A bits, B bits) of every pair so refuted."""
         refuted = []
-        real = partitioner.check_regular_pair
+        real = regularity.check_regular_pair
 
         def check(G, U, W, *args, **kwargs):
             cert = real(G, U, W, *args, **kwargs)
@@ -834,7 +848,7 @@ class TestCycleFirst:
                 return replace(cert, verdict=Verdict.IRREGULAR)
             return cert
 
-        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(regularity, "check_regular_pair", check)
         return refuted
 
     def test_cycle_certificates_are_the_builders_round_0_certificates(self):
@@ -844,7 +858,7 @@ class TestCycleFirst:
             {"gamma": Fraction(3, 10), "slack": Fraction(1, 20)},
         ))
         sched = derive_parameter_schedule(
-            Fraction(3, 10), 2, Fraction(1, 4), 8, "practical", {"d": Fraction(3, 10)}
+            Fraction(3, 10), 2, Fraction(1, 4), 8, "practical", d=Fraction(3, 10)
         )
         state = prepare_host_partition(g, sched, budget=800, seed=0)
         build = state.build
@@ -937,8 +951,8 @@ class TestCycleFirst:
         ])
         assert g.min_degree() >= (Fraction(1, 2) + Fraction(1, 10)) * n
         sched = derive_parameter_schedule(
-            Fraction(1, 10), 2, 0, 4, "practical",
-            {"epsilon": Fraction(1, 4), "d": Fraction(3, 10)},
+            Fraction(1, 10), 2, Fraction(1, 4), 4, "practical",
+            d=Fraction(3, 10),
         )
         with pytest.raises(PipelineStageError) as exc:
             prepare_host_partition(g, sched, budget=400, seed=1)
@@ -956,7 +970,6 @@ class TestCycleFirst:
             seeds[-1].add(seed)
             return real(G, U, W, params, strategy, budget, seed, **kw)
 
-        monkeypatch.setattr(partitioner, "check_regular_pair", check)
         monkeypatch.setattr(regularity, "check_regular_pair", check)
         seeds.append(set())
         state = prepare_host_partition(g, sched, budget=400, seed=1)
@@ -1062,7 +1075,7 @@ class TestSampledAcrossCores:
 
         def run():
             known = {(a3.bits, b3.bits): (earlier, "a test")}
-            certs = partitioner._certify_pairs(
+            certs = certify_pairs(
                 g, part, pairs, self.params, 200, 7, known, "the batch")
             return certs, known
 
@@ -1109,7 +1122,7 @@ class TestSampledAcrossCores:
             monkeypatch.setattr(regularity, "_Helper", helper)
             monkeypatch.setattr(regularity, "_claim", claim)
             known = {(a3.bits, b3.bits): (earlier, "a test")}
-            partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, known, "the batch")
+            certify_pairs(g, part, pairs, self.params, 200, 7, known, "the batch")
             return sum(handed), sum(claimed)
 
         assert counted(2) == (7, 7)
@@ -1181,20 +1194,16 @@ class TestSampledAcrossCores:
         finally:
             helper.reap()
 
-    @pytest.mark.parametrize("bad", ["no-budget", "one-side"])
+    @pytest.mark.parametrize("bad", ["no-budget", "unknown-strategy"])
     def test_a_malformed_check_raises_before_any_fork(self, monkeypatch, bad):
         g, part = self.host()
-        a, b = part.clusters_a[0], part.clusters_b[0]
-        checks = [(a, b, self.params, Strategy.SAMPLED, 200, seed) for seed in (1, 2)]
-        if bad == "no-budget":
-            checks.append((a, b, self.params, Strategy.SAMPLED, 0, 3))
-        else:
-            checks.append((a, part.clusters_a[1], self.params, Strategy.SAMPLED, 200, 3))
+        pairs = [(i, (i + s) % 4, False) for i in range(4) for s in (0, 1)]
+        budget, strategy = (0, Strategy.SAMPLED) if bad == "no-budget" else (200, "guessed")
         monkeypatch.setattr(regularity, "_cores", lambda: 3)
         monkeypatch.setattr(regularity, "_Helper", lambda *args: pytest.fail("forked"))
         with pytest.raises(ValueError):
-            with regularity.sampled_across_cores(g, checks):
-                pytest.fail("the block ran")
+            certify_pairs(g, part, pairs, self.params, budget, 7, {}, "the batch", strategy,
+                          meanwhile=lambda part: pytest.fail("the batch ran"))
 
     def test_k1_batch_reuses_its_repeated_pair(self, monkeypatch):
         g = BipartiteGraph.build(24, 24, [(a, b) for a in range(24) for b in range(24)])
@@ -1210,11 +1219,14 @@ class TestSampledAcrossCores:
         assert matching[0].verdict is Verdict.SUPER_REGULAR
         assert offsets[0].note == f"{REUSED} the batch"
 
-    def test_reduced_graph_equals_the_inline_one(self, monkeypatch):
+    @pytest.mark.parametrize("strategy", [Strategy.SAMPLED, Strategy.EXHAUSTIVE],
+                             ids=lambda s: s.value)
+    def test_reduced_graph_equals_the_inline_one(self, monkeypatch, strategy):
+        """Exhaustive checks of 12-vertex clusters enumerate 220 subsets each."""
         g, part = self.host()
 
         def run():
-            r = maximal_reduced_graph(g, part, self.params, budget=200, seed=3)
+            r = maximal_reduced_graph(g, part, self.params, strategy, budget=200, seed=3)
             return r, r.certificates
 
         inline = self.batch(monkeypatch, 1, run)
@@ -1273,12 +1285,12 @@ class TestSampledAcrossCores:
         monkeypatch.setattr(regularity, "_check_pair", check)
         monkeypatch.setattr(regularity, "_cores", lambda: 2)
         with pytest.raises(Refused):
-            partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
+            certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
 
     def test_an_error_in_the_caller_leaves_no_helper(self, monkeypatch):
         g, part = self.host()
         pairs = [(i, (i + s) % 4, False) for i in range(4) for s in (0, 1)]
-        real = partitioner.check_regular_pair
+        real = regularity.check_regular_pair
         calls = []
 
         def check(*args, **kwargs):
@@ -1287,10 +1299,10 @@ class TestSampledAcrossCores:
                 raise KeyError("mid-batch")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(regularity, "check_regular_pair", check)
         monkeypatch.setattr(regularity, "_cores", lambda: 3)
         with pytest.raises(KeyError, match="mid-batch"):
-            partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
+            certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
         assert regularity._prefetched == {}
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1300,7 +1312,7 @@ class TestSampledAcrossCores:
         pairs = [(i, j, False) for i in range(4) for j in range(4)]
         parent = os.getpid()
         real_check = regularity._check_pair
-        real = partitioner.check_regular_pair
+        real = regularity.check_regular_pair
 
         def slow_in_a_helper(*args):
             if os.getpid() != parent:
@@ -1314,10 +1326,10 @@ class TestSampledAcrossCores:
             return real(*args, **kwargs)
 
         def run():
-            return partitioner._certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
+            return certify_pairs(g, part, pairs, self.params, 200, 7, {}, "the batch")
 
         inline = self.batch(monkeypatch, 1, run)
         monkeypatch.setattr(regularity, "_check_pair", slow_in_a_helper)
-        monkeypatch.setattr(partitioner, "check_regular_pair", check)
+        monkeypatch.setattr(regularity, "check_regular_pair", check)
         # this process samples every check itself
         assert self.batch(monkeypatch, 3, run) == (inline[0], 2, 16)

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bipembed.graphs import BipartiteGraph, Side, VertexId, VertexSet, density, iter_bits
+from bipembed.graphs import (
+    BipartiteGraph, Side, SideMismatchError, VertexId, VertexSet, density, iter_bits,
+)
 from bipembed.partitioner import (
     RedistributionError,
     candidate_index_set,
@@ -76,6 +78,14 @@ class TestCheckRegularPair:
         assert cert.verdict is Verdict.DENSITY_BELOW
         assert cert.base_density == 0
         assert cert.witness is None
+
+    @pytest.mark.parametrize("strategy", ["sampled", "exhaustive"])
+    def test_a_one_side_pair_is_refused(self, strategy):
+        g = BipartiteGraph.build(4, 4, [(a, b) for a in range(4) for b in range(4)])
+        U, _ = full_sides(g)
+        with pytest.raises(SideMismatchError, match="pair must span both sides"):
+            check_regular_pair(g, U, U, RegularityParams(Fraction(1, 4), Fraction(1, 4)),
+                               strategy)
 
     def test_two_blocks_irregular(self):
         g = planted_blocks(2, 2)  # K_{2,2} + K_{2,2} on 4+4
