@@ -131,7 +131,7 @@ def _read_indexed_graph(path: str) -> BipartiteGraph | None:
                 return None
         if f.read(1):
             return None
-    return BipartiteGraph._from_flat(na, nb, b"".join([bit_flags(row, nb) for row in rows]))
+    return BipartiteGraph._from_flat(na, nb, b"".join([bit_flags(row, nb) for row in rows]), rows)
 
 
 def significant_lines(path: str) -> Iterator[tuple[int, str]]:

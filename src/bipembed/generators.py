@@ -34,7 +34,9 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     p = min(49/50, 1/2 + gamma + slack), then deficient vertices are patched
     with random extra edges until the degree bound holds on both sides.
     An ``n``, ``blocks`` or ``block_size`` below 1 raises ``GraphError``
-    naming it, before anything is drawn.
+    naming it, before anything is drawn, and so does a planted-blocks ``n``
+    other than ``blocks * block_size`` (``block_size`` defaults to
+    ``n // blocks``).
 
     Edge (a, b) is present when the b-th of row a's n ``Random.random()``
     draws lies below p, and the draws are made in bulk, exactly.  CPython's
@@ -54,6 +56,8 @@ def gen_host(spec: InstanceSpec) -> BipartiteGraph:
     if spec.kind == "host-planted-blocks":
         k = _at_least_one("blocks", int(spec.params.get("blocks", 2)))
         m = _at_least_one("block_size", int(spec.params.get("block_size", spec.n // k)))
+        if spec.n != k * m:
+            raise GraphError(f"gen_host: n = {spec.n} is not blocks * block_size = {k * m}")
         # vertex v on either side is joined to every vertex of its block
         rows = [((1 << m) - 1) << (v - v % m) for v in range(k * m)]
         return BipartiteGraph(k * m, k * m, rows, rows)

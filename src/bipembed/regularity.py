@@ -30,19 +30,25 @@ draws through ``_drawn_sum``, which sums the drawn elements instead of
 listing them, with pool-branch steps (``_pool_steps``) fixed once per check.
 
 What a check draws are tagged lane integers: partner j's column with
-member i's bit in lane i (lanes wide enough for the subset size) and bit j
-of a tag above the lanes.  The sum of the drawn ones holds, with no carry,
-each member's degree into the drawn partners in its lane and the
-partners' mask in the tag.  A seeded draw takes its partners from a
-member's pool (the tagged lane integers of its neighbours, built once per
-check); a uniform draw ANDs the partners' sum with a sum of drawn member
-lane selectors, and the sum of that one's lanes is the subset pair's edge
-count.  Degrees are read as bytes (a memoryview cast for lanes wider than
-a byte).  Since the lowest s degrees sum to at least s times the least
-degree and the highest s to at most s times the greatest, most seeded
-samples are decided by ``min`` and ``max`` (and a side of the band that no
-sum can leave is not tested); only the rest are sorted, and the tag is
-read only for a witness.
+member i's bit in lane i (lanes wide enough for the subset size, with
+the top bit to spare) and bit j of a tag above the lanes.  The sum of
+the drawn ones holds, with no carry, each member's degree into the drawn
+partners in its lane and the partners' mask in the tag.  A seeded draw
+takes its partners from a member's pool (the tagged lane integers of its
+neighbours, built once per check); a uniform draw ANDs the partners' sum
+with a sum of drawn member lane selectors, and the sum of that one's
+lanes is the subset pair's edge count.  Each sample is decided on the
+lane integer itself.  A uniform count is the lane integer's remainder
+modulo 2^width - 1, since every lane's place value leaves remainder 1;
+only when the count could exceed that modulus are the lanes read one by
+one.  Since the lowest s degrees sum to at least s times the least
+degree and the highest s to at most s times the greatest, a seeded
+sample whose every degree lies in [ceil(lo/s), floor(hi/s)] stays in the
+band [lo, hi]; one addition per side tests all lanes at once, setting a
+lane's spare top bit exactly when it clears its bound (``_lane_keys``),
+and a side of the band that no sum can leave gets a key every lane
+passes.  Only the other samples read their degrees out of the lane
+integer and sort them, and the tag is read only for a witness.
 
 Every batch of cluster-pair checks (``maximal_reduced_graph``'s k^2
 pairs, the partitioner's cycle pairs) goes through ``certify_pairs``.  It
@@ -320,20 +326,45 @@ def _degree_lanes(cols: Sequence[int], n_members: int, most: int):
 
     Tagged lane integer j holds bit i of ``cols[j]`` (member i's adjacency
     to partner j) in lane i, a field wide enough for any degree up to
-    ``most``, and bit ``shift + j`` above the lanes.  A sum of distinct
-    tagged lane integers therefore holds in lane i member i's degree into
-    those partners, with no carry between lanes, and from bit ``shift`` on
-    the partners' mask.  Returns the tagged lane integers, ``shift`` and the
-    memoryview format of a lane (None for one-byte lanes, read as bytes).
+    ``most`` with its top bit to spare, and bit ``shift + j`` above the
+    lanes.  A sum of distinct tagged lane integers therefore holds in lane
+    i member i's degree into those partners, below the lane's top bit, and
+    from bit ``shift`` on the partners' mask.  Returns the tagged lane
+    integers, ``shift`` and the lane width in bits.
     """
-    width = next(w for w in _LANE_FORMATS if most < 1 << 8 * w)
+    width = next(w for w in _LANE_FORMATS if most < 1 << 8 * w - 1)
     buf = bytearray(width * n_members)
     shift = 8 * width * n_members
     tagged = []
     for j, col in enumerate(cols):
         buf[::width] = bit_flags(col, n_members)
         tagged.append(int.from_bytes(buf, "little") | 1 << shift + j)
-    return tagged, shift, _LANE_FORMATS[width] if width > 1 else None
+    return tagged, shift, 8 * width
+
+
+def _lanes(x: int, shift: int, width: int) -> Sequence[int]:
+    """The ``width``-bit lanes of ``x`` below bit ``shift``, as integers
+    (one-byte lanes as bytes, which sort faster than a memoryview)."""
+    raw = (x & (1 << shift) - 1).to_bytes(shift >> 3, sys.byteorder)
+    return raw if width == 8 else memoryview(raw).cast(_LANE_FORMATS[width >> 3])
+
+
+def _lane_keys(n_lanes: int, width: int, t_min: int, t_max: int) -> tuple[int, int, int]:
+    """Keys that test every lane of a lane integer against [t_min, t_max].
+
+    For ``n_lanes`` lanes ``width`` bits wide, each below its top bit, and
+    H the top bit of every lane: adding K_min = sum(2^(width-1) - t_min)
+    sets a lane's top bit exactly when the lane is at least t_min, and
+    adding K_max = sum(2^(width-1) - 1 - t_max) exactly when it exceeds
+    t_max, with no carry into the next lane.  So every lane of x lies in
+    [t_min, t_max] exactly when ``(x + K_min) & H == H`` and
+    ``not (x + K_max) & H``.  Bounds beyond what a lane holds are clamped
+    (every lane passes them).  Returns (H, K_min, K_max).
+    """
+    half = 1 << width - 1
+    t_min, t_max = max(t_min, 0), min(t_max, half - 1)
+    unit = ((1 << width * n_lanes) - 1) // ((1 << width) - 1)
+    return unit * half, unit * (half - t_min), unit * (half - 1 - t_max)
 
 
 def _extremal_members(rows: Sequence[int], mask: int, s: int, high: bool) -> int:
@@ -477,34 +508,38 @@ def _check_pair(
     # are drawn by _drawn_sum, with steps computed once per check
     getrandbits = random.Random(seed).getrandbits
     nu, nw = len(rows_u), len(rows_w)
-    order = sys.byteorder
     # kind 1 draws partners from W and reads U's degrees, kind 3 the reverse
-    tagged_w, shift_w, fmt_w = _degree_lanes(rows_w, nu, s_w)
-    tagged_u, shift_u, fmt_u = _degree_lanes(rows_u, nw, s_u)
+    tagged_w, shift_w, width_w = _degree_lanes(rows_w, nu, s_w)
+    tagged_u, shift_u, width_u = _degree_lanes(rows_u, nw, s_u)
+    # the s_m lowest degrees sum to at least s_m*min, the highest to at most
+    # s_m*max: with every degree in [ceil(lo/s_m), floor(hi/s_m)] both
+    # responses stay in the band, a test the keys make on the lane integer
+    # (a side of the band that no sum can leave gets a key every lane passes)
     seeded = (
-        (rows_u, nu.bit_length(), [None] * nu, tagged_w, shift_w, (1 << shift_w) - 1, fmt_w,
-         s_u, s_w),
-        (rows_w, nw.bit_length(), [None] * nw, tagged_u, shift_u, (1 << shift_u) - 1, fmt_u,
-         s_w, s_u),
+        (rows_u, nu.bit_length(), [None] * nu, tagged_w, shift_w, width_w,
+         *_lane_keys(nu, width_w, -(-lo // s_u), hi // s_u), s_u, s_w),
+        (rows_w, nw.bit_length(), [None] * nw, tagged_u, shift_u, width_u,
+         *_lane_keys(nw, width_u, -(-lo // s_w), hi // s_w), s_w, s_u),
     )
     # uniform kinds draw U' as lane selectors (all ones in member i's lane
     # of the tagged W lanes, bit i tagged above W's tags) and W' as tagged
     # W lanes: the AND of the two sums holds each U' member's degree into W'
-    lane_bits = shift_w // nu
-    sel_u = [(1 << lane_bits) - 1 << lane_bits * i | 1 << shift_w + nw + i for i in range(nu)]
+    sel_u = [(1 << width_w) - 1 << width_w * i | 1 << shift_w + nw + i for i in range(nu)]
     full_u, full_w = sum(sel_u), sum(tagged_w)
     steps_u, steps_w = _pool_steps(nu, s_u), _pool_steps(nw, s_w)
-    # a sum of s members' degrees into s' partners lies in [0, s*s'], so a
-    # side of the band beyond that range is never left
-    low_open, high_open = lo > 0, hi < denom
+    # lane integers are congruent to their lane sum modulo 2^width - 1, so
+    # that remainder is the edge count unless the count may exceed it
+    modulus = (1 << width_w) - 1
     for t in range(budget):
         kind = t & 3
         if not kind & 1:
             # uniform independent subset pair at minimal qualifying size
             us = full_u if s_u >= nu else _drawn_sum(getrandbits, sel_u, s_u, steps_u)
             ws = full_w if s_w >= nw else _drawn_sum(getrandbits, tagged_w, s_w, steps_w)
-            degs = (us & ws).to_bytes(shift_w >> 3, order)
-            e = sum(memoryview(degs).cast(fmt_w) if fmt_w else degs)
+            lanes = us & ws
+            e = lanes % modulus
+            if e + modulus <= denom:
+                e = sum(_lanes(lanes, shift_w, width_w))
             if not lo <= e <= hi:
                 return refuted(us >> shift_w + nw, ws >> shift_w, e, t + 1)
             continue
@@ -512,7 +547,7 @@ def _check_pair(
         # in U and answers with U', an extremal response; kind 3 the reverse.
         # Uniform pairs concentrate at the base density, so structured
         # deviations (planted blocks) are found via seeded draws.
-        rows, bits, pools, tagged, shift, lane_mask, fmt, s_m, s_p = seeded[kind >> 1]
+        rows, bits, pools, tagged, shift, width, top, k_min, k_max, s_m, s_p = seeded[kind >> 1]
         # the seeding member: _draw(getrandbits, range(n), 1)[0]
         n = len(rows)
         v = getrandbits(bits)
@@ -535,14 +570,9 @@ def _check_pair(
                     continue
                 entry = _member_pool(tagged, nb, s_p)
         total = _drawn_sum(getrandbits, entry[0], s_p, entry[1])
-        degs = (total & lane_mask).to_bytes(shift >> 3, order)
-        if fmt:
-            degs = memoryview(degs).cast(fmt)
-        # the s_m lowest degrees sum to at least s_m*min, the highest to at
-        # most s_m*max: inside those bounds both responses stay in the band
-        if (not low_open or s_m * min(degs) >= lo) and (not high_open or s_m * max(degs) <= hi):
+        if (total + k_min) & top == top and not (total + k_max) & top:
             continue
-        degs = sorted(degs)
+        degs = sorted(_lanes(total, shift, width))
         for e, high in ((sum(degs[:s_m]), False), (sum(degs[-s_m:]), True)):
             if not lo <= e <= hi:
                 mask = total >> shift

@@ -184,7 +184,7 @@ def oracle_find_embedding(G: BipartiteGraph, H: BipartiteGraph):
 
 
 def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: Fraction,
-                            budget: int, seed: int):
+                            budget: int, seed: int, seen: list | None = None):
     """The sampled deviation check of ``check_regular_pair``, written plainly.
 
     The same draws in the same order, made with ``Random.sample`` and
@@ -197,7 +197,9 @@ def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: 
     sides swapped.  Returns the result, ("REGULAR", samples) or
     ("IRREGULAR", samples, witness U bits, witness W bits, witness
     density), and how a refutation was found, (kind, "uniform" | "low" |
-    "high", edge count, the band's upper end), or None.
+    "high", edge count, the band's upper end), or None.  When ``seen`` is
+    a list, each sample appends what it saw: (kind, edge count) for a
+    uniform one, (kind, least degree, greatest degree) for a seeded one.
     """
     if U.side is Side.B:
         U, W = W, U
@@ -224,7 +226,10 @@ def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: 
             uc = range(len(us)) if s_u >= len(us) else rng.sample(range(len(us)), s_u)
             wc = range(len(ws)) if s_w >= len(ws) else rng.sample(range(len(ws)), s_w)
             w_mask = sum(1 << j for j in wc)
-            hit = refuted(uc, wc, sum((rows_u[i] & w_mask).bit_count() for i in uc), t, "uniform")
+            e = sum((rows_u[i] & w_mask).bit_count() for i in uc)
+            if seen is not None:
+                seen.append((t % 4, e))
+            hit = refuted(uc, wc, e, t, "uniform")
             if hit:
                 return hit
             continue
@@ -238,6 +243,8 @@ def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: 
         chosen = rng.sample([j for j in range(nb.bit_length()) if nb >> j & 1], s_p)
         mask = sum(1 << j for j in chosen)
         ranked = sorted(((row & mask).bit_count(), i) for i, row in enumerate(rows))
+        if seen is not None:
+            seen.append((t % 4, ranked[0][0], ranked[-1][0]))
         for how, picked in (("low", ranked[:s_m]), ("high", ranked[-s_m:])):
             members = [i for _, i in picked]
             e = sum(degree for degree, _ in picked)

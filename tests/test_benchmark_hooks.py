@@ -125,16 +125,26 @@ DIGESTS = {
 
 @pytest.fixture(scope="module")
 def printed_lines():
-    """Every line one ``--workload all`` run prints, for each seed."""
-    lines = []
-    for seed in sorted(next(iter(DIGESTS.values()))):
-        done = subprocess.run(
+    """Every line one ``--workload all`` run prints, for each seed; the
+    seeds' runs go side by side."""
+    runs = [
+        subprocess.Popen(
             [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", "all",
              "--seed", str(seed), "--seconds", "0", "--trace", "0"],
-            capture_output=True, text=True, timeout=600,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        assert done.returncode == 0, done.stderr
-        lines += done.stdout.splitlines()
+        for seed in sorted(next(iter(DIGESTS.values())))
+    ]
+    lines = []
+    try:
+        for run in runs:
+            out, err = run.communicate(timeout=600)
+            assert run.returncode == 0, err
+            lines += out.splitlines()
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
     return lines
 
 

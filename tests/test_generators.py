@@ -156,3 +156,14 @@ def test_gen_host_refuses_a_side_below_one(monkeypatch, kind, n, params, field):
     monkeypatch.setattr(generators.random, "Random", lambda *a: pytest.fail("drew"))
     with pytest.raises(GraphError, match=rf"gen_host: {field} is below 1"):
         gen_host(InstanceSpec(kind, n, 1, params))
+
+
+@pytest.mark.parametrize("n,params", [
+    (100, {"blocks": 2, "block_size": 3}),
+    (7, {"blocks": 2}),
+])
+def test_planted_blocks_refuse_an_n_they_do_not_build(n, params):
+    # both used to return a 6 + 6 host: n was ignored, or rounded down
+    with pytest.raises(GraphError, match=rf"gen_host: n = {n} is not blocks \* block_size = 6"):
+        gen_host(InstanceSpec("host-planted-blocks", n, 1, params))
+    assert gen_host(InstanceSpec("host-planted-blocks", 6, 1, params)).size_a == 6

@@ -24,8 +24,11 @@ from bipembed.regularity import (
     RegularityParams,
     Strategy,
     Verdict,
+    _degree_lanes,
     _draw,
     _drawn_sum,
+    _lane_keys,
+    _lanes,
     _local_row,
     _mix_seed,
     _pair_rows,
@@ -441,6 +444,9 @@ def _oracle_cases():
     yield "both sides open, regular", even, *full_sides(even), Fraction(1, 4), 200, 0
     yield "low side only, regular", dense, *full_sides(dense), Fraction(1, 4), 200, 0
     yield "high side only, regular", sparse, *full_sides(sparse), Fraction(1, 4), 200, 0
+    # a draw whose greatest U degree is exactly the most the band allows
+    sparser = random_bipartite(64, 0.1, random.Random(66))
+    yield "high side only, at the bound", sparser, *full_sides(sparser), Fraction(1, 4), 100, 0
     # every neighbourhood is one vertex, and nine of them stay short of 16
     matching = BipartiteGraph.build(64, 64, [(a, a) for a in range(64)])
     yield "short pools, regular", matching, *full_sides(matching), Fraction(1, 4), 40, 0
@@ -460,16 +466,59 @@ def _oracle_cases():
         Fraction(1, 8), 20, 1
     odd24 = random_bipartite(24, 0.7, random.Random(247))
     yield "uniform refutation at kind 2", odd24, *full_sides(odd24), Fraction(1, 4), 8, 17
+    # s = 16 at eps = 1/4, so a uniform pair has 256 vertex pairs and one-byte
+    # lanes: counts of 255 and 256 leave the lane sum's remainder mod 255
+    full = complete(64)
+    yield "uniform counts of 256", full, *full_sides(full), Fraction(1, 4), 20, 0
+    missing = BipartiteGraph.build(64, 64, [(a, b) for a in range(64) for b in range(64) if a != b])
+    yield "uniform counts up to 255", missing, *full_sides(missing), Fraction(1, 4), 40, 0
+    # the cluster size of the n = 1024 benchmark: 1024 vertex pairs per subset pair
+    wide = random_bipartite(128, 0.5, random.Random(128))
+    yield "128 per side", wide, *full_sides(wide), Fraction(1, 4), 40, 0
+    # W' has 128 members, one past what a one-byte lane holds below its top bit
+    narrow = BipartiteGraph.build(16, 256, [
+        (a, b) for a in range(16) for b in range(256) if (a * 5 + b * 3) % 7 < 4
+    ])
+    yield "two-byte lanes at s = 128", narrow, *full_sides(narrow), Fraction(1, 2), 20, 0
+
+
+def _lane_readings(g, U, W, eps, seen):
+    """How the sampler reads the lanes of each sample the reference saw:
+    the lane width, a uniform count its remainder modulo 2^width - 1 cannot
+    tell, and a seeded sample whose least or greatest degree is exactly
+    the least or greatest one the band lets every member have."""
+    U, W = (U, W) if U.side is Side.A else (W, U)
+    s_u, s_w = min_subset_size(eps, U.size), min_subset_size(eps, W.size)
+    denom = s_u * s_w
+    base = density(g, U, W)
+    lo, hi = math.ceil((base - eps) * denom), math.floor((base + eps) * denom)
+    for kind, *saw in seen:
+        if kind in (0, 2):
+            width = _degree_lanes([0], 1, s_w)[2]
+            modulus = (1 << width) - 1
+            yield ("uniform", width)
+            if saw[0] % modulus + modulus <= denom:
+                yield ("count beyond the modulus", saw[0])
+            continue
+        s_m, s_p = (s_u, s_w) if kind == 1 else (s_w, s_u)
+        yield ("seeded", _degree_lanes([0], 1, s_p)[2])
+        if lo > 0 and saw[0] == -(-lo // s_m):
+            yield ("least degree at its bound", kind)
+        if hi < denom and saw[1] == hi // s_m:
+            yield ("greatest degree at its bound", kind)
 
 
 def test_sampled_checks_match_a_plain_reference_sampler():
-    # the sampler answers each seeded draw from one sum of tagged lane
-    # integers and decides most samples from the least and greatest degree;
-    # a plain transcription on random.Random draws the same subsets and
+    # the sampler answers each draw from one sum of tagged lane integers,
+    # reads a uniform count as that sum's remainder and decides most seeded
+    # samples by testing every lane against the band at once; a plain
+    # transcription on random.Random draws the same subsets and
     # must reach the same certificates on every branch
-    found = set()
+    found, read = set(), set()
     for name, g, U, W, eps, budget, seed in _oracle_cases():
-        expected, how = reference_sampled_check(g, U, W, eps, budget, seed)
+        seen = []
+        expected, how = reference_sampled_check(g, U, W, eps, budget, seed, seen)
+        read.update(_lane_readings(g, U, W, eps, seen))
         cert = check_regular_pair(g, U, W, RegularityParams(eps, Fraction(0)),
                                   Strategy.SAMPLED, budget, seed)
         got = (cert.verdict.name, cert.samples_used)
@@ -482,6 +531,45 @@ def test_sampled_checks_match_a_plain_reference_sampler():
             found.add((kind, response, response == "low" and e > hi))
     assert {(0, "uniform", False), (2, "uniform", False), (1, "low", False), (1, "high", False),
             (3, "low", False), (3, "high", False), (1, "low", True)} <= found
+    assert {("uniform", 8), ("uniform", 16), ("seeded", 8), ("seeded", 16),
+            ("count beyond the modulus", 255), ("count beyond the modulus", 256),
+            ("least degree at its bound", 1), ("least degree at its bound", 3),
+            ("greatest degree at its bound", 1), ("greatest degree at its bound", 3)} <= read
+
+
+@st.composite
+def lane_integers(draw):
+    """Lanes one or two bytes wide below their top bit, and bounds at, just
+    inside and just outside their least and greatest lane."""
+    width = draw(st.sampled_from([8, 16]))
+    lanes = draw(st.lists(st.integers(0, (1 << width - 1) - 1), min_size=1, max_size=70))
+    t_min = min(lanes) + draw(st.integers(-3, 3))
+    t_max = max(lanes) + draw(st.integers(-3, 3))
+    return width, lanes, t_min, t_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_integers())
+@example((8, [5, 9, 12], 5, 12))
+@example((8, [0, 127, 64], -1, 127))
+@example((16, [128, 32767, 0], 0, 32766))
+def test_lane_keys_test_every_lane_at_once(case):
+    width, lanes, t_min, t_max = case
+    shift = width * len(lanes)
+    tag = 0b1011
+    x = sum(v << width * i for i, v in enumerate(lanes)) | tag << shift
+    assert list(_lanes(x, shift, width)) == lanes
+    top, k_min, k_max = _lane_keys(len(lanes), width, t_min, t_max)
+    assert ((x + k_min) & top == top) == (min(lanes) >= t_min)
+    assert (not (x + k_max) & top) == (max(lanes) <= t_max)
+    # no lane carries into the next, nor into the tag above the lanes
+    assert (x + k_min) >> shift == (x + k_max) >> shift == tag
+
+
+def test_degree_lanes_keep_their_top_bit_spare():
+    # a lane key adds up to 2^(width-1) to a lane, which must not carry
+    widths = [_degree_lanes([1], 1, most)[2] for most in (127, 128, 32767, 32768)]
+    assert widths == [8, 16, 16, 32]
 
 
 def test_sampled_check_needs_a_sample():
