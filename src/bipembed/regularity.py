@@ -39,16 +39,27 @@ neighbours, built once per check); a uniform draw ANDs the partners' sum
 with a sum of drawn member lane selectors, and the sum of that one's
 lanes is the subset pair's edge count.  Each sample is decided on the
 lane integer itself.  A uniform count is the lane integer's remainder
-modulo 2^width - 1, since every lane's place value leaves remainder 1;
-only when the count could exceed that modulus are the lanes read one by
-one.  Since the lowest s degrees sum to at least s times the least
-degree and the highest s to at most s times the greatest, a seeded
-sample whose every degree lies in [ceil(lo/s), floor(hi/s)] stays in the
-band [lo, hi]; one addition per side tests all lanes at once, setting a
-lane's spare top bit exactly when it clears its bound (``_lane_keys``),
-and a side of the band that no sum can leave gets a key every lane
-passes.  Only the other samples read their degrees out of the lane
-integer and sort them, and the tag is read only for a witness.
+modulo 2^width - 1, since every lane's place value leaves remainder 1.
+Where the count may exceed that modulus whatever the remainder (at
+s_u*s_w >= 2^(width+1) - 3), the odd lanes are first added onto the even
+ones (``_even_lanes``), giving lanes twice as wide with the same sum, and
+the count is the remainder modulo 2^(2*width) - 1; only a count that
+could exceed the modulus in use is read lane by lane.  A seeded sample
+stays in the band [lo, hi] when its s highest degrees sum to at most hi
+and its s lowest to at least lo.  The highest sum to at most s times the
+greatest, so every degree at most floor(hi/s) suffices for the first;
+the lowest sum to at least s*t_lo, t_lo = ceil(lo/s), less the count of
+degrees below each floor t <= t_lo (at most s per floor), so the second
+holds when that deficit is at most the slack s*t_lo - lo: at once when no
+degree is below t_lo, else after a walk down the floors that stops at
+the first one no degree is below (``_clears_floors``).  One addition
+tests a bound on every lane at once, setting a lane's spare top bit
+exactly when it clears the bound (``_lane_keys``); the key of the next
+floor down adds one unit per lane, and a floor's count is the lanes less
+the top bits set.  A side of the band that no sum can leave gets a key
+every lane passes.  Only a seeded sample these tests cannot keep in the
+band reads its degrees out of the lane integer and sorts them, and the
+tag is read only for a witness.
 
 Every batch of cluster-pair checks (``maximal_reduced_graph``'s k^2
 pairs, the partitioner's cycle pairs) goes through ``certify_pairs``.  It
@@ -273,17 +284,23 @@ def _drawn_sum(getrandbits, population: Sequence[int], k: int, steps) -> int:
     return total
 
 
+@lru_cache(maxsize=256)
+def _shuffle_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """``Random.shuffle``'s steps for a list of n elements as (i, bits):
+    step i swaps element i with one of 0..i, drawn with ``bits`` bits."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
 def _shuffle(getrandbits, x: list) -> None:
     """``random.Random.shuffle(x)``, drawn with ``getrandbits`` alone.
 
     The same permutation, leaving the generator in the same state: CPython's
-    loop with ``_randbelow``'s rejection loop inlined, as in ``_draw``.
+    loop with ``_randbelow``'s rejection loop inlined, as in ``_draw``, on
+    steps (``_shuffle_steps``) fixed once per list length.
     """
-    for i in range(len(x) - 1, 0, -1):
-        n = i + 1
-        bits = n.bit_length()
+    for i, bits in _shuffle_steps(len(x)):
         j = getrandbits(bits)
-        while j >= n:
+        while j > i:
             j = getrandbits(bits)
         x[i], x[j] = x[j], x[i]
 
@@ -365,6 +382,43 @@ def _lane_keys(n_lanes: int, width: int, t_min: int, t_max: int) -> tuple[int, i
     t_min, t_max = max(t_min, 0), min(t_max, half - 1)
     unit = ((1 << width * n_lanes) - 1) // ((1 << width) - 1)
     return unit * half, unit * (half - t_min), unit * (half - 1 - t_max)
+
+
+def _clears_floors(floor: int, top: int, n_lanes: int, width: int, slack: int) -> bool:
+    """Whether a lane integer's s lowest lanes are sure to sum to at least
+    lo, tested floor by floor on the lane integer itself.
+
+    ``floor`` is the lane integer plus ``_lane_keys``' K_min for t_lo =
+    ceil(lo/s), ``top`` its H, and ``slack`` is s*t_lo - lo.  With c_t the
+    number of lanes below t, the s lowest lanes sum to exactly the sum over
+    t >= 1 of s - min(s, c_t), so to at least s*t_lo minus the deficit, the
+    sum of min(s, c_t) over t <= t_lo.  Adding one unit per lane to the key
+    of floor t gives that of floor t - 1, and c_t is ``n_lanes`` less the
+    top bits set; the walk down stops at the first floor no lane is below
+    (c_t is 0 on every floor beneath it), and the lanes pass when the
+    deficit is then at most the slack.  A floor with s or more lanes below
+    it leaves the slack (below s) behind on its own, so the deficit here
+    adds c_t uncapped.
+    """
+    unit = top >> width - 1
+    deficit = 0
+    while below := n_lanes - (floor & top).bit_count():
+        deficit += below
+        if deficit > slack:
+            return False
+        floor += unit
+    return True
+
+
+def _even_lanes(n_lanes: int, width: int) -> int:
+    """The mask of every even lane of ``n_lanes`` lanes ``width`` bits wide.
+
+    For x whose lanes are below 2^(width-1), ``(x & even) + (x >> width &
+    even)`` holds each pair of lanes' sum in one lane twice as wide, with no
+    carry, so its remainder modulo 2^(2*width) - 1 is x's lane sum whenever
+    that sum is below the modulus."""
+    pairs = (n_lanes + 1) // 2
+    return ((1 << 2 * width * pairs) - 1) // ((1 << 2 * width) - 1) * ((1 << width) - 1)
 
 
 def _extremal_members(rows: Sequence[int], mask: int, s: int, high: bool) -> int:
@@ -511,15 +565,17 @@ def _check_pair(
     # kind 1 draws partners from W and reads U's degrees, kind 3 the reverse
     tagged_w, shift_w, width_w = _degree_lanes(rows_w, nu, s_w)
     tagged_u, shift_u, width_u = _degree_lanes(rows_u, nw, s_u)
-    # the s_m lowest degrees sum to at least s_m*min, the highest to at most
-    # s_m*max: with every degree in [ceil(lo/s_m), floor(hi/s_m)] both
-    # responses stay in the band, a test the keys make on the lane integer
-    # (a side of the band that no sum can leave gets a key every lane passes)
+    # the s_m highest degrees sum to at most s_m*max, so with every degree
+    # at most floor(hi/s_m) the high response stays in the band; the low one
+    # does when every degree is at least t_lo = ceil(lo/s_m), or else when
+    # the floors below t_lo clear it (_clears_floors, with slack s_m*t_lo -
+    # lo): tests the keys make on the lane integer (a side of the band that
+    # no sum can leave gets a key every lane passes)
     seeded = (
         (rows_u, nu.bit_length(), [None] * nu, tagged_w, shift_w, width_w,
-         *_lane_keys(nu, width_w, -(-lo // s_u), hi // s_u), s_u, s_w),
+         *_lane_keys(nu, width_w, -(-lo // s_u), hi // s_u), -lo % s_u, s_u, s_w),
         (rows_w, nw.bit_length(), [None] * nw, tagged_u, shift_u, width_u,
-         *_lane_keys(nw, width_u, -(-lo // s_w), hi // s_w), s_w, s_u),
+         *_lane_keys(nw, width_u, -(-lo // s_w), hi // s_w), -lo % s_w, s_w, s_u),
     )
     # uniform kinds draw U' as lane selectors (all ones in member i's lane
     # of the tagged W lanes, bit i tagged above W's tags) and W' as tagged
@@ -528,8 +584,12 @@ def _check_pair(
     full_u, full_w = sum(sel_u), sum(tagged_w)
     steps_u, steps_w = _pool_steps(nu, s_u), _pool_steps(nw, s_w)
     # lane integers are congruent to their lane sum modulo 2^width - 1, so
-    # that remainder is the edge count unless the count may exceed it
-    modulus = (1 << width_w) - 1
+    # that remainder is the edge count unless the count may exceed it; where
+    # it may exceed it whatever the remainder, the count is read on lanes
+    # twice as wide (_even_lanes), modulo 2^(2*width) - 1
+    even, modulus = 0, (1 << width_w) - 1
+    if denom >= 2 * modulus - 1:
+        even, modulus = _even_lanes(nu, width_w), (1 << 2 * width_w) - 1
     for t in range(budget):
         kind = t & 3
         if not kind & 1:
@@ -537,7 +597,7 @@ def _check_pair(
             us = full_u if s_u >= nu else _drawn_sum(getrandbits, sel_u, s_u, steps_u)
             ws = full_w if s_w >= nw else _drawn_sum(getrandbits, tagged_w, s_w, steps_w)
             lanes = us & ws
-            e = lanes % modulus
+            e = ((lanes & even) + (lanes >> width_w & even) if even else lanes) % modulus
             if e + modulus <= denom:
                 e = sum(_lanes(lanes, shift_w, width_w))
             if not lo <= e <= hi:
@@ -547,7 +607,8 @@ def _check_pair(
         # in U and answers with U', an extremal response; kind 3 the reverse.
         # Uniform pairs concentrate at the base density, so structured
         # deviations (planted blocks) are found via seeded draws.
-        rows, bits, pools, tagged, shift, width, top, k_min, k_max, s_m, s_p = seeded[kind >> 1]
+        (rows, bits, pools, tagged, shift, width, top, k_min, k_max, slack, s_m,
+         s_p) = seeded[kind >> 1]
         # the seeding member: _draw(getrandbits, range(n), 1)[0]
         n = len(rows)
         v = getrandbits(bits)
@@ -570,8 +631,10 @@ def _check_pair(
                     continue
                 entry = _member_pool(tagged, nb, s_p)
         total = _drawn_sum(getrandbits, entry[0], s_p, entry[1])
-        if (total + k_min) & top == top and not (total + k_max) & top:
-            continue
+        if not (total + k_max) & top:
+            floor = total + k_min
+            if floor & top == top or _clears_floors(floor, top, n, width, slack):
+                continue
         degs = sorted(_lanes(total, shift, width))
         for e, high in ((sum(degs[:s_m]), False), (sum(degs[-s_m:]), True)):
             if not lo <= e <= hi:

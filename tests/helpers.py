@@ -199,7 +199,7 @@ def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: 
     density), and how a refutation was found, (kind, "uniform" | "low" |
     "high", edge count, the band's upper end), or None.  When ``seen`` is
     a list, each sample appends what it saw: (kind, edge count) for a
-    uniform one, (kind, least degree, greatest degree) for a seeded one.
+    uniform one, (kind, every member's degree, sorted) for a seeded one.
     """
     if U.side is Side.B:
         U, W = W, U
@@ -244,7 +244,7 @@ def reference_sampled_check(G: BipartiteGraph, U: VertexSet, W: VertexSet, eps: 
         mask = sum(1 << j for j in chosen)
         ranked = sorted(((row & mask).bit_count(), i) for i, row in enumerate(rows))
         if seen is not None:
-            seen.append((t % 4, ranked[0][0], ranked[-1][0]))
+            seen.append((t % 4, tuple(degree for degree, _ in ranked)))
         for how, picked in (("low", ranked[:s_m]), ("high", ranked[-s_m:])):
             members = [i for _, i in picked]
             e = sum(degree for degree, _ in picked)

@@ -904,6 +904,26 @@ class TestPlacementBesidePhase2:
         assert regularity._prefetched == {}
 
 
+def test_few_samples_read_their_lanes(monkeypatch):
+    """Over the pair checks of the criterion-1 instance at seed 1, on one
+    core, only two samples read their degrees out of the lane integer: the
+    floors below ceil(lo/s) keep every other seeded sample in the band
+    without a sort.  Sorting every seeded sample with a degree below
+    ceil(lo/s) would read 2,230."""
+    reads = []
+    real_lanes = regularity._lanes
+
+    def lanes(*args):
+        reads.append(args)
+        return real_lanes(*args)
+
+    monkeypatch.setattr(regularity, "_lanes", lanes)
+    runs = TestPlacementBesidePhase2()
+    res, _, _ = runs.run(monkeypatch, 1, runs.criterion_1(1), 1)
+    assert res.report.verdict == "verified-embedding"
+    assert len(reads) == 2
+
+
 class TestTinyOracleSoundness:
     def test_tiny_pipeline_never_fabricates(self):
         rng = random.Random(0)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bipembed import regularity
 from bipembed.graphs import (
     BipartiteGraph, Side, SideMismatchError, VertexId, VertexSet, density, iter_bits,
 )
@@ -24,9 +25,11 @@ from bipembed.regularity import (
     RegularityParams,
     Strategy,
     Verdict,
+    _clears_floors,
     _degree_lanes,
     _draw,
     _drawn_sum,
+    _even_lanes,
     _lane_keys,
     _lanes,
     _local_row,
@@ -483,42 +486,79 @@ def _oracle_cases():
 
 
 def _lane_readings(g, U, W, eps, seen):
-    """How the sampler reads the lanes of each sample the reference saw:
-    the lane width, a uniform count its remainder modulo 2^width - 1 cannot
-    tell, and a seeded sample whose least or greatest degree is exactly
-    the least or greatest one the band lets every member have."""
+    """How the sampler reads the lanes of each sample the reference saw,
+    and how many samples it reads out of their lane integer (``_lanes``).
+
+    The readings: the lane width; a uniform count its remainder modulo
+    2^width - 1 cannot tell, and one above that modulus read on lanes twice
+    as wide; a seeded sample whose least or greatest degree is exactly the
+    least or greatest one the band lets every member have; and for a seeded
+    sample with a degree below t_lo = ceil(lo/s), a deficit of the floors
+    below t_lo at the slack s*t_lo - lo, one past it with the low response
+    still in the band, and more than s degrees below t_lo."""
     U, W = (U, W) if U.side is Side.A else (W, U)
     s_u, s_w = min_subset_size(eps, U.size), min_subset_size(eps, W.size)
     denom = s_u * s_w
     base = density(g, U, W)
     lo, hi = math.ceil((base - eps) * denom), math.floor((base + eps) * denom)
-    for kind, *saw in seen:
+    readings, reads = set(), 0
+    for kind, saw in seen:
         if kind in (0, 2):
             width = _degree_lanes([0], 1, s_w)[2]
             modulus = (1 << width) - 1
-            yield ("uniform", width)
-            if saw[0] % modulus + modulus <= denom:
-                yield ("count beyond the modulus", saw[0])
+            readings.add(("uniform", width))
+            if denom >= 2 * modulus - 1:
+                if saw >= modulus:
+                    readings.add(("folded count above the lane modulus", width))
+                modulus = (1 << 2 * width) - 1
+            if saw % modulus + modulus <= denom:
+                readings.add(("count beyond the modulus", saw))
+                reads += 1
             continue
         s_m, s_p = (s_u, s_w) if kind == 1 else (s_w, s_u)
-        yield ("seeded", _degree_lanes([0], 1, s_p)[2])
-        if lo > 0 and saw[0] == -(-lo // s_m):
-            yield ("least degree at its bound", kind)
-        if hi < denom and saw[1] == hi // s_m:
-            yield ("greatest degree at its bound", kind)
+        readings.add(("seeded", _degree_lanes([0], 1, s_p)[2]))
+        t_lo, t_hi = -(-lo // s_m), hi // s_m
+        if lo > 0 and saw[0] == t_lo:
+            readings.add(("least degree at its bound", kind))
+        if hi < denom and saw[-1] == t_hi:
+            readings.add(("greatest degree at its bound", kind))
+        slack = s_m * t_lo - lo
+        deficit = sum(min(s_m, sum(d < t for d in saw)) for t in range(1, t_lo + 1))
+        if saw[0] < t_lo:
+            if deficit == slack:
+                readings.add(("deficit at the slack", kind))
+            if deficit == slack + 1 and sum(saw[:s_m]) >= lo:
+                readings.add(("deficit past the slack, in band", kind))
+            if sum(d < t_lo for d in saw) > s_m:
+                readings.add(("more than s degrees below t_lo", kind))
+        if saw[-1] > t_hi or deficit > slack:
+            reads += 1
+    return readings, reads
 
 
-def test_sampled_checks_match_a_plain_reference_sampler():
+def test_sampled_checks_match_a_plain_reference_sampler(monkeypatch):
     # the sampler answers each draw from one sum of tagged lane integers,
     # reads a uniform count as that sum's remainder and decides most seeded
-    # samples by testing every lane against the band at once; a plain
-    # transcription on random.Random draws the same subsets and
-    # must reach the same certificates on every branch
+    # samples by testing every lane against the band at once, floor by
+    # floor below ceil(lo/s); a plain transcription on random.Random draws
+    # the same subsets and must reach the same certificates on every
+    # branch, and the sampler must read out of the lane integer exactly
+    # the samples those tests leave undecided
+    reads = []
+    real_lanes = regularity._lanes
+
+    def lanes(*args):
+        reads.append(args)
+        return real_lanes(*args)
+
+    monkeypatch.setattr(regularity, "_lanes", lanes)
     found, read = set(), set()
     for name, g, U, W, eps, budget, seed in _oracle_cases():
         seen = []
         expected, how = reference_sampled_check(g, U, W, eps, budget, seed, seen)
-        read.update(_lane_readings(g, U, W, eps, seen))
+        readings, expected_reads = _lane_readings(g, U, W, eps, seen)
+        read |= readings
+        reads.clear()
         cert = check_regular_pair(g, U, W, RegularityParams(eps, Fraction(0)),
                                   Strategy.SAMPLED, budget, seed)
         got = (cert.verdict.name, cert.samples_used)
@@ -526,6 +566,7 @@ def test_sampled_checks_match_a_plain_reference_sampler():
             wit = cert.witness
             got += (wit.subset_u.bits, wit.subset_w.bits, wit.witness_density)
         assert got == expected, (name, seed)
+        assert len(reads) == expected_reads, (name, seed)
         if how:
             kind, response, e, hi = how
             found.add((kind, response, response == "low" and e > hi))
@@ -533,28 +574,43 @@ def test_sampled_checks_match_a_plain_reference_sampler():
             (3, "low", False), (3, "high", False), (1, "low", True)} <= found
     assert {("uniform", 8), ("uniform", 16), ("seeded", 8), ("seeded", 16),
             ("count beyond the modulus", 255), ("count beyond the modulus", 256),
+            ("folded count above the lane modulus", 8),
             ("least degree at its bound", 1), ("least degree at its bound", 3),
-            ("greatest degree at its bound", 1), ("greatest degree at its bound", 3)} <= read
+            ("greatest degree at its bound", 1), ("greatest degree at its bound", 3),
+            ("deficit at the slack", 1), ("deficit at the slack", 3),
+            ("deficit past the slack, in band", 1), ("more than s degrees below t_lo", 1),
+            } <= read, read
 
 
 @st.composite
 def lane_integers(draw):
-    """Lanes one or two bytes wide below their top bit, and bounds at, just
-    inside and just outside their least and greatest lane."""
+    """Lanes one or two bytes wide below their top bit, bounds at, just
+    inside and just outside their least and greatest lane, and a subset
+    size s with a least sum lo at, just below and just above what the s
+    lowest lanes sum to (at most s times the greatest a lane holds)."""
     width = draw(st.sampled_from([8, 16]))
     lanes = draw(st.lists(st.integers(0, (1 << width - 1) - 1), min_size=1, max_size=70))
     t_min = min(lanes) + draw(st.integers(-3, 3))
     t_max = max(lanes) + draw(st.integers(-3, 3))
-    return width, lanes, t_min, t_max
+    s = draw(st.integers(1, len(lanes)))
+    lo = sum(sorted(lanes)[:s]) + draw(st.integers(-s - 2, 2))
+    return width, lanes, t_min, t_max, s, min(lo, s * ((1 << width - 1) - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(lane_integers())
-@example((8, [5, 9, 12], 5, 12))
-@example((8, [0, 127, 64], -1, 127))
-@example((16, [128, 32767, 0], 0, 32766))
+@example((8, [5, 9, 12], 5, 12, 2, 14))
+@example((8, [0, 127, 64], -1, 127, 3, 191))
+@example((16, [128, 32767, 0], 0, 32766, 1, 0))
+# s = 2, lo = 9: t_lo = 5 with slack 1; one lane below floor 5, none
+# below floor 4 (a deficit at the slack), then one below floors 5 and 4
+# (one past it, with the two lowest lanes at 10 still in the band)
+@example((8, [4, 6, 6], 4, 6, 2, 9))
+@example((8, [3, 7, 9], 3, 9, 2, 9))
+# three lanes below t_lo = 6 against s = 2
+@example((8, [1, 2, 3, 9, 9], 1, 9, 2, 12))
 def test_lane_keys_test_every_lane_at_once(case):
-    width, lanes, t_min, t_max = case
+    width, lanes, t_min, t_max, s, lo = case
     shift = width * len(lanes)
     tag = 0b1011
     x = sum(v << width * i for i, v in enumerate(lanes)) | tag << shift
@@ -564,6 +620,20 @@ def test_lane_keys_test_every_lane_at_once(case):
     assert (not (x + k_max) & top) == (max(lanes) <= t_max)
     # no lane carries into the next, nor into the tag above the lanes
     assert (x + k_min) >> shift == (x + k_max) >> shift == tag
+    # the floors t <= t_lo = ceil(lo/s): the lanes clear them exactly when
+    # the sum of min(s, lanes below t) over 1 <= t <= t_lo is at most the
+    # slack s*t_lo - lo, and then the s lowest lanes sum to at least lo
+    t_lo = -(-lo // s)
+    _, k_lo, _ = _lane_keys(len(lanes), width, t_lo, t_max)
+    deficit = sum(min(s, sum(v < t for v in lanes)) for t in range(1, t_lo + 1))
+    clears = _clears_floors(x + k_lo, top, len(lanes), width, -lo % s)
+    assert clears == (deficit <= s * t_lo - lo)
+    if clears:
+        assert sum(sorted(lanes)[:s]) >= lo
+    # the even lanes plus the odd ones shifted onto them: lanes twice as
+    # wide whose remainder modulo 2^(2*width) - 1 is the lane sum
+    even, bare = _even_lanes(len(lanes), width), x & (1 << shift) - 1
+    assert ((bare & even) + (bare >> width & even)) % ((1 << 2 * width) - 1) == sum(lanes)
 
 
 def test_degree_lanes_keep_their_top_bit_spare():
