@@ -65,10 +65,10 @@ from .regularity import (
     RegularityParams,
     _draw,
     _local_row,
-    _mix_seed,
     _pair_rows,
     _shuffle,
     degree_at_least,
+    stream,
 )
 
 
@@ -253,23 +253,24 @@ def embed_compatible(
     ``report`` is the :func:`compatibility_report` of H's cluster maps at
     ``params.epsilon``; each class must hold exactly its cluster's size in
     ``g_partition``, and the report's clauses must hold.  Phase 1 embeds
-    the boundary and fringe vertices greedily in the given order.  Phase 2
-    completes each matching pair (A_i, B_i): its X side is placed
-    random-greedily on typical host vertices, after which every remaining
-    Y vertex has all neighbours embedded and the pair is finished by a
-    maximum matching on the admissible-placement graph.  A vertex outside the boundary and
-    fringe has all its neighbours in its partner class, and a pair writes
-    only its own two clusters, so the pairs complete independently: each
-    pair gets up to ``retries`` attempts of its own, attempt t of pair i on
-    the stream ``_mix_seed(seed, i, t)``, and a failed attempt's placements
-    are dropped.  Placement works in cluster-local coordinates: local index
-    t of a cluster is its t-th member in ascending order, and each matching
-    pair's adjacency is read once, both ways.  Phase-1 exhaustion and a
-    pair that fails all its attempts raise :class:`EmbeddingError` with the
-    stuck vertex or a witness set violating the matching condition; the
-    whole result is verified once before it is returned.  Its ``mapping``
-    and ``phases`` are in placement order: phase 1's vertices, then pair by
-    pair the X side and the Y side.
+    the boundary and fringe vertices greedily in the given order, drawing
+    from ``random.Random(seed)``.  Phase 2 completes each matching pair
+    (A_i, B_i): its X side is placed random-greedily on typical host
+    vertices, after which every remaining Y vertex has all neighbours
+    embedded and the pair is finished by a maximum matching on the
+    admissible-placement graph.  A vertex outside the boundary and fringe
+    has all its neighbours in its partner class, and a pair writes only its
+    own two clusters, so the pairs complete independently: each pair gets
+    up to ``retries`` attempts of its own, attempt t of pair i on the
+    stream ``stream(seed, "completion", i, t)``, and a failed attempt's
+    placements are dropped.  Placement works in cluster-local coordinates:
+    local index t of a cluster is its t-th member in ascending order, and
+    each matching pair's adjacency is read once, both ways.  Phase-1
+    exhaustion and a pair that fails all its attempts raise
+    :class:`EmbeddingError` with the stuck vertex or a witness set violating
+    the matching condition; the whole result is verified once before it is
+    returned.  Its ``mapping`` and ``phases`` are in placement order: phase
+    1's vertices, then pair by pair the X side and the Y side.
     """
     k = g_partition.k
     # per side (0 = A, 1 = B): each target vertex's cluster, and each
@@ -401,7 +402,7 @@ def embed_compatible(
         last_error: Optional[EmbeddingError] = None
         for attempt in range(retries):
             try:
-                match = complete(i, random.Random(_mix_seed(seed, i, attempt)).getrandbits)
+                match = complete(i, random.Random(stream(seed, "completion", i, attempt)).getrandbits)
             except EmbeddingError as e:
                 # without its traceback, the error does not pin the attempt's frames
                 last_error = e.with_traceback(None)
@@ -520,7 +521,8 @@ def embed_bipartite(
     linking blocks;
     a run ends where the X count reaches its clusters' phase-1 targets and
     goes to its first cluster.  An attempt goes on only when the
-    compatibility clauses hold at the schedule epsilon.  Placement
+    compatibility clauses hold at the schedule epsilon, and hands phase 2
+    and placement the seed ``stream(seed, "attempt", a)``.  Placement
     (``embed_compatible``) runs on the resized partition while phase 2's
     certification batch samples: it reads none of phase 2's verdicts,
     which are claimed after it and go only into the host-phase-2 record,
@@ -612,7 +614,7 @@ def embed_bipartite(
         )
         report.record("compatibility", True, "clauses hold at the schedule epsilon")
 
-        sub = _mix_seed(seed, attempt)
+        sub = stream(seed, "attempt", attempt)
         placed = []  # the embedding, or the EmbeddingError placement raised
 
         def place(partition: ClusterPartition) -> None:

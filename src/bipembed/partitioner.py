@@ -51,7 +51,6 @@ from .graphs import BipartiteGraph, GraphError, Side, VertexId, density, iter_bi
 from .hamilton import HamiltonCycle, HamiltonSearchError, find_hamilton_cycle
 from .ratmath import Rational, ceil_frac, frac, sqrt_upper
 from .regularity import (
-    MAX_ROUNDS,
     ClusterPartition,
     DeviationLedger,
     PairCertificate,
@@ -60,10 +59,10 @@ from .regularity import (
     RegularityParams,
     Verdict,
     _check_exceptional_budget,
-    _mix_seed,
     certify_pairs,
     degree_at_least,
     random_equipartition,
+    stream,
     super_regularize,
 )
 
@@ -467,12 +466,6 @@ def redistribute_cluster_sizes(
 # ---------------------------------------------------------------------------
 
 
-# Seed streams under one run seed: the cycle certification draws on stream
-# 0, the builder's round-0 seeds; phases 1 and 2 on streams past its rounds.
-PHASE1_STREAM = MAX_ROUNDS
-PHASE2_STREAM = MAX_ROUNDS + 1
-
-
 @dataclass(frozen=True)
 class CycleCertification:
     """The round-0 equipartition and its certified Hamilton cycle: the
@@ -576,12 +569,12 @@ def _certified_cycle(
     """A Hamilton cycle of the exact density graph D on ``part``'s cluster
     pairs (i, j), with the certificates of its 2k pairs, all regular.
 
-    Each pair is certified through ``certify_pairs`` on seed stream
-    0, so it is sampled once, with seed ``_mix_seed(seed, 0, i, j)``, and
-    enters ``known``.  That is the builder's round-0 seed for the pair, and
-    a pair of D meets the density gate, so its verdict is the one the
-    builder's round 0 would hold.  Refuted pairs leave D and the search
-    runs again.  Raises :class:`PipelineStageError` at "reduced-degree" when
+    The search draws on ``stream(seed, "reduced-cycle")``.  The pairs are
+    certified through ``certify_pairs`` on ``stream(seed, "round", 0)``,
+    the builder's round-0 seed, so each is sampled once, and enters
+    ``known``, with the verdict the builder's round 0 would hold (a pair of
+    D meets the density gate).  Refuted pairs leave D and the search runs
+    again.  Raises :class:`PipelineStageError` at "reduced-degree" when
     D fails a degree gate, at "reduced-hamilton-cycle" when the search
     fails, and at "cycle-certification" once more than eps*k^2 pairs are
     refuted.
@@ -594,16 +587,15 @@ def _certified_cycle(
         rg = BipartiteGraph.build(k, k, edges)
         _check_reduced_degree(rg, schedule)
         try:
-            cyc = find_hamilton_cycle(rg, seed=seed)
+            cyc = find_hamilton_cycle(rg, seed=stream(seed, "reduced-cycle"))
         except (GraphError, HamiltonSearchError) as e:
             raise PipelineStageError("reduced-hamilton-cycle", str(e)) from e
         pairs = [  # the cycle alternates A_i, B_j, A_i', ...
             (cyc.order[t].index, cyc.order[t + s].index, False)
             for t in range(0, 2 * k, 2) for s in (-1, 1)
         ]
-        certs = certify_pairs(
-            G, part, pairs, params, budget, _mix_seed(seed, 0), known, "the cycle certification"
-        )
+        certs = certify_pairs(G, part, pairs, params, budget, stream(seed, "round", 0), known,
+                              "the cycle certification")
         certified = {(i, j): c for (i, j, _), c in zip(pairs, certs)}
         bad = {key for key, c in certified.items() if c.verdict is not Verdict.REGULAR}
         if not bad:
@@ -626,10 +618,11 @@ def prepare_host_partition(
 ) -> HostPartitionState:
     """Phase 1 of the host pipeline; see the module docstring.
 
-    The returned state's cycle pairs are certified at the schedule's
-    absorbed tier, ``hat_params``: every matching pair (A_i, B_i)
-    super-regular and every offset pair (A_i, B_{i+1}) regular, all 2k of
-    them.  Raises :class:`PipelineStageError` with the failing stage name,
+    The equipartition draws from ``random.Random(seed)``.  The returned
+    state's cycle pairs are certified on ``stream(seed, "phase-1")`` at the
+    schedule's absorbed tier, ``hat_params``: every matching pair (A_i,
+    B_i) super-regular and every offset pair (A_i, B_{i+1}) regular, all 2k
+    of them.  Raises :class:`PipelineStageError` with the failing stage name,
     "pair-certification" when any of those pairs fails.
     """
     n = G.size_a
@@ -699,7 +692,7 @@ def prepare_host_partition(
         max(schedule.absorbed_density, Fraction(0)),
     )
     matching, offsets = _certify_cycle_pairs(
-        G, final, hat, budget, _mix_seed(seed, PHASE1_STREAM), known, "phase 1"
+        G, final, hat, budget, stream(seed, "phase-1"), known, "phase 1"
     )
     bad = _failed_cycle_pairs(matching, offsets)
     if bad:
@@ -743,12 +736,13 @@ def resize_host_partition(
     """Phase 2: realise |A_i| = a_sizes[i], |B_i| = b_sizes[i] exactly.
 
     Requested sizes may exceed the phase-1 targets by at most size_slack*n
-    each.  Certification of the resized pairs happens at the schedule's
-    final parameters; a pair whose clusters no route changed keeps its
-    earlier deviation verdict when the epsilon is the same.  ``meanwhile``,
-    when given, is called with the resized partition as soon as it is
-    known, while the certification batch's helpers sample; its errors
-    propagate, and the pairs are certified once it returns.
+    each.  The resized pairs are certified on ``stream(seed, "phase-2")``
+    at the schedule's final parameters; a pair whose clusters no route
+    changed keeps its earlier deviation verdict when the epsilon is the
+    same.  ``meanwhile``, when given, is called with the resized partition
+    as soon as it is known, while the certification batch's helpers
+    sample; its errors propagate, and the pairs are certified once it
+    returns.
     """
     sched = state.schedule
     k = state.k
@@ -772,7 +766,7 @@ def resize_host_partition(
         G, state.partition, deltas_a, deltas_b, Fraction(worst, n), state.hat_params
     )
     matching, offsets = _certify_cycle_pairs(
-        G, redis.partition, sched.final_params(), budget, _mix_seed(seed, PHASE2_STREAM),
+        G, redis.partition, sched.final_params(), budget, stream(seed, "phase-2"),
         dict(state.deviation_certificates), "phase 2", meanwhile,
     )
     return ResizeResult(redis, matching, offsets)

@@ -801,7 +801,7 @@ def certify_pairs(
     A pair whose verdict in ``known`` ``reuse_deviation`` lets stand takes
     it, re-gated at ``params.d``, with a note naming where it was sampled.
     Every other pair is checked by ``check_regular_pair`` at ``strategy``
-    with seed ``_mix_seed(seed, i, j)``, and its verdict enters ``known``
+    with seed ``stream(seed, i, j)``, and its verdict enters ``known``
     under ``source``.  A regular pair's certificate is its verdict; a
     super-regular pair's adds the density and degree gates to it
     (``check_super_regular_pair``).
@@ -827,7 +827,7 @@ def certify_pairs(
         return replace(reused, note="; ".join(filter(None, note)))
 
     checks = [
-        (part.clusters_a[i], part.clusters_b[j], params, strategy, budget, _mix_seed(seed, i, j))
+        (part.clusters_a[i], part.clusters_b[j], params, strategy, budget, stream(seed, i, j))
         for i, j, _ in pairs
     ]
     jobs = list(dict.fromkeys(_job(*args) for args in checks if not kept(*args[:2])))
@@ -1079,11 +1079,12 @@ def _reduced_graph(
     return ReducedGraph(k, edges, params, certs)
 
 
-def _mix_seed(seed: int, *parts: int) -> int:
-    h = seed & 0xFFFFFFFF
-    for p in parts:
-        h = (h * 1000003 ^ (p + 0x9E3779B9)) & 0xFFFFFFFF
-    return h
+def stream(seed: int, *path: int | str) -> int:
+    """The 64-bit seed of the stream at ``path`` (stage names and indices)
+    under ``seed``: ``random.Random`` hashes the tuple's ``repr``, which
+    tells names from indices, with SHA-512, so the value depends on nothing
+    else, not on the process nor on ``PYTHONHASHSEED``."""
+    return random.Random(repr((seed, *path))).getrandbits(64)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,13 +1199,15 @@ def build_regular_partition(
 ) -> PartitionBuildResult:
     """Witness-driven refinement towards a partition regular on most pairs.
 
-    Starting from a seeded random equipartition with k0 clusters per side,
-    each round certifies all k^2 cross pairs at the deviation-only threshold
-    (d plays no role while building; the returned reduced graph applies it).
-    Rounds that fall short split every cluster in half along the most
-    deviating witness direction and regroup the halves by neighbourhood
-    similarity at the same k; when regrouping stalls for ``REGROUP_STALL``
-    rounds, k doubles instead, up to kmax.  At most ``MAX_ROUNDS`` rounds run.
+    Starting from a random equipartition with k0 clusters per side (it and
+    the splits draw from ``random.Random(seed)``), round r certifies all
+    k^2 cross pairs on ``stream(seed, "round", r)`` at the deviation-only
+    threshold (d plays no role while building; the returned reduced graph
+    applies it).  Rounds that fall short split every cluster in half along
+    the most deviating witness direction and regroup the halves by
+    neighbourhood similarity at the same k; when regrouping stalls for
+    ``REGROUP_STALL`` rounds, k doubles instead, up to kmax.  At most
+    ``MAX_ROUNDS`` rounds run.
     """
     if not G.is_balanced:
         raise GraphError("partition builder expects a balanced graph")
@@ -1221,7 +1224,7 @@ def build_regular_partition(
     stall = 0
     for round_no in range(MAX_ROUNDS):
         checked = maximal_reduced_graph(
-            G, part, deviation_only, strategy, budget, _mix_seed(seed, round_no)
+            G, part, deviation_only, strategy, budget, stream(seed, "round", round_no)
         )
         certs = checked.certificates
         fraction = Fraction(len(checked.edges), k * k)

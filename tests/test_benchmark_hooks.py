@@ -24,10 +24,16 @@ def test_every_traced_function_resolves(monkeypatch):
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
 
 
+def rederive(seed: int) -> str:
+    """The benchmark run whose operations a declared re-baseline copies
+    the recorded digests from."""
+    return f"python3 perfbench/run.py --workload all --seed {seed} --seconds 0 --trace 0"
+
+
 # sha256 of the check record of instance 0 at seed 1, round 0; a change of
 # behaviour that is declared a re-baseline updates these
 RECORDS = {
-    "embed-512": "8490d8139e7313930fe2d69a8ddeae438bcb2d83aa3f9af741971e9dc480ff30",
+    "embed-512": "d7a22595aa8c3da90da66f467b6d9e1d0dde4b4ae5dc09d5f6b18a487fd2827d",
     "hamilton-threshold": "a79724edd1e80b888187aed7a1d56093fb12e6e51ebf152c4890936c32f6a54a",
 }
 
@@ -41,7 +47,7 @@ def test_one_operation_passes_the_benchmark_checks(monkeypatch, name):
     w.check_input(inst)
     record = w.check(inst, w.op(inst, 0))
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-    assert digest == RECORDS[name]
+    assert digest == RECORDS[name], f"{name} record {digest}, an operation of `{rederive(1)}`"
 
 
 def test_traced_pair_checks_do_not_depend_on_the_core_count(monkeypatch):
@@ -78,7 +84,9 @@ def test_one_command_line_operation_passes_the_benchmark_checks(monkeypatch, tmp
     w.check_input(inst)
     record = w.check(inst, w.op(inst, 0))
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-    assert digest == "40f2e0ca4208ea5121b6966abb03dd12451c26407dd4843bb17d19bb6ca79d1d"
+    assert digest == "93760a822f5514bfe43fcf1e596aaefd2a58a63391852f9b8ab3a32233e30f49", (
+        f"cli-1024 record {digest}, an operation of `{rederive(1)}`"
+    )
 
 
 def test_benchmark_reader_skips_the_row_index(monkeypatch, tmp_path):
@@ -106,14 +114,14 @@ def test_benchmark_reader_skips_the_row_index(monkeypatch, tmp_path):
 # sampled or searched
 DIGESTS = {
     "embed-512": {
-        1: "66818f1d397ab4c66700f0fa9769bb93a60d51fd6876daaa2a13f8a74ab06c63",
-        4: "6c478beb7fff38832424cec5fb05893bedc27e6271e9869a20292aee51346742",
-        17: "b57a3848b37b8c38878437dcc60270334520c649e7d2d282ac633a324ce48cf0",
+        1: "98184e06409a559c990acfc90fd9b6b523f274d9709484a3306e648057a2e4cf",
+        4: "95767498600bbd1d9b5afa72c7a88ed6edeb19bb68e520d2043b20e97314f499",
+        17: "53e62111ae701cfd1d37c8921c73d41027e37c7a843d33a13de41f0df721d955",
     },
     "cli-1024": {
-        1: "293afecc8f7babe8ccc0f3d9c52d052db403a3926203b1d3a8f1032da929c20b",
-        4: "ee470db7ae38fb694069d0c991367f16f91b9455b3cf013a87c034a54646f439",
-        17: "f11b5c38ee88b7cd7b2669070657a78292854bce199d2c0500d18943ae8282f0",
+        1: "9324a4f5208c3bf1924c1e63ad79a477df4637dbeab3fbccb978323f51d9aad3",
+        4: "a2e5890fff5efaee3c6e5fc2ae74a050b79ee42d92fcc8507411bb8eda3f2f07",
+        17: "4c33a34febfca456c2e3e0e7f547fa478919eb06681cf5b8dc738ec0e9a7c7eb",
     },
     "hamilton-threshold": {
         1: "71963526a88e8afdbd739df0f56a009c925f837f7368e2e3f8129c4aa24085dc",
@@ -150,5 +158,10 @@ def printed_lines():
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_the_benchmark_prints_the_recorded_digest(printed_lines, name):
-    for seed, digest in DIGESTS[name].items():
-        assert f"digest {name} seed={seed}: {digest}" in printed_lines
+    printed = {}
+    for seed in DIGESTS[name]:
+        head = f"digest {name} seed={seed}: "
+        printed[seed] = [line[len(head):] for line in printed_lines if line.startswith(head)]
+    assert printed == {seed: [digest] for seed, digest in DIGESTS[name].items()}, "; ".join(
+        f"`{rederive(seed)}` printed {name} {digests}" for seed, digests in printed.items()
+    )

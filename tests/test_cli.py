@@ -509,7 +509,7 @@ class TestCommands:
             2, 8, Strategy.SAMPLED, 2000, 0,
         )
         part = res.partition
-        assert (part.k, res.rounds, res.fraction_regular) == (4, 5, Fraction(7, 8))
+        assert (part.k, res.rounds, res.fraction_regular) == (4, 6, Fraction(1))
         assert json.loads(out.read_text()) == {
             "kind": "cluster-partition",
             "k": 4,
@@ -517,8 +517,8 @@ class TestCommands:
             "clusters_b": [sorted(c.indices()) for c in part.clusters_b],
             "exceptional_a": sorted(part.exceptional_a.indices()),
             "exceptional_b": sorted(part.exceptional_b.indices()),
-            "fraction_regular": "7/8",
-            "rounds": 5,
+            "fraction_regular": "1",
+            "rounds": 6,
             "reduced_edges": sorted(list(e) for e in res.reduced.edges),
         }
 

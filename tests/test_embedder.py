@@ -419,9 +419,10 @@ class TestEmbedCompatible:
                 seeds.append(x)
                 super().__init__(x)
 
-        def mix(seed, pair, attempt):
+        def completion(seed, stage, pair, attempt):
+            assert stage == "completion"
             streams.append((pair, attempt))
-            return regularity._mix_seed(seed, pair, attempt)
+            return regularity.stream(seed, stage, pair, attempt)
 
         def matching(cands, right_size):
             match, witness = _max_matching(cands, right_size)
@@ -429,7 +430,7 @@ class TestEmbedCompatible:
                 return [-1] + match[1:], ({0}, set())
             return match, witness
 
-        monkeypatch.setattr(embedder, "_mix_seed", mix)
+        monkeypatch.setattr(embedder, "stream", completion)
         monkeypatch.setattr(embedder, "random", SimpleNamespace(Random=Recorded))
         monkeypatch.setattr(embedder, "_max_matching", matching)
         h = matching_graph(k * m)
@@ -439,7 +440,7 @@ class TestEmbedCompatible:
         )
         assert verify_embedding(g, h, emb)
         # phase 1 draws from the seed, each completion from its own stream
-        assert seeds == [5] + [regularity._mix_seed(5, *stream) for stream in streams]
+        assert seeds == [5] + [regularity.stream(5, "completion", *s) for s in streams]
         return streams
 
     def test_only_the_failed_pair_is_retried(self, monkeypatch):
@@ -483,8 +484,12 @@ class TestEmbedCompatible:
 
     @pytest.mark.parametrize("trial, message, stuck, violator, cause", [
         (226, "phase 1 exhausted candidates for B0 in class ('B', 0)", "B0", None, None),
-        (26, "no completion of pair ('A', 0)-('B', 0) within 2 attempts: completion stuck "
-             "on A2 in ('A', 0)", "A2", None, "completion stuck on A2 in ('A', 0)"),
+        (26, "no completion of pair ('A', 0)-('B', 0) within 2 attempts: matching "
+             "completion deficient in ('B', 0): 1 vertices share 0 candidates",
+         "B0", ["B0"], "matching completion deficient in ('B', 0): 1 vertices share "
+                       "0 candidates"),
+        (85, "no completion of pair ('A', 1)-('B', 1) within 2 attempts: completion stuck "
+             "on A7 in ('A', 1)", "A7", None, "completion stuck on A7 in ('A', 1)"),
         (180, "no completion of pair ('A', 1)-('B', 1) within 2 attempts: matching "
               "completion deficient in ('B', 1): 2 vertices share 1 candidates",
          "B3", ["B2", "B3"], "matching completion deficient in ('B', 1): 2 vertices share "
@@ -542,23 +547,24 @@ def test_criterion_1_phases_in_placement_order():
 
 def test_neighbouring_seeds_share_no_completion_stream():
     """Phase 1 draws from the embed seed and attempt t of pair i from
-    ``_mix_seed(seed, i, t)`` (pinned by
+    ``stream(seed, "completion", i, t)`` (pinned by
     ``test_only_the_failed_pair_is_retried``).  No completion stream of one
     seed is a stream of the next, for embed seeds s and s+1 and for the
-    embed seeds ``_mix_seed(s, a)`` that pipeline seeds s and s+1 hand
-    over at attempts a < 8; k = 8 pairs, 20 attempts each."""
+    embed seeds ``stream(s, "attempt", a)`` that pipeline seeds s and s+1
+    hand over at attempts a < 8; k = 8 pairs, 20 attempts each."""
 
     def streams(seeds):
         completion = {
-            regularity._mix_seed(e, i, t) for e in seeds for i in range(8) for t in range(20)
+            regularity.stream(e, "completion", i, t)
+            for e in seeds for i in range(8) for t in range(20)
         }
         return set(seeds) | completion, completion
 
     for s in range(0, 4000, 97):
         for one, other in (
             ([s], [s + 1]),
-            ([regularity._mix_seed(s, a) for a in range(8)],
-             [regularity._mix_seed(s + 1, a) for a in range(8)]),
+            ([regularity.stream(s, "attempt", a) for a in range(8)],
+             [regularity.stream(s + 1, "attempt", a) for a in range(8)]),
         ):
             (every, completion), (their_every, their_completion) = streams(one), streams(other)
             assert not completion & their_every and not every & their_completion, s
@@ -690,7 +696,7 @@ class TestScheduleEpsilonGate:
             for hv, gv in runs[19][2].embedding.mapping.items()
         )
         assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
-            "9441f57faceca9a88da732326489eb04671aeb051baa27eda84150931a914193"
+            "9a601188031e35d6b7c69498f98d0f4fc93435875005f33b5df7489add06ffe2"
         )
 
     def test_phase_2_only_touches_up(self, runs):

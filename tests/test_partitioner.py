@@ -2,8 +2,10 @@ import os
 import random
 import signal
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,13 +32,13 @@ from bipembed.regularity import (
     RegularityParams,
     Strategy,
     Verdict,
-    _mix_seed,
     certify_pairs,
     check_regular_pair,
     check_super_regular_pair,
     maximal_reduced_graph,
     random_equipartition,
     reuse_deviation,
+    stream,
 )
 
 from helpers import cycle_graph, planted_blocks, random_bipartite, random_min_degree
@@ -864,7 +866,7 @@ class TestCycleFirst:
         build = state.build
         assert build.partition == random_equipartition(g, 8, random.Random(0))
         round0 = maximal_reduced_graph(
-            g, build.partition, sched.working_params(), budget=800, seed=_mix_seed(0, 0)
+            g, build.partition, sched.working_params(), budget=800, seed=stream(0, "round", 0)
         )
         certs = build.reduced.certificates
         assert len(certs) == 2 * state.k == len(build.reduced.edges)
@@ -960,8 +962,8 @@ class TestCycleFirst:
 
     def test_each_certification_draws_on_its_own_seed_stream(self, monkeypatch):
         """The cycle certification, phase 1 and phase 2 at attempt 0 (seed
-        ``_mix_seed(seed, 0)``, as ``embed_bipartite`` passes it) sample
-        with pairwise disjoint seeds."""
+        ``stream(seed, "attempt", 0)``, as ``embed_bipartite`` passes it)
+        sample with pairwise disjoint seeds."""
         g, sched = self.dense_host()
         seeds = []
         real = regularity.check_regular_pair
@@ -975,8 +977,8 @@ class TestCycleFirst:
         state = prepare_host_partition(g, sched, budget=400, seed=1)
         # sample every cycle pair again, on the streams phases 1 and 2 take
         for seed, params in (
-            (_mix_seed(1, partitioner.PHASE1_STREAM), state.hat_params),
-            (_mix_seed(_mix_seed(1, 0), partitioner.PHASE2_STREAM), sched.final_params()),
+            (stream(1, "phase-1"), state.hat_params),
+            (stream(stream(1, "attempt", 0), "phase-2"), sched.final_params()),
         ):
             seeds.append(set())
             _certify_cycle_pairs(g, state.partition, params, 400, seed, {}, "a test")
@@ -988,8 +990,41 @@ class TestCycleFirst:
         a[0] -= 1
         a[1] += 1
         seeds.append(set())
-        resize_host_partition(state, g, a, state.target_sizes, budget=400, seed=_mix_seed(1, 0))
+        resize_host_partition(state, g, a, state.target_sizes, budget=400,
+                              seed=stream(1, "attempt", 0))
         assert len(seeds[-1]) == 4 and seeds[-1] <= phase2
+
+    def test_no_seed_serves_two_consumers(self, monkeypatch):
+        """Across one pipeline run, each seed a pair check or a generator of
+        the embedder is given serves that consumer alone: completion try t
+        of matching pair i does not replay the draws of a certified pair."""
+        g, _ = self.dense_host()
+        n = g.size_a
+        uses = []  # (seed, consumer) of each pair check and embedder generator
+        real = regularity.check_regular_pair
+
+        def check(G, U, W, params, strategy=Strategy.SAMPLED, budget=800, seed=0):
+            uses.append((seed, ("check", U.bits, W.bits)))
+            return real(G, U, W, params, strategy, budget, seed)
+
+        class Recorded(random.Random):
+            def __init__(self, x):
+                uses.append((x, ("generator", len(uses))))
+                super().__init__(x)
+
+        monkeypatch.setattr(regularity, "check_regular_pair", check)
+        monkeypatch.setattr(embedder, "random", SimpleNamespace(Random=Recorded))
+        res = embed_bipartite(g, cycle_graph(n), Fraction(3, 10), 2,
+                              EmbedConfig(k0=4, ell=16, sample_budget=400), seed=1,
+                              labelling=zigzag_labelling(n))
+        assert res.report.verdict == "verified-embedding"
+        kinds = Counter(kind for _, (kind, *_) in uses)
+        # the cycle's 2k pairs; phase-1 placement and a completion per pair
+        assert kinds["check"] >= 2 * res.state.k and kinds["generator"] > res.state.k
+        owners = {}
+        for seed, who in uses:
+            owners.setdefault(seed, set()).add(who)
+        assert {seed: who for seed, who in owners.items() if len(who) > 1} == {}
 
 
 
@@ -1133,7 +1168,7 @@ class TestSampledAcrossCores:
         g, part = self.host()
         return g, [
             regularity._job(part.clusters_a[i], part.clusters_b[j], self.params,
-                            Strategy.SAMPLED, 200, _mix_seed(7, i, j))
+                            Strategy.SAMPLED, 200, stream(7, i, j))
             for i in range(4) for j in range(4)
         ]
 
@@ -1271,7 +1306,7 @@ class TestSampledAcrossCores:
         caller's own call of that check meets the same error."""
         g, part = self.host()
         pairs = [(i, (i + s) % 4, False) for i in range(4) for s in (0, 1)]
-        failing = _mix_seed(7, *pairs[1][:2])  # the helper's first check
+        failing = stream(7, *pairs[1][:2])  # the helper's first check
         real = regularity._check_pair
 
         class Refused(ArithmeticError):

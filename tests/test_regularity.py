@@ -33,7 +33,6 @@ from bipembed.regularity import (
     _lane_keys,
     _lanes,
     _local_row,
-    _mix_seed,
     _pair_rows,
     _pool_steps,
     _shuffle,
@@ -44,6 +43,7 @@ from bipembed.regularity import (
     maximal_reduced_graph,
     min_subset_size,
     rebound_after_perturbation,
+    stream,
     super_regularize,
 )
 
@@ -51,6 +51,7 @@ from helpers import (
     brute_force_regular, planted_blocks, random_bipartite, reference_equalise,
     reference_sampled_check,
 )
+from test_imports import fresh
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
@@ -975,7 +976,7 @@ class TestSuperRegularize:
             cert = check_super_regular_pair(g, check_regular_pair(
                 g, cleaned.clusters_a[i], cleaned.clusters_b[j],
                 RegularityParams(Fraction(1, 2), Fraction(1, 10)), Strategy.SAMPLED,
-                300, _mix_seed(0, i, j),
+                300, stream(0, i, j),
             ))
             assert cert.verdict is Verdict.SUPER_REGULAR
 
@@ -1116,6 +1117,34 @@ def test_shuffle_equals_standard_library(seed):
         _shuffle(gen.getrandbits, got)
         assert got == expected, n
     assert gen.getrandbits(32) == ref.getrandbits(32)
+
+
+# (seed, *path): paths mix stage names and indices, as the pipeline's do
+stream_keys = st.tuples(
+    st.integers(-3, 2**64),
+    st.lists(st.one_of(st.integers(-3, 2**40), st.text(max_size=8)), max_size=4),
+).map(lambda key: (key[0], *key[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(stream_keys, min_size=2, max_size=40, unique=True))
+@example(keys=[(1, 0), (1, "0"), (10,), (1, "", 0), (1, "round", 0), (1, "round0"),
+               (1, "round", "0"), (1, "round, 0"), (1, "round", 0, 0)])
+def test_distinct_stream_paths_give_distinct_seeds(keys):
+    seeds = [stream(*key) for key in keys]
+    assert all(0 <= s < 1 << 64 for s in seeds)
+    assert len(set(seeds)) == len(keys)
+
+
+def test_streams_do_not_depend_on_the_hash_seed(monkeypatch):
+    """A fresh interpreter gives the same streams whatever its
+    ``PYTHONHASHSEED``, so no run's draws depend on ``hash()``."""
+    keys = [(1, "round", 0), (7, 3, 5), (2**40, "completion", 2, 19), (0, "phase-2")]
+    code = f"from bipembed.regularity import stream\nprint([stream(*k) for k in {keys!r}])"
+    expected = f"{[stream(*key) for key in keys]}\n"
+    for hash_seed in ("0", "1", "4242"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        assert fresh(code) == expected, hash_seed
 
 
 @st.composite
